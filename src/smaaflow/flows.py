@@ -8,11 +8,16 @@ into an outranking degree, and turned into positive, negative and net flows
 within the reference set {r_1, ..., r_{k+1}, x}.  Flows of the profiles
 bracket the flow of the alternative, which pins down its category.
 
-Two implementations live here.  The module-level functions follow the
-recursive definitions one pair at a time and are the readable reference
-path.  :class:`BatchEngine` evaluates whole batches of weight vectors at
-once over a fixed pair layout; the acceptability analysis loop runs on it.
-Both must agree to floating-point accuracy, which the test suite checks.
+Flows are linear in the preference degrees, so the net flows under any
+node of the tree are the weighted sum of per-leaf unicriterion flows.
+:class:`BatchEngine` is the one flow engine: it reduces each data draw to
+per-leaf flow tables once, aggregates their net columns children-first for
+whole batches of weight vectors, and weights the positive and negative
+tables by each leaf's path-product weight for the whole tree.
+:func:`flow_bundle`, :func:`single_criterion_flows` and their relatives
+run the same engine on a single weight row.  The pairwise degrees
+(:func:`subtree_preference`, :func:`outranking_degree`) follow the
+recursive definitions directly.
 """
 
 from __future__ import annotations
@@ -96,34 +101,42 @@ class ProfileSet:
         return len(self.levels[0])
 
     def validate(self, prefs: Sequence[PreferenceSpec]) -> None:
-        """Check that successive profiles strictly dominate each other.
-
-        Modes must be strictly ordered in the preference direction of every
-        elementary criterion, and the supports of adjacent profiles may
-        touch but not overlap.
-        """
+        """Check that successive profiles strictly dominate each other
+        (see :func:`profile_column_fault`)."""
         if len(prefs) != self.n_criteria:
             raise InputError(SCHEMA, "profiles and preference specs differ in length")
         for t, spec in enumerate(prefs):
-            sign = 1.0 if spec.direction == "maximize" else -1.0
-            for h in range(self.category_count):
-                better, worse = self.levels[h][t], self.levels[h + 1][t]
-                if sign * (better.m - worse.m) <= 0:
-                    raise InputError(
-                        PROFILE_DOMINANCE,
-                        f"profile {h + 1} does not dominate profile {h + 2} "
-                        f"on criterion {t} ({better.m} vs {worse.m}, {spec.direction})",
-                    )
-                if sign > 0:
-                    gap = better.support[0] - worse.support[1]
-                else:
-                    gap = worse.support[0] - better.support[1]
-                if gap < 0:
-                    raise InputError(
-                        PROFILE_OVERLAP,
-                        f"supports of profiles {h + 1} and {h + 2} overlap "
-                        f"on criterion {t}",
-                    )
+            column = [row[t] for row in self.levels]
+            fault = profile_column_fault(tfn_matrix(column), spec.direction == "maximize")
+            if fault is None:
+                continue
+            code, h = fault
+            if code == PROFILE_DOMINANCE:
+                message = (f"profile {h + 1} does not dominate profile {h + 2} on criterion "
+                           f"{t} ({column[h].m} vs {column[h + 1].m}, {spec.direction})")
+            else:
+                message = f"supports of profiles {h + 1} and {h + 2} overlap on criterion {t}"
+            raise InputError(code, message)
+
+
+def profile_column_fault(column: np.ndarray, maximize: bool) -> tuple[str, int] | None:
+    """First dominance fault among one criterion's profiles, best first.
+
+    ``column`` holds one (m, alpha, beta) row per profile.  Modes must be
+    strictly ordered in the preference direction, and the supports of
+    adjacent profiles may touch but not overlap.  Returns None when the
+    column complies, else the error code and the index h of the first
+    pair (h, h+1) that breaks the rule.
+    """
+    sign = 1.0 if maximize else -1.0
+    for h in range(len(column) - 1):
+        better, worse = column[h], column[h + 1]
+        if sign * (better[0] - worse[0]) <= 0:
+            return PROFILE_DOMINANCE, h
+        upper, lower = (better, worse) if maximize else (worse, better)
+        if upper[0] - upper[1] < lower[0] + lower[2]:
+            return PROFILE_OVERLAP, h
+    return None
 
 
 def _check_vector(tree: CriteriaTree, name: str, values: Sequence) -> None:
@@ -192,35 +205,18 @@ def outranking_degree(
     return fuzzy_outranking(tree, weights, prefs, a, b).defuzzify(defuzz)
 
 
-def _pi_table(tree, weights, prefs, profiles, x, defuzz):
-    """Outranking degrees between all distinct elements of {x} u profiles.
-
-    Element 0 is the alternative, elements 1..k+1 the profiles best first.
-    """
-    elems = [tuple(x)] + [row for row in profiles.levels]
-    n = len(elems)
-    pi = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                pi[i, j] = outranking_degree(tree, weights, prefs, elems[i], elems[j], defuzz)
-    return pi
-
-
-def _bundle_from_pi(pi: np.ndarray) -> FlowBundle:
-    c = pi.shape[0] - 1  # number of profiles
-    alt = FlowTriple(
-        plus=float(pi[0, 1:].sum() / c),
-        minus=float(pi[1:, 0].sum() / c),
-        net=float((pi[0, 1:].sum() - pi[1:, 0].sum()) / c),
+def _single_run(tree, weights, prefs, profiles, x, defuzz) -> BatchFlows:
+    """Run the engine for one alternative under one weight assignment."""
+    _check_vector(tree, "alternative", x)
+    if profiles.n_criteria != tree.n_elementary:
+        raise InputError(SCHEMA, "profiles and tree differ in elementary count")
+    profiles.validate(prefs)
+    engine = BatchEngine(tree, 1, len(profiles.levels))
+    components = engine.pref_components(
+        prefs, tfn_matrix(x)[None], np.array([tfn_matrix(r) for r in profiles.levels]), defuzz
     )
-    rows = []
-    for h in range(1, c + 1):
-        others = [j for j in range(1, c + 1) if j != h]
-        plus = (pi[h, others].sum() + pi[h, 0]) / c
-        minus = (pi[others, h].sum() + pi[0, h]) / c
-        rows.append(FlowTriple(float(plus), float(minus), float(plus - minus)))
-    return FlowBundle(alternative=alt, profiles=tuple(rows))
+    w = np.array([[weights[n.path] for n in tree.nodes]])
+    return engine.flows(engine.node_values(components, w))
 
 
 def flow_bundle(
@@ -238,12 +234,15 @@ def flow_bundle(
     so the normalizer is |R| - 1 = k + 1; the alternative is compared to the
     profiles only, each profile to its peers and to the alternative.
     """
-    _check_vector(tree, "alternative", x)
-    if profiles.n_criteria != tree.n_elementary:
-        raise InputError(SCHEMA, "profiles and tree differ in elementary count")
-    profiles.validate(prefs)
-    pi = _pi_table(tree, weights, prefs, profiles, x, defuzz)
-    return _bundle_from_pi(pi)
+    bf = _single_run(tree, weights, prefs, profiles, x, defuzz)
+    alt = FlowTriple(
+        float(bf.alt_plus[0, 0]), float(bf.alt_minus[0, 0]), float(bf.node_alt_net[-1, 0, 0])
+    )
+    rows = zip(bf.prof_plus[0, 0], bf.prof_minus[0, 0], bf.node_prof_net[-1, 0, 0])
+    return FlowBundle(
+        alternative=alt,
+        profiles=tuple(FlowTriple(float(p), float(n), float(v)) for p, n, v in rows),
+    )
 
 
 def alternative_flows(tree, weights, prefs, profiles, x, defuzz="centroid") -> FlowTriple:
@@ -334,24 +333,12 @@ def single_criterion_flows(
     weight) replace the overall outranking degree in the net-flow formulas,
     which provides a per-criterion diagnostic at any level of the tree.
     """
-    _check_vector(tree, "alternative", x)
-    profiles.validate(prefs)
-    c = len(profiles.levels)
-    elems = [tuple(x)] + [row for row in profiles.levels]
-    deg = np.zeros((c + 1, c + 1))
-    for i in range(c + 1):
-        for j in range(c + 1):
-            if i != j:
-                deg[i, j] = subtree_preference(
-                    tree, path, weights, prefs, elems[i], elems[j]
-                ).defuzzify(defuzz)
-    net = float((deg[0, 1:].sum() - deg[1:, 0].sum()) / c)
-    prof = []
-    for h in range(1, c + 1):
-        others = [j for j in range(1, c + 1) if j != h]
-        val = (deg[h, others].sum() - deg[others, h].sum() + deg[h, 0] - deg[0, h]) / c
-        prof.append(float(val))
-    return SingleCriterionFlows(net=net, profile_net=tuple(prof))
+    idx = tree.node_index[tree.node(path).path]
+    bf = _single_run(tree, weights, prefs, profiles, x, defuzz)
+    return SingleCriterionFlows(
+        net=float(bf.node_alt_net[idx, 0, 0]),
+        profile_net=tuple(float(v) for v in bf.node_prof_net[idx, 0, 0]),
+    )
 
 
 def single_criterion_assignment(flows: SingleCriterionFlows) -> int:
@@ -410,7 +397,10 @@ class BatchFlows:
     Node axes cover every tree node plus, at index -1, the whole tree.
     ``node_alt_net`` is (nodes+1, batch, m); ``node_prof_net`` is
     (nodes+1, batch, m, k+1).  The positive/negative pairs exist for the
-    root only, shaped (batch, m) and (batch, m, k+1).
+    root only, shaped (batch, m) and (batch, m, k+1).  ``leaf_prof_net``
+    holds the net profile flows of every leaf on its own, shaped
+    (m, k+1, n_el) per data draw: one draw when the components are shared
+    across the batch, else one per batch row.
     """
 
     node_alt_net: np.ndarray
@@ -419,6 +409,15 @@ class BatchFlows:
     alt_minus: np.ndarray
     prof_plus: np.ndarray
     prof_minus: np.ndarray
+    leaf_prof_net: np.ndarray
+
+
+class NodeValues(NamedTuple):
+    """Aggregated flow columns of a batch, as :meth:`BatchEngine.flows` reads them."""
+
+    nodes: np.ndarray  # (nodes+1, batch, n_pairs) net flow rows, whole tree last
+    root: np.ndarray  # (batch, 2 * n_pairs) positive then negative flow rows
+    leaves: np.ndarray  # ([batch,] n_pairs, n_el) net flow rows per leaf
 
 
 def net_style_bracket(alt: np.ndarray, prof: np.ndarray):
@@ -440,13 +439,15 @@ def negative_bracket(alt: np.ndarray, prof: np.ndarray):
 
 
 class BatchEngine:
-    """Evaluates flows for many weight vectors over a fixed pair layout.
+    """Evaluates flows for many weight vectors from per-leaf flow tables.
 
-    The layout covers all ordered profile pairs plus both orientations of
-    every (alternative, profile) pair.  Because aggregation and
-    defuzzification are linear in the three components of a fuzzy number,
-    each elementary criterion contributes a single crisp component per pair;
-    node values are then plain weighted sums, accumulated children-first.
+    A node's value row holds, for every alternative x_i, the net flows of
+    the members of its reference set R_i = {x_i, r_1, ..., r_{k+1}}, the
+    alternative first.  Aggregation and defuzzification are linear in the
+    three components of a fuzzy number, so each leaf contributes one crisp
+    flow table per data draw; node rows are weighted sums of their
+    children's rows, and the whole tree's positive and negative flows are
+    the leaf tables weighted by each leaf's path-product weight.
     """
 
     def __init__(self, tree: CriteriaTree, n_alternatives: int, n_profiles: int):
@@ -455,7 +456,8 @@ class BatchEngine:
         self.c = n_profiles
         self.n_nodes = len(tree.nodes)
         self.root = self.n_nodes
-        self.n_pairs = self.c * self.c + 2 * self.m * self.c
+        # width of a node's value row; the per-layer trace reads it
+        self.n_pairs = self.m * (self.c + 1)
         self.elem_slot = np.array(
             [tree.elementary_index.get(n.path, -1) for n in tree.nodes], dtype=np.int64
         )
@@ -463,11 +465,13 @@ class BatchEngine:
             [tree.node_index[c.path] for c in n.children] for n in tree.nodes
         ]
         self.first_level = [tree.node_index[n.path] for n in tree.first_level]
+        self.parent = [tree.node_index.get(n.path[:-1], -1) for n in tree.nodes]
+        self.leaf_nodes = [tree.node_index[p] for p in tree.elementary_paths]
 
-    # -- pair components ---------------------------------------------------
+    # -- per-leaf flow tables ----------------------------------------------
 
     def pref_components(self, prefs, evals: np.ndarray, profiles: np.ndarray, defuzz: str):
-        """Crisp per-pair contribution of each elementary criterion.
+        """Net, positive and negative flow tables of every leaf for one data draw.
 
         Parameters
         ----------
@@ -479,25 +483,27 @@ class BatchEngine:
 
         Returns
         -------
-        (n_pairs, n_el) array whose weighted column sums are defuzzified
-        node-level preference degrees.
+        (3 * n_pairs, n_el) array: the net flows of every reference set
+        on each leaf alone, laid out like a node's value row, then the
+        positive and the negative flows in the same layout.
         """
         if not isinstance(prefs, tuple):
             prefs = pref_param_arrays(prefs)
         codes, q, p, s, maximize = prefs
         c, m = self.c, self.m
+        n_el = evals.shape[1]
         a = np.concatenate(
             [
-                np.repeat(profiles, c, axis=0),
                 np.repeat(evals, c, axis=0),
                 np.tile(profiles, (m, 1, 1)),
+                np.repeat(profiles, c, axis=0),
             ]
         )
         b = np.concatenate(
             [
-                np.tile(profiles, (c, 1, 1)),
                 np.tile(profiles, (m, 1, 1)),
                 np.repeat(evals, c, axis=0),
+                np.tile(profiles, (c, 1, 1)),
             ]
         )
         d = np.where(maximize, a[..., 0] - b[..., 0], b[..., 0] - a[..., 0])
@@ -507,28 +513,50 @@ class BatchEngine:
         p_lo = shape_preference(codes, q, p, s, d - s_left)
         p_hi = shape_preference(codes, q, p, s, d + s_right)
         if defuzz == "centroid":
-            return p0 + (p_hi + p_lo - 2.0 * p0) / 3.0
-        if defuzz == "spread-sum":
-            return p0 + (p_hi - p_lo) / 3.0
-        raise ValueError(f"unknown defuzzification method {defuzz!r}")
+            pair = p0 + (p_hi + p_lo - 2.0 * p0) / 3.0
+        elif defuzz == "spread-sum":
+            pair = p0 + (p_hi - p_lo) / 3.0
+        else:
+            raise ValueError(f"unknown defuzzification method {defuzz!r}")
+        # Leaf-major blocks, so every sum runs over a contiguous profile
+        # axis, and net flows summed from pair differences rather than taken
+        # as positive minus negative: an alternative equal to a profile ties
+        # it exactly, and this rounding decides its category in the reports.
+        pair = np.ascontiguousarray(pair.T)
+        both = pair[:, : 2 * m * c].reshape(n_el, 2, m, c)
+        x_over_r, r_over_x = both[:, 0], both[:, 1]  # P(x_i, r_h), P(r_h, x_i)
+        r_over_r = pair[:, 2 * m * c :].reshape(n_el, c, c)  # P(r_h, r_l)
+        diag = np.einsum("...hh->...h", r_over_r)
+        row = r_over_r.sum(axis=-1) - diag  # sum over l != h of P(r_h, r_l)
+        col = r_over_r.sum(axis=-2) - diag  # sum over l != h of P(r_l, r_h)
+        diff = x_over_r - r_over_x
+        out = np.empty((n_el, 3, m, c + 1))
+        out[:, 0, :, 0] = diff.sum(axis=-1)
+        out[:, 0, :, 1:] = (row - col)[:, None, :] - diff
+        out[:, 1:, :, 0] = both.sum(axis=-1)
+        out[:, 1, :, 1:] = row[:, None, :] + r_over_x
+        out[:, 2, :, 1:] = col[:, None, :] + x_over_r
+        out /= c
+        return out.reshape(n_el, 3 * self.n_pairs).T
 
     # -- node values and flows --------------------------------------------
 
-    def node_values(self, components: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Aggregate pair components into per-node values.
+    def node_values(self, components: np.ndarray, w: np.ndarray) -> NodeValues:
+        """Aggregate per-leaf flow tables into per-node flow rows.
 
-        ``components`` is (n_pairs, n_el) when shared across the batch or
-        (batch, n_pairs, n_el) otherwise; ``w`` is (batch, n_nodes) holding
-        every node's weight within its sibling group.  Returns
-        (n_nodes+1, batch, n_pairs) with the whole-tree aggregate last.
+        ``components`` is (3 * n_pairs, n_el) when shared across the batch
+        or (batch, 3 * n_pairs, n_el) otherwise; ``w`` is (batch, n_nodes)
+        holding every node's weight within its sibling group.
         """
+        n = self.n_pairs
+        leaves = components[..., :n, :]
         batch = w.shape[0]
-        values = np.empty((self.n_nodes + 1, batch, self.n_pairs))
+        values = np.empty((self.n_nodes + 1, batch, n))
         for idx in range(self.n_nodes - 1, -1, -1):
             slot = self.elem_slot[idx]
             if slot >= 0:
                 # (n_pairs,) broadcasts over the batch in the shared case
-                values[idx] = components[..., slot]
+                values[idx] = leaves[..., slot]
             else:
                 kids = self.children[idx]
                 acc = w[:, kids[0], None] * values[kids[0]]
@@ -539,31 +567,40 @@ class BatchEngine:
         for k in self.first_level[1:]:
             acc += w[:, k, None] * values[k]
         values[self.root] = acc
-        return values
 
-    def flows(self, values: np.ndarray) -> BatchFlows:
-        """Flows for every node and the root from the per-pair node values."""
-        c, m = self.c, self.m
-        v_pp = values[..., : c * c].reshape(values.shape[:-1] + (c, c))
-        v_ap = values[..., c * c : c * c + m * c].reshape(values.shape[:-1] + (m, c))
-        v_pa = values[..., c * c + m * c :].reshape(values.shape[:-1] + (m, c))
-        diag = np.einsum("...hh->...h", v_pp)
-        row = v_pp.sum(axis=-1) - diag  # sum over l != h of pi(r_h, r_l)
-        col = v_pp.sum(axis=-2) - diag  # sum over l != h of pi(r_l, r_h)
-        node_alt_net = (v_ap - v_pa).sum(axis=-1) / c
-        node_prof_net = ((row - col)[..., None, :] + (v_pa - v_ap)) / c
+        path = np.empty_like(w)
+        for idx, parent in enumerate(self.parent):
+            path[:, idx] = w[:, idx] if parent < 0 else path[:, parent] * w[:, idx]
+        path = path[:, self.leaf_nodes]
+        root = path[:, 0, None] * components[..., n:, 0]
+        for slot in range(1, path.shape[1]):
+            root += path[:, slot, None] * components[..., n:, slot]
+        return NodeValues(values, root, leaves)
+
+    def flows(self, values: NodeValues) -> BatchFlows:
+        """Flows for every node and the root from the aggregated rows."""
+        rows = (self.m, self.c + 1)
+        nodes = values.nodes.reshape(values.nodes.shape[:-1] + rows)
+        root = values.root.reshape((-1, 2) + rows)
+        plus, minus = root[:, 0], root[:, 1]
+        leaves = values.leaves.reshape(values.leaves.shape[:-2] + rows + (-1,))
         return BatchFlows(
-            node_alt_net=node_alt_net,
-            node_prof_net=node_prof_net,
-            alt_plus=v_ap[self.root].sum(axis=-1) / c,
-            alt_minus=v_pa[self.root].sum(axis=-1) / c,
-            prof_plus=(row[self.root][..., None, :] + v_pa[self.root]) / c,
-            prof_minus=(col[self.root][..., None, :] + v_ap[self.root]) / c,
+            node_alt_net=nodes[..., 0],
+            node_prof_net=nodes[..., 1:],
+            alt_plus=plus[..., 0],
+            alt_minus=minus[..., 0],
+            prof_plus=plus[..., 1:],
+            prof_minus=minus[..., 1:],
+            leaf_prof_net=leaves[..., 1:, :],
         )
 
     def check_ordering(self, batch_flows: BatchFlows) -> None:
-        """Assert the bracketing premise: profile flows ordered best to worst."""
-        worst = np.diff(batch_flows.node_prof_net, axis=-1).max()
+        """Assert the bracketing premise: profile flows ordered best to worst.
+
+        Every node's net flows are a convex combination of its leaves', so
+        checking the leaf tables covers every node.
+        """
+        worst = np.diff(batch_flows.leaf_prof_net, axis=-2).max()
         if worst > ORDERING_TOL:
             raise InvariantError(
                 f"net profile flows are not non-increasing (max increase {worst})"

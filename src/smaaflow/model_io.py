@@ -49,7 +49,7 @@ from .errors import (
 from .flows import ProfileSet, RULES
 from .fuzzy import DEFUZZ_METHODS, TFN
 from .hierarchy import CriteriaTree, WeightSpec, build_tree
-from .preference import DIRECTIONS, SHAPES, PreferenceSpec
+from .preference import DIRECTIONS, SHAPES, THRESHOLDS, PreferenceSpec
 from .smaa import PreferenceModel, StochasticValue
 
 SCHEMA_VERSION = 1
@@ -307,7 +307,7 @@ def _parse_preferences(raw, tree, at: str = "preferences") -> list[PreferenceMod
         else:
             # shape constraints that do not involve the sampled thresholds
             try:
-                PreferenceSpec(shape=shape, q=0.0, p=1.0 if shape in ("v-shape", "level", "linear") else 0.0,
+                PreferenceSpec(shape=shape, q=0.0, p=1.0 if "p" in THRESHOLDS[shape] else 0.0,
                                s=float(s), direction=direction)
             except ValueError as exc:
                 raise InputError(THRESHOLD, str(exc), here) from exc
@@ -582,14 +582,8 @@ def _render_weights(spec: WeightSpec) -> object:
 
 def _render_model(model: PreferenceModel) -> dict:
     out: dict = {"shape": model.shape, "direction": model.direction}
-    used = {"usual": (), "u-shape": ("q",), "v-shape": ("p",),
-            "level": ("q", "p"), "linear": ("q", "p"), "gaussian": ()}[model.shape]
-    if "q" in used:
-        out["q"] = _render_value(model.q)
-    if "p" in used:
-        out["p"] = _render_value(model.p)
-    if model.shape == "gaussian":
-        out["s"] = _num(model.s)
+    for name in THRESHOLDS[model.shape]:
+        out[name] = _num(model.s) if name == "s" else _render_value(getattr(model, name))
     return out
 
 

@@ -22,7 +22,16 @@ from dataclasses import dataclass
 
 from .fuzzy import TFN
 
-SHAPES = ("usual", "u-shape", "v-shape", "level", "linear", "gaussian")
+#: Thresholds each shape reads; the others must stay at 0.
+THRESHOLDS = {
+    "usual": (),
+    "u-shape": ("q",),
+    "v-shape": ("p",),
+    "level": ("q", "p"),
+    "linear": ("q", "p"),
+    "gaussian": ("s",),
+}
+SHAPES = tuple(THRESHOLDS)
 DIRECTIONS = ("maximize", "minimize")
 
 
@@ -48,10 +57,8 @@ class PreferenceSpec:
             raise ValueError(f"unknown direction {self.direction!r}")
         if self.q < 0 or self.p < 0 or self.s < 0:
             raise ValueError("thresholds must be non-negative")
-        used = {"usual": (), "u-shape": ("q",), "v-shape": ("p",),
-                "level": ("q", "p"), "linear": ("q", "p"), "gaussian": ("s",)}[self.shape]
         for name in ("q", "p", "s"):
-            if name not in used and getattr(self, name) != 0.0:
+            if name not in THRESHOLDS[self.shape] and getattr(self, name) != 0.0:
                 raise ValueError(f"shape {self.shape!r} does not use threshold {name!r}")
         if self.shape == "v-shape" and self.p <= 0:
             raise ValueError("v-shape needs a preference threshold p > 0")

@@ -31,7 +31,7 @@ from .errors import (
     InputError,
     SamplingError,
 )
-from .flows import BatchEngine, pref_param_arrays
+from .flows import BatchEngine, pref_param_arrays, profile_column_fault
 from .fuzzy import TFN
 from .hierarchy import WeightSpec
 from .preference import SHAPES, PreferenceSpec
@@ -340,22 +340,6 @@ def sample_thresholds(
     )
 
 
-def _profile_column_ok(column: np.ndarray, maximize: bool) -> bool:
-    """Dominance within one criterion: modes strictly ordered, supports
-    non-overlapping, best profile first."""
-    sign = 1.0 if maximize else -1.0
-    for h in range(len(column) - 1):
-        better, worse = column[h], column[h + 1]
-        if sign * (better[0] - worse[0]) <= 0:
-            return False
-        if maximize:
-            if better[0] - better[1] < worse[0] + worse[2]:
-                return False
-        elif worse[0] - worse[1] < better[0] + better[2]:
-            return False
-    return True
-
-
 def sample_profiles(
     profile_specs: Sequence[Sequence[StochasticValue]],
     models: Sequence[PreferenceModel],
@@ -383,7 +367,7 @@ def sample_profiles(
             for h, v in enumerate(spec_col):
                 f = sample_value(v, rng)
                 col[h] = (f.m, f.alpha, f.beta)
-            if _profile_column_ok(col, maximize):
+            if profile_column_fault(col, maximize) is None:
                 out[:, t] = col
                 break
         else:
@@ -448,13 +432,8 @@ class ProblemRuntime:
         self.profile_specs = problem.profile_specs  # (c, n_el) StochasticValue
         self.models = problem.preference_models
 
-        self.data_deterministic = (
-            all(v.is_deterministic for row in self.eval_specs for v in row)
-            and all(v.is_deterministic for row in self.profile_specs for v in row)
-            and all(mdl.is_deterministic for mdl in self.models)
-        )
         self.static_components = None
-        if self.data_deterministic:
+        if problem.is_deterministic_data:
             prefs = [mdl.resolve_deterministic() for mdl in self.models]
             self.static_components = self.engine.pref_components(
                 pref_param_arrays(prefs),
@@ -508,59 +487,58 @@ class ProblemRuntime:
 
     def simulate(self, start: int, count: int, chunk: int = 256):
         """Tally assignments for iterations [start, start + count)."""
-        m, k, n_nodes = self.m, self.k, self.n_nodes
-        cat_hits = np.zeros(m * k, dtype=np.int64)
-        node_hits = np.zeros(n_nodes * m * k, dtype=np.int64)
+        cat_hits = np.zeros(self.m * self.k, dtype=np.int64)
+        node_hits = np.zeros(self.n_nodes * self.m * self.k, dtype=np.int64)
         violations = 0
-        node_ids = np.arange(n_nodes)[:, None, None]
-        alt_ids = np.arange(m)
         for block in range(start, start + count, chunk):
             bs = min(chunk, start + count - block)
             w = np.empty((bs, self.n_nodes))
-            if self.data_deterministic:
-                components = self.static_components
-            else:
-                components = np.empty((bs,) + self.static_shape)
+            components = self.static_components
+            sampled = components is None
+            if sampled:
+                # net, positive and negative flow tables per leaf
+                components = np.empty((bs, 3 * self.engine.n_pairs, self.tree.n_elementary))
             for j in range(bs):
                 rng = iteration_rng(self.seed, block + j)
-                if not self.data_deterministic:
+                if sampled:
                     components[j] = self._sample_components(rng)
                 for idx, spec in self.groups:
                     w[j, idx] = sample_group_weights(spec, len(idx), rng)
-            values = self.engine.node_values(components, w)
-            bf = self.engine.flows(values)
-            self.engine.check_ordering(bf)
-
-            cat, valid = self.engine.assign_overall(bf, self.rule)
-            ncat, nvalid = self.engine.assign_nodes(bf)
-            bad = int((~valid).sum() + (~nvalid).sum())
-            if bad and self.strict:
-                raise BoundaryViolation(
-                    f"flow outside the profile span in iteration block "
-                    f"starting at {block} (strict mode)"
-                )
+            ch, nh, bad = self.tally_block(components, w, block)
+            cat_hits += ch
+            node_hits += nh
             violations += bad
-            flat = alt_ids * k + (cat - 1)
-            cat_hits += np.bincount(flat[valid], minlength=m * k)
-            nflat = (node_ids * m + alt_ids) * k + (ncat - 1)
-            node_hits += np.bincount(nflat[nvalid], minlength=n_nodes * m * k)
         return cat_hits, node_hits, violations
 
-    @property
-    def static_shape(self) -> tuple[int, int]:
-        return (self.engine.n_pairs, self.tree.n_elementary)
+    def tally_block(self, components: np.ndarray, w: np.ndarray, block: int):
+        """Flows, ordering check, bracketing and category counts for one
+        block of weight rows starting at iteration ``block``."""
+        m, k, n_nodes = self.m, self.k, self.n_nodes
+        bf = self.engine.flows(self.engine.node_values(components, w))
+        self.engine.check_ordering(bf)
+        cat, valid = self.engine.assign_overall(bf, self.rule)
+        ncat, nvalid = self.engine.assign_nodes(bf)
+        bad = int((~valid).sum() + (~nvalid).sum())
+        if bad and self.strict:
+            raise BoundaryViolation(
+                f"flow outside the profile span in iteration block "
+                f"starting at {block} (strict mode)"
+            )
+        alt_ids = np.arange(m)
+        flat = alt_ids * k + (cat - 1)
+        cat_hits = np.bincount(flat[valid], minlength=m * k)
+        nflat = (np.arange(n_nodes)[:, None, None] * m + alt_ids) * k + (ncat - 1)
+        node_hits = np.bincount(nflat[nvalid], minlength=n_nodes * m * k)
+        return cat_hits, node_hits, bad
 
 
-_WORKER: dict = {}
-
-
-def _init_worker(problem, rule, defuzz, seed, strict):
-    _WORKER["state"] = ProblemRuntime(problem, rule, defuzz, seed, strict)
+#: Runtime of the current ``run_smaa`` call, inherited by forked workers.
+_RUNTIME: ProblemRuntime | None = None
 
 
 def _run_range(span):
     start, count = span
-    return _WORKER["state"].simulate(start, count)
+    return _RUNTIME.simulate(start, count)
 
 
 def run_smaa(
@@ -594,34 +572,32 @@ def run_smaa(
         raise ValueError("need at least one iteration")
     if rule not in ("positive", "negative", "net"):
         raise ValueError(f"unknown assignment rule {rule!r}")
+    global _RUNTIME
     state = ProblemRuntime(problem, rule, defuzz, seed, strict)
-    m, k, n_nodes = state.m, state.k, state.n_nodes
-
     spans = _split(iterations, threads)
-    if len(spans) == 1:
-        parts = [state.simulate(*spans[0])]
-    else:
+    ctx = None
+    if len(spans) > 1:
         try:
             ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=len(spans),
-                mp_context=ctx,
-                initializer=_init_worker,
-                initargs=(problem, rule, defuzz, seed, strict),
-            ) as pool:
-                parts = list(pool.map(_run_range, spans))
         except ValueError:
-            # no fork on this platform; fall back to in-process execution
-            parts = [state.simulate(0, iterations)]
+            pass  # no fork on this platform; run in-process
+    if ctx is None:
+        parts = [state.simulate(0, iterations)]
+    else:
+        _RUNTIME = state
+        try:
+            with ProcessPoolExecutor(max_workers=len(spans), mp_context=ctx) as pool:
+                parts = list(pool.map(_run_range, spans))
+        finally:
+            _RUNTIME = None
+    cat_hits, node_hits, violations = (sum(col) for col in zip(*parts))
+    return _result(state, cat_hits, node_hits, violations, iterations)
 
-    cat_hits = np.zeros(m * k, dtype=np.int64)
-    node_hits = np.zeros(n_nodes * m * k, dtype=np.int64)
-    violations = 0
-    for ch, nh, v in parts:
-        cat_hits += ch
-        node_hits += nh
-        violations += v
 
+def _result(state: ProblemRuntime, cat_hits, node_hits, violations, iterations):
+    """Acceptability indices from the category counts of ``iterations`` draws."""
+    m, k, n_nodes = state.m, state.k, state.n_nodes
+    problem = state.problem
     return AcceptabilityResult(
         categories=tuple(problem.categories),
         alternatives=tuple(problem.alternative_names),
@@ -629,9 +605,9 @@ def run_smaa(
         node_paths=tuple(n.path for n in problem.tree.nodes),
         node_index=node_hits.reshape(n_nodes, m, k) / iterations,
         iterations=iterations,
-        seed=seed,
-        rule=rule,
-        defuzz=defuzz,
+        seed=state.seed,
+        rule=state.rule,
+        defuzz=state.defuzz,
         boundary_violations=violations,
     )
 
@@ -661,42 +637,13 @@ def deterministic_result(
     the result's indices are unit rows.
     """
     weights = problem.tree.deterministic_weights()
-    state = ProblemRuntime(problem, rule, defuzz, seed=0, strict=strict)
-    if not state.data_deterministic:
+    if not problem.is_deterministic_data:
         raise InputError(
             SAMPLING,
             "deterministic run requires fully deterministic evaluations, "
             "profiles and thresholds",
         )
+    state = ProblemRuntime(problem, rule, defuzz, seed=0, strict=strict)
     w = np.array([[weights[n.path] for n in problem.tree.nodes]])
-    values = state.engine.node_values(state.static_components, w)
-    bf = state.engine.flows(values)
-    state.engine.check_ordering(bf)
-    cat, valid = state.engine.assign_overall(bf, rule)
-    ncat, nvalid = state.engine.assign_nodes(bf)
-    bad = int((~valid).sum() + (~nvalid).sum())
-    if bad and strict:
-        raise BoundaryViolation("flow outside the profile span (strict mode)")
-
-    m, k, n_nodes = state.m, state.k, state.n_nodes
-    category_index = np.zeros((m, k))
-    for i in range(m):
-        if valid[0, i]:
-            category_index[i, cat[0, i] - 1] = 1.0
-    node_index = np.zeros((n_nodes, m, k))
-    for r in range(n_nodes):
-        for i in range(m):
-            if nvalid[r, 0, i]:
-                node_index[r, i, ncat[r, 0, i] - 1] = 1.0
-    return AcceptabilityResult(
-        categories=tuple(problem.categories),
-        alternatives=tuple(problem.alternative_names),
-        category_index=category_index,
-        node_paths=tuple(n.path for n in problem.tree.nodes),
-        node_index=node_index,
-        iterations=1,
-        seed=0,
-        rule=rule,
-        defuzz=defuzz,
-        boundary_violations=bad,
-    )
+    cat_hits, node_hits, violations = state.tally_block(state.static_components, w, 0)
+    return _result(state, cat_hits, node_hits, violations, 1)

@@ -17,9 +17,10 @@ from conftest import library_objects
 
 
 def triangle_gap(inst, defuzz="centroid"):
-    """Max |oracle - library| over flows of both engines, plus assignment
-    agreement.  The oracle works on the flattened tree, the reference
-    engine recurses over the hierarchy, the batch engine vectorizes it."""
+    """Max |oracle - library| over flows of the engine, run once per
+    alternative through ``flow_bundle`` and once for all of them as a
+    batch, plus assignment agreement.  The oracle works on the flattened
+    tree; the engine sums per-leaf flows up the hierarchy."""
     tree, weights, prefs, profiles, evals = library_objects(inst)
     gap = 0.0
 

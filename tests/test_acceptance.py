@@ -228,7 +228,7 @@ def test_criterion_09_case_study_end_to_end(case_study, case_study_runs):
     assert a == b
 
     # criterion 5 on these outputs: decomposition under one sampled weight
-    # vector, checked with the recursive reference engine
+    # vector, checked with the single-evaluation wrappers
     tree = case_study.tree
     rng = iteration_rng(99, 0)
     weights = {}

@@ -185,6 +185,28 @@ def test_unordered_profile_flows_trip_the_invariant():
         assign(bundle, "net")
 
 
+def test_engine_trips_the_invariant_on_an_unordered_leaf():
+    # profiles reach the engine directly, past load-time validation; the
+    # second leaf lists them worst first, but its small weight keeps the
+    # whole-tree flows ordered, so only the per-leaf check can object
+    from smaaflow.flows import BatchEngine
+
+    tree = build_tree([{"label": "a"}, {"label": "b"}], {"deterministic": [0.99, 0.01]})
+    engine = BatchEngine(tree, 1, 3)
+    prefs = [PreferenceSpec(shape="usual")] * 2
+    profiles = np.array([[[2.0, 0, 0], [0.0, 0, 0]],
+                         [[1.0, 0, 0], [1.0, 0, 0]],
+                         [[0.0, 0, 0], [2.0, 0, 0]]])
+    evals = np.array([[[1.5, 0, 0], [1.5, 0, 0]]])
+    comp = engine.pref_components(prefs, evals, profiles, "centroid")
+    bf = engine.flows(engine.node_values(comp, np.array([[0.99, 0.01]])))
+    assert (np.diff(bf.node_prof_net[engine.root], axis=-1) < 0).all()
+    assert (np.diff(bf.prof_plus, axis=-1) < 0).all()
+    assert (np.diff(bf.prof_minus, axis=-1) > 0).all()
+    with pytest.raises(InvariantError, match="net profile flows"):
+        engine.check_ordering(bf)
+
+
 # ---------------------------------------------------------------------------
 # Profile validation
 # ---------------------------------------------------------------------------
@@ -225,7 +247,7 @@ def test_defuzz_method_is_threaded_through(walkthrough_parts):
 
 
 def test_flows_against_raw_batch_arrays(walkthrough_parts):
-    # cross-check the recursive path with the vectorized engine
+    # cross-check the single-evaluation wrappers with raw engine arrays
     from smaaflow.flows import BatchEngine, tfn_matrix
 
     w = walkthrough_parts

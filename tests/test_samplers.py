@@ -239,6 +239,26 @@ def test_sample_profiles_rejects_until_dominant():
         assert col[0] > col[1] > col[2]
 
 
+@pytest.mark.parametrize("direction, best, middle, worst", [
+    ("maximize", (4.0, 8.0), TFN(3.0, 1.0, 1.5), 0.0),
+    ("minimize", (0.0, 4.0), TFN(5.0, 1.5, 1.0), 10.0),
+])
+def test_sample_profiles_never_overlaps_a_fuzzy_neighbour(direction, best, middle, worst):
+    # every drawn mode beats the fuzzy profile's mode, so only the support
+    # overlap rule can reject; the middle support ends at 4.5 (maximize)
+    # or starts at 3.5 (minimize), inside the best profile's interval
+    specs = [[StochasticValue.interval(*best)], [StochasticValue.fuzzy(middle)],
+             [StochasticValue.crisp(worst)]]
+    models = [PreferenceModel(direction=direction)]
+    rng = iteration_rng(5, 0)
+    for _ in range(200):
+        drawn = sample_profiles(specs, models, rng)[0, 0, 0]
+        if direction == "maximize":
+            assert drawn >= middle.support[1]
+        else:
+            assert drawn <= middle.support[0]
+
+
 def test_iteration_rng_streams_are_stable_and_distinct():
     a = iteration_rng(123, 0).random(4)
     b = iteration_rng(123, 0).random(4)

@@ -19,7 +19,7 @@ import pytest
 from smaaflow import BoundaryViolation, InputError, run_smaa
 from smaaflow.errors import WEIGHT_SPEC
 from smaaflow.model_io import fixture_path, parse_problem
-from smaaflow.smaa import deterministic_result
+from smaaflow.smaa import ProblemRuntime, deterministic_result
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +99,21 @@ def test_thread_count_does_not_change_results(walkthrough_doc):
     assert serial.boundary_violations == threaded.boundary_violations
 
 
+def test_worker_error_surfaces_without_an_in_process_rerun(walkthrough, monkeypatch):
+    parent_calls = []
+
+    def failing_simulate(self, start, count, chunk=256):
+        parent_calls.append((start, count))
+        raise ValueError("simulate failed")
+
+    monkeypatch.setattr(ProblemRuntime, "simulate", failing_simulate)
+    with pytest.raises(ValueError, match="simulate failed"):
+        run_smaa(walkthrough, iterations=10, seed=0, threads=2)
+    # forked workers append to their own copies of the list, so an entry
+    # here means the iterations were rerun in this process
+    assert parent_calls == []
+
+
 def test_all_rules_agree_on_the_walkthrough(walkthrough):
     for rule in ("positive", "negative", "net"):
         res = run_smaa(walkthrough, iterations=10, seed=0, rule=rule)
@@ -141,6 +156,17 @@ def test_violations_are_counted_not_hidden(glued_to_worst):
 def test_strict_mode_raises_on_violation(glued_to_worst):
     with pytest.raises(BoundaryViolation):
         run_smaa(glued_to_worst, iterations=5, seed=0, strict=True)
+
+
+def test_deterministic_result_counts_violations(glued_to_worst):
+    res = deterministic_result(glued_to_worst)
+    # x3: the overall cell and all six node cells go unbracketed
+    assert res.boundary_violations == 7
+    assert res.category_index[2].sum() == 0.0
+    assert res.node_index[:, 2].sum() == 0.0
+    assert res.category_index[:2].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(BoundaryViolation):
+        deterministic_result(glued_to_worst, strict=True)
 
 
 def test_negative_rule_tolerates_the_worst_profile_tie(glued_to_worst):

@@ -1,0 +1,37 @@
+"""The per-layer trace in ``perfbench/spans.py`` wraps package attributes by
+name; an engine change that renames one would break ``--trace 1`` runs."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import spans  # noqa: E402
+from smaaflow.flows import BatchEngine, tfn_matrix  # noqa: E402
+
+
+def test_every_trace_target_resolves():
+    for module, cls, attr, layer in spans.TARGETS:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls)
+        assert callable(getattr(owner, attr, None)), f"{module} {cls} {attr} ({layer})"
+
+
+def test_aggregate_counter_reads_the_engine(walkthrough, tmp_path):
+    tree = walkthrough.tree
+    engine = BatchEngine(tree, 2, 3)
+    assert isinstance(engine.n_pairs, int) and engine.n_pairs > 0
+    comp = engine.pref_components(
+        walkthrough.resolved_preferences(),
+        np.array([tfn_matrix(walkthrough.evaluation_tfns(x)) for x in ("x1", "x2")]),
+        np.array([tfn_matrix(r) for r in walkthrough.resolved_profile_set().levels]),
+        "centroid",
+    )
+    w = np.ones((4, len(tree.nodes)))
+    recorder = spans.Recorder(tmp_path)
+    recorder._on_flows_aggregate((engine, comp, w), {}, engine.node_values(comp, w))
+    assert recorder.counts["flows.aggregate.bytes_computed"] > 0
