@@ -255,28 +255,33 @@ def profile_flows(tree, weights, prefs, profiles, x, defuzz="centroid") -> tuple
     return flow_bundle(tree, weights, prefs, profiles, x, defuzz).profiles
 
 
-def _check_ordering(values: Sequence[float], decreasing: bool, what: str) -> None:
-    for a, b in zip(values, values[1:]):
-        drift = (b - a) if decreasing else (a - b)
-        if drift > ORDERING_TOL:
-            raise InvariantError(
-                f"{what} of successive profiles are not "
-                f"{'non-increasing' if decreasing else 'non-decreasing'}: {list(values)}"
-            )
+def _bracket(alt: float, prof: Sequence[float], what: str, negative: bool = False) -> int:
+    """Category of one flow under :func:`net_style_bracket`, or under
+    :func:`negative_bracket` for negative flows.
 
+    Net-style rules put the alternative in C_h when
+    prof[h-1] >= alt > prof[h], so a flow that ties a profile's flow lands
+    in the upper category.
 
-def _assign_net_pattern(alt: float, prof: Sequence[float], what: str) -> int:
-    """Category via the bracketing rule shared by the positive and net rules.
-
-    C_h requires prof[h-1] >= alt > prof[h]; an alternative whose flow ties a
-    profile's flow lands in the upper category.
+    Raises
+    ------
+    InvariantError
+        If the profile flows are not ordered best to worst.
+    BoundaryViolation
+        If the profile flows do not bracket ``alt``.
     """
-    _check_ordering(prof, decreasing=True, what=what)
-    if alt > prof[0] or alt <= prof[-1]:
-        raise BoundaryViolation(
-            f"{what} {alt} falls outside the profile span [{prof[-1]}, {prof[0]}]"
+    prof = np.asarray(prof, dtype=float)
+    steps = np.diff(prof)
+    if (steps.min() < -ORDERING_TOL) if negative else (steps.max() > ORDERING_TOL):
+        raise InvariantError(
+            f"{what} of successive profiles are not "
+            f"{'non-decreasing' if negative else 'non-increasing'}: {prof.tolist()}"
         )
-    return 1 + sum(1 for v in prof[1:] if v >= alt)
+    cat, valid = (negative_bracket if negative else net_style_bracket)(np.float64(alt), prof)
+    if not valid:
+        lo, hi = (prof[0], prof[-1]) if negative else (prof[-1], prof[0])
+        raise BoundaryViolation(f"{what} {alt} falls outside the profile span ({lo}, {hi}]")
+    return int(cat)
 
 
 def assign(bundle: FlowBundle, rule: str = "net") -> int:
@@ -291,22 +296,12 @@ def assign(bundle: FlowBundle, rule: str = "net") -> int:
     if rule not in RULES:
         raise ValueError(f"unknown assignment rule {rule!r}")
     if rule == "negative":
-        alt = bundle.alternative.minus
-        prof = [t.minus for t in bundle.profiles]
-        _check_ordering(prof, decreasing=False, what="negative flows")
-        if alt <= prof[0] or alt > prof[-1]:
-            raise BoundaryViolation(
-                f"negative flow {alt} falls outside the profile span "
-                f"({prof[0]}, {prof[-1]}]"
-            )
-        return sum(1 for v in prof[:-1] if v < alt)
+        return _bracket(bundle.alternative.minus, [t.minus for t in bundle.profiles],
+                        "negative flows", negative=True)
     if rule == "positive":
-        return _assign_net_pattern(
-            bundle.alternative.plus, [t.plus for t in bundle.profiles], "positive flows"
-        )
-    return _assign_net_pattern(
-        bundle.alternative.net, [t.net for t in bundle.profiles], "net flows"
-    )
+        return _bracket(bundle.alternative.plus, [t.plus for t in bundle.profiles],
+                        "positive flows")
+    return _bracket(bundle.alternative.net, [t.net for t in bundle.profiles], "net flows")
 
 
 def assignments(bundle: FlowBundle) -> Assignment:
@@ -343,7 +338,7 @@ def single_criterion_flows(
 
 def single_criterion_assignment(flows: SingleCriterionFlows) -> int:
     """Category suggested by one subtree's net flows."""
-    return _assign_net_pattern(flows.net, flows.profile_net, "single-criterion net flows")
+    return _bracket(flows.net, flows.profile_net, "single-criterion net flows")
 
 
 # ---------------------------------------------------------------------------

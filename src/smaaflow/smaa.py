@@ -8,11 +8,13 @@ category acceptability indices, overall and per tree node.
 
 Reproducibility
 ---------------
-Every iteration derives its own random substream from the root seed and the
-iteration index, so results depend only on (problem, seed, iterations) and
-never on how iterations are distributed over processes.  Within an
-iteration the sampling order is fixed: profiles, preference thresholds,
-evaluations, then sibling-group weights in tree order.
+Iterations run in blocks of :data:`BLOCK`.  Every block derives its own
+random substream from the root seed and the block index, and work is split
+over processes only at block boundaries, so results depend only on
+(problem, seed, iterations) and never on how iterations are distributed
+over processes.  Within a block the sampling order is fixed: profiles,
+preference thresholds and evaluations of each iteration in turn, then one
+matrix of weight vectors per sibling group in tree order.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from .preference import SHAPES, PreferenceSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model_io import Problem
+
+#: Iterations per random substream; the unit of work split and weight draws.
+BLOCK = 256
 
 #: Cap on rejection-sampling candidate draws.
 MAX_ATTEMPTS = 1_000_000
@@ -129,7 +134,8 @@ class PreferenceModel:
 
 
 def iteration_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one iteration, derived from the root seed."""
+    """Independent generator for block ``index`` of :data:`BLOCK` iterations,
+    derived from the root seed."""
     ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -177,69 +183,29 @@ def _apply_rank_order(sorted_desc: np.ndarray, groups: list[np.ndarray]) -> np.n
     return out
 
 
-def _collect_simplex(n, rng, accept, need, max_attempts, describe):
-    """Rejection-sample uniform simplex points until ``need`` rows pass."""
-    rows = []
-    got = 0
-    attempts = 0
-    while got < need:
-        if attempts >= max_attempts:
-            raise SamplingError(
-                f"no admissible weight vector after {attempts} draws: {describe}"
-            )
-        batch = min(max(64, 2 * (need - got)), 8192, max_attempts - attempts)
-        cand = sample_weights_missing(n, rng, size=batch)
-        attempts += batch
-        good = cand[accept(cand)]
-        if len(good):
-            rows.append(good[: need - got])
-            got += len(rows[-1])
-    return np.concatenate(rows, axis=0)
-
-
 def sample_weights_ordinal(
     ranks: Sequence[int | None],
     rng: np.random.Generator,
     size: int | None = None,
-    max_attempts: int = MAX_ATTEMPTS,
 ) -> np.ndarray:
     """Weights consistent with an importance ranking.
 
-    A uniform simplex draw is sorted in decreasing order and handed out by
-    rank (rank 1 gets the largest value).  Ties share the mean of their
-    block of sorted values.  ``None`` ranks leave criteria unconstrained,
-    which is handled by rejection: uniform draws are kept only when every
-    ranked pair is ordered correctly, then ties are averaged.
+    The values a uniform simplex draw gives the ranked criteria are sorted
+    in decreasing order and handed out by rank (rank 1 gets the largest
+    value); ties share the mean of their block of sorted values.  ``None``
+    ranks leave criteria unconstrained: they keep their own values.
+    Simplex coordinates are exchangeable, so the sorted draw follows the
+    uniform distribution conditioned on the ranking exactly.
     """
     ranks = list(ranks)
-    n = len(ranks)
-    if all(r is None for r in ranks):
-        return sample_weights_missing(n, rng, size)
     if any(r is not None and (r != int(r) or r < 1) for r in ranks):
         raise ValueError(f"ranks must be integers >= 1 or None, got {ranks}")
-
-    if None not in ranks:
-        groups = _rank_groups(ranks)
-        v = sample_weights_missing(n, rng, size)
-        v = np.flip(np.sort(v, axis=-1), axis=-1)
-        return _apply_rank_order(v, groups)
-
-    # Partial ranking: rejection on the ordered pairs, then tie averaging.
-    groups = _rank_groups([r for r in ranks if r is not None])
     ranked = np.array([i for i, r in enumerate(ranks) if r is not None], dtype=np.int64)
-    member_groups = [ranked[g] for g in groups]
-
-    def accept(cand: np.ndarray) -> np.ndarray:
-        ok = np.ones(len(cand), dtype=bool)
-        for better, worse in zip(member_groups, member_groups[1:]):
-            ok &= cand[:, better].min(axis=-1) >= cand[:, worse].max(axis=-1)
-        return ok
-
-    need = 1 if size is None else size
-    out = _collect_simplex(n, rng, accept, need, max_attempts, f"partial ranks {ranks}")
-    for members in member_groups:
-        out[:, members] = out[:, members].mean(axis=-1, keepdims=True)
-    return out[0] if size is None else out
+    groups = _rank_groups([ranks[i] for i in ranked])
+    v = sample_weights_missing(len(ranks), rng, size)
+    desc = np.flip(np.sort(v[..., ranked], axis=-1), axis=-1)
+    v[..., ranked] = _apply_rank_order(desc, groups)
+    return v
 
 
 def sample_weights_interval(
@@ -248,30 +214,46 @@ def sample_weights_interval(
     size: int | None = None,
     max_attempts: int = MAX_ATTEMPTS,
 ) -> np.ndarray:
-    """Uniform simplex weights restricted to per-criterion [lo, hi] bounds."""
+    """Uniform simplex weights restricted to per-criterion [lo, hi] bounds,
+    drawn by rejection."""
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
-
-    def accept(cand: np.ndarray) -> np.ndarray:
-        return ((cand >= lo) & (cand <= hi)).all(axis=-1)
-
     need = 1 if size is None else size
-    out = _collect_simplex(
-        len(bounds), rng, accept, need, max_attempts,
-        f"bounds {[list(b) for b in bounds]}",
-    )
+    rows = []
+    got = 0
+    attempts = 0
+    while got < need:
+        if attempts >= max_attempts:
+            raise SamplingError(
+                f"no admissible weight vector after {attempts} draws: "
+                f"bounds {[list(b) for b in bounds]}"
+            )
+        batch = min(max(64, 2 * (need - got)), 8192, max_attempts - attempts)
+        cand = sample_weights_missing(len(bounds), rng, size=batch)
+        attempts += batch
+        good = cand[((cand >= lo) & (cand <= hi)).all(axis=-1)]
+        if len(good):
+            rows.append(good[: need - got])
+            got += len(rows[-1])
+    out = np.concatenate(rows, axis=0)
     return out[0] if size is None else out
 
 
-def sample_group_weights(spec: WeightSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One weight vector for a sibling group, honoring its specification."""
+def sample_group_weights(
+    spec: WeightSpec, n: int, rng: np.random.Generator, size: int | None = None
+) -> np.ndarray:
+    """Weight vectors for a sibling group, honoring its specification.
+
+    One vector, or with ``size`` a (size, n) matrix of independent draws.
+    """
     if spec.kind == "deterministic":
-        return np.array(spec.values)
+        values = np.array(spec.values)
+        return values if size is None else np.tile(values, (size, 1))
     if spec.kind == "ordinal":
-        return sample_weights_ordinal(spec.values, rng)
+        return sample_weights_ordinal(spec.values, rng, size)
     if spec.kind == "interval":
-        return sample_weights_interval(spec.values, rng)
-    return sample_weights_missing(n, rng)
+        return sample_weights_interval(spec.values, rng, size)
+    return sample_weights_missing(n, rng, size)
 
 
 # ---------------------------------------------------------------------------
@@ -485,25 +467,27 @@ class ProblemRuntime:
                 evals[i, t] = (f.m, f.alpha, f.beta)
         return self.engine.pref_components((codes, q, p, s, maximize), evals, profiles, self.defuzz)
 
-    def simulate(self, start: int, count: int, chunk: int = 256):
-        """Tally assignments for iterations [start, start + count)."""
+    def simulate(self, start: int, count: int):
+        """Tally assignments for iterations [start, start + count).
+
+        ``start`` is a multiple of :data:`BLOCK`; each block of iterations
+        draws from its own substream.
+        """
         cat_hits = np.zeros(self.m * self.k, dtype=np.int64)
         node_hits = np.zeros(self.n_nodes * self.m * self.k, dtype=np.int64)
         violations = 0
-        for block in range(start, start + count, chunk):
-            bs = min(chunk, start + count - block)
-            w = np.empty((bs, self.n_nodes))
+        for block in range(start, start + count, BLOCK):
+            bs = min(BLOCK, start + count - block)
+            rng = iteration_rng(self.seed, block // BLOCK)
             components = self.static_components
-            sampled = components is None
-            if sampled:
+            if components is None:
                 # net, positive and negative flow tables per leaf
                 components = np.empty((bs, 3 * self.engine.n_pairs, self.tree.n_elementary))
-            for j in range(bs):
-                rng = iteration_rng(self.seed, block + j)
-                if sampled:
+                for j in range(bs):
                     components[j] = self._sample_components(rng)
-                for idx, spec in self.groups:
-                    w[j, idx] = sample_group_weights(spec, len(idx), rng)
+            w = np.empty((bs, self.n_nodes))
+            for idx, spec in self.groups:
+                w[:, idx] = sample_group_weights(spec, len(idx), rng, size=bs)
             ch, nh, bad = self.tally_block(components, w, block)
             cat_hits += ch
             node_hits += nh
@@ -613,15 +597,17 @@ def _result(state: ProblemRuntime, cat_hits, node_hits, violations, iterations):
 
 
 def _split(iterations: int, threads: int) -> list[tuple[int, int]]:
-    """Contiguous iteration ranges, one per worker."""
-    threads = max(1, min(threads, iterations))
-    base, extra = divmod(iterations, threads)
+    """Contiguous iteration ranges, one per worker, cut only at multiples
+    of :data:`BLOCK`."""
+    blocks = -(-iterations // BLOCK)
+    threads = max(1, min(threads, blocks))
+    base, extra = divmod(blocks, threads)
     spans = []
     start = 0
     for i in range(threads):
-        count = base + (1 if i < extra else 0)
-        spans.append((start, count))
-        start += count
+        stop = min(iterations, start + (base + (1 if i < extra else 0)) * BLOCK)
+        spans.append((start, stop - start))
+        start = stop
     return spans
 
 

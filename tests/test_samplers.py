@@ -106,6 +106,26 @@ def test_ordinal_partial_with_ties():
     assert (w[:, 3] >= w[:, 0]).all()
 
 
+def test_ordinal_many_ranked_with_a_free_member_draws_without_stalling():
+    # rejection would keep about one uniform draw in 11!
+    w = sample_weights_ordinal([*range(1, 12), None], iteration_rng(3, 2), size=1000)
+    assert w.shape == (1000, 12)
+    assert (np.diff(w[:, :11], axis=1) <= 0).all()
+    assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_ordinal_partial_matches_a_rejection_reference():
+    ranks = [2, None, 2, 1]
+    w = sample_weights_ordinal(ranks, iteration_rng(3, 3), size=N_STAT)
+    # reference: uniform simplex draws kept when the rank-1 member beats
+    # both rank-2 members, which then share their mean
+    ref = sample_weights_missing(4, iteration_rng(3, 4), size=3 * N_STAT)
+    ref = ref[ref[:, 3] >= np.maximum(ref[:, 0], ref[:, 2])]
+    ref[:, [0, 2]] = ref[:, [0, 2]].mean(axis=1, keepdims=True)
+    se = np.sqrt(w.var(axis=0) / len(w) + ref.var(axis=0) / len(ref))
+    assert (np.abs(w.mean(axis=0) - ref.mean(axis=0)) < 4 * se).all()
+
+
 def test_ordinal_all_none_falls_back_to_missing():
     a = sample_weights_ordinal([None, None], iteration_rng(4, 0), size=5)
     b = sample_weights_missing(2, iteration_rng(4, 0), size=5)

@@ -19,7 +19,7 @@ import pytest
 from smaaflow import BoundaryViolation, InputError, run_smaa
 from smaaflow.errors import WEIGHT_SPEC
 from smaaflow.model_io import fixture_path, parse_problem
-from smaaflow.smaa import ProblemRuntime, deterministic_result
+from smaaflow.smaa import BLOCK, ProblemRuntime, _split, deterministic_result
 
 
 @pytest.fixture(scope="module")
@@ -92,23 +92,33 @@ def test_same_seed_same_result(walkthrough_doc):
 
 def test_thread_count_does_not_change_results(walkthrough_doc):
     problem = variant(walkthrough_doc, **{"tree.weights": {"missing": True}})
-    serial = run_smaa(problem, iterations=600, seed=9, threads=1)
-    threaded = run_smaa(problem, iterations=600, seed=9, threads=4)
-    assert serial.category_index.tobytes() == threaded.category_index.tobytes()
-    assert serial.node_index.tobytes() == threaded.node_index.tobytes()
-    assert serial.boundary_violations == threaded.boundary_violations
+    # an uneven split, and more threads than blocks
+    for iterations, threads in ((600, 4), (3 * BLOCK + 5, 2), (3 * BLOCK + 5, 8)):
+        serial = run_smaa(problem, iterations=iterations, seed=9, threads=1)
+        threaded = run_smaa(problem, iterations=iterations, seed=9, threads=threads)
+        assert serial.category_index.tobytes() == threaded.category_index.tobytes()
+        assert serial.node_index.tobytes() == threaded.node_index.tobytes()
+        assert serial.boundary_violations == threaded.boundary_violations
+
+        spans = _split(iterations, threads)
+        assert len(spans) <= -(-iterations // BLOCK)
+        assert spans[0][0] == 0
+        for (start, count), (after, _) in zip(spans, spans[1:] + [(iterations, 0)]):
+            assert start % BLOCK == 0 and count > 0
+            assert start + count == after
 
 
 def test_worker_error_surfaces_without_an_in_process_rerun(walkthrough, monkeypatch):
     parent_calls = []
 
-    def failing_simulate(self, start, count, chunk=256):
+    def failing_simulate(self, start, count):
         parent_calls.append((start, count))
         raise ValueError("simulate failed")
 
     monkeypatch.setattr(ProblemRuntime, "simulate", failing_simulate)
     with pytest.raises(ValueError, match="simulate failed"):
-        run_smaa(walkthrough, iterations=10, seed=0, threads=2)
+        # two blocks, so two spans and a pool
+        run_smaa(walkthrough, iterations=2 * BLOCK, seed=0, threads=2)
     # forked workers append to their own copies of the list, so an entry
     # here means the iterations were rerun in this process
     assert parent_calls == []
