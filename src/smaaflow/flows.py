@@ -255,32 +255,29 @@ def profile_flows(tree, weights, prefs, profiles, x, defuzz="centroid") -> tuple
     return flow_bundle(tree, weights, prefs, profiles, x, defuzz).profiles
 
 
-def _bracket(alt: float, prof: Sequence[float], what: str, negative: bool = False) -> int:
-    """Category of one flow under :func:`net_style_bracket`, or under
-    :func:`negative_bracket` for negative flows.
+def _bracket(alt: float, prof: Sequence[float], what: str) -> int:
+    """Category of one flow under :func:`net_style_bracket`.
 
-    Net-style rules put the alternative in C_h when
-    prof[h-1] >= alt > prof[h], so a flow that ties a profile's flow lands
-    in the upper category.
+    C_h requires prof[h-1] >= alt > prof[h]; an alternative whose flow ties a
+    profile's flow lands in the upper category.
 
     Raises
     ------
     InvariantError
-        If the profile flows are not ordered best to worst.
+        If the profile flows are not non-increasing.
     BoundaryViolation
         If the profile flows do not bracket ``alt``.
     """
     prof = np.asarray(prof, dtype=float)
-    steps = np.diff(prof)
-    if (steps.min() < -ORDERING_TOL) if negative else (steps.max() > ORDERING_TOL):
+    if (np.diff(prof) > ORDERING_TOL).any():
         raise InvariantError(
-            f"{what} of successive profiles are not "
-            f"{'non-decreasing' if negative else 'non-increasing'}: {prof.tolist()}"
+            f"{what} of successive profiles are not non-increasing: {prof.tolist()}"
         )
-    cat, valid = (negative_bracket if negative else net_style_bracket)(np.float64(alt), prof)
+    cat, valid = net_style_bracket(np.float64(alt), prof)
     if not valid:
-        lo, hi = (prof[0], prof[-1]) if negative else (prof[-1], prof[0])
-        raise BoundaryViolation(f"{what} {alt} falls outside the profile span ({lo}, {hi}]")
+        raise BoundaryViolation(
+            f"{what} {alt} falls outside the profile span ({prof[-1]}, {prof[0]}]"
+        )
     return int(cat)
 
 
@@ -296,8 +293,17 @@ def assign(bundle: FlowBundle, rule: str = "net") -> int:
     if rule not in RULES:
         raise ValueError(f"unknown assignment rule {rule!r}")
     if rule == "negative":
-        return _bracket(bundle.alternative.minus, [t.minus for t in bundle.profiles],
-                        "negative flows", negative=True)
+        alt, prof = bundle.alternative.minus, np.array([t.minus for t in bundle.profiles])
+        if (np.diff(prof) < -ORDERING_TOL).any():
+            raise InvariantError(
+                f"negative flows of successive profiles are not non-decreasing: {prof.tolist()}"
+            )
+        cat, valid = negative_bracket(np.float64(alt), prof)
+        if not valid:
+            raise BoundaryViolation(
+                f"negative flow {alt} falls outside the profile span ({prof[0]}, {prof[-1]}]"
+            )
+        return int(cat)
     if rule == "positive":
         return _bracket(bundle.alternative.plus, [t.plus for t in bundle.profiles],
                         "positive flows")

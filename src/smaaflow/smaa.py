@@ -215,7 +215,12 @@ def sample_weights_interval(
     max_attempts: int = MAX_ATTEMPTS,
 ) -> np.ndarray:
     """Uniform simplex weights restricted to per-criterion [lo, hi] bounds,
-    drawn by rejection."""
+    drawn by rejection.
+
+    ``max_attempts`` bounds the draws spent per accepted vector, so a
+    request for many vectors fails only when the bounds accept less than
+    about one draw in ``max_attempts``, the same as a request for one.
+    """
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     need = 1 if size is None else size
@@ -223,12 +228,13 @@ def sample_weights_interval(
     got = 0
     attempts = 0
     while got < need:
-        if attempts >= max_attempts:
+        cap = max_attempts * (got + 1)
+        if attempts >= cap:
             raise SamplingError(
-                f"no admissible weight vector after {attempts} draws: "
-                f"bounds {[list(b) for b in bounds]}"
+                f"no admissible weight vector after {attempts} draws "
+                f"({got} of {need} found): bounds {[list(b) for b in bounds]}"
             )
-        batch = min(max(64, 2 * (need - got)), 8192, max_attempts - attempts)
+        batch = min(max(64, 2 * (need - got)), 8192, cap - attempts)
         cand = sample_weights_missing(len(bounds), rng, size=batch)
         attempts += batch
         good = cand[((cand >= lo) & (cand <= hi)).all(axis=-1)]

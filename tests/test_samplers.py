@@ -9,6 +9,7 @@ from smaaflow import InputError, SamplingError, TFN
 from smaaflow.errors import THRESHOLD
 from smaaflow.hierarchy import WeightSpec
 from smaaflow.smaa import (
+    BLOCK,
     PreferenceModel,
     StochasticValue,
     iteration_rng,
@@ -165,6 +166,17 @@ def test_interval_infeasible_raises():
         sample_weights_interval([(0.8, 0.9), (0.8, 0.9)],
                                 iteration_rng(0, 0), max_attempts=3000)
     assert "0.8" in str(err.value)
+
+
+def test_interval_narrow_box_fills_a_block():
+    # accepts about 2e-4 of simplex draws: a block needs over a million
+    bounds = [(0.30, 0.31), (0.30, 0.31), (0.38, 0.40)]
+    spec = WeightSpec.interval(bounds)
+    w = sample_group_weights(spec, 3, iteration_rng(9, 0), size=BLOCK)
+    assert w.shape == (BLOCK, 3)
+    lo, hi = np.array(bounds).T
+    assert ((w >= lo) & (w <= hi)).all()
+    assert np.allclose(w.sum(axis=1), 1.0)
 
 
 def test_group_weight_dispatch():
