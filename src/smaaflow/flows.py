@@ -102,41 +102,41 @@ class ProfileSet:
 
     def validate(self, prefs: Sequence[PreferenceSpec]) -> None:
         """Check that successive profiles strictly dominate each other
-        (see :func:`profile_column_fault`)."""
+        (see :func:`profile_pair_faults`)."""
         if len(prefs) != self.n_criteria:
             raise InputError(SCHEMA, "profiles and preference specs differ in length")
         for t, spec in enumerate(prefs):
             column = [row[t] for row in self.levels]
-            fault = profile_column_fault(tfn_matrix(column), spec.direction == "maximize")
-            if fault is None:
+            maximize = spec.direction == "maximize"
+            dominance, overlap = profile_pair_faults(tfn_matrix(column), maximize)
+            bad = dominance | overlap
+            if not bad.any():
                 continue
-            code, h = fault
-            if code == PROFILE_DOMINANCE:
-                message = (f"profile {h + 1} does not dominate profile {h + 2} on criterion "
-                           f"{t} ({column[h].m} vs {column[h + 1].m}, {spec.direction})")
-            else:
-                message = f"supports of profiles {h + 1} and {h + 2} overlap on criterion {t}"
-            raise InputError(code, message)
+            h = int(bad.argmax())
+            if dominance[h]:
+                raise InputError(PROFILE_DOMINANCE, f"profile {h + 1} does not dominate profile "
+                                 f"{h + 2} on criterion {t} ({column[h].m} vs {column[h + 1].m}, "
+                                 f"{spec.direction})")
+            raise InputError(PROFILE_OVERLAP,
+                             f"supports of profiles {h + 1} and {h + 2} overlap on criterion {t}")
 
 
-def profile_column_fault(column: np.ndarray, maximize: bool) -> tuple[str, int] | None:
-    """First dominance fault among one criterion's profiles, best first.
+def profile_pair_faults(columns: np.ndarray, maximize: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Dominance and overlap faults of every adjacent profile pair.
 
-    ``column`` holds one (m, alpha, beta) row per profile.  Modes must be
-    strictly ordered in the preference direction, and the supports of
-    adjacent profiles may touch but not overlap.  Returns None when the
-    column complies, else the error code and the index h of the first
-    pair (h, h+1) that breaks the rule.
+    ``columns`` holds one criterion's profiles as (..., k+1, 3) rows of
+    (m, alpha, beta), best first.  Modes must be strictly ordered in the
+    preference direction, and the supports of adjacent profiles may touch
+    but not overlap.  Returns two (..., k) masks: entry h is true where
+    profiles h and h+1 break the mode ordering, or where their supports
+    overlap.
     """
+    better, worse = columns[..., :-1, :], columns[..., 1:, :]
     sign = 1.0 if maximize else -1.0
-    for h in range(len(column) - 1):
-        better, worse = column[h], column[h + 1]
-        if sign * (better[0] - worse[0]) <= 0:
-            return PROFILE_DOMINANCE, h
-        upper, lower = (better, worse) if maximize else (worse, better)
-        if upper[0] - upper[1] < lower[0] + lower[2]:
-            return PROFILE_OVERLAP, h
-    return None
+    dominance = sign * (better[..., 0] - worse[..., 0]) <= 0
+    upper, lower = (better, worse) if maximize else (worse, better)
+    overlap = upper[..., 0] - upper[..., 1] < lower[..., 0] + lower[..., 2]
+    return dominance, overlap
 
 
 def _check_vector(tree: CriteriaTree, name: str, values: Sequence) -> None:
@@ -356,16 +356,6 @@ def tfn_matrix(values: Sequence[TFN]) -> np.ndarray:
     return np.array([[v.m, v.alpha, v.beta] for v in values], dtype=float)
 
 
-def pref_param_arrays(prefs: Sequence[PreferenceSpec]):
-    """Split preference specs into the arrays the vectorized path consumes."""
-    codes = np.array([SHAPES.index(p.shape) for p in prefs], dtype=np.int64)
-    q = np.array([p.q for p in prefs])
-    p_ = np.array([p.p for p in prefs])
-    s = np.array([p.s for p in prefs])
-    maximize = np.array([p.direction == "maximize" for p in prefs])
-    return codes, q, p_, s, maximize
-
-
 def shape_preference(codes, q, p, s, d):
     """Vectorized preference degrees; criteria vary along the last axis of ``d``."""
     out = np.zeros(d.shape)
@@ -477,8 +467,8 @@ class BatchEngine:
         Parameters
         ----------
         prefs :
-            Either a sequence of :class:`PreferenceSpec` or the tuple from
-            :func:`pref_param_arrays`.
+            Either a sequence of :class:`PreferenceSpec` or the arrays
+            (shape codes, q, p, s, maximize) with one entry per leaf.
         evals : (m, n_el, 3) array
         profiles : (c, n_el, 3) array
 
@@ -488,9 +478,12 @@ class BatchEngine:
         on each leaf alone, laid out like a node's value row, then the
         positive and the negative flows in the same layout.
         """
-        if not isinstance(prefs, tuple):
-            prefs = pref_param_arrays(prefs)
-        codes, q, p, s, maximize = prefs
+        if isinstance(prefs, tuple):
+            codes, q, p, s, maximize = prefs
+        else:
+            codes = np.array([SHAPES.index(spec.shape) for spec in prefs], dtype=np.int64)
+            q, p, s = np.array([(spec.q, spec.p, spec.s) for spec in prefs]).T
+            maximize = np.array([spec.direction == "maximize" for spec in prefs])
         c, m = self.c, self.m
         n_el = evals.shape[1]
         a = np.concatenate(

@@ -212,8 +212,11 @@ def _parse_value(obj, scale: LinguisticScale | None, at: str) -> StochasticValue
 
 def _parse_threshold(obj, at: str) -> StochasticValue:
     value = _parse_value(obj, None, at)
-    if value.kind not in ("crisp", "interval", "normal"):
-        raise InputError(THRESHOLD, "thresholds must be scalar: number, [lo, hi] or normal", at)
+    _require(value.kind in ("crisp", "interval", "normal"),
+             "thresholds must be scalar: number, [lo, hi] or normal", at, THRESHOLD)
+    # PreferenceSpec checks crisp values; a stochastic one may not draw below 0
+    _require(value.lo >= 0, f"{value.kind} threshold can draw below 0 (lower end {value.lo})",
+             at, THRESHOLD)
     return value
 
 
@@ -299,18 +302,14 @@ def _parse_preferences(raw, tree, at: str = "preferences") -> list[PreferenceMod
         s = spec.get("s", 0.0)
         _require(_is_number(s) and s >= 0, "s must be a non-negative number", here)
         model = PreferenceModel(shape=shape, direction=direction, q=q, p=p, s=float(s))
-        if model.is_deterministic:
-            try:
+        try:
+            if model.is_deterministic:
                 model.resolve_deterministic()
-            except ValueError as exc:
-                raise InputError(THRESHOLD, str(exc), here) from exc
-        else:
-            # shape constraints that do not involve the sampled thresholds
-            try:
+            else:  # shape constraints that do not involve the sampled thresholds
                 PreferenceSpec(shape=shape, q=0.0, p=1.0 if "p" in THRESHOLDS[shape] else 0.0,
                                s=float(s), direction=direction)
-            except ValueError as exc:
-                raise InputError(THRESHOLD, str(exc), here) from exc
+        except ValueError as exc:
+            raise InputError(THRESHOLD, str(exc), here) from exc
         return model
 
     models = []
@@ -332,8 +331,7 @@ def _static_profile_checks(profile_specs, models, tree) -> None:
             continue
         tfns = [v.resolved() for v in column]
         mini = ProfileSet([[f] for f in tfns])
-        mini.validate([models[t].resolve_deterministic() if models[t].is_deterministic
-                       else PreferenceSpec(direction=models[t].direction)])
+        mini.validate([PreferenceSpec(direction=models[t].direction)])  # only the direction counts
 
 
 def _parse_profiles(raw, tree, models, scales, binding, k, at: str = "profiles"):
@@ -388,6 +386,8 @@ def _profile_envelope(profile_specs, slot):
 
 
 def _check_evaluation_bounds(value: StochasticValue, envelope, at: str) -> None:
+    """A deterministic support must lie inside the profile envelope, and a
+    stochastic [lo, hi] must reach it."""
     if envelope is None:
         return
     lo, hi = envelope
@@ -399,16 +399,10 @@ def _check_evaluation_bounds(value: StochasticValue, envelope, at: str) -> None:
                 f"evaluation support [{s_lo}, {s_hi}] leaves the profile span [{lo}, {hi}]",
                 at,
             )
-    elif value.kind == "interval" and (value.hi < lo or value.lo > hi):
+    elif value.hi < lo or value.lo > hi:
         raise InputError(
             EVALUATION_BOUNDS,
-            f"interval [{value.lo}, {value.hi}] cannot reach the profile span [{lo}, {hi}]",
-            at,
-        )
-    elif value.kind == "normal" and (value.hi < lo or value.lo > hi):
-        raise InputError(
-            EVALUATION_BOUNDS,
-            f"truncated normal [{value.lo}, {value.hi}] cannot reach the profile span [{lo}, {hi}]",
+            f"{value.kind} [{value.lo}, {value.hi}] cannot reach the profile span [{lo}, {hi}]",
             at,
         )
 

@@ -12,9 +12,11 @@ Iterations run in blocks of :data:`BLOCK`.  Every block derives its own
 random substream from the root seed and the block index, and work is split
 over processes only at block boundaries, so results depend only on
 (problem, seed, iterations) and never on how iterations are distributed
-over processes.  Within a block the sampling order is fixed: profiles,
-preference thresholds and evaluations of each iteration in turn, then one
-matrix of weight vectors per sibling group in tree order.
+over processes.  Within a block the sampling order is fixed, and each step
+draws for the whole block at once: the profiles, the thresholds of each
+stochastic criterion in tree order, each evaluation (alternative by
+alternative, criterion by criterion), then one matrix of weight vectors
+per sibling group in tree order.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     InputError,
     SamplingError,
 )
-from .flows import BatchEngine, pref_param_arrays, profile_column_fault
+from .flows import BatchEngine, profile_pair_faults
 from .fuzzy import TFN
 from .hierarchy import WeightSpec
 from .preference import SHAPES, PreferenceSpec
@@ -51,8 +53,6 @@ MAX_ATTEMPTS = 1_000_000
 VALUE_ATTEMPTS = 10_000
 
 _MASK64 = (1 << 64) - 1
-
-VALUE_KINDS = ("crisp", "fuzzy", "linguistic", "interval", "normal")
 
 
 @dataclass(frozen=True)
@@ -126,11 +126,9 @@ class PreferenceModel:
     def is_deterministic(self) -> bool:
         return self.q.is_deterministic and self.p.is_deterministic
 
-    def resolve(self, q: float, p: float) -> PreferenceSpec:
-        return PreferenceSpec(shape=self.shape, q=q, p=p, s=self.s, direction=self.direction)
-
     def resolve_deterministic(self) -> PreferenceSpec:
-        return self.resolve(self.q.resolved().m, self.p.resolved().m)
+        return PreferenceSpec(shape=self.shape, q=self.q.resolved().m, p=self.p.resolved().m,
+                              s=self.s, direction=self.direction)
 
 
 def iteration_rng(seed: int, index: int) -> np.random.Generator:
@@ -266,104 +264,140 @@ def sample_group_weights(
 # Value, threshold and profile samplers
 # ---------------------------------------------------------------------------
 
+def _by_rejection(shape: tuple[int, ...], draw, max_attempts: int):
+    """Fill an array of ``shape`` row by row by rejection, redrawing only
+    the rejected rows.
+
+    ``draw(rows)`` returns candidates for the row indices ``rows`` and a
+    mask of the accepted ones.  Each row gets at most ``max_attempts``
+    candidates.  Returns the filled rows and the indices still rejected.
+    """
+    out, pending = np.empty(shape), np.arange(shape[0])
+    for _ in range(max_attempts):
+        cand, ok = draw(pending)
+        out[pending[ok]] = cand[ok]
+        pending = pending[~ok]
+        if not len(pending):
+            break
+    return out, pending
+
+
 def sample_value(
     value: StochasticValue,
-    rng: np.random.Generator,
-    bounds: tuple[float, float] | None = None,
+    rng: np.random.Generator | None,
+    bounds: tuple[float, float] | np.ndarray | None = None,
     max_attempts: int = VALUE_ATTEMPTS,
-) -> TFN:
-    """Draw one concrete evaluation.
+    size: int | None = None,
+) -> TFN | np.ndarray:
+    """Draw one concrete evaluation, or with ``size`` a (size, 3) array of
+    (m, alpha, beta) rows.
 
     Deterministic kinds resolve without consuming randomness.  Stochastic
     kinds are redrawn until they land inside ``bounds`` (when given), which
     keeps sampled evaluations within the span of the limiting profiles.
+    ``bounds`` is a (lo, hi) pair, or with ``size`` a (size, 2) array of one
+    pair per row.  Only rejected rows are redrawn, each at most
+    ``max_attempts`` times.
     """
     if value.is_deterministic:
-        return value.resolved()
-    lo, hi = bounds if bounds is not None else (-np.inf, np.inf)
+        f = value.resolved()
+        return f if size is None else np.full((size, 3), (f.m, f.alpha, f.beta))
+    n = 1 if size is None else size
+    lo, hi = np.broadcast_to((-np.inf, np.inf) if bounds is None else bounds, (n, 2)).T
+    vlo, vhi = np.maximum(value.lo, lo), np.minimum(value.hi, hi)
     if value.kind == "interval":
-        vlo, vhi = max(value.lo, lo), min(value.hi, hi)
-        if vlo > vhi:
+        empty = np.flatnonzero(vlo > vhi)
+        if len(empty):
+            raise SamplingError(f"interval [{value.lo}, {value.hi}] cannot reach bounds "
+                                f"[{lo[empty[0]]}, {hi[empty[0]]}]")
+        x = rng.uniform(vlo, vhi)
+    else:  # normal, truncated to the declared [lo, hi] intersected with bounds
+        def draw(rows):
+            d = rng.normal(value.mean, value.sd, len(rows))
+            return d, (vlo[rows] <= d) & (d <= vhi[rows])
+
+        x, failed = _by_rejection((n,), draw, max_attempts)
+        if len(failed):
             raise SamplingError(
-                f"interval [{value.lo}, {value.hi}] cannot reach bounds [{lo}, {hi}]"
+                f"normal({value.mean}, {value.sd}) produced no draw inside "
+                f"[{vlo[failed[0]]}, {vhi[failed[0]]}] after {max_attempts} attempts"
             )
-        return TFN(float(rng.uniform(vlo, vhi)))
-    # normal, truncated to the declared [lo, hi] intersected with bounds
-    vlo, vhi = max(value.lo, lo), min(value.hi, hi)
-    for _ in range(max_attempts):
-        draw = float(rng.normal(value.mean, value.sd))
-        if vlo <= draw <= vhi:
-            return TFN(draw)
-    raise SamplingError(
-        f"normal({value.mean}, {value.sd}) produced no draw inside "
-        f"[{vlo}, {vhi}] after {max_attempts} attempts"
-    )
+    return TFN(float(x[0])) if size is None else np.column_stack([x, np.zeros((n, 2))])
 
 
 def sample_thresholds(
     q_spec: StochasticValue,
     p_spec: StochasticValue,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     strict: bool = False,
     max_attempts: int = VALUE_ATTEMPTS,
-) -> tuple[float, float]:
-    """Draw an (indifference, preference) threshold pair with q <= p.
+    size: int | None = None,
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Draw an (indifference, preference) threshold pair with q <= p, or
+    with ``size`` two (size,) arrays of pairs.
 
     Pairs violating the ordering are redrawn; ``strict`` additionally
-    requires q < p, which the linear shape needs.
+    requires q < p, which the linear shape needs.  Only rejected rows are
+    redrawn, each at most ``max_attempts`` times.
     """
     if q_spec.is_deterministic and p_spec.is_deterministic:
         q, p = q_spec.resolved().m, p_spec.resolved().m
         if q > p or (strict and q >= p):
             need = "q < p" if strict else "q <= p"
             raise InputError(THRESHOLD, f"thresholds must satisfy {need}, got q={q}, p={p}")
-        return q, p
-    for _ in range(max_attempts):
-        q = sample_value(q_spec, rng).m
-        p = sample_value(p_spec, rng).m
-        if q < p or (q == p and not strict):
-            return q, p
-    raise SamplingError(
-        f"no admissible threshold pair (q <= p) after {max_attempts} attempts"
-    )
+        return (q, p) if size is None else (np.full(size, q), np.full(size, p))
+
+    def draw(rows):
+        q = sample_value(q_spec, rng, size=len(rows))[:, 0]
+        p = sample_value(p_spec, rng, size=len(rows))[:, 0]
+        return np.stack([q, p], axis=1), (q < p) | ((q == p) & (not strict))
+
+    pairs, failed = _by_rejection((1 if size is None else size, 2), draw, max_attempts)
+    if len(failed):
+        raise SamplingError(
+            f"no admissible threshold pair (q <= p) after {max_attempts} attempts"
+        )
+    return tuple(map(float, pairs[0])) if size is None else (pairs[:, 0], pairs[:, 1])
 
 
 def sample_profiles(
     profile_specs: Sequence[Sequence[StochasticValue]],
     models: Sequence[PreferenceModel],
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     max_attempts: int = VALUE_ATTEMPTS,
+    size: int | None = None,
 ) -> np.ndarray:
-    """Draw the (k+1, n_el, 3) profile array, best profile first.
+    """Draw the (k+1, n_el, 3) profile array, best profile first, or with
+    ``size`` a (size, k+1, n_el, 3) stack of independent draws.
 
-    Deterministic columns pass through; columns with stochastic entries are
-    redrawn until successive profiles dominate each other.
+    Deterministic columns pass through unchecked (they are validated when
+    the problem is parsed); columns with stochastic entries are redrawn
+    until successive profiles dominate each other.  Only rejected rows are
+    redrawn, each at most ``max_attempts`` times.
     """
-    c = len(profile_specs)
-    n_el = len(profile_specs[0])
-    out = np.empty((c, n_el, 3))
+    c, n_el = len(profile_specs), len(profile_specs[0])
+    n = 1 if size is None else size
+    out = np.empty((n, c, n_el, 3))
     for t in range(n_el):
         spec_col = [profile_specs[h][t] for h in range(c)]
-        maximize = models[t].direction == "maximize"
         if all(v.is_deterministic for v in spec_col):
-            for h, v in enumerate(spec_col):
-                f = v.resolved()
-                out[h, t] = (f.m, f.alpha, f.beta)
+            out[:, :, t] = [(f.m, f.alpha, f.beta) for f in (v.resolved() for v in spec_col)]
             continue
-        for attempt in range(max_attempts):
-            col = np.empty((c, 3))
-            for h, v in enumerate(spec_col):
-                f = sample_value(v, rng)
-                col[h] = (f.m, f.alpha, f.beta)
-            if profile_column_fault(col, maximize) is None:
-                out[:, t] = col
-                break
-        else:
+        maximize = models[t].direction == "maximize"
+
+        def draw(rows):
+            col = np.stack([sample_value(v, rng, size=len(rows)) for v in spec_col], axis=1)
+            dominance, overlap = profile_pair_faults(col, maximize)
+            return col, ~(dominance | overlap).any(axis=-1)
+
+        column, failed = _by_rejection((n, c, 3), draw, max_attempts)
+        if len(failed):
             raise SamplingError(
                 f"no dominance-respecting profile draw on criterion {t} "
                 f"after {max_attempts} attempts"
             )
-    return out
+        out[:, :, t] = column
+    return out[0] if size is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +440,6 @@ class ProblemRuntime:
         self.seed = seed
         self.strict = strict
         tree = problem.tree
-        self.tree = tree
         self.m = len(problem.alternative_names)
         self.c = len(problem.profile_specs)
         self.k = self.c - 1
@@ -416,62 +449,44 @@ class ProblemRuntime:
             (np.array([tree.node_index[p] for p in g.members], dtype=np.int64), g.spec)
             for g in tree.sibling_groups()
         ]
-        self.eval_specs = problem.evaluation_specs  # (m, n_el) StochasticValue
-        self.profile_specs = problem.profile_specs  # (c, n_el) StochasticValue
-        self.models = problem.preference_models
+        data_fixed = problem.is_deterministic_data
+        self.static_components = self._sample_components(None, 1)[0] if data_fixed else None
 
-        self.static_components = None
-        if problem.is_deterministic_data:
-            prefs = [mdl.resolve_deterministic() for mdl in self.models]
-            self.static_components = self.engine.pref_components(
-                pref_param_arrays(prefs),
-                self._resolve_matrix(self.eval_specs),
-                self._resolve_matrix(self.profile_specs),
-                defuzz,
-            )
-        else:
-            # q/p entries of stochastic slots are overwritten every iteration
-            self.base_params = (
-                np.array([SHAPES.index(mdl.shape) for mdl in self.models], dtype=np.int64),
-                np.array([mdl.q.resolved().m if mdl.q.is_deterministic else 0.0
-                          for mdl in self.models]),
-                np.array([mdl.p.resolved().m if mdl.p.is_deterministic else 0.0
-                          for mdl in self.models]),
-                np.array([mdl.s for mdl in self.models]),
-                np.array([mdl.direction == "maximize" for mdl in self.models]),
-            )
-            self.stochastic_threshold_slots = [
-                t for t, mdl in enumerate(self.models) if not mdl.is_deterministic
-            ]
+    def _sample_components(self, rng: np.random.Generator | None, size: int) -> np.ndarray:
+        """Leaf flow tables of ``size`` data draws, (size, 3 * n_pairs, n_el).
 
-    @staticmethod
-    def _resolve_matrix(specs) -> np.ndarray:
-        out = np.empty((len(specs), len(specs[0]), 3))
-        for i, row in enumerate(specs):
-            for j, v in enumerate(row):
-                f = v.resolved()
-                out[i, j] = (f.m, f.alpha, f.beta)
-        return out
-
-    def _sample_components(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw profiles, thresholds and evaluations for one iteration."""
-        profiles = sample_profiles(self.profile_specs, self.models, rng)
-        codes, q, p, s, maximize = self.base_params
-        if self.stochastic_threshold_slots:
-            q, p = q.copy(), p.copy()
-            for t in self.stochastic_threshold_slots:
-                mdl = self.models[t]
-                q[t], p[t] = sample_thresholds(
-                    mdl.q, mdl.p, rng, strict=(mdl.shape == "linear")
+        Draws the profiles of every row, then the thresholds of the
+        stochastic criteria, then each evaluation inside its row's profile
+        envelope.  Deterministic inputs consume no randomness, so static
+        data needs no generator.
+        """
+        models = self.problem.preference_models
+        n_el = len(models)
+        profiles = sample_profiles(self.problem.profile_specs, models, rng, size=size)
+        q, p = np.empty((2, size, n_el))
+        for t, mdl in enumerate(models):
+            if mdl.is_deterministic:
+                q[:, t], p[:, t] = mdl.q.resolved().m, mdl.p.resolved().m
+            else:
+                q[:, t], p[:, t] = sample_thresholds(
+                    mdl.q, mdl.p, rng, strict=(mdl.shape == "linear"), size=size
                 )
-        evals = np.empty((self.m, profiles.shape[1], 3))
-        lo = (profiles[..., 0] - profiles[..., 1]).min(axis=0)
-        hi = (profiles[..., 0] + profiles[..., 2]).max(axis=0)
-        for i, row in enumerate(self.eval_specs):
+        envelope = np.stack([(profiles[..., 0] - profiles[..., 1]).min(axis=1),
+                             (profiles[..., 0] + profiles[..., 2]).max(axis=1)], axis=-1)
+        evals = np.empty((size, self.m, n_el, 3))
+        for i, row in enumerate(self.problem.evaluation_specs):
             for t, v in enumerate(row):
-                f = sample_value(v, rng, bounds=(lo[t], hi[t]))
-                evals[i, t] = (f.m, f.alpha, f.beta)
-        return self.engine.pref_components((codes, q, p, s, maximize), evals, profiles, self.defuzz)
+                evals[:, i, t] = sample_value(v, rng, bounds=envelope[:, t], size=size)
+        codes = np.array([SHAPES.index(mdl.shape) for mdl in models], dtype=np.int64)
+        s = np.array([mdl.s for mdl in models])
+        maximize = np.array([mdl.direction == "maximize" for mdl in models])
+        # leaf-major like the engine's own tables: node_values reads each leaf contiguously
+        out = np.empty((size, n_el, 3 * self.engine.n_pairs))
+        for j in range(size):
+            out[j] = self.engine.pref_components(
+                (codes, q[j], p[j], s, maximize), evals[j], profiles[j], self.defuzz
+            ).T
+        return out.transpose(0, 2, 1)
 
     def simulate(self, start: int, count: int):
         """Tally assignments for iterations [start, start + count).
@@ -487,10 +502,7 @@ class ProblemRuntime:
             rng = iteration_rng(self.seed, block // BLOCK)
             components = self.static_components
             if components is None:
-                # net, positive and negative flow tables per leaf
-                components = np.empty((bs, 3 * self.engine.n_pairs, self.tree.n_elementary))
-                for j in range(bs):
-                    components[j] = self._sample_components(rng)
+                components = self._sample_components(rng, bs)
             w = np.empty((bs, self.n_nodes))
             for idx, spec in self.groups:
                 w[:, idx] = sample_group_weights(spec, len(idx), rng, size=bs)

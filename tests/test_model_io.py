@@ -124,6 +124,18 @@ def test_fuzzy_threshold_rejected():
     assert err.value.code == THRESHOLD
 
 
+@pytest.mark.parametrize("preference", [
+    {"shape": "u-shape", "q": {"normal": {"mean": 0, "sd": 1}}},
+    {"shape": "v-shape", "p": [-2, 1]},
+])
+def test_stochastic_threshold_that_can_draw_negative_rejected(preference):
+    doc = doc_with_value(7)
+    doc["preferences"]["default"] = preference
+    with pytest.raises(InputError) as err:
+        parse_problem(doc)
+    assert err.value.code == THRESHOLD
+
+
 # ---------------------------------------------------------------------------
 # Invalid documents, one error code each
 # ---------------------------------------------------------------------------

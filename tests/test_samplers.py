@@ -200,6 +200,9 @@ def test_deterministic_values_do_not_consume_randomness():
               StochasticValue.fuzzy(TFN(4, 1, 1)),
               StochasticValue.linguistic("H", TFN(6, 0.75, 0.75))):
         assert sample_value(v, probe_a) == v.resolved()
+        f = v.resolved()
+        block = sample_value(v, probe_a, bounds=np.zeros((BLOCK, 2)), size=BLOCK)
+        assert np.array_equal(block, np.tile((f.m, f.alpha, f.beta), (BLOCK, 1)))
     assert probe_a.random() == probe_b.random()
 
 
@@ -208,12 +211,24 @@ def test_interval_value_respects_intersection():
     rng = iteration_rng(9, 1)
     draws = [sample_value(v, rng, bounds=(5.0, 10.0)).m for _ in range(300)]
     assert min(draws) >= 5.0 and max(draws) <= 8.0
+    # one (lo, hi) pair per row of a block
+    lo = np.linspace(1.0, 7.0, BLOCK)
+    block = sample_value(v, rng, bounds=np.stack([lo, lo + 1.5], axis=1), size=BLOCK)
+    assert block.shape == (BLOCK, 3) and not block[:, 1:].any()
+    assert (block[:, 0] >= np.maximum(lo, 2.0)).all()
+    assert (block[:, 0] <= np.minimum(lo + 1.5, 8.0)).all()
 
 
 def test_interval_value_outside_bounds_raises():
     with pytest.raises(SamplingError):
         sample_value(StochasticValue.interval(0.0, 1.0), iteration_rng(0, 0),
                      bounds=(2.0, 3.0))
+    # a single unreachable row fails the block
+    bounds = np.tile((0.0, 1.0), (BLOCK, 1))
+    bounds[-1] = (2.0, 3.0)
+    with pytest.raises(SamplingError):
+        sample_value(StochasticValue.interval(0.0, 1.0), iteration_rng(0, 0),
+                     bounds=bounds, size=BLOCK)
 
 
 def test_normal_value_truncated():
@@ -221,6 +236,14 @@ def test_normal_value_truncated():
     rng = iteration_rng(9, 2)
     draws = [sample_value(v, rng).m for _ in range(300)]
     assert min(draws) >= 4.0 and max(draws) <= 6.0
+    lo = np.linspace(3.6, 5.5, BLOCK)
+    block = sample_value(v, rng, bounds=np.stack([lo, lo + 0.5], axis=1), size=BLOCK)[:, 0]
+    assert (block >= np.maximum(lo, 4.0)).all() and (block <= np.minimum(lo + 0.5, 6.0)).all()
+    # about 1 draw in 15 lands above 1.5: 200 attempts suffice for one
+    # value, and they are counted per row, so they suffice for a block too
+    tail = StochasticValue.normal(0.0, 1.0, lo=1.5)
+    block = sample_value(tail, rng, max_attempts=200, size=BLOCK)[:, 0]
+    assert (block >= 1.5).all()
 
 
 def test_threshold_pair_deterministic():
@@ -238,6 +261,9 @@ def test_threshold_pair_deterministic():
     with pytest.raises(InputError):
         sample_thresholds(StochasticValue.crisp(3.0), StochasticValue.crisp(2.0),
                           iteration_rng(0, 0))
+    q, p = sample_thresholds(StochasticValue.crisp(0.5), StochasticValue.crisp(2.0),
+                             None, size=BLOCK)
+    assert q.tolist() == [0.5] * BLOCK and p.tolist() == [2.0] * BLOCK
 
 
 def test_threshold_pair_stochastic_resamples_until_ordered():
@@ -247,6 +273,9 @@ def test_threshold_pair_stochastic_resamples_until_ordered():
     for _ in range(200):
         q, p = sample_thresholds(q_spec, p_spec, rng, strict=True)
         assert q < p
+    q, p = sample_thresholds(q_spec, p_spec, rng, strict=True, size=BLOCK)
+    assert q.shape == p.shape == (BLOCK,)
+    assert (q < p).all() and (q >= 0.0).all() and (p <= 1.0).all()
 
 
 def test_sample_profiles_deterministic_passthrough():
@@ -256,6 +285,9 @@ def test_sample_profiles_deterministic_passthrough():
     out = sample_profiles(specs, models, iteration_rng(0, 0))
     assert out.shape == (3, 1, 3)
     assert out[:, 0, 0].tolist() == [10.0, 5.0, 0.0]
+    block = sample_profiles(specs, models, None, size=BLOCK)
+    assert block.shape == (BLOCK, 3, 1, 3)
+    assert (block == out).all()
 
 
 def test_sample_profiles_rejects_until_dominant():
@@ -269,6 +301,8 @@ def test_sample_profiles_rejects_until_dominant():
         out = sample_profiles(specs, models, rng)
         col = out[:, 0, 0]
         assert col[0] > col[1] > col[2]
+    cols = sample_profiles(specs, models, rng, size=BLOCK)[:, :, 0, 0]
+    assert ((cols[:, 0] > cols[:, 1]) & (cols[:, 1] > cols[:, 2])).all()
 
 
 @pytest.mark.parametrize("direction, best, middle, worst", [
@@ -289,6 +323,11 @@ def test_sample_profiles_never_overlaps_a_fuzzy_neighbour(direction, best, middl
             assert drawn >= middle.support[1]
         else:
             assert drawn <= middle.support[0]
+    block = sample_profiles(specs, models, rng, size=BLOCK)[:, 0, 0, 0]
+    if direction == "maximize":
+        assert (block >= middle.support[1]).all()
+    else:
+        assert (block <= middle.support[0]).all()
 
 
 def test_iteration_rng_streams_are_stable_and_distinct():

@@ -12,14 +12,32 @@ unanimously across criteria, so its category ignores the weights.
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
 
-from smaaflow import BoundaryViolation, InputError, run_smaa
+from smaaflow import (
+    TFN,
+    BoundaryViolation,
+    InputError,
+    PreferenceSpec,
+    ProfileSet,
+    assign,
+    flow_bundle,
+    run_smaa,
+)
 from smaaflow.errors import WEIGHT_SPEC
 from smaaflow.model_io import fixture_path, parse_problem
-from smaaflow.smaa import BLOCK, ProblemRuntime, _split, deterministic_result
+from smaaflow.smaa import (
+    BLOCK,
+    ProblemRuntime,
+    _split,
+    deterministic_result,
+    sample_profiles,
+    sample_thresholds,
+    sample_value,
+)
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +55,24 @@ def variant(doc, **changes):
             node = node[part]
         node[last] = value
     return parse_problem(out)
+
+
+@pytest.fixture(scope="module")
+def stochastic_walkthrough(walkthrough_doc):
+    """The walkthrough with interval evaluations, interval linear q/p and
+    an interval middle profile on g21; x2 lands in C1 on about 3 draws in 4."""
+    linear = {"shape": "linear", "q": [0, 0.5], "p": [1, 2]}
+    profiles = copy.deepcopy(walkthrough_doc["profiles"]["per_criterion"])
+    profiles["G2/g21"] = [20, [8, 12], 0]
+    return variant(walkthrough_doc, **{
+        "alternatives": {
+            "x1": {"G1/g11": [7, 9], "G1/g12": [0.5, 2], "G2/g21": [14, 18], "G2/g22": [25, 29]},
+            "x2": {"G1/g11": [8, 9.5], "G1/g12": [2, 4], "G2/g21": [6, 14], "G2/g22": [9, 24]},
+        },
+        "preferences": {"default": linear,
+                        "per_criterion": {"G1/g12": dict(linear, direction="minimize")}},
+        "profiles.per_criterion": profiles,
+    })
 
 
 def test_degenerate_run_equals_deterministic_result(walkthrough):
@@ -90,10 +126,13 @@ def test_same_seed_same_result(walkthrough_doc):
     assert not np.array_equal(a.category_index, c.category_index)
 
 
-def test_thread_count_does_not_change_results(walkthrough_doc):
-    problem = variant(walkthrough_doc, **{"tree.weights": {"missing": True}})
-    # an uneven split, and more threads than blocks
-    for iterations, threads in ((600, 4), (3 * BLOCK + 5, 2), (3 * BLOCK + 5, 8)):
+def test_thread_count_does_not_change_results(walkthrough_doc, stochastic_walkthrough):
+    missing = variant(walkthrough_doc, **{"tree.weights": {"missing": True}})
+    # an uneven split, and more threads than blocks; sampled weights, then
+    # sampled evaluations, thresholds and profiles
+    for problem, iterations, threads in ((missing, 600, 4), (missing, 3 * BLOCK + 5, 2),
+                                         (missing, 3 * BLOCK + 5, 8),
+                                         (stochastic_walkthrough, 3 * BLOCK + 5, 2)):
         serial = run_smaa(problem, iterations=iterations, seed=9, threads=1)
         threaded = run_smaa(problem, iterations=iterations, seed=9, threads=threads)
         assert serial.category_index.tobytes() == threaded.category_index.tobytes()
@@ -106,6 +145,36 @@ def test_thread_count_does_not_change_results(walkthrough_doc):
         for (start, count), (after, _) in zip(spans, spans[1:] + [(iterations, 0)]):
             assert start % BLOCK == 0 and count > 0
             assert start + count == after
+
+
+def test_block_data_draws_match_a_per_iteration_reference(stochastic_walkthrough):
+    # the reference draws one iteration at a time with the scalar samplers
+    # and assigns each alternative on its own through flow_bundle
+    problem = stochastic_walkthrough
+    draws = 1000
+    res = run_smaa(problem, iterations=draws, seed=4)
+    assert res.boundary_violations == 0
+    tree, models = problem.tree, problem.preference_models
+    weights = tree.deterministic_weights()
+    rng = np.random.default_rng(12)
+    hits = np.zeros(len(problem.alternative_names))
+    for _ in range(draws):
+        profiles = sample_profiles(problem.profile_specs, models, rng)
+        prefs = []
+        for mdl in models:
+            q, p = sample_thresholds(mdl.q, mdl.p, rng, strict=mdl.shape == "linear")
+            prefs.append(PreferenceSpec(shape=mdl.shape, q=q, p=p, direction=mdl.direction))
+        levels = ProfileSet([[TFN(*map(float, f)) for f in row] for row in profiles])
+        lo = (profiles[..., 0] - profiles[..., 1]).min(axis=0)
+        hi = (profiles[..., 0] + profiles[..., 2]).max(axis=0)
+        for i, row in enumerate(problem.evaluation_specs):
+            x = [sample_value(v, rng, bounds=(lo[t], hi[t])) for t, v in enumerate(row)]
+            hits[i] += assign(flow_bundle(tree, weights, prefs, levels, x)) == 1
+    for block_share, ref_share in zip(res.category_index[:, 0], hits / draws):
+        pooled = (block_share + ref_share) / 2
+        se = math.sqrt(pooled * (1 - pooled) * 2 / draws)
+        assert abs(block_share - ref_share) <= 4 * se
+    assert 0.5 < res.category_index[1, 0] < 0.95
 
 
 def test_worker_error_surfaces_without_an_in_process_rerun(walkthrough, monkeypatch):
