@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fuzzy import TFN
 from .hierarchy import CriteriaTree
-from .preference import SHAPES, PreferenceSpec, fuzzy_preference
+from .preference import PreferenceArrays, PreferenceSpec, fuzzy_preference
 
 #: Assignment rules: which flow brackets the alternative between profiles.
 RULES = ("positive", "negative", "net")
@@ -356,31 +356,6 @@ def tfn_matrix(values: Sequence[TFN]) -> np.ndarray:
     return np.array([[v.m, v.alpha, v.beta] for v in values], dtype=float)
 
 
-def shape_preference(codes, q, p, s, d):
-    """Vectorized preference degrees; criteria vary along the last axis of ``d``."""
-    out = np.zeros(d.shape)
-    for code in range(len(SHAPES)):
-        sel = codes == code
-        if not sel.any():
-            continue
-        dv = d[..., sel]
-        if code == 0:  # usual
-            out[..., sel] = (dv > 0.0).astype(float)
-        elif code == 1:  # u-shape
-            out[..., sel] = (dv > q[sel]).astype(float)
-        elif code == 2:  # v-shape
-            out[..., sel] = np.clip(dv / p[sel], 0.0, 1.0)
-        elif code == 3:  # level
-            out[..., sel] = 0.5 * (dv > q[sel]) + 0.5 * (dv > p[sel])
-        elif code == 4:  # linear
-            out[..., sel] = np.clip((dv - q[sel]) / (p[sel] - q[sel]), 0.0, 1.0)
-        else:  # gaussian
-            out[..., sel] = np.where(
-                dv > 0.0, 1.0 - np.exp(-(dv * dv) / (2.0 * s[sel] * s[sel])), 0.0
-            )
-    return out
-
-
 @dataclass
 class BatchFlows:
     """Flow arrays for a batch of weight vectors.
@@ -467,8 +442,8 @@ class BatchEngine:
         Parameters
         ----------
         prefs :
-            Either a sequence of :class:`PreferenceSpec` or the arrays
-            (shape codes, q, p, s, maximize) with one entry per leaf.
+            A sequence of :class:`PreferenceSpec` or their
+            :class:`PreferenceArrays`, one entry per leaf.
         evals : (m, n_el, 3) array
         profiles : (c, n_el, 3) array
 
@@ -478,12 +453,7 @@ class BatchEngine:
         on each leaf alone, laid out like a node's value row, then the
         positive and the negative flows in the same layout.
         """
-        if isinstance(prefs, tuple):
-            codes, q, p, s, maximize = prefs
-        else:
-            codes = np.array([SHAPES.index(spec.shape) for spec in prefs], dtype=np.int64)
-            q, p, s = np.array([(spec.q, spec.p, spec.s) for spec in prefs]).T
-            maximize = np.array([spec.direction == "maximize" for spec in prefs])
+        prefs = prefs if isinstance(prefs, PreferenceArrays) else PreferenceArrays.of(prefs)
         c, m = self.c, self.m
         n_el = evals.shape[1]
         a = np.concatenate(
@@ -500,12 +470,7 @@ class BatchEngine:
                 np.tile(profiles, (c, 1, 1)),
             ]
         )
-        d = np.where(maximize, a[..., 0] - b[..., 0], b[..., 0] - a[..., 0])
-        s_left = np.where(maximize, a[..., 1] + b[..., 2], a[..., 2] + b[..., 1])
-        s_right = np.where(maximize, a[..., 2] + b[..., 1], a[..., 1] + b[..., 2])
-        p0 = shape_preference(codes, q, p, s, d)
-        p_lo = shape_preference(codes, q, p, s, d - s_left)
-        p_hi = shape_preference(codes, q, p, s, d + s_right)
+        p0, p_lo, p_hi = prefs.fuzzy_degrees(a, b)
         if defuzz == "centroid":
             pair = p0 + (p_hi + p_lo - 2.0 * p0) / 3.0
         elif defuzz == "spread-sum":

@@ -246,22 +246,22 @@ def _collect_scale_bindings(raw_children, tree: CriteriaTree, scales, default_sc
     """Scale name per elementary slot, from leaf 'scale' keys or the default."""
     binding: list[str | None] = [None] * tree.n_elementary
 
-    def walk(children, prefix):
+    def walk(children, prefix, at):
         for i, obj in enumerate(children):
             path = prefix + (i + 1,)
-            here = f"tree/children/{i}" if not prefix else None
+            here = f"{at}/children/{i}"
             name = obj.get("scale")
             kids = obj.get("children", [])
             if name is not None:
-                _require(isinstance(name, str), "scale must be a name", "tree")
-                _require(not kids, "only elementary criteria bind a scale", "tree")
-                _require(name in scales, f"unknown scale {name!r}", "tree")
+                _require(isinstance(name, str), "scale must be a name", here)
+                _require(not kids, "only elementary criteria bind a scale", here)
+                _require(name in scales, f"unknown scale {name!r}", here)
             if kids:
-                walk(kids, path)
+                walk(kids, path, here)
             else:
                 binding[tree.elementary_index[path]] = name or default_scale
 
-    walk(raw_children, ())
+    walk(raw_children, (), "tree")
     return tuple(binding)
 
 
@@ -297,19 +297,20 @@ def _parse_preferences(raw, tree, at: str = "preferences") -> list[PreferenceMod
         _require(shape in SHAPES, f"unknown shape {shape!r} (known: {SHAPES})", here)
         direction = spec.get("direction", "maximize")
         _require(direction in DIRECTIONS, f"unknown direction {direction!r}", here)
-        q = _parse_threshold(spec["q"], f"{here}/q") if "q" in spec else StochasticValue.crisp(0.0)
-        p = _parse_threshold(spec["p"], f"{here}/p") if "p" in spec else StochasticValue.crisp(0.0)
+        q, p = (_parse_threshold(spec[name], f"{here}/{name}") if name in spec
+                else StochasticValue.crisp(0.0) for name in ("q", "p"))
         s = spec.get("s", 0.0)
         _require(_is_number(s) and s >= 0, "s must be a non-negative number", here)
+        for name, value in (("q", q), ("p", p), ("s", StochasticValue.crisp(s))):
+            _require(name in THRESHOLDS[shape] or value == StochasticValue.crisp(0.0),
+                     f"shape {shape!r} does not use threshold {name!r}", f"{here}/{name}",
+                     THRESHOLD)
         model = PreferenceModel(shape=shape, direction=direction, q=q, p=p, s=float(s))
-        try:
-            if model.is_deterministic:
+        if model.is_deterministic:  # PreferenceSpec checks the crisp thresholds
+            try:
                 model.resolve_deterministic()
-            else:  # shape constraints that do not involve the sampled thresholds
-                PreferenceSpec(shape=shape, q=0.0, p=1.0 if "p" in THRESHOLDS[shape] else 0.0,
-                               s=float(s), direction=direction)
-        except ValueError as exc:
-            raise InputError(THRESHOLD, str(exc), here) from exc
+            except ValueError as exc:
+                raise InputError(THRESHOLD, str(exc), here) from exc
         return model
 
     models = []

@@ -13,16 +13,22 @@ to a preference degree in [0, 1]:
 
 Fuzzy evaluations are compared by pushing the three points of the fuzzy
 difference through the crisp shape, which yields a fuzzy preference degree.
+:class:`PreferenceArrays` holds the one implementation of the shapes, a
+kernel vectorized over criteria; the scalar functions are one-row calls of
+it, and the flow engine calls it for whole reference sets.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .fuzzy import TFN
 
-#: Thresholds each shape reads; the others must stay at 0.
+#: Thresholds each shape reads; the others must stay at crisp 0.  Only a
+#: shape reading both q and p samples them as an ordered pair.
 THRESHOLDS = {
     "usual": (),
     "u-shape": ("q",),
@@ -70,55 +76,83 @@ class PreferenceSpec:
             raise ValueError("gaussian shape needs s > 0")
 
 
+#: Each shape's degree as a function of (d, q, p, s), elementwise.
+_KERNELS = {
+    "usual": lambda d, q, p, s: (d > 0.0).astype(float),
+    "u-shape": lambda d, q, p, s: (d > q).astype(float),
+    "v-shape": lambda d, q, p, s: np.clip(d / p, 0.0, 1.0),
+    "level": lambda d, q, p, s: 0.5 * (d > q) + 0.5 * (d > p),
+    "linear": lambda d, q, p, s: np.clip((d - q) / (p - q), 0.0, 1.0),
+    "gaussian": lambda d, q, p, s: np.where(d > 0.0, 1.0 - np.exp(-(d * d) / (2.0 * s * s)), 0.0),
+}
+
+
+class PreferenceArrays(NamedTuple):
+    """Shape codes (indices into :data:`SHAPES`), thresholds and directions
+    of a run of criteria, one entry per criterion.  The vectorized kernel
+    below is the one implementation of the six shapes."""
+
+    codes: np.ndarray
+    q: np.ndarray
+    p: np.ndarray
+    s: np.ndarray
+    maximize: np.ndarray
+
+    @classmethod
+    def of(cls, prefs: Sequence, thresholds=None) -> "PreferenceArrays":
+        """Arrays of :class:`PreferenceSpec` entries, or of any entries with
+        a ``shape``, ``s`` and ``direction`` given a (q, p) ``thresholds`` pair."""
+        if thresholds is None:
+            thresholds = np.array([(x.q, x.p) for x in prefs], dtype=float).reshape(-1, 2).T
+        q, p = thresholds
+        return cls(np.array([SHAPES.index(x.shape) for x in prefs], dtype=np.int64), q, p,
+                   np.array([x.s for x in prefs], dtype=float),
+                   np.array([x.direction == "maximize" for x in prefs]))
+
+    def degrees(self, d: np.ndarray) -> np.ndarray:
+        """Preference degrees of oriented differences; criteria vary along
+        the last axis of ``d``."""
+        out = np.zeros(d.shape)
+        for code, shape in enumerate(SHAPES):
+            sel = self.codes == code
+            if sel.any():
+                out[..., sel] = _KERNELS[shape](d[..., sel], self.q[sel], self.p[sel], self.s[sel])
+        return out
+
+    def fuzzy_degrees(self, a: np.ndarray, b: np.ndarray):
+        """Degrees P(d), P(d - s_l) and P(d + s_r) of ``a`` over ``b``.
+
+        ``a`` and ``b`` hold (m, alpha, beta) rows, (..., n_criteria, 3);
+        (d; s_l; s_r) is their difference oriented by each direction.
+        """
+        maximize = self.maximize
+        d = np.where(maximize, a[..., 0] - b[..., 0], b[..., 0] - a[..., 0])
+        s_left = np.where(maximize, a[..., 1] + b[..., 2], a[..., 2] + b[..., 1])
+        s_right = np.where(maximize, a[..., 2] + b[..., 1], a[..., 1] + b[..., 2])
+        return self.degrees(d), self.degrees(d - s_left), self.degrees(d + s_right)
+
+
 def preference_value(spec: PreferenceSpec, d: float) -> float:
     """Preference degree for an oriented crisp difference ``d``.
 
     The caller orients ``d`` so that positive means "first argument better";
     use :func:`fuzzy_preference` to compare raw evaluations.
     """
-    shape = spec.shape
-    if shape == "usual":
-        return 1.0 if d > 0 else 0.0
-    if shape == "u-shape":
-        return 1.0 if d > spec.q else 0.0
-    if shape == "v-shape":
-        if d <= 0:
-            return 0.0
-        return 1.0 if d >= spec.p else d / spec.p
-    if shape == "level":
-        if d <= spec.q:
-            return 0.0
-        return 0.5 if d <= spec.p else 1.0
-    if shape == "linear":
-        if d <= spec.q:
-            return 0.0
-        if d >= spec.p:
-            return 1.0
-        return (d - spec.q) / (spec.p - spec.q)
-    # gaussian
-    if d <= 0:
-        return 0.0
-    return 1.0 - math.exp(-(d * d) / (2.0 * spec.s * spec.s))
-
-
-def oriented_difference(spec: PreferenceSpec, a: TFN, b: TFN) -> TFN:
-    """Fuzzy difference of two evaluations, oriented by the direction."""
-    return a - b if spec.direction == "maximize" else b - a
+    return float(PreferenceArrays.of([spec]).degrees(np.array([d], dtype=float))[0])
 
 
 def fuzzy_preference(spec: PreferenceSpec, a: TFN, b: TFN) -> TFN:
     """Fuzzy preference degree of evaluation ``a`` over evaluation ``b``.
 
-    The oriented difference (d; s_l; s_r) is mapped through the crisp shape
-    at its peak and both support ends, giving the fuzzy degree
+    The difference (d; s_l; s_r), oriented by the direction, is mapped
+    through the crisp shape at its peak and both support ends, giving the
+    fuzzy degree
 
         (P(d); P(d) - P(d - s_l); P(d + s_r) - P(d)).
 
     Monotonicity of the shapes keeps both spreads non-negative, and crisp
     inputs come out crisp.
     """
-    diff = oriented_difference(spec, a, b)
-    pd = preference_value(spec, diff.m)
-    left = pd - preference_value(spec, diff.m - diff.alpha)
-    right = preference_value(spec, diff.m + diff.beta) - pd
-    return TFN(pd, left, right)
+    rows = (np.array([[x.m, x.alpha, x.beta]]) for x in (a, b))
+    pd, lo, hi = (float(v[0]) for v in PreferenceArrays.of([spec]).fuzzy_degrees(*rows))
+    return TFN(pd, pd - lo, hi - pd)

@@ -38,7 +38,7 @@ from .errors import (
 from .flows import BatchEngine, profile_pair_faults
 from .fuzzy import TFN
 from .hierarchy import WeightSpec
-from .preference import SHAPES, PreferenceSpec
+from .preference import THRESHOLDS, PreferenceArrays, PreferenceSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model_io import Problem
@@ -449,6 +449,8 @@ class ProblemRuntime:
             (np.array([tree.node_index[p] for p in g.members], dtype=np.int64), g.spec)
             for g in tree.sibling_groups()
         ]
+        # shape codes, s and directions; q and p are set per data draw
+        self.prefs = PreferenceArrays.of(problem.preference_models, thresholds=(None, None))
         data_fixed = problem.is_deterministic_data
         self.static_components = self._sample_components(None, 1)[0] if data_fixed else None
 
@@ -467,25 +469,22 @@ class ProblemRuntime:
         for t, mdl in enumerate(models):
             if mdl.is_deterministic:
                 q[:, t], p[:, t] = mdl.q.resolved().m, mdl.p.resolved().m
-            else:
-                q[:, t], p[:, t] = sample_thresholds(
-                    mdl.q, mdl.p, rng, strict=(mdl.shape == "linear"), size=size
-                )
+            elif THRESHOLDS[mdl.shape] == ("q", "p"):
+                q[:, t], p[:, t] = sample_thresholds(mdl.q, mdl.p, rng, size=size,
+                                                     strict=mdl.shape == "linear")
+            else:  # the one threshold the shape reads; the other stays at crisp 0
+                q[:, t], p[:, t] = (sample_value(v, rng, size=size)[:, 0] for v in (mdl.q, mdl.p))
         envelope = np.stack([(profiles[..., 0] - profiles[..., 1]).min(axis=1),
                              (profiles[..., 0] + profiles[..., 2]).max(axis=1)], axis=-1)
         evals = np.empty((size, self.m, n_el, 3))
         for i, row in enumerate(self.problem.evaluation_specs):
             for t, v in enumerate(row):
                 evals[:, i, t] = sample_value(v, rng, bounds=envelope[:, t], size=size)
-        codes = np.array([SHAPES.index(mdl.shape) for mdl in models], dtype=np.int64)
-        s = np.array([mdl.s for mdl in models])
-        maximize = np.array([mdl.direction == "maximize" for mdl in models])
         # leaf-major like the engine's own tables: node_values reads each leaf contiguously
         out = np.empty((size, n_el, 3 * self.engine.n_pairs))
         for j in range(size):
-            out[j] = self.engine.pref_components(
-                (codes, q[j], p[j], s, maximize), evals[j], profiles[j], self.defuzz
-            ).T
+            prefs = self.prefs._replace(q=q[j], p=p[j])
+            out[j] = self.engine.pref_components(prefs, evals[j], profiles[j], self.defuzz).T
         return out.transpose(0, 2, 1)
 
     def simulate(self, start: int, count: int):

@@ -136,6 +136,50 @@ def test_stochastic_threshold_that_can_draw_negative_rejected(preference):
     assert err.value.code == THRESHOLD
 
 
+@pytest.mark.parametrize("preference, key", [
+    ({"shape": "usual", "q": [0.1, 0.2]}, "q"),
+    ({"shape": "v-shape", "q": [0.1, 0.2], "p": 2}, "q"),
+    ({"shape": "gaussian", "s": 1, "p": {"normal": {"mean": 1, "sd": 0.5, "min": 0}}}, "p"),
+], ids=["usual-q", "v-shape-q", "gaussian-p"])
+def test_threshold_the_shape_does_not_read_rejected(preference, key):
+    doc = doc_with_value(7)
+    doc["preferences"]["default"] = preference
+    with pytest.raises(InputError) as err:
+        parse_problem(doc)
+    assert err.value.code == THRESHOLD
+    assert err.value.at.endswith(f"/{key}")
+
+
+def two_level_doc(g1, g2, leaf):
+    """Leaf ``g1`` and group ``G2`` over leaf ``g2``, with extra keys per node."""
+    return {
+        "schema": 1,
+        "categories": ["good", "bad"],
+        "scales": {"grade": {"terms": [["lo", [0, 0, 0]], ["hi", [10, 0, 0]]]}},
+        "tree": {"weights": {"deterministic": [0.5, 0.5]}, "children": [
+            {"label": "g1", **g1},
+            {"label": "G2", "weights": {"deterministic": [1.0]},
+             "children": [{"label": "g2", **leaf}], **g2},
+        ]},
+        "profiles": {"default": [10, 5, 0]},
+        "alternatives": {"a": {"g1": 7, "G2/g2": 7}},
+    }
+
+
+@pytest.mark.parametrize("g1, g2, leaf, at", [
+    ({"scale": "nope"}, {}, {}, "tree/children/0"),
+    ({}, {}, {"scale": "nope"}, "tree/children/1/children/0"),
+    ({}, {}, {"scale": 3}, "tree/children/1/children/0"),
+    ({}, {"scale": "grade"}, {}, "tree/children/1"),
+], ids=["unknown", "nested-unknown", "nested-not-a-name", "internal-node"])
+def test_scale_binding_errors_name_the_node(g1, g2, leaf, at):
+    parse_problem(two_level_doc({"scale": "grade"}, {}, {"scale": "grade"}))
+    with pytest.raises(InputError) as err:
+        parse_problem(two_level_doc(g1, g2, leaf))
+    assert err.value.code == SCHEMA
+    assert err.value.at == at
+
+
 # ---------------------------------------------------------------------------
 # Invalid documents, one error code each
 # ---------------------------------------------------------------------------

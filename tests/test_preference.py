@@ -3,13 +3,13 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from smaaflow import TFN, PreferenceSpec
 from smaaflow.preference import (
     SHAPES,
+    THRESHOLDS,
     fuzzy_preference,
-    oriented_difference,
     preference_value,
 )
 
@@ -77,14 +77,6 @@ def test_shape_specific_constraints():
     with pytest.raises(ValueError):
         spec("banana")
     spec("level", q=1.0, p=1.0)          # level tolerates q == p
-
-
-def test_oriented_difference_direction():
-    a, b = TFN(5, 1, 2), TFN(3, 0.5, 0.5)
-    d_max = oriented_difference(spec("usual"), a, b)
-    d_min = oriented_difference(spec("usual", direction="minimize"), a, b)
-    assert d_max == a - b
-    assert d_min == b - a
 
 
 def test_minimize_mirrors_swapped_arguments():
@@ -156,3 +148,29 @@ def test_fuzzy_degree_is_valid_tfn(s, m, alpha, beta):
 
 def test_all_shapes_enumerated():
     assert SHAPES == ("usual", "u-shape", "v-shape", "level", "linear", "gaussian")
+
+
+@st.composite
+def any_spec(draw):
+    """Any of the six shapes, either direction, thresholds drawn at random."""
+    shape = draw(st.sampled_from(SHAPES))
+    reads = THRESHOLDS[shape]
+    q = draw(st.floats(min_value=0, max_value=2)) if "q" in reads else 0.0
+    p = q + draw(st.floats(min_value=0.01, max_value=3)) if "p" in reads else 0.0
+    s = draw(st.floats(min_value=0.05, max_value=3)) if "s" in reads else 0.0
+    return spec(shape, q=q, p=p, s=s, direction=draw(st.sampled_from(("maximize", "minimize"))))
+
+
+# evaluations close enough that their differences cross every threshold
+tfns = st.builds(TFN, st.floats(min_value=-2, max_value=2),
+                 st.floats(min_value=0, max_value=1.5), st.floats(min_value=0, max_value=1.5))
+
+
+@settings(max_examples=300)
+@given(any_spec(), diffs, tfns, tfns)
+def test_scalar_api_matches_the_oracle(s, d, a, b):
+    model = {"shape": s.shape, "q": s.q, "p": s.p, "s": s.s, "direction": s.direction}
+    assert abs(preference_value(s, d) - oracles.pref_value(model, d)) <= 1e-12
+    got = fuzzy_preference(s, a, b)
+    want = oracles.pref_fuzzy(model, (a.m, a.alpha, a.beta), (b.m, b.alpha, b.beta))
+    assert max(abs(x - y) for x, y in zip((got.m, got.alpha, got.beta), want)) <= 1e-12

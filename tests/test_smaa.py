@@ -13,6 +13,7 @@ unanimously across criteria, so its category ignores the weights.
 import copy
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -175,6 +176,35 @@ def test_block_data_draws_match_a_per_iteration_reference(stochastic_walkthrough
         se = math.sqrt(pooled * (1 - pooled) * 2 / draws)
         assert abs(block_share - ref_share) <= 4 * se
     assert 0.5 < res.category_index[1, 0] < 0.95
+
+
+Q_NORMAL = NormalDist(1, 1)
+
+
+@pytest.mark.parametrize("q, share", [
+    ([0.5, 1.0], 0.6),
+    ({"normal": {"mean": 1, "sd": 1, "min": 0}},
+     (Q_NORMAL.cdf(0.8) - Q_NORMAL.cdf(0.0)) / (1.0 - Q_NORMAL.cdf(0.0))),
+], ids=["interval", "normal"])
+def test_stochastic_u_shape_threshold_is_sampled(q, share):
+    # Leaf A (weight 0.6) is a u-shape with profiles 10, 5, 0 and a = 5.8;
+    # leaf B (weight 0.4) is usual with a = 4, below the middle profile.  A
+    # adds 2 to phi(a) - phi(r2), in thirds, while q < 0.8 (a beats r2 by
+    # 0.8) and at most 1 for larger q, against B's -2: a lands in C1 exactly
+    # when q < 0.8, so its C1 share is P(q < 0.8).
+    doc = {
+        "schema": 1,
+        "categories": ["good", "bad"],
+        "tree": {"weights": {"deterministic": [0.6, 0.4]},
+                 "children": [{"label": "A"}, {"label": "B"}]},
+        "preferences": {"per_criterion": {"A": {"shape": "u-shape", "q": q}}},
+        "profiles": {"default": [10, 5, 0]},
+        "alternatives": {"a": {"A": 5.8, "B": 4}},
+    }
+    draws = 4000
+    res = run_smaa(parse_problem(doc), iterations=draws, seed=0)
+    assert res.boundary_violations == 0
+    assert abs(res.category_index[0, 0] - share) <= 4 * math.sqrt(share * (1 - share) / draws)
 
 
 def test_worker_error_surfaces_without_an_in_process_rerun(walkthrough, monkeypatch):
