@@ -16,8 +16,11 @@ whole batches of weight vectors, and weights the positive and negative
 tables by each leaf's path-product weight for the whole tree.
 :func:`flow_bundle`, :func:`single_criterion_flows` and their relatives
 run the same engine on a single weight row.  The pairwise degrees
-(:func:`subtree_preference`, :func:`outranking_degree`) follow the
-recursive definitions directly.
+(:func:`subtree_preference`, :func:`outranking_degree`) come from the same
+preference kernel and the same children-first aggregation, applied to one
+pair's (m, alpha, beta) rows.  One rule table drives bracketing:
+:func:`bracket` and :func:`check_profile_order` serve the single-evaluation
+and the batch paths alike.
 """
 
 from __future__ import annotations
@@ -37,13 +40,23 @@ from .errors import (
 )
 from .fuzzy import TFN
 from .hierarchy import CriteriaTree
-from .preference import PreferenceArrays, PreferenceSpec, fuzzy_preference
+from .preference import PreferenceArrays, PreferenceSpec
 
-#: Assignment rules: which flow brackets the alternative between profiles.
-RULES = ("positive", "negative", "net")
+#: Assignment rules: the flow each one brackets, as its index in
+#: :class:`FlowTriple`, and the sign of that flow's step from one profile to
+#: the next (negative flows rise from r_1 to r_{k+1}, the others fall).
+_RULE_TABLE = {"positive": (0, -1), "negative": (1, 1), "net": (2, -1)}
+RULES = tuple(_RULE_TABLE)
 
 #: Slack allowed when asserting that profile flows are ordered.
 ORDERING_TOL = 1e-9
+
+
+def _rule(rule: str) -> tuple[int, int]:
+    try:
+        return _RULE_TABLE[rule]
+    except KeyError:
+        raise ValueError(f"unknown assignment rule {rule!r}") from None
 
 
 class FlowTriple(NamedTuple):
@@ -148,6 +161,23 @@ def _check_vector(tree: CriteriaTree, name: str, values: Sequence) -> None:
         )
 
 
+def _pair_rows(tree, weights, prefs, a, b) -> np.ndarray:
+    """Fuzzy preference of ``a`` over ``b`` under every node, whole tree
+    last: (nodes+1, 3) rows of (m, alpha, beta).
+
+    Each leaf's row is (P(d), P(d) - P(d - s_l), P(d + s_r) - P(d)), the
+    fuzzy degree of :func:`~smaaflow.preference.fuzzy_preference`, and the
+    engine sums the rows up the tree like every other node value.
+    """
+    _check_vector(tree, "evaluation vector", a)
+    _check_vector(tree, "evaluation vector", b)
+    _check_vector(tree, "preference list", prefs)
+    p0, lo, hi = PreferenceArrays.of(prefs).fuzzy_degrees(tfn_matrix(a), tfn_matrix(b))
+    w = np.array([[weights[n.path] for n in tree.nodes]])
+    # aggregation reads only the tree, not the reference-set sizes
+    return BatchEngine(tree, 1, 1).aggregate(np.stack([p0, p0 - lo, hi - p0]), w)[:, 0]
+
+
 def subtree_preference(
     tree: CriteriaTree,
     path: tuple[int, ...],
@@ -162,16 +192,8 @@ def subtree_preference(
     criterion; for an internal node it is the weighted sum over children.
     The node's own weight is not applied.
     """
-    node = tree.node(path)
-    if node.is_elementary:
-        slot = tree.elementary_index[path]
-        return fuzzy_preference(prefs[slot], a[slot], b[slot])
-    total = TFN(0.0)
-    for child in node.children:
-        total = total + weights[child.path] * subtree_preference(
-            tree, child.path, weights, prefs, a, b
-        )
-    return total
+    idx = tree.node_index[tree.node(path).path]
+    return TFN(*map(float, _pair_rows(tree, weights, prefs, a, b)[idx]))
 
 
 def fuzzy_outranking(
@@ -182,15 +204,7 @@ def fuzzy_outranking(
     b: Sequence[TFN],
 ) -> TFN:
     """Fuzzy aggregated preference of ``a`` over ``b`` across the whole tree."""
-    _check_vector(tree, "evaluation vector", a)
-    _check_vector(tree, "evaluation vector", b)
-    _check_vector(tree, "preference list", prefs)
-    total = TFN(0.0)
-    for node in tree.first_level:
-        total = total + weights[node.path] * subtree_preference(
-            tree, node.path, weights, prefs, a, b
-        )
-    return total
+    return TFN(*map(float, _pair_rows(tree, weights, prefs, a, b)[-1]))
 
 
 def outranking_degree(
@@ -255,29 +269,22 @@ def profile_flows(tree, weights, prefs, profiles, x, defuzz="centroid") -> tuple
     return flow_bundle(tree, weights, prefs, profiles, x, defuzz).profiles
 
 
-def _bracket(alt: float, prof: Sequence[float], what: str) -> int:
-    """Category of one flow under :func:`net_style_bracket`.
-
-    C_h requires prof[h-1] >= alt > prof[h]; an alternative whose flow ties a
-    profile's flow lands in the upper category.
+def _assign_one(alt: float, prof: Sequence[float], rule: str, what: str) -> int:
+    """Category of one flow between the profile flows under ``rule``.
 
     Raises
     ------
     InvariantError
-        If the profile flows are not non-increasing.
+        If the profile flows are not ordered the way ``rule`` needs.
     BoundaryViolation
         If the profile flows do not bracket ``alt``.
     """
     prof = np.asarray(prof, dtype=float)
-    if (np.diff(prof) > ORDERING_TOL).any():
-        raise InvariantError(
-            f"{what} of successive profiles are not non-increasing: {prof.tolist()}"
-        )
-    cat, valid = net_style_bracket(np.float64(alt), prof)
+    check_profile_order(prof, rule, what)
+    cat, valid = bracket(np.float64(alt), prof, rule)
     if not valid:
-        raise BoundaryViolation(
-            f"{what} {alt} falls outside the profile span ({prof[-1]}, {prof[0]}]"
-        )
+        lo, hi = sorted((prof[0], prof[-1]))
+        raise BoundaryViolation(f"{what} flow {alt} falls outside the profile span ({lo}, {hi}]")
     return int(cat)
 
 
@@ -290,24 +297,8 @@ def assign(bundle: FlowBundle, rule: str = "net") -> int:
         If the alternative's flow falls outside the span of the profile
         flows, i.e. the profiles do not bracket it.
     """
-    if rule not in RULES:
-        raise ValueError(f"unknown assignment rule {rule!r}")
-    if rule == "negative":
-        alt, prof = bundle.alternative.minus, np.array([t.minus for t in bundle.profiles])
-        if (np.diff(prof) < -ORDERING_TOL).any():
-            raise InvariantError(
-                f"negative flows of successive profiles are not non-decreasing: {prof.tolist()}"
-            )
-        cat, valid = negative_bracket(np.float64(alt), prof)
-        if not valid:
-            raise BoundaryViolation(
-                f"negative flow {alt} falls outside the profile span ({prof[0]}, {prof[-1]}]"
-            )
-        return int(cat)
-    if rule == "positive":
-        return _bracket(bundle.alternative.plus, [t.plus for t in bundle.profiles],
-                        "positive flows")
-    return _bracket(bundle.alternative.net, [t.net for t in bundle.profiles], "net flows")
+    i = _rule(rule)[0]
+    return _assign_one(bundle.alternative[i], [t[i] for t in bundle.profiles], rule, rule)
 
 
 def assignments(bundle: FlowBundle) -> Assignment:
@@ -344,7 +335,7 @@ def single_criterion_flows(
 
 def single_criterion_assignment(flows: SingleCriterionFlows) -> int:
     """Category suggested by one subtree's net flows."""
-    return _bracket(flows.net, flows.profile_net, "single-criterion net flows")
+    return _assign_one(flows.net, flows.profile_net, "net", "single-criterion net")
 
 
 # ---------------------------------------------------------------------------
@@ -386,22 +377,38 @@ class NodeValues(NamedTuple):
     leaves: np.ndarray  # ([batch,] n_pairs, n_el) net flow rows per leaf
 
 
-def net_style_bracket(alt: np.ndarray, prof: np.ndarray):
-    """Vectorized bracketing for decreasing profile flows.
+def bracket(alt: np.ndarray, prof: np.ndarray, rule: str):
+    """Categories (1-based) of flows ``alt`` between the profile flows
+    ``prof`` (..., k+1), best profile first, and a validity mask.
 
-    Returns 1-based categories and a validity mask; invalid entries fall
-    outside the profile span.
+    Positive and net flows fall from r_1 to r_{k+1}, so C_h needs
+    prof[h-1] >= alt > prof[h]; negative flows rise, so C_h needs
+    prof[h-1] < alt <= prof[h].  Either way a flow that ties a profile's
+    lands in the upper category.  Invalid entries fall outside the span.
     """
+    if _rule(rule)[1] > 0:
+        valid = (alt > prof[..., 0]) & (alt <= prof[..., -1])
+        return (prof[..., :-1] < alt[..., None]).sum(axis=-1), valid
     valid = (alt <= prof[..., 0]) & (alt > prof[..., -1])
-    cat = 1 + (prof[..., 1:] >= alt[..., None]).sum(axis=-1)
-    return cat, valid
+    return 1 + (prof[..., 1:] >= alt[..., None]).sum(axis=-1), valid
 
 
-def negative_bracket(alt: np.ndarray, prof: np.ndarray):
-    """Vectorized bracketing for increasing negative flows."""
-    valid = (alt > prof[..., 0]) & (alt <= prof[..., -1])
-    cat = (prof[..., :-1] < alt[..., None]).sum(axis=-1)
-    return cat, valid
+def check_profile_order(prof: np.ndarray, rule: str, what: str, axis: int = -1) -> None:
+    """Assert the bracketing premise of ``rule``: profile flows, best first
+    along ``axis``, step the way :func:`bracket` expects, within
+    :data:`ORDERING_TOL`.
+
+    Raises
+    ------
+    InvariantError
+        Naming ``what`` and the worst step against the expected direction.
+    """
+    step = np.diff(prof, axis=axis)
+    rising = _rule(rule)[1] > 0
+    worst = -step.min() if rising else step.max()
+    if worst > ORDERING_TOL:
+        trend = "non-decreasing" if rising else "non-increasing"
+        raise InvariantError(f"{what} profile flows are not {trend} (worst step {worst})")
 
 
 class BatchEngine:
@@ -424,13 +431,12 @@ class BatchEngine:
         self.root = self.n_nodes
         # width of a node's value row; the per-layer trace reads it
         self.n_pairs = self.m * (self.c + 1)
-        self.elem_slot = np.array(
-            [tree.elementary_index.get(n.path, -1) for n in tree.nodes], dtype=np.int64
-        )
-        self.children = [
-            [tree.node_index[c.path] for c in n.children] for n in tree.nodes
-        ]
-        self.first_level = [tree.node_index[n.path] for n in tree.first_level]
+        # per node, then the whole tree at index n_nodes: leaf slot (-1 for
+        # an internal node) and children; children come before parents
+        self.elem_slot = [tree.elementary_index.get(n.path, -1) for n in tree.nodes] + [-1]
+        self.children = [[tree.node_index[c.path] for c in n.children] for n in tree.nodes]
+        self.children.append([tree.node_index[n.path] for n in tree.first_level])
+        self.order = [*range(self.n_nodes - 1, -1, -1), self.root]
         self.parent = [tree.node_index.get(n.path[:-1], -1) for n in tree.nodes]
         self.leaf_nodes = [tree.node_index[p] for p in tree.elementary_paths]
 
@@ -500,6 +506,29 @@ class BatchEngine:
 
     # -- node values and flows --------------------------------------------
 
+    def aggregate(self, leaves: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Weighted sums of leaf rows up the tree, children first.
+
+        ``leaves`` is (width, n_el) when shared across the batch or
+        (batch, width, n_el) otherwise, one column per leaf; ``w`` is
+        (batch, n_nodes) holding every node's weight within its sibling
+        group.  Returns (nodes+1, batch, width): every node's row, then the
+        whole tree's.
+        """
+        values = np.empty((self.n_nodes + 1, w.shape[0], leaves.shape[-2]))
+        for idx in self.order:
+            slot = self.elem_slot[idx]
+            if slot >= 0:
+                # (width,) broadcasts over the batch in the shared case
+                values[idx] = leaves[..., slot]
+            else:
+                kids = self.children[idx]
+                acc = w[:, kids[0], None] * values[kids[0]]
+                for k in kids[1:]:
+                    acc += w[:, k, None] * values[k]
+                values[idx] = acc
+        return values
+
     def node_values(self, components: np.ndarray, w: np.ndarray) -> NodeValues:
         """Aggregate per-leaf flow tables into per-node flow rows.
 
@@ -509,24 +538,7 @@ class BatchEngine:
         """
         n = self.n_pairs
         leaves = components[..., :n, :]
-        batch = w.shape[0]
-        values = np.empty((self.n_nodes + 1, batch, n))
-        for idx in range(self.n_nodes - 1, -1, -1):
-            slot = self.elem_slot[idx]
-            if slot >= 0:
-                # (n_pairs,) broadcasts over the batch in the shared case
-                values[idx] = leaves[..., slot]
-            else:
-                kids = self.children[idx]
-                acc = w[:, kids[0], None] * values[kids[0]]
-                for k in kids[1:]:
-                    acc += w[:, k, None] * values[k]
-                values[idx] = acc
-        acc = w[:, self.first_level[0], None] * values[self.first_level[0]]
-        for k in self.first_level[1:]:
-            acc += w[:, k, None] * values[k]
-        values[self.root] = acc
-
+        values = self.aggregate(leaves, w)
         path = np.empty_like(w)
         for idx, parent in enumerate(self.parent):
             path[:, idx] = w[:, idx] if parent < 0 else path[:, parent] * w[:, idx]
@@ -559,31 +571,18 @@ class BatchEngine:
         Every node's net flows are a convex combination of its leaves', so
         checking the leaf tables covers every node.
         """
-        worst = np.diff(batch_flows.leaf_prof_net, axis=-2).max()
-        if worst > ORDERING_TOL:
-            raise InvariantError(
-                f"net profile flows are not non-increasing (max increase {worst})"
-            )
-        if np.diff(batch_flows.prof_plus, axis=-1).max() > ORDERING_TOL:
-            raise InvariantError("positive profile flows are not non-increasing")
-        if np.diff(batch_flows.prof_minus, axis=-1).min() < -ORDERING_TOL:
-            raise InvariantError("negative profile flows are not non-decreasing")
+        check_profile_order(batch_flows.leaf_prof_net, "net", "net", axis=-2)
+        check_profile_order(batch_flows.prof_plus, "positive", "positive")
+        check_profile_order(batch_flows.prof_minus, "negative", "negative")
 
     def assign_overall(self, batch_flows: BatchFlows, rule: str):
         """Categories (batch, m) and validity mask under the requested rule."""
-        if rule == "positive":
-            return net_style_bracket(batch_flows.alt_plus, batch_flows.prof_plus)
-        if rule == "negative":
-            return negative_bracket(batch_flows.alt_minus, batch_flows.prof_minus)
-        if rule == "net":
-            return net_style_bracket(
-                batch_flows.node_alt_net[self.root], batch_flows.node_prof_net[self.root]
-            )
-        raise ValueError(f"unknown assignment rule {rule!r}")
+        bf = batch_flows
+        flows = ((bf.alt_plus, bf.prof_plus), (bf.alt_minus, bf.prof_minus),
+                 (bf.node_alt_net[self.root], bf.node_prof_net[self.root]))
+        return bracket(*flows[_rule(rule)[0]], rule)
 
     def assign_nodes(self, batch_flows: BatchFlows):
         """Net-style categories (nodes, batch, m) for every real tree node."""
-        return net_style_bracket(
-            batch_flows.node_alt_net[: self.n_nodes],
-            batch_flows.node_prof_net[: self.n_nodes],
-        )
+        n = self.n_nodes
+        return bracket(batch_flows.node_alt_net[:n], batch_flows.node_prof_net[:n], "net")

@@ -203,17 +203,14 @@ class CriteriaTree:
 
         nodes: list[CriterionNode] = []
         elementary: list[tuple[int, ...]] = []
-        spans: dict[tuple[int, ...], tuple[int, int]] = {}
 
         def visit(node: CriterionNode) -> None:
             nodes.append(node)
-            lo = len(elementary)
             if node.is_elementary:
                 elementary.append(node.path)
             else:
                 for child in node.children:
                     visit(child)
-            spans[node.path] = (lo, len(elementary))
 
         for node in self.first_level:
             visit(node)
@@ -223,7 +220,6 @@ class CriteriaTree:
         self.elementary_index: dict[tuple[int, ...], int] = {
             p: i for i, p in enumerate(elementary)
         }
-        self._spans = spans
         self._by_path: dict[tuple[int, ...], CriterionNode] = {n.path: n for n in nodes}
         self.node_index: dict[tuple[int, ...], int] = {n.path: i for i, n in enumerate(nodes)}
         self.depth = max(len(p) for p in elementary)
@@ -240,11 +236,6 @@ class CriteriaTree:
             return self._by_path[path]
         except KeyError:
             raise InputError(SCHEMA, f"no node at path {path}") from None
-
-    def elementary_span(self, path: tuple[int, ...]) -> tuple[int, int]:
-        """Slice of the elementary order covered by the subtree at ``path``."""
-        self.node(path)
-        return self._spans[path]
 
     def label_path(self, path: tuple[int, ...]) -> str:
         self.node(path)
@@ -277,16 +268,6 @@ class CriteriaTree:
                 )
         return tuple(groups)
 
-    def effective_weight(
-        self, path: tuple[int, ...], weights: Mapping[tuple[int, ...], float]
-    ) -> float:
-        """Product of the group weights along the path down to ``path``."""
-        self.node(path)
-        w = 1.0
-        for i in range(len(path)):
-            w *= weights[path[: i + 1]]
-        return w
-
     def deterministic_weights(self) -> dict[tuple[int, ...], float]:
         """Concrete weight of every node, assuming all specs are deterministic.
 
@@ -306,10 +287,6 @@ class CriteriaTree:
             for path, w in zip(group.members, group.spec.values):
                 weights[path] = w
         return weights
-
-    @property
-    def all_deterministic(self) -> bool:
-        return all(g.spec.is_deterministic for g in self.sibling_groups())
 
 
 def build_tree(children: Sequence[Mapping], root_weights=None) -> CriteriaTree:

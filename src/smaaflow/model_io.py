@@ -220,6 +220,11 @@ def _parse_threshold(obj, at: str) -> StochasticValue:
     return value
 
 
+def _support(value: StochasticValue) -> tuple[float, float]:
+    """Lowest and highest value a threshold can take."""
+    return (value.value, value.value) if value.kind == "crisp" else (value.lo, value.hi)
+
+
 def _parse_scales(raw, at: str = "scales") -> dict[str, LinguisticScale]:
     if raw is None:
         return {}
@@ -311,6 +316,12 @@ def _parse_preferences(raw, tree, at: str = "preferences") -> list[PreferenceMod
                 model.resolve_deterministic()
             except ValueError as exc:
                 raise InputError(THRESHOLD, str(exc), here) from exc
+        elif THRESHOLDS[shape] == ("q", "p"):  # a sampled pair needs some ordered draw
+            (q_lo, q_hi), (p_lo, p_hi) = _support(q), _support(p)
+            # a tie can be drawn only where both thresholds are single points
+            _require(q_lo < p_hi or (shape == "level" and q_lo == q_hi == p_lo == p_hi),
+                     f"{shape} thresholds can never be ordered: q starts at {q_lo}, "
+                     f"p ends at {p_hi}", here, THRESHOLD)
         return model
 
     models = []

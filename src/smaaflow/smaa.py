@@ -35,7 +35,7 @@ from .errors import (
     InputError,
     SamplingError,
 )
-from .flows import BatchEngine, profile_pair_faults
+from .flows import RULES, BatchEngine, profile_pair_faults
 from .fuzzy import TFN
 from .hierarchy import WeightSpec
 from .preference import THRESHOLDS, PreferenceArrays, PreferenceSpec
@@ -340,10 +340,10 @@ def sample_thresholds(
     requires q < p, which the linear shape needs.  Only rejected rows are
     redrawn, each at most ``max_attempts`` times.
     """
+    need = "q < p" if strict else "q <= p"
     if q_spec.is_deterministic and p_spec.is_deterministic:
         q, p = q_spec.resolved().m, p_spec.resolved().m
         if q > p or (strict and q >= p):
-            need = "q < p" if strict else "q <= p"
             raise InputError(THRESHOLD, f"thresholds must satisfy {need}, got q={q}, p={p}")
         return (q, p) if size is None else (np.full(size, q), np.full(size, p))
 
@@ -355,7 +355,7 @@ def sample_thresholds(
     pairs, failed = _by_rejection((1 if size is None else size, 2), draw, max_attempts)
     if len(failed):
         raise SamplingError(
-            f"no admissible threshold pair (q <= p) after {max_attempts} attempts"
+            f"no admissible threshold pair ({need}) after {max_attempts} attempts"
         )
     return tuple(map(float, pairs[0])) if size is None else (pairs[:, 0], pairs[:, 1])
 
@@ -571,7 +571,7 @@ def run_smaa(
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
-    if rule not in ("positive", "negative", "net"):
+    if rule not in RULES:
         raise ValueError(f"unknown assignment rule {rule!r}")
     global _RUNTIME
     state = ProblemRuntime(problem, rule, defuzz, seed, strict)

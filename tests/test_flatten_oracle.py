@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from smaaflow import flow_bundle
+from smaaflow import flow_bundle, outranking_degree, subtree_preference
 
 import corpus
 import oracles
@@ -39,6 +39,41 @@ def test_wider_shape_palette():
     for _ in range(10):
         inst = oracles.random_instance(rng, fuzzy=True, shapes=shapes)
         assert corpus.triangle_gap(inst) < 1e-12
+
+
+SHAPES = ("usual", "u-shape", "v-shape", "level", "linear", "gaussian")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pairwise_degrees_match_the_flat_sums(seed):
+    # outranking_degree against the flat weighted sum of the whole tree, and
+    # subtree_preference at every node against the flat sum over that
+    # node's leaves with weight chains cut below it (oracles.subtree_flows)
+    rng = random.Random(7000 + seed)
+    for _ in range(3):
+        inst = oracles.random_instance(rng, fuzzy=rng.random() < 0.7, shapes=SHAPES)
+        tree, weights, prefs, profiles, evals = library_objects(inst)
+        flat = inst["flat"]
+        rows = list(zip(evals, inst["evals"])) + list(zip(profiles.levels, inst["profiles"]))
+        pairs = [(x, r) for x in rows[:len(evals)] for r in rows[len(evals):]]
+        pairs += [(r, x) for x, r in pairs]
+        for (a_lib, a_orc), (b_lib, b_orc) in pairs:
+            for method in ("centroid", "spread-sum"):
+                got = outranking_degree(tree, weights, prefs, a_lib, b_lib, method)
+                assert got == pytest.approx(
+                    oracles.pi_value(flat, a_orc, b_orc, method), abs=1e-12)
+        for node in tree.nodes:
+            cut = len(node.path)
+            leaves = [i for i, p in enumerate(tree.elementary_paths) if p[:cut] == node.path]
+            for (a_lib, a_orc), (b_lib, b_orc) in pairs[::7]:
+                want = (0.0, 0.0, 0.0)
+                for i in leaves:
+                    chain, model = flat[i]
+                    want = oracles.tfn_add(want, oracles.tfn_scale(
+                        oracles.effective_weight(chain[cut:]),
+                        oracles.pref_fuzzy(model, a_orc[i], b_orc[i])))
+                got = subtree_preference(tree, node.path, weights, prefs, a_lib, b_lib)
+                assert (got.m, got.alpha, got.beta) == pytest.approx(want, abs=1e-12)
 
 
 def test_spread_sum_defuzzification_agrees_too():

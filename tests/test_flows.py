@@ -22,6 +22,7 @@ from smaaflow import (
     flow_bundle,
     outranking_degree,
     profile_flows,
+    run_smaa,
     single_criterion_assignment,
     single_criterion_flows,
 )
@@ -169,11 +170,22 @@ def test_four_category_bracketing():
         assert assign(bundle, "negative") == cat
 
 
-def test_unknown_rule_rejected(walkthrough_parts):
+def test_unknown_rule_rejected(walkthrough, walkthrough_parts):
+    from smaaflow.flows import BatchEngine, tfn_matrix
+
     w = walkthrough_parts
     bundle = flow_bundle(w["tree"], w["weights"], w["prefs"], w["profiles"], w["x1"])
-    with pytest.raises(ValueError):
-        assign(bundle, "median")
+    engine = BatchEngine(w["tree"], 1, 3)
+    comp = engine.pref_components(w["prefs"], tfn_matrix(w["x1"])[None],
+                                  np.array([tfn_matrix(r) for r in w["profiles"].levels]),
+                                  "centroid")
+    weight_row = np.array([[w["weights"][n.path] for n in w["tree"].nodes]])
+    bf = engine.flows(engine.node_values(comp, weight_row))
+    for call in (lambda: assign(bundle, "median"),
+                 lambda: run_smaa(walkthrough, iterations=10, rule="median"),
+                 lambda: engine.assign_overall(bf, "median")):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_unordered_profile_flows_trip_the_invariant():

@@ -26,30 +26,12 @@ def test_shape_and_traversal(walkthrough):
     assert labels == ["G1", "G1/g11", "G1/g12", "G2", "G2/g21", "G2/g22"]
 
 
-def test_elementary_spans(walkthrough):
-    tree = walkthrough.tree
-    assert tree.elementary_span((1,)) == (0, 2)
-    assert tree.elementary_span((2,)) == (2, 4)
-    assert tree.elementary_span((2, 1)) == (2, 3)
-
-
 def test_label_path_round_trip(walkthrough):
     tree = walkthrough.tree
     for node in tree.nodes:
         assert tree.path_of_labels(tree.label_path(node.path)) == node.path
     with pytest.raises(InputError):
         tree.path_of_labels("G1/nope")
-
-
-def test_effective_weight():
-    tree = build_tree(two_level_children(), {"deterministic": [0.3, 0.7]})
-    w = tree.deterministic_weights()
-    assert tree.effective_weight((1, 2), w) == pytest.approx(0.3 * 0.8)
-    assert tree.effective_weight((2, 1), w) == pytest.approx(0.7 * 0.4)
-    assert tree.effective_weight((2,), w) == pytest.approx(0.7)
-    # effective weights of the leaves partition the unit
-    total = sum(tree.effective_weight(p, w) for p in tree.elementary_paths)
-    assert total == pytest.approx(1.0)
 
 
 def test_sibling_groups_order():
@@ -66,8 +48,6 @@ def test_deterministic_weights_requires_full_information():
     with pytest.raises(InputError) as err:
         tree.deterministic_weights()
     assert err.value.code == WEIGHT_SPEC
-    assert not tree.all_deterministic
-    assert build_tree(children, {"deterministic": [0.3, 0.7]}).all_deterministic
 
 
 def test_case_study_shape(case_study):

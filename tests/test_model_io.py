@@ -150,6 +150,29 @@ def test_threshold_the_shape_does_not_read_rejected(preference, key):
     assert err.value.at.endswith(f"/{key}")
 
 
+@pytest.mark.parametrize("preference", [
+    {"shape": "linear", "q": [0.5, 1.0]},
+    {"shape": "level", "q": [0.5, 1.0], "p": 0.2},
+    {"shape": "linear", "q": [0.5, 1.0], "p": [0.2, 0.5]},
+], ids=["linear-q-over-crisp-0", "level-q-over-crisp-p", "linear-q-touching-p"])
+def test_unorderable_stochastic_threshold_pair_rejected(preference):
+    # no draw of such a pair satisfies q <= p (q < p for linear), so
+    # sampling could only stall; the spec is refused where it is written
+    doc = doc_with_value(7)
+    doc["preferences"]["default"] = preference
+    with pytest.raises(InputError) as err:
+        parse_problem(doc)
+    assert err.value.code == THRESHOLD
+    assert err.value.at == "preferences/default"
+
+
+def test_overlapping_stochastic_threshold_pair_loads():
+    doc = doc_with_value(7)
+    doc["preferences"]["default"] = {"shape": "linear", "q": [0.5, 1.0], "p": [0.8, 2.0]}
+    result = run_smaa(parse_problem(doc), iterations=64, seed=0)
+    assert result.category_index.sum() == pytest.approx(1.0)
+
+
 def two_level_doc(g1, g2, leaf):
     """Leaf ``g1`` and group ``G2`` over leaf ``g2``, with extra keys per node."""
     return {
