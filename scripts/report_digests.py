@@ -1,0 +1,86 @@
+"""Print one sha256 digest per smaaflow report, so that two checkouts can be
+checked for byte-identical reports with one diff.
+
+Usage: python scripts/report_digests.py [--root CHECKOUT]
+
+The reports come from the smaaflow package and ``perfbench/workloads.py`` of
+CHECKOUT (default: the checkout holding this script), run in this process:
+
+- ``smaaflow example walkthrough`` (its standard output);
+- the walkthrough run and its ``--deterministic`` run;
+- the case study under ``--rule net|positive|negative`` x ``--threads 1|2``;
+- the generated ``case_study_interval(0)``, ``synthetic_wide(0)`` and
+  ``synthetic_wide(3)`` problems.
+
+Every run uses ``--level all-nodes`` and the problem's own iterations and
+seed, and writes its text and CSV reports to a temporary directory.  Each
+output line is ``<report> <file> <sha256>``.  To compare a change with its
+parent:
+
+    python scripts/report_digests.py --root PARENT > parent.txt
+    python scripts/report_digests.py > change.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+GENERATED = (("case-study-interval-0", "case_study_interval", 0),
+             ("synthetic-wide-0", "synthetic_wide", 0),
+             ("synthetic-wide-3", "synthetic_wide", 3))
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="checkout whose src/ and perfbench/ to run")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+    from smaaflow import cli
+    from smaaflow.model_io import fixture_path
+
+    def call(cli_args) -> bytes:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(cli_args)
+        if code != 0:
+            raise SystemExit(f"smaaflow {' '.join(cli_args)} exited with {code}")
+        return out.getvalue().encode()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        print("example-walkthrough stdout", sha(call(["example", "walkthrough"])))
+        runs = [("walkthrough", fixture_path("walkthrough"), []),
+                ("walkthrough-deterministic", fixture_path("walkthrough"), ["--deterministic"])]
+        for rule in ("net", "positive", "negative"):
+            for threads in (1, 2):
+                runs.append((f"case-study-{rule}-t{threads}", fixture_path("case-study"),
+                             ["--rule", rule, "--threads", str(threads)]))
+        for name, generator, seed in GENERATED:
+            problem = tmp / f"{name}.json"
+            problem.write_text(json.dumps(getattr(workloads, generator)(seed)), encoding="utf-8")
+            runs.append((name, problem, []))
+        for name, problem, extra in runs:
+            out = tmp / name
+            call(["run", str(problem), "--level", "all-nodes", "--out", str(out), *extra])
+            for report in sorted(out.iterdir()):
+                print(name, report.name, sha(report.read_bytes()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -219,7 +219,7 @@ def outranking_degree(
     return fuzzy_outranking(tree, weights, prefs, a, b).defuzzify(defuzz)
 
 
-def _single_run(tree, weights, prefs, profiles, x, defuzz) -> BatchFlows:
+def _single_run(tree, weights, prefs, profiles, x, defuzz) -> tuple[BatchEngine, BatchFlows]:
     """Run the engine for one alternative under one weight assignment."""
     _check_vector(tree, "alternative", x)
     if profiles.n_criteria != tree.n_elementary:
@@ -230,7 +230,7 @@ def _single_run(tree, weights, prefs, profiles, x, defuzz) -> BatchFlows:
         prefs, tfn_matrix(x)[None], np.array([tfn_matrix(r) for r in profiles.levels]), defuzz
     )
     w = np.array([[weights[n.path] for n in tree.nodes]])
-    return engine.flows(engine.node_values(components, w))
+    return engine, engine.flows(engine.node_values(components, w))
 
 
 def flow_bundle(
@@ -248,11 +248,9 @@ def flow_bundle(
     so the normalizer is |R| - 1 = k + 1; the alternative is compared to the
     profiles only, each profile to its peers and to the alternative.
     """
-    bf = _single_run(tree, weights, prefs, profiles, x, defuzz)
-    alt = FlowTriple(
-        float(bf.alt_plus[0, 0]), float(bf.alt_minus[0, 0]), float(bf.node_alt_net[-1, 0, 0])
-    )
-    rows = zip(bf.prof_plus[0, 0], bf.prof_minus[0, 0], bf.node_prof_net[-1, 0, 0])
+    _, bf = _single_run(tree, weights, prefs, profiles, x, defuzz)
+    alt = FlowTriple(float(bf.alt_plus[0, 0]), float(bf.alt_minus[0, 0]), float(bf.alt_net[0, 0]))
+    rows = zip(bf.prof_plus[0, 0], bf.prof_minus[0, 0], bf.prof_net[0, 0])
     return FlowBundle(
         alternative=alt,
         profiles=tuple(FlowTriple(float(p), float(n), float(v)) for p, n, v in rows),
@@ -326,10 +324,11 @@ def single_criterion_flows(
     which provides a per-criterion diagnostic at any level of the tree.
     """
     idx = tree.node_index[tree.node(path).path]
-    bf = _single_run(tree, weights, prefs, profiles, x, defuzz)
+    engine, bf = _single_run(tree, weights, prefs, profiles, x, defuzz)
+    node = engine.node_flows(bf, idx)
     return SingleCriterionFlows(
-        net=float(bf.node_alt_net[idx, 0, 0]),
-        profile_net=tuple(float(v) for v in bf.node_prof_net[idx, 0, 0]),
+        net=float(node.alt[0, 0]),
+        profile_net=tuple(float(v) for v in node.prof[0, 0]),
     )
 
 
@@ -347,34 +346,50 @@ def tfn_matrix(values: Sequence[TFN]) -> np.ndarray:
     return np.array([[v.m, v.alpha, v.beta] for v in values], dtype=float)
 
 
+class NodeFlows(NamedTuple):
+    """Net flows of a group of tree nodes: ``alt`` (nodes, rows, m) for the
+    alternatives, ``prof`` (nodes, rows, m, k+1) for their profiles."""
+
+    alt: np.ndarray
+    prof: np.ndarray
+
+
 @dataclass
 class BatchFlows:
-    """Flow arrays for a batch of weight vectors.
+    """Flow arrays for a block of weight rows.
 
-    Node axes cover every tree node plus, at index -1, the whole tree.
-    ``node_alt_net`` is (nodes+1, batch, m); ``node_prof_net`` is
-    (nodes+1, batch, m, k+1).  The positive/negative pairs exist for the
-    root only, shaped (batch, m) and (batch, m, k+1).  ``leaf_prof_net``
-    holds the net profile flows of every leaf on its own, shaped
-    (m, k+1, n_el) per data draw: one draw when the components are shared
-    across the batch, else one per batch row.
+    The whole tree's flows are (rows, m) for the alternatives and
+    (rows, m, k+1) for the profiles.  ``nodes`` holds the net flows of
+    every real tree node in the engine's three groups (see
+    :class:`BatchEngine`): the leaves and the fixed internal nodes carry one
+    row per data draw, the varying nodes one row per weight row.  The whole
+    tree has the rows of the fixed groups when the root is fixed, else one
+    per weight row.
     """
 
-    node_alt_net: np.ndarray
-    node_prof_net: np.ndarray
     alt_plus: np.ndarray
     alt_minus: np.ndarray
+    alt_net: np.ndarray
     prof_plus: np.ndarray
     prof_minus: np.ndarray
-    leaf_prof_net: np.ndarray
+    prof_net: np.ndarray
+    nodes: tuple[NodeFlows, NodeFlows, NodeFlows]
 
 
 class NodeValues(NamedTuple):
-    """Aggregated flow columns of a batch, as :meth:`BatchEngine.flows` reads them."""
+    """Aggregated flow columns of a block, as :meth:`BatchEngine.flows` reads them.
 
-    nodes: np.ndarray  # (nodes+1, batch, n_pairs) net flow rows, whole tree last
-    root: np.ndarray  # (batch, 2 * n_pairs) positive then negative flow rows
-    leaves: np.ndarray  # ([batch,] n_pairs, n_el) net flow rows per leaf
+    ``nodes`` holds the net flow rows of the engine's three node groups,
+    each (group nodes, rows, n_pairs): the leaves, as views of the leaf
+    tables, and the fixed internal nodes, with one row per data draw (1
+    when the components are shared across the block); then the varying
+    nodes, with one row per weight row.  The whole tree has the rows of
+    the fixed groups when the root is fixed, else one per weight row.
+    """
+
+    nodes: tuple[np.ndarray, np.ndarray, np.ndarray]
+    root_net: np.ndarray  # (rows, n_pairs) net flow rows of the whole tree
+    root: np.ndarray  # (rows, 2 * n_pairs) positive then negative flow rows
 
 
 def bracket(alt: np.ndarray, prof: np.ndarray, rule: str):
@@ -421,6 +436,17 @@ class BatchEngine:
     flow table per data draw; node rows are weighted sums of their
     children's rows, and the whole tree's positive and negative flows are
     the leaf tables weighted by each leaf's path-product weight.
+
+    A node's row depends only on the weights inside its subtree, so the
+    engine splits the tree once, from its sibling groups.  A node is
+    *fixed* when it is a leaf, or when its child group is deterministic and
+    all its children are fixed; the whole tree is fixed when the
+    first-level group is deterministic and every first-level node is
+    fixed.  Fixed rows are the same in every weight row of a block, so they
+    are summed and bracketed once per data draw.  Only the *varying* nodes
+    are summed for every weight row, reading their fixed children by
+    broadcasting.  The weight rows passed in must therefore agree on the
+    weights of every deterministic group, as sampled weights do.
     """
 
     def __init__(self, tree: CriteriaTree, n_alternatives: int, n_profiles: int):
@@ -437,8 +463,25 @@ class BatchEngine:
         self.children = [[tree.node_index[c.path] for c in n.children] for n in tree.nodes]
         self.children.append([tree.node_index[n.path] for n in tree.first_level])
         self.order = [*range(self.n_nodes - 1, -1, -1), self.root]
+        self.inner = [idx for idx in self.order if self.elem_slot[idx] < 0]
         self.parent = [tree.node_index.get(n.path[:-1], -1) for n in tree.nodes]
         self.leaf_nodes = [tree.node_index[p] for p in tree.elementary_paths]
+        deterministic = {tree.node_index.get(g.parent_path, self.root): g.spec.is_deterministic
+                         for g in tree.sibling_groups()}
+        fixed = {}
+        for idx in self.order:
+            fixed[idx] = self.elem_slot[idx] >= 0 or (
+                deterministic[idx] and all(fixed[k] for k in self.children[idx]))
+        self.root_fixed = fixed[self.root]
+        # the three node groups, each children first: leaves, fixed internal
+        # nodes and varying nodes; the whole tree belongs to none of them
+        self.fixed_inner = [idx for idx in self.inner[:-1] if fixed[idx]]
+        self.varying = [idx for idx in self.inner[:-1] if not fixed[idx]]
+        self.node_groups = tuple(np.array(g, dtype=np.int64)
+                                 for g in (self.leaf_nodes, self.fixed_inner, self.varying))
+        # node index -> (group, position in the group)
+        self.node_slot = {int(idx): (g, pos) for g, ids in enumerate(self.node_groups)
+                          for pos, idx in enumerate(ids)}
 
     # -- per-leaf flow tables ----------------------------------------------
 
@@ -506,27 +549,43 @@ class BatchEngine:
 
     # -- node values and flows --------------------------------------------
 
+    @staticmethod
+    def _leaf_rows(leaves: np.ndarray) -> np.ndarray:
+        """Leaf tables ([batch,] width, n_el) as node rows (n_el, rows, width),
+        a view: one row when shared across the batch."""
+        return np.moveaxis(leaves[None] if leaves.ndim == 2 else leaves, -1, 0)
+
+    def _sum_children(self, nodes, rows: dict, w: np.ndarray, out):
+        """Weighted child sums of ``nodes``, children first, written into the
+        matching entries of ``out``.
+
+        ``rows`` maps each node already summed (and every leaf) to its rows
+        and gains each new one; a child with fewer rows than ``w``
+        broadcasts over the batch.  Returns ``out``.
+        """
+        for idx, acc in zip(nodes, out):
+            kids = self.children[idx]
+            np.multiply(w[:, kids[0], None], rows[kids[0]], out=acc)
+            for k in kids[1:]:
+                acc += w[:, k, None] * rows[k]
+            rows[idx] = acc
+        return out
+
     def aggregate(self, leaves: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Weighted sums of leaf rows up the tree, children first.
+        """Weighted sums of leaf rows up the tree, children first, for every
+        weight row.
 
         ``leaves`` is (width, n_el) when shared across the batch or
         (batch, width, n_el) otherwise, one column per leaf; ``w`` is
         (batch, n_nodes) holding every node's weight within its sibling
         group.  Returns (nodes+1, batch, width): every node's row, then the
-        whole tree's.
+        whole tree's.  :meth:`node_values` runs the same sums folded.
         """
         values = np.empty((self.n_nodes + 1, w.shape[0], leaves.shape[-2]))
-        for idx in self.order:
-            slot = self.elem_slot[idx]
-            if slot >= 0:
-                # (width,) broadcasts over the batch in the shared case
-                values[idx] = leaves[..., slot]
-            else:
-                kids = self.children[idx]
-                acc = w[:, kids[0], None] * values[kids[0]]
-                for k in kids[1:]:
-                    acc += w[:, k, None] * values[k]
-                values[idx] = acc
+        leaf_rows = self._leaf_rows(leaves)
+        values[self.leaf_nodes] = leaf_rows
+        rows = dict(zip(self.leaf_nodes, leaf_rows))
+        self._sum_children(self.inner, rows, w, [values[idx] for idx in self.inner])
         return values
 
     def node_values(self, components: np.ndarray, w: np.ndarray) -> NodeValues:
@@ -534,36 +593,52 @@ class BatchEngine:
 
         ``components`` is (3 * n_pairs, n_el) when shared across the batch
         or (batch, 3 * n_pairs, n_el) otherwise; ``w`` is (batch, n_nodes)
-        holding every node's weight within its sibling group.
+        holding every node's weight within its sibling group.  Fixed nodes
+        are summed once per data draw, with the first weight row (the
+        deterministic groups weigh every row alike); varying nodes once per
+        weight row.
         """
         n = self.n_pairs
-        leaves = components[..., :n, :]
-        values = self.aggregate(leaves, w)
-        path = np.empty_like(w)
+        leaf_rows = self._leaf_rows(components[..., :n, :])
+        draws = leaf_rows.shape[1]
+        rows = dict(zip(self.leaf_nodes, leaf_rows))
+        fixed = self._sum_children(self.fixed_inner, rows, w[:1],
+                                   np.empty((len(self.fixed_inner), draws, n)))
+        varying = self._sum_children(self.varying, rows, w,
+                                     np.empty((len(self.varying), w.shape[0], n)))
+        w_root = w[:1] if self.root_fixed else w
+        root_rows = draws if self.root_fixed else w.shape[0]
+        net = self._sum_children([self.root], rows, w_root, np.empty((1, root_rows, n)))[0]
+        path = np.empty_like(w_root)
         for idx, parent in enumerate(self.parent):
-            path[:, idx] = w[:, idx] if parent < 0 else path[:, parent] * w[:, idx]
+            path[:, idx] = w_root[:, idx] if parent < 0 else path[:, parent] * w_root[:, idx]
         path = path[:, self.leaf_nodes]
         root = path[:, 0, None] * components[..., n:, 0]
         for slot in range(1, path.shape[1]):
             root += path[:, slot, None] * components[..., n:, slot]
-        return NodeValues(values, root, leaves)
+        return NodeValues((leaf_rows, fixed, varying), net, root)
 
     def flows(self, values: NodeValues) -> BatchFlows:
         """Flows for every node and the root from the aggregated rows."""
         rows = (self.m, self.c + 1)
-        nodes = values.nodes.reshape(values.nodes.shape[:-1] + rows)
+        net = values.root_net.reshape((-1,) + rows)
         root = values.root.reshape((-1, 2) + rows)
         plus, minus = root[:, 0], root[:, 1]
-        leaves = values.leaves.reshape(values.leaves.shape[:-2] + rows + (-1,))
+        groups = (g.reshape(g.shape[:-1] + rows) for g in values.nodes)
         return BatchFlows(
-            node_alt_net=nodes[..., 0],
-            node_prof_net=nodes[..., 1:],
             alt_plus=plus[..., 0],
             alt_minus=minus[..., 0],
+            alt_net=net[..., 0],
             prof_plus=plus[..., 1:],
             prof_minus=minus[..., 1:],
-            leaf_prof_net=leaves[..., 1:, :],
+            prof_net=net[..., 1:],
+            nodes=tuple(NodeFlows(g[..., 0], g[..., 1:]) for g in groups),
         )
+
+    def node_flows(self, batch_flows: BatchFlows, idx: int) -> NodeFlows:
+        """Net flows of tree node ``idx``, (rows, m) and (rows, m, k+1)."""
+        group, pos = self.node_slot[idx]
+        return NodeFlows(*(a[pos] for a in batch_flows.nodes[group]))
 
     def check_ordering(self, batch_flows: BatchFlows) -> None:
         """Assert the bracketing premise: profile flows ordered best to worst.
@@ -571,18 +646,21 @@ class BatchEngine:
         Every node's net flows are a convex combination of its leaves', so
         checking the leaf tables covers every node.
         """
-        check_profile_order(batch_flows.leaf_prof_net, "net", "net", axis=-2)
+        check_profile_order(batch_flows.nodes[0].prof, "net", "net")
         check_profile_order(batch_flows.prof_plus, "positive", "positive")
         check_profile_order(batch_flows.prof_minus, "negative", "negative")
 
     def assign_overall(self, batch_flows: BatchFlows, rule: str):
-        """Categories (batch, m) and validity mask under the requested rule."""
+        """Categories (rows, m) and validity mask under the requested rule."""
         bf = batch_flows
         flows = ((bf.alt_plus, bf.prof_plus), (bf.alt_minus, bf.prof_minus),
-                 (bf.node_alt_net[self.root], bf.node_prof_net[self.root]))
+                 (bf.alt_net, bf.prof_net))
         return bracket(*flows[_rule(rule)[0]], rule)
 
     def assign_nodes(self, batch_flows: BatchFlows):
-        """Net-style categories (nodes, batch, m) for every real tree node."""
-        n = self.n_nodes
-        return bracket(batch_flows.node_alt_net[:n], batch_flows.node_prof_net[:n], "net")
+        """Net-style categories of every real tree node, one (nodes, categories,
+        validity) triple per node group: node indices, then two
+        (group nodes, rows, m) arrays.  A fixed group's rows are bracketed
+        once per data draw, not once per weight row."""
+        return [(ids, *bracket(g.alt, g.prof, "net"))
+                for ids, g in zip(self.node_groups, batch_flows.nodes)]

@@ -205,7 +205,8 @@ def _parse_value(obj, scale: LinguisticScale | None, at: str) -> StochasticValue
             _require(spec["sd"] > 0, "normal sd must be positive", at)
             lo = spec.get("min", -np.inf)
             hi = spec.get("max", np.inf)
-            _require(lo <= hi, f"empty truncation [{lo}, {hi}]", at)
+            # a continuous draw never lands on a single point, so [lo, lo] is empty too
+            _require(lo < hi, f"empty truncation [{lo}, {hi}]", at)
             return StochasticValue.normal(spec["mean"], spec["sd"], lo, hi)
     raise InputError(SCHEMA, f"unrecognized value form {obj!r}", at)
 

@@ -487,6 +487,19 @@ class ProblemRuntime:
             out[j] = self.engine.pref_components(prefs, evals[j], profiles[j], self.defuzz).T
         return out.transpose(0, 2, 1)
 
+    def draw_block(self, block: int, bs: int) -> tuple[np.ndarray, np.ndarray]:
+        """Leaf flow tables and (bs, n_nodes) weight rows of the ``bs``
+        iterations starting at iteration ``block``, from that block's
+        substream.  Static data shares one table across the block."""
+        rng = iteration_rng(self.seed, block // BLOCK)
+        components = self.static_components
+        if components is None:
+            components = self._sample_components(rng, bs)
+        w = np.empty((bs, self.n_nodes))
+        for idx, spec in self.groups:
+            w[:, idx] = sample_group_weights(spec, len(idx), rng, size=bs)
+        return components, w
+
     def simulate(self, start: int, count: int):
         """Tally assignments for iterations [start, start + count).
 
@@ -498,14 +511,7 @@ class ProblemRuntime:
         violations = 0
         for block in range(start, start + count, BLOCK):
             bs = min(BLOCK, start + count - block)
-            rng = iteration_rng(self.seed, block // BLOCK)
-            components = self.static_components
-            if components is None:
-                components = self._sample_components(rng, bs)
-            w = np.empty((bs, self.n_nodes))
-            for idx, spec in self.groups:
-                w[:, idx] = sample_group_weights(spec, len(idx), rng, size=bs)
-            ch, nh, bad = self.tally_block(components, w, block)
+            ch, nh, bad = self.tally_block(*self.draw_block(block, bs), block)
             cat_hits += ch
             node_hits += nh
             violations += bad
@@ -513,24 +519,39 @@ class ProblemRuntime:
 
     def tally_block(self, components: np.ndarray, w: np.ndarray, block: int):
         """Flows, ordering check, bracketing and category counts for one
-        block of weight rows starting at iteration ``block``."""
+        block of weight rows starting at iteration ``block``.
+
+        A row bracketed once for a fixed node or a fixed whole tree stands
+        for ``len(w) // rows`` weight rows: its hits and its unbracketed
+        cells count that many times.
+        """
         m, k, n_nodes = self.m, self.k, self.n_nodes
+        bs = w.shape[0]
         bf = self.engine.flows(self.engine.node_values(components, w))
         self.engine.check_ordering(bf)
         cat, valid = self.engine.assign_overall(bf, self.rule)
-        ncat, nvalid = self.engine.assign_nodes(bf)
-        bad = int((~valid).sum() + (~nvalid).sum())
+        alt_ids = np.arange(m)
+        cat_hits, bad = _count(alt_ids * k + (cat - 1), valid, bs, m * k)
+        node_hits = np.zeros(n_nodes * m * k, dtype=np.int64)
+        for nodes, ncat, nvalid in self.engine.assign_nodes(bf):
+            nflat = (nodes[:, None, None] * m + alt_ids) * k + (ncat - 1)
+            hits, nbad = _count(nflat, nvalid, bs, n_nodes * m * k)
+            node_hits += hits
+            bad += nbad
         if bad and self.strict:
             raise BoundaryViolation(
                 f"flow outside the profile span in iteration block "
                 f"starting at {block} (strict mode)"
             )
-        alt_ids = np.arange(m)
-        flat = alt_ids * k + (cat - 1)
-        cat_hits = np.bincount(flat[valid], minlength=m * k)
-        nflat = (np.arange(n_nodes)[:, None, None] * m + alt_ids) * k + (ncat - 1)
-        node_hits = np.bincount(nflat[nvalid], minlength=n_nodes * m * k)
         return cat_hits, node_hits, bad
+
+
+def _count(cells: np.ndarray, valid: np.ndarray, bs: int, size: int):
+    """Hits per tally cell among the bracketed ``cells`` and the number of
+    unbracketed ones, where each of the rows (axis -2) stands for
+    ``bs // rows`` weight rows."""
+    rep = bs // valid.shape[-2]
+    return rep * np.bincount(cells[valid], minlength=size), rep * int((~valid).sum())
 
 
 #: Runtime of the current ``run_smaa`` call, inherited by forked workers.

@@ -77,7 +77,7 @@ def ordering_margins(inst):
     engine.check_ordering(bf)
 
     margin = min(
-        float(-np.diff(bf.node_prof_net[engine.root], axis=-1).max()),
+        float(-np.diff(bf.prof_net, axis=-1).max()),
         float(-np.diff(bf.prof_plus, axis=-1).max()),
         float(np.diff(bf.prof_minus, axis=-1).min()),
     )

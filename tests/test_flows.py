@@ -212,7 +212,7 @@ def test_engine_trips_the_invariant_on_an_unordered_leaf():
     evals = np.array([[[1.5, 0, 0], [1.5, 0, 0]]])
     comp = engine.pref_components(prefs, evals, profiles, "centroid")
     bf = engine.flows(engine.node_values(comp, np.array([[0.99, 0.01]])))
-    assert (np.diff(bf.node_prof_net[engine.root], axis=-1) < 0).all()
+    assert (np.diff(bf.prof_net, axis=-1) < 0).all()
     assert (np.diff(bf.prof_plus, axis=-1) < 0).all()
     assert (np.diff(bf.prof_minus, axis=-1) > 0).all()
     with pytest.raises(InvariantError, match="net profile flows"):

@@ -136,6 +136,22 @@ def test_stochastic_threshold_that_can_draw_negative_rejected(preference):
     assert err.value.code == THRESHOLD
 
 
+POINT_NORMAL = {"normal": {"mean": 6, "sd": 1, "min": 6, "max": 6}}
+
+
+@pytest.mark.parametrize("where", ["evaluation", "threshold"])
+def test_normal_truncated_to_a_point_rejected(where):
+    # a continuous draw never lands on [6, 6], so sampling could only fail
+    doc = doc_with_value(POINT_NORMAL if where == "evaluation" else 7)
+    if where == "threshold":
+        doc["preferences"]["default"] = {"shape": "u-shape", "q": POINT_NORMAL}
+    with pytest.raises(InputError) as err:
+        parse_problem(doc)
+    assert err.value.code == SCHEMA
+    assert err.value.at == ("alternatives/a/g" if where == "evaluation"
+                            else "preferences/default/q")
+
+
 @pytest.mark.parametrize("preference, key", [
     ({"shape": "usual", "q": [0.1, 0.2]}, "q"),
     ({"shape": "v-shape", "q": [0.1, 0.2], "p": 2}, "q"),

@@ -29,6 +29,7 @@ from smaaflow import (
     run_smaa,
 )
 from smaaflow.errors import WEIGHT_SPEC
+from smaaflow.flows import bracket
 from smaaflow.model_io import fixture_path, parse_problem
 from smaaflow.smaa import (
     BLOCK,
@@ -127,13 +128,16 @@ def test_same_seed_same_result(walkthrough_doc):
     assert not np.array_equal(a.category_index, c.category_index)
 
 
-def test_thread_count_does_not_change_results(walkthrough_doc, stochastic_walkthrough):
+def test_thread_count_does_not_change_results(walkthrough_doc, stochastic_walkthrough,
+                                              glued_missing):
     missing = variant(walkthrough_doc, **{"tree.weights": {"missing": True}})
     # an uneven split, and more threads than blocks; sampled weights, then
-    # sampled evaluations, thresholds and profiles
+    # sampled evaluations, thresholds and profiles, then violations counted
+    # on fixed node rows under sampled root weights
     for problem, iterations, threads in ((missing, 600, 4), (missing, 3 * BLOCK + 5, 2),
                                          (missing, 3 * BLOCK + 5, 8),
-                                         (stochastic_walkthrough, 3 * BLOCK + 5, 2)):
+                                         (stochastic_walkthrough, 3 * BLOCK + 5, 2),
+                                         (glued_missing, 3 * BLOCK + 5, 2)):
         serial = run_smaa(problem, iterations=iterations, seed=9, threads=1)
         threaded = run_smaa(problem, iterations=iterations, seed=9, threads=threads)
         assert serial.category_index.tobytes() == threaded.category_index.tobytes()
@@ -242,29 +246,46 @@ def test_deterministic_result_requires_deterministic_weights(walkthrough_doc):
 # ---------------------------------------------------------------------------
 
 
+def glued_doc(walkthrough_doc):
+    doc = copy.deepcopy(walkthrough_doc)
+    doc["alternatives"]["x3"] = {
+        "G1/g11": 0, "G1/g12": 10, "G2/g21": 0, "G2/g22": 0}
+    return doc
+
+
 @pytest.fixture(scope="module")
 def glued_to_worst(walkthrough_doc):
     """A third alternative sitting exactly on the worst profile, which ties
     its net and positive flows and lands outside the strict bracket."""
-    doc = copy.deepcopy(walkthrough_doc)
-    doc["alternatives"]["x3"] = {
-        "G1/g11": 0, "G1/g12": 10, "G2/g21": 0, "G2/g22": 0}
+    return parse_problem(glued_doc(walkthrough_doc))
+
+
+@pytest.fixture(scope="module")
+def glued_missing(walkthrough_doc):
+    """``glued_to_worst`` with sampled root weights: its node cells are
+    fixed rows, bracketed once per block, while the whole tree varies."""
+    doc = glued_doc(walkthrough_doc)
+    doc["tree"]["weights"] = {"missing": True}
     return parse_problem(doc)
 
 
-def test_violations_are_counted_not_hidden(glued_to_worst):
+def test_violations_are_counted_not_hidden(glued_to_worst, glued_missing):
+    for problem in (glued_to_worst, glued_missing):
+        res = run_smaa(problem, iterations=40, seed=0)
+        # x3 goes unbracketed in the overall tally and in all six node tallies
+        assert res.boundary_violations == 40 * 7
+        assert res.category_index[2].sum() == 0.0          # nothing tallied for x3
+        assert res.node_index[:, 2].sum() == 0.0
+        assert res.category_index[0].tolist() == [1.0, 0.0]
+    # x2's category follows the first-level weights, which glued_missing samples
     res = run_smaa(glued_to_worst, iterations=40, seed=0)
-    # x3 goes unbracketed in the overall tally and in all six node tallies
-    assert res.boundary_violations == 40 * 7
-    assert res.category_index[2].sum() == 0.0          # nothing tallied for x3
-    assert res.node_index[:, 2].sum() == 0.0
-    assert res.category_index[0].tolist() == [1.0, 0.0]
     assert res.category_index[1].tolist() == [0.0, 1.0]
 
 
-def test_strict_mode_raises_on_violation(glued_to_worst):
-    with pytest.raises(BoundaryViolation):
-        run_smaa(glued_to_worst, iterations=5, seed=0, strict=True)
+def test_strict_mode_raises_on_violation(glued_to_worst, glued_missing):
+    for problem in (glued_to_worst, glued_missing):
+        with pytest.raises(BoundaryViolation):
+            run_smaa(problem, iterations=5, seed=0, strict=True)
 
 
 def test_deterministic_result_counts_violations(glued_to_worst):
@@ -290,3 +311,51 @@ def test_defuzz_method_is_recorded(walkthrough):
     res = run_smaa(walkthrough, iterations=5, seed=0, defuzz="spread-sum")
     assert res.defuzz == "spread-sum"
     assert res.category_index.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+# ---------------------------------------------------------------------------
+# Folded blocks
+# ---------------------------------------------------------------------------
+
+
+def unfolded_tally(state, components, w):
+    """Hits and violations of one block with every node summed and
+    bracketed for every weight row, as if no row were fixed."""
+    engine, m, k = state.engine, state.m, state.k
+    values = engine.aggregate(components[..., :engine.n_pairs, :], w)
+    flows = values.reshape(values.shape[:-1] + (m, k + 2))
+    cat, valid = bracket(flows[-1, ..., 0], flows[-1, ..., 1:], "net")
+    ncat, nvalid = bracket(flows[:-1, ..., 0], flows[:-1, ..., 1:], "net")
+    alt_ids = np.arange(m)
+    nodes = np.arange(state.n_nodes)[:, None, None]
+    cat_hits = np.bincount((alt_ids * k + cat - 1)[valid], minlength=m * k)
+    node_hits = np.bincount(((nodes * m + alt_ids) * k + ncat - 1)[nvalid],
+                            minlength=state.n_nodes * m * k)
+    return cat_hits, node_hits, int((~valid).sum() + (~nvalid).sum())
+
+
+@pytest.mark.parametrize("name, groups, root_fixed", [
+    ("case-study", (54, 0, 18), False),
+    ("walkthrough-missing", (4, 2, 0), False),
+    ("stochastic-walkthrough", (4, 2, 0), True),
+])
+def test_folded_block_tally_matches_the_unfolded_one(name, groups, root_fixed, case_study,
+                                                     walkthrough_doc, stochastic_walkthrough):
+    # ordinal groups over deterministic mid-level groups; fixed first-level
+    # nodes under sampled root weights; per-draw components, so fixed rows
+    # hold one row per draw and the fixed whole tree one too
+    problem = {
+        "case-study": case_study,
+        "walkthrough-missing": variant(walkthrough_doc, **{"tree.weights": {"missing": True}}),
+        "stochastic-walkthrough": stochastic_walkthrough,
+    }[name]
+    state = ProblemRuntime(problem, "net", "centroid", seed=3, strict=False)
+    assert tuple(len(g) for g in state.engine.node_groups) == groups
+    assert state.engine.root_fixed == root_fixed
+    for block, bs in ((0, BLOCK), (BLOCK, 5)):
+        components, w = state.draw_block(block, bs)
+        got = state.tally_block(components, w, block)
+        want = unfolded_tally(state, components, w)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tolist() == want[1].tolist()
+        assert got[2] == want[2]
