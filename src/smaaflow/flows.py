@@ -114,24 +114,12 @@ class ProfileSet:
         return len(self.levels[0])
 
     def validate(self, prefs: Sequence[PreferenceSpec]) -> None:
-        """Check that successive profiles strictly dominate each other
-        (see :func:`profile_pair_faults`)."""
+        """Check that successive profiles strictly dominate each other on
+        every criterion (see :func:`check_profile_column`)."""
         if len(prefs) != self.n_criteria:
             raise InputError(SCHEMA, "profiles and preference specs differ in length")
         for t, spec in enumerate(prefs):
-            column = [row[t] for row in self.levels]
-            maximize = spec.direction == "maximize"
-            dominance, overlap = profile_pair_faults(tfn_matrix(column), maximize)
-            bad = dominance | overlap
-            if not bad.any():
-                continue
-            h = int(bad.argmax())
-            if dominance[h]:
-                raise InputError(PROFILE_DOMINANCE, f"profile {h + 1} does not dominate profile "
-                                 f"{h + 2} on criterion {t} ({column[h].m} vs {column[h + 1].m}, "
-                                 f"{spec.direction})")
-            raise InputError(PROFILE_OVERLAP,
-                             f"supports of profiles {h + 1} and {h + 2} overlap on criterion {t}")
+            check_profile_column(tfn_matrix([row[t] for row in self.levels]), spec.direction, t)
 
 
 def profile_pair_faults(columns: np.ndarray, maximize: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -150,6 +138,31 @@ def profile_pair_faults(columns: np.ndarray, maximize: bool) -> tuple[np.ndarray
     upper, lower = (better, worse) if maximize else (worse, better)
     overlap = upper[..., 0] - upper[..., 1] < lower[..., 0] + lower[..., 2]
     return dominance, overlap
+
+
+def check_profile_column(column: np.ndarray, direction: str, criterion,
+                         at: str | None = None) -> None:
+    """Reject one criterion's profiles, (k+1, 3) rows best first, unless
+    every adjacent pair is free of :func:`profile_pair_faults`.
+
+    Raises
+    ------
+    InputError
+        ``PROFILE_DOMINANCE`` or ``PROFILE_OVERLAP`` for the first faulty
+        pair, naming ``criterion`` (a slot or a label path) and located at
+        ``at``.
+    """
+    dominance, overlap = profile_pair_faults(column, direction == "maximize")
+    bad = dominance | overlap
+    if not bad.any():
+        return
+    h = int(bad.argmax())
+    if dominance[h]:
+        raise InputError(PROFILE_DOMINANCE, f"profile {h + 1} does not dominate profile {h + 2} "
+                         f"on criterion {criterion} ({column[h, 0]} vs {column[h + 1, 0]}, "
+                         f"{direction})", at)
+    raise InputError(PROFILE_OVERLAP, f"supports of profiles {h + 1} and {h + 2} overlap "
+                     f"on criterion {criterion}", at)
 
 
 def _check_vector(tree: CriteriaTree, name: str, values: Sequence) -> None:

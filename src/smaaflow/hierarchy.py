@@ -203,23 +203,27 @@ class CriteriaTree:
 
         nodes: list[CriterionNode] = []
         elementary: list[tuple[int, ...]] = []
+        labels: list[str] = []
 
-        def visit(node: CriterionNode) -> None:
+        def visit(node: CriterionNode, label_path: str) -> None:
             nodes.append(node)
             if node.is_elementary:
                 elementary.append(node.path)
+                labels.append(label_path)
             else:
                 for child in node.children:
-                    visit(child)
+                    visit(child, f"{label_path}/{child.label}")
 
         for node in self.first_level:
-            visit(node)
+            visit(node, node.label)
 
         self.nodes: tuple[CriterionNode, ...] = tuple(nodes)
         self.elementary_paths: tuple[tuple[int, ...], ...] = tuple(elementary)
         self.elementary_index: dict[tuple[int, ...], int] = {
             p: i for i, p in enumerate(elementary)
         }
+        #: leaf label path (``"G2/g21"``) -> elementary slot, in slot order
+        self.elementary_slot: dict[str, int] = {l: i for i, l in enumerate(labels)}
         self._by_path: dict[tuple[int, ...], CriterionNode] = {n.path: n for n in nodes}
         self.node_index: dict[tuple[int, ...], int] = {n.path: i for i, n in enumerate(nodes)}
         self.depth = max(len(p) for p in elementary)

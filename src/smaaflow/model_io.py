@@ -46,7 +46,7 @@ from .errors import (
     UNKNOWN_TERM,
     InputError,
 )
-from .flows import ProfileSet, RULES
+from .flows import RULES, ProfileSet, check_profile_column, tfn_matrix
 from .fuzzy import DEFUZZ_METHODS, TFN
 from .hierarchy import CriteriaTree, WeightSpec, build_tree
 from .preference import DIRECTIONS, SHAPES, THRESHOLDS, PreferenceSpec
@@ -272,120 +272,87 @@ def _collect_scale_bindings(raw_children, tree: CriteriaTree, scales, default_sc
 
 
 def _elementary_slot(tree: CriteriaTree, label_path: str, at: str) -> int:
-    try:
-        path = tree.path_of_labels(label_path)
+    slot = tree.elementary_slot.get(label_path)
+    if slot is not None:
+        return slot
+    try:  # only to word the error
+        tree.path_of_labels(label_path)
     except InputError as exc:
         raise InputError(SCHEMA, str(exc), at) from exc
-    if path not in tree.elementary_index:
-        raise InputError(SCHEMA, f"{label_path!r} is not an elementary criterion", at)
-    return tree.elementary_index[path]
+    raise InputError(SCHEMA, f"{label_path!r} is not an elementary criterion", at)
+
+
+def _section(raw, tree: CriteriaTree, at: str, fallback=None) -> list[tuple[object, str]]:
+    """Read a ``{"default", "per_criterion"}`` section: one ``(entry,
+    path)`` per elementary slot, its ``per_criterion`` entry or else the
+    default.  Without a default a slot gets ``(fallback, at)``."""
+    _require(isinstance(raw, Mapping), f"{at} must be a mapping", at)
+    unknown = set(raw) - {"default", "per_criterion"}
+    _require(not unknown, f"unknown {at} keys {sorted(unknown)}", at)
+    per = raw.get("per_criterion")
+    _require(per is None or isinstance(per, Mapping), "per_criterion must be a mapping",
+             f"{at}/per_criterion")
+    default = (raw["default"], f"{at}/default") if "default" in raw else (fallback, at)
+    entries = [default] * tree.n_elementary
+    for label_path, entry in (per or {}).items():
+        here = f"{at}/per_criterion/{label_path}"
+        entries[_elementary_slot(tree, label_path, here)] = (entry, here)
+    return entries
+
+
+def _preference_model(spec, at: str) -> PreferenceModel:
+    _require(isinstance(spec, Mapping), "preference spec must be a mapping", at)
+    unknown = set(spec) - {"shape", "direction", "q", "p", "s"}
+    _require(not unknown, f"unknown preference keys {sorted(unknown)}", at)
+    shape = spec.get("shape", "usual")
+    _require(shape in SHAPES, f"unknown shape {shape!r} (known: {SHAPES})", at)
+    direction = spec.get("direction", "maximize")
+    _require(direction in DIRECTIONS, f"unknown direction {direction!r}", at)
+    q, p = (_parse_threshold(spec[name], f"{at}/{name}") if name in spec
+            else StochasticValue.crisp(0.0) for name in ("q", "p"))
+    s = spec.get("s", 0.0)
+    _require(_is_number(s) and s >= 0, "s must be a non-negative number", at)
+    for name, value in (("q", q), ("p", p), ("s", StochasticValue.crisp(s))):
+        _require(name in THRESHOLDS[shape] or value == StochasticValue.crisp(0.0),
+                 f"shape {shape!r} does not use threshold {name!r}", f"{at}/{name}", THRESHOLD)
+    model = PreferenceModel(shape=shape, direction=direction, q=q, p=p, s=float(s))
+    if model.is_deterministic:  # PreferenceSpec checks the crisp thresholds
+        try:
+            model.resolve_deterministic()
+        except ValueError as exc:
+            raise InputError(THRESHOLD, str(exc), at) from exc
+    elif THRESHOLDS[shape] == ("q", "p"):  # a sampled pair needs some ordered draw
+        (q_lo, q_hi), (p_lo, p_hi) = _support(q), _support(p)
+        # a tie can be drawn only where both thresholds are single points
+        _require(q_lo < p_hi or (shape == "level" and q_lo == q_hi == p_lo == p_hi),
+                 f"{shape} thresholds can never be ordered: q starts at {q_lo}, "
+                 f"p ends at {p_hi}", at, THRESHOLD)
+    return model
 
 
 def _parse_preferences(raw, tree, at: str = "preferences") -> list[PreferenceModel]:
-    defaults = {}
-    per: dict[int, Mapping] = {}
-    if raw is not None:
-        _require(isinstance(raw, Mapping), "preferences must be a mapping", at)
-        unknown = set(raw) - {"default", "per_criterion"}
-        _require(not unknown, f"unknown preference keys {sorted(unknown)}", at)
-        defaults = raw.get("default", {})
-        _require(isinstance(defaults, Mapping), "default preference must be a mapping", f"{at}/default")
-        for label_path, spec in (raw.get("per_criterion") or {}).items():
-            here = f"{at}/per_criterion/{label_path}"
-            slot = _elementary_slot(tree, label_path, here)
-            _require(isinstance(spec, Mapping), "preference spec must be a mapping", here)
-            per[slot] = spec
-
-    def build(spec: Mapping, here: str) -> PreferenceModel:
-        unknown = set(spec) - {"shape", "direction", "q", "p", "s"}
-        _require(not unknown, f"unknown preference keys {sorted(unknown)}", here)
-        shape = spec.get("shape", "usual")
-        _require(shape in SHAPES, f"unknown shape {shape!r} (known: {SHAPES})", here)
-        direction = spec.get("direction", "maximize")
-        _require(direction in DIRECTIONS, f"unknown direction {direction!r}", here)
-        q, p = (_parse_threshold(spec[name], f"{here}/{name}") if name in spec
-                else StochasticValue.crisp(0.0) for name in ("q", "p"))
-        s = spec.get("s", 0.0)
-        _require(_is_number(s) and s >= 0, "s must be a non-negative number", here)
-        for name, value in (("q", q), ("p", p), ("s", StochasticValue.crisp(s))):
-            _require(name in THRESHOLDS[shape] or value == StochasticValue.crisp(0.0),
-                     f"shape {shape!r} does not use threshold {name!r}", f"{here}/{name}",
-                     THRESHOLD)
-        model = PreferenceModel(shape=shape, direction=direction, q=q, p=p, s=float(s))
-        if model.is_deterministic:  # PreferenceSpec checks the crisp thresholds
-            try:
-                model.resolve_deterministic()
-            except ValueError as exc:
-                raise InputError(THRESHOLD, str(exc), here) from exc
-        elif THRESHOLDS[shape] == ("q", "p"):  # a sampled pair needs some ordered draw
-            (q_lo, q_hi), (p_lo, p_hi) = _support(q), _support(p)
-            # a tie can be drawn only where both thresholds are single points
-            _require(q_lo < p_hi or (shape == "level" and q_lo == q_hi == p_lo == p_hi),
-                     f"{shape} thresholds can never be ordered: q starts at {q_lo}, "
-                     f"p ends at {p_hi}", here, THRESHOLD)
-        return model
-
-    models = []
-    for slot, path in enumerate(tree.elementary_paths):
-        label_path = tree.label_path(path)
-        if slot in per:
-            models.append(build(per[slot], f"{at}/per_criterion/{label_path}"))
-        else:
-            models.append(build(defaults, f"{at}/default"))
-    return models
+    # a missing section or default is the usual shape, maximized
+    return [_preference_model(spec, here)
+            for spec, here in _section({} if raw is None else raw, tree, at, fallback={})]
 
 
-def _static_profile_checks(profile_specs, models, tree) -> None:
-    """Dominance and overlap checks on fully deterministic profile columns."""
-    c = len(profile_specs)
-    for t in range(tree.n_elementary):
-        column = [profile_specs[h][t] for h in range(c)]
-        if not all(v.is_deterministic for v in column):
-            continue
-        tfns = [v.resolved() for v in column]
-        mini = ProfileSet([[f] for f in tfns])
-        mini.validate([PreferenceSpec(direction=models[t].direction)])  # only the direction counts
-
-
-def _parse_profiles(raw, tree, models, scales, binding, k, at: str = "profiles"):
-    _require(isinstance(raw, Mapping), "profiles must be a mapping", at)
-    unknown = set(raw) - {"default", "per_criterion"}
-    _require(not unknown, f"unknown profile keys {sorted(unknown)}", at)
-    default = raw.get("default")
-    per = raw.get("per_criterion") or {}
-    _require(isinstance(per, Mapping), "per_criterion must be a mapping", f"{at}/per_criterion")
-
-    columns: dict[int, list[StochasticValue]] = {}
-
-    def parse_column(values, scale, here) -> list[StochasticValue]:
+def _parse_profiles(raw, tree, models, scales, k, at: str = "profiles"):
+    """Profile levels, (k+1, n_el), with each deterministic column checked
+    for dominance where it is parsed."""
+    labels = list(tree.elementary_slot)
+    columns = []
+    for slot, (values, here) in enumerate(_section(raw, tree, at)):
+        _require(here != at, f"no profiles for {labels[slot]!r} and no default", at)
         _require(isinstance(values, Sequence) and not isinstance(values, (str, bytes)),
                  "profile column must be a list", here)
-        _require(
-            len(values) == k + 1,
-            f"need {k + 1} profile levels for {k} categories, got {len(values)}", here,
-        )
-        return [_parse_value(v, scale, f"{here}/{h}") for h, v in enumerate(values)]
-
-    for label_path, values in per.items():
-        here = f"{at}/per_criterion/{label_path}"
-        slot = _elementary_slot(tree, label_path, here)
-        scale = scales.get(binding[slot]) if binding[slot] else None
-        columns[slot] = parse_column(values, scale, here)
-
-    for slot, path in enumerate(tree.elementary_paths):
-        if slot in columns:
-            continue
-        _require(default is not None,
-                 f"no profiles for {tree.label_path(path)!r} and no default", at)
-        scale = scales.get(binding[slot]) if binding[slot] else None
-        columns[slot] = parse_column(default, scale, f"{at}/default")
-
-    levels = tuple(
-        tuple(columns[slot][h] for slot in range(tree.n_elementary))
-        for h in range(k + 1)
-    )
-    _static_profile_checks(levels, models, tree)
-    return levels
+        _require(len(values) == k + 1,
+                 f"need {k + 1} profile levels for {k} categories, got {len(values)}", here)
+        column = [_parse_value(v, scales[slot], f"{here}/{h}") for h, v in enumerate(values)]
+        if all(v.is_deterministic for v in column):
+            check_profile_column(tfn_matrix([v.resolved() for v in column]),
+                                 models[slot].direction, labels[slot], here)
+        columns.append(column)
+    return tuple(zip(*columns))
 
 
 def _profile_envelope(profile_specs, slot):
@@ -420,7 +387,7 @@ def _check_evaluation_bounds(value: StochasticValue, envelope, at: str) -> None:
         )
 
 
-def _parse_alternatives(raw, tree, scales, binding, profile_specs, at: str = "alternatives"):
+def _parse_alternatives(raw, tree, scales, profile_specs, at: str = "alternatives"):
     _require(isinstance(raw, Mapping) and raw, "alternatives must be a non-empty mapping", at)
     envelopes = [_profile_envelope(profile_specs, t) for t in range(tree.n_elementary)]
     names = []
@@ -431,15 +398,11 @@ def _parse_alternatives(raw, tree, scales, binding, profile_specs, at: str = "al
         _require(isinstance(values, Mapping), "alternative must map criteria to values", here)
         row: list[StochasticValue | None] = [None] * tree.n_elementary
         for label_path, value in values.items():
-            slot = _elementary_slot(tree, label_path, f"{here}/{label_path}")
-            scale = scales.get(binding[slot]) if binding[slot] else None
-            parsed = _parse_value(value, scale, f"{here}/{label_path}")
-            _check_evaluation_bounds(parsed, envelopes[slot], f"{here}/{label_path}")
-            row[slot] = parsed
-        missing = [
-            tree.label_path(tree.elementary_paths[t])
-            for t, v in enumerate(row) if v is None
-        ]
+            cell = f"{here}/{label_path}"
+            slot = _elementary_slot(tree, label_path, cell)
+            row[slot] = _parse_value(value, scales[slot], cell)
+            _check_evaluation_bounds(row[slot], envelopes[slot], cell)
+        missing = [label for label, v in zip(tree.elementary_slot, row) if v is None]
         if missing:
             raise InputError(
                 MISSING_EVALUATION,
@@ -500,10 +463,11 @@ def parse_problem(doc) -> Problem:
     _require(not unknown, f"unknown tree keys {sorted(unknown)}", "tree")
     tree = build_tree(raw_tree.get("children", []), raw_tree.get("weights"))
     binding = _collect_scale_bindings(raw_tree.get("children", []), tree, scales, default_scale)
+    slot_scales = [scales[name] if name else None for name in binding]
 
     models = _parse_preferences(doc.get("preferences"), tree)
-    profile_specs = _parse_profiles(doc["profiles"], tree, models, scales, binding, k)
-    names, rows = _parse_alternatives(doc["alternatives"], tree, scales, binding, profile_specs)
+    profile_specs = _parse_profiles(doc["profiles"], tree, models, slot_scales, k)
+    names, rows = _parse_alternatives(doc["alternatives"], tree, slot_scales, profile_specs)
     defaults = _parse_smaa(doc.get("smaa"))
 
     name = doc.get("name")

@@ -219,6 +219,39 @@ def test_scale_binding_errors_name_the_node(g1, g2, leaf, at):
     assert err.value.at == at
 
 
+def walkthrough_doc():
+    return json.loads(fixture_path("walkthrough").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("profiles, criterion, at", [
+    ({"per_criterion": {"G1/g11": [10, 5, 0], "G1/g12": [0, 5, 10],
+                        "G2/g21": [20, 10, 0], "G2/g22": [30, 35, 0]}},
+     "G2/g22", "profiles/per_criterion/G2/g22"),
+    # the default column fails first on the first leaf that reads it
+    ({"default": [0, 5, 10], "per_criterion": {"G1/g12": [0, 5, 10]}},
+     "G1/g11", "profiles/default"),
+], ids=["per-criterion", "default"])
+def test_profile_column_errors_name_the_criterion(profiles, criterion, at):
+    doc = walkthrough_doc()
+    doc["profiles"] = profiles
+    with pytest.raises(InputError) as err:
+        parse_problem(doc)
+    assert err.value.code == PROFILE_DOMINANCE
+    assert err.value.at == at
+    assert f"on criterion {criterion} (" in str(err.value)
+
+
+@pytest.mark.parametrize("section", ["preferences", "profiles"])
+@pytest.mark.parametrize("per_criterion", [[1], [], True, "G1/g11"])
+def test_per_criterion_must_be_a_mapping(section, per_criterion):
+    doc = walkthrough_doc()
+    doc[section]["per_criterion"] = per_criterion
+    with pytest.raises(InputError) as err:
+        parse_problem(doc)
+    assert err.value.code == SCHEMA
+    assert err.value.at == f"{section}/per_criterion"
+
+
 # ---------------------------------------------------------------------------
 # Invalid documents, one error code each
 # ---------------------------------------------------------------------------
