@@ -14,8 +14,10 @@ CHECKOUT (default: the checkout holding this script), run in this process:
 
 Every run uses ``--level all-nodes`` and the problem's own iterations and
 seed, and writes its text and CSV reports to a temporary directory.  Each
-output line is ``<report> <file> <sha256>``.  To compare a change with its
-parent:
+output line is ``<report> <file> <sha256>``.  One more line per problem,
+``<problem> dump_problem <sha256>``, digests the canonical document of the
+parsed problem, so the same diff also checks that the parser builds the
+same problem.  To compare a change with its parent:
 
     python scripts/report_digests.py --root PARENT > parent.txt
     python scripts/report_digests.py > change.txt
@@ -51,7 +53,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
     from smaaflow import cli
-    from smaaflow.model_io import fixture_path
+    from smaaflow.model_io import dump_problem, fixture_path, load_problem
 
     def call(cli_args) -> bytes:
         out = io.StringIO()
@@ -64,16 +66,20 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         print("example-walkthrough stdout", sha(call(["example", "walkthrough"])))
-        runs = [("walkthrough", fixture_path("walkthrough"), []),
-                ("walkthrough-deterministic", fixture_path("walkthrough"), ["--deterministic"])]
+        problems = {name: fixture_path(name) for name in ("walkthrough", "case-study")}
+        for name, generator, seed in GENERATED:
+            problems[name] = tmp / f"{name}.json"
+            problems[name].write_text(json.dumps(getattr(workloads, generator)(seed)),
+                                      encoding="utf-8")
+        for name, problem in problems.items():
+            print(name, "dump_problem", sha(dump_problem(load_problem(problem)).encode()))
+        runs = [("walkthrough", problems["walkthrough"], []),
+                ("walkthrough-deterministic", problems["walkthrough"], ["--deterministic"])]
         for rule in ("net", "positive", "negative"):
             for threads in (1, 2):
-                runs.append((f"case-study-{rule}-t{threads}", fixture_path("case-study"),
+                runs.append((f"case-study-{rule}-t{threads}", problems["case-study"],
                              ["--rule", rule, "--threads", str(threads)]))
-        for name, generator, seed in GENERATED:
-            problem = tmp / f"{name}.json"
-            problem.write_text(json.dumps(getattr(workloads, generator)(seed)), encoding="utf-8")
-            runs.append((name, problem, []))
+        runs += [(name, problems[name], []) for name, _, _ in GENERATED]
         for name, problem, extra in runs:
             out = tmp / name
             call(["run", str(problem), "--level", "all-nodes", "--out", str(out), *extra])

@@ -140,7 +140,15 @@ def profile_pair_faults(columns: np.ndarray, maximize: bool) -> tuple[np.ndarray
     return dominance, overlap
 
 
-def check_profile_column(column: np.ndarray, direction: str, criterion,
+def profile_envelope(columns: np.ndarray) -> np.ndarray:
+    """Support span of each criterion's profiles: ``columns`` as in
+    :func:`profile_pair_faults`, (..., k+1, 3); returns (..., 2) pairs of
+    the lowest left and the highest right support end."""
+    return np.stack([(columns[..., 0] - columns[..., 1]).min(axis=-1),
+                     (columns[..., 0] + columns[..., 2]).max(axis=-1)], axis=-1)
+
+
+def check_profile_column(column: np.ndarray, direction: str, criterion: int | str,
                          at: str | None = None) -> None:
     """Reject one criterion's profiles, (k+1, 3) rows best first, unless
     every adjacent pair is free of :func:`profile_pair_faults`.

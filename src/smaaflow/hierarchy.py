@@ -20,6 +20,7 @@ admissible weight vectors that get sampled during acceptability analysis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -29,6 +30,34 @@ WEIGHT_KINDS = ("deterministic", "ordinal", "interval", "missing")
 
 #: Tolerance for "weights sum to one" checks.
 WEIGHT_SUM_TOL = 1e-9
+
+
+def is_number(x) -> bool:
+    """The one number rule for problem files: a finite int or float.
+
+    ``json.loads`` reads ``NaN`` and ``Infinity``; neither is a number here,
+    and neither is a bool.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_list(x) -> bool:
+    return isinstance(x, Sequence) and not isinstance(x, (str, bytes))
+
+
+#: The entries each weight kind lists in a problem file: their description
+#: and a test for one entry.
+_WEIGHT_ENTRIES = {
+    "deterministic": ("numbers", is_number),
+    "ordinal": ("integer ranks or null", lambda r: r is None or (is_number(r) and r == int(r))),
+    "interval": ("[lo, hi] pairs of numbers",
+                 lambda b: _is_list(b) and len(b) == 2 and all(map(is_number, b))),
+}
 
 
 @dataclass(frozen=True)
@@ -64,7 +93,9 @@ class WeightSpec:
         """Build from the JSON-level representation.
 
         ``None`` and ``"missing"`` mean no information; otherwise a mapping
-        with exactly one of the kind keys is expected.
+        with exactly one of the kind keys is expected, listing finite
+        numbers (see :func:`is_number`): weights, integral ranks or null,
+        or [lo, hi] bounds.
         """
         if obj is None or obj == "missing":
             return cls.missing()
@@ -76,16 +107,14 @@ class WeightSpec:
         if len(kinds) != 1 or len(obj) != 1:
             raise InputError(SCHEMA, f"weight spec needs exactly one of {WEIGHT_KINDS}", at)
         kind = kinds[0]
-        try:
-            if kind == "deterministic":
-                return cls.deterministic(obj[kind])
-            if kind == "ordinal":
-                return cls.ordinal(obj[kind])
-            if kind == "interval":
-                return cls.interval(obj[kind])
+        if kind == "missing":
             return cls.missing()
-        except (TypeError, ValueError) as exc:
-            raise InputError(SCHEMA, f"malformed {kind} weight spec: {exc}", at) from exc
+        form, is_entry = _WEIGHT_ENTRIES[kind]
+        values = obj[kind]
+        if not (_is_list(values) and all(is_entry(v) for v in values)):
+            raise InputError(SCHEMA, f"malformed {kind} weight spec: expected a list of {form}, "
+                             f"got {values!r}", at)
+        return getattr(cls, kind)(values)
 
     def validate(self, n: int, at: str | None = None) -> None:
         """Check consistency for a sibling group of size ``n``."""
@@ -166,7 +195,7 @@ def _build_node(obj: Mapping, path: tuple[int, ...], at: str) -> CriterionNode:
     if "/" in label:
         raise InputError(SCHEMA, f"label may not contain '/': {label!r}", at)
     raw_children = obj.get("children", [])
-    if not isinstance(raw_children, Sequence) or isinstance(raw_children, (str, bytes)):
+    if not _is_list(raw_children):
         raise InputError(SCHEMA, "children must be a list", f"{at}/children")
     children = tuple(
         _build_node(child, path + (i + 1,), f"{at}/children/{i}")
@@ -305,7 +334,7 @@ def build_tree(children: Sequence[Mapping], root_weights=None) -> CriteriaTree:
     root_weights :
         Weight specification for the first-level group itself.
     """
-    if not isinstance(children, Sequence) or isinstance(children, (str, bytes)):
+    if not _is_list(children):
         raise InputError(SCHEMA, "tree children must be a list", "tree/children")
     first_level = tuple(
         _build_node(obj, (i + 1,), f"tree/children/{i}") for i, obj in enumerate(children)

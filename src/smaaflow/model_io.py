@@ -19,7 +19,9 @@ forms: a number (crisp), a string (linguistic term, resolved through the
 criterion's scale), ``[lo, hi]`` (uniform draw), ``{"tfn": [m, a, b]}``
 (triangular fuzzy number) and ``{"normal": {"mean": ..., "sd": ...,
 "min": ..., "max": ...}}`` (optionally truncated gaussian).  Thresholds
-must stay scalar, so the string and tfn forms are rejected there.
+must stay scalar, so the string and tfn forms are rejected there.  Every
+number must be finite (:func:`~smaaflow.hierarchy.is_number`): ``NaN`` and
+``Infinity``, which ``json.loads`` reads, are rejected.
 
 Validation failures raise :class:`~smaaflow.errors.InputError` with a
 stable code and the path of the offending field.
@@ -46,9 +48,9 @@ from .errors import (
     UNKNOWN_TERM,
     InputError,
 )
-from .flows import RULES, ProfileSet, check_profile_column, tfn_matrix
+from .flows import RULES, ProfileSet, check_profile_column, profile_envelope, tfn_matrix
 from .fuzzy import DEFUZZ_METHODS, TFN
-from .hierarchy import CriteriaTree, WeightSpec, build_tree
+from .hierarchy import CriteriaTree, WeightSpec, build_tree, is_number
 from .preference import DIRECTIONS, SHAPES, THRESHOLDS, PreferenceSpec
 from .smaa import PreferenceModel, StochasticValue
 
@@ -160,13 +162,9 @@ def _require(cond: bool, message: str, at: str, code: str = SCHEMA) -> None:
         raise InputError(code, message, at)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _parse_tfn_triple(obj, at: str) -> TFN:
     _require(
-        isinstance(obj, Sequence) and len(obj) == 3 and all(_is_number(v) for v in obj),
+        isinstance(obj, Sequence) and len(obj) == 3 and all(is_number(v) for v in obj),
         "expected [mode, left spread, right spread]", at,
     )
     try:
@@ -176,7 +174,7 @@ def _parse_tfn_triple(obj, at: str) -> TFN:
 
 
 def _parse_value(obj, scale: LinguisticScale | None, at: str) -> StochasticValue:
-    if _is_number(obj):
+    if is_number(obj):
         return StochasticValue.crisp(obj)
     if isinstance(obj, str):
         if scale is None:
@@ -188,7 +186,7 @@ def _parse_value(obj, scale: LinguisticScale | None, at: str) -> StochasticValue
         except InputError as exc:
             raise InputError(exc.code, str(exc), at) from exc
     if isinstance(obj, Sequence) and not isinstance(obj, (str, bytes)):
-        _require(len(obj) == 2 and all(_is_number(v) for v in obj),
+        _require(len(obj) == 2 and all(is_number(v) for v in obj),
                  "interval must be [lo, hi]", at)
         _require(obj[0] <= obj[1], f"empty interval [{obj[0]}, {obj[1]}]", at)
         return StochasticValue.interval(obj[0], obj[1])
@@ -200,9 +198,11 @@ def _parse_value(obj, scale: LinguisticScale | None, at: str) -> StochasticValue
             _require(isinstance(spec, Mapping), "normal spec must be a mapping", at)
             unknown = set(spec) - {"mean", "sd", "min", "max"}
             _require(not unknown, f"unknown normal keys {sorted(unknown)}", at)
-            _require(_is_number(spec.get("mean")) and _is_number(spec.get("sd")),
+            _require(is_number(spec.get("mean")) and is_number(spec.get("sd")),
                      "normal needs numeric mean and sd", at)
             _require(spec["sd"] > 0, "normal sd must be positive", at)
+            _require(all(is_number(spec[end]) for end in ("min", "max") if end in spec),
+                     "normal min and max must be numbers", at)
             lo = spec.get("min", -np.inf)
             hi = spec.get("max", np.inf)
             # a continuous draw never lands on a single point, so [lo, lo] is empty too
@@ -311,7 +311,7 @@ def _preference_model(spec, at: str) -> PreferenceModel:
     q, p = (_parse_threshold(spec[name], f"{at}/{name}") if name in spec
             else StochasticValue.crisp(0.0) for name in ("q", "p"))
     s = spec.get("s", 0.0)
-    _require(_is_number(s) and s >= 0, "s must be a non-negative number", at)
+    _require(is_number(s) and s >= 0, "s must be a non-negative number", at)
     for name, value in (("q", q), ("p", p), ("s", StochasticValue.crisp(s))):
         _require(name in THRESHOLDS[shape] or value == StochasticValue.crisp(0.0),
                  f"shape {shape!r} does not use threshold {name!r}", f"{at}/{name}", THRESHOLD)
@@ -337,10 +337,11 @@ def _parse_preferences(raw, tree, at: str = "preferences") -> list[PreferenceMod
 
 
 def _parse_profiles(raw, tree, models, scales, k, at: str = "profiles"):
-    """Profile levels, (k+1, n_el), with each deterministic column checked
-    for dominance where it is parsed."""
+    """Profile levels, (k+1, n_el), and each column's support span (None
+    when stochastic).  A deterministic column is checked for dominance
+    where it is parsed."""
     labels = list(tree.elementary_slot)
-    columns = []
+    columns, envelopes = [], []
     for slot, (values, here) in enumerate(_section(raw, tree, at)):
         _require(here != at, f"no profiles for {labels[slot]!r} and no default", at)
         _require(isinstance(values, Sequence) and not isinstance(values, (str, bytes)),
@@ -348,21 +349,14 @@ def _parse_profiles(raw, tree, models, scales, k, at: str = "profiles"):
         _require(len(values) == k + 1,
                  f"need {k + 1} profile levels for {k} categories, got {len(values)}", here)
         column = [_parse_value(v, scales[slot], f"{here}/{h}") for h, v in enumerate(values)]
+        envelope = None
         if all(v.is_deterministic for v in column):
-            check_profile_column(tfn_matrix([v.resolved() for v in column]),
-                                 models[slot].direction, labels[slot], here)
+            rows = tfn_matrix([v.resolved() for v in column])
+            check_profile_column(rows, models[slot].direction, labels[slot], here)
+            envelope = tuple(map(float, profile_envelope(rows)))
         columns.append(column)
-    return tuple(zip(*columns))
-
-
-def _profile_envelope(profile_specs, slot):
-    """Support span of a deterministic profile column, or None."""
-    column = [row[slot] for row in profile_specs]
-    if not all(v.is_deterministic for v in column):
-        return None
-    lows = [v.resolved().support[0] for v in column]
-    highs = [v.resolved().support[1] for v in column]
-    return min(lows), max(highs)
+        envelopes.append(envelope)
+    return tuple(zip(*columns)), envelopes
 
 
 def _check_evaluation_bounds(value: StochasticValue, envelope, at: str) -> None:
@@ -387,9 +381,8 @@ def _check_evaluation_bounds(value: StochasticValue, envelope, at: str) -> None:
         )
 
 
-def _parse_alternatives(raw, tree, scales, profile_specs, at: str = "alternatives"):
+def _parse_alternatives(raw, tree, scales, envelopes, at: str = "alternatives"):
     _require(isinstance(raw, Mapping) and raw, "alternatives must be a non-empty mapping", at)
-    envelopes = [_profile_envelope(profile_specs, t) for t in range(tree.n_elementary)]
     names = []
     rows = []
     for name, values in raw.items():
@@ -466,8 +459,8 @@ def parse_problem(doc) -> Problem:
     slot_scales = [scales[name] if name else None for name in binding]
 
     models = _parse_preferences(doc.get("preferences"), tree)
-    profile_specs = _parse_profiles(doc["profiles"], tree, models, slot_scales, k)
-    names, rows = _parse_alternatives(doc["alternatives"], tree, slot_scales, profile_specs)
+    profile_specs, envelopes = _parse_profiles(doc["profiles"], tree, models, slot_scales, k)
+    names, rows = _parse_alternatives(doc["alternatives"], tree, slot_scales, envelopes)
     defaults = _parse_smaa(doc.get("smaa"))
 
     name = doc.get("name")

@@ -35,7 +35,7 @@ from .errors import (
     InputError,
     SamplingError,
 )
-from .flows import RULES, BatchEngine, profile_pair_faults
+from .flows import RULES, BatchEngine, profile_envelope, profile_pair_faults
 from .fuzzy import TFN
 from .hierarchy import WeightSpec
 from .preference import THRESHOLDS, PreferenceArrays, PreferenceSpec
@@ -474,8 +474,7 @@ class ProblemRuntime:
                                                      strict=mdl.shape == "linear")
             else:  # the one threshold the shape reads; the other stays at crisp 0
                 q[:, t], p[:, t] = (sample_value(v, rng, size=size)[:, 0] for v in (mdl.q, mdl.p))
-        envelope = np.stack([(profiles[..., 0] - profiles[..., 1]).min(axis=1),
-                             (profiles[..., 0] + profiles[..., 2]).max(axis=1)], axis=-1)
+        envelope = profile_envelope(profiles.swapaxes(1, 2))
         evals = np.empty((size, self.m, n_el, 3))
         for i, row in enumerate(self.problem.evaluation_specs):
             for t, v in enumerate(row):

@@ -3,7 +3,7 @@
 import pytest
 
 from smaaflow import InputError, WeightSpec, build_tree
-from smaaflow.errors import WEIGHT_SPEC
+from smaaflow.errors import SCHEMA, WEIGHT_SPEC
 
 
 def two_level_children():
@@ -89,6 +89,28 @@ def test_weight_spec_forms():
     assert WeightSpec.from_spec({"interval": [[0.2, 0.6], [0.4, 0.8]]}).kind == "interval"
     assert WeightSpec.from_spec({"missing": True}).kind == "missing"
     assert WeightSpec.from_spec(None).kind == "missing"
+    assert WeightSpec.from_spec({"ordinal": [2.0, None, 1]}).values == (2, None, 1)
+
+
+@pytest.mark.parametrize("spec", [
+    {"deterministic": ["0.2", "0.8"]},
+    {"deterministic": [float("nan"), 1.0]},
+    {"deterministic": "12"},
+    {"ordinal": ["1", "2"]},
+    {"ordinal": [1.5, 1]},
+    {"ordinal": [True, 1]},
+    {"ordinal": [float("inf"), 2]},
+    {"interval": [["0.2", "0.8"], [0.2, 0.8]]},
+    {"interval": [[0.2, 0.8, 1.0], [0.2, 0.8]]},
+    {"interval": [[float("-inf"), 0.8], [0.2, 0.8]]},
+], ids=["weight-string", "weight-nan", "weights-string", "rank-string", "rank-fraction",
+        "rank-bool", "rank-infinity", "bound-string", "bound-triple", "bound-infinity"])
+def test_weight_spec_entries_must_be_finite_numbers(spec):
+    # json.loads reads NaN and Infinity; strings and bools are not numbers
+    with pytest.raises(InputError) as err:
+        WeightSpec.from_spec(spec, "tree/weights")
+    assert err.value.code == SCHEMA
+    assert err.value.at == "tree/weights"
 
 
 def test_weight_spec_validation():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smaaflow import InputError, TFN, run_smaa
+from smaaflow import InputError, SmaaFlowError, TFN, run_smaa
 from smaaflow.errors import (
     EVALUATION_BOUNDS,
     IO,
@@ -75,6 +75,10 @@ def test_fixture_path_unknown_name():
 # ---------------------------------------------------------------------------
 
 
+def walkthrough_doc():
+    return json.loads(fixture_path("walkthrough").read_text(encoding="utf-8"))
+
+
 def doc_with_value(value):
     return {
         "schema": 1,
@@ -134,6 +138,72 @@ def test_stochastic_threshold_that_can_draw_negative_rejected(preference):
     with pytest.raises(InputError) as err:
         parse_problem(doc)
     assert err.value.code == THRESHOLD
+
+
+NAN, INF = float("nan"), float("inf")
+X1_G11 = ("alternatives", "x1", "G1/g11")
+
+
+def set_field(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+@pytest.mark.parametrize("keys, value, at", [
+    (("tree", "children", 0, "weights"), {"deterministic": [NAN, 0.8]},
+     "tree/children/0/weights"),
+    (X1_G11, NAN, "alternatives/x1/G1/g11"),
+    (("profiles", "per_criterion", "G1/g11", 1), NAN, "profiles/per_criterion/G1/g11/1"),
+    (X1_G11, {"tfn": [8, NAN, 0]}, "alternatives/x1/G1/g11/tfn"),
+    (X1_G11, {"normal": {"mean": NAN, "sd": 1}}, "alternatives/x1/G1/g11"),
+    (X1_G11, {"normal": {"mean": 8, "sd": INF}}, "alternatives/x1/G1/g11"),
+    (X1_G11, {"normal": {"mean": 8, "sd": 1, "min": "a"}}, "alternatives/x1/G1/g11"),
+    (X1_G11, {"normal": {"mean": 8, "sd": 1, "min": None}}, "alternatives/x1/G1/g11"),
+    (X1_G11, 10 ** 400, "alternatives/x1/G1/g11"),
+], ids=["weight-nan", "crisp-nan", "profile-nan", "tfn-spread-nan", "normal-mean-nan",
+        "normal-sd-infinity", "normal-min-string", "normal-min-null", "int-beyond-float"])
+def test_numbers_must_be_finite(keys, value, at):
+    # json.loads reads NaN and Infinity, so they reach the parser from files
+    doc = walkthrough_doc()
+    set_field(doc, keys, value)
+    with pytest.raises(InputError) as err:
+        parse_problem(doc)
+    assert err.value.code == SCHEMA
+    assert err.value.at == at
+
+
+#: Stand-ins for one field of a problem document, each malformed somewhere.
+MALFORMED = [None, True, -1, 0, 1.5, INF, -INF, NAN, 10 ** 400, "x", [], [1], [2, 1],
+             [1, 2, 3], {}, {"a": 1}, {"ordinal": [INF, 1]},
+             {"normal": {"mean": 5, "sd": 1, "min": "a"}}]
+
+
+def field_paths(node, prefix=()):
+    """Key path of every field under ``node``, depth first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from field_paths(child, prefix + (key,))
+
+
+def test_every_load_failure_is_a_smaaflow_error():
+    doc = walkthrough_doc()
+    paths = list(field_paths(doc))
+    assert len(paths) == 76
+    crashes = []
+    for keys in paths:
+        for value in MALFORMED:
+            bad = copy.deepcopy(doc)
+            set_field(bad, keys, copy.deepcopy(value))
+            try:
+                parse_problem(bad)
+            except SmaaFlowError:
+                pass
+            except Exception as exc:  # anything else escapes the error contract
+                crashes.append(("/".join(map(str, keys)), repr(value), repr(exc)))
+    assert crashes == []
 
 
 POINT_NORMAL = {"normal": {"mean": 6, "sd": 1, "min": 6, "max": 6}}
@@ -217,10 +287,6 @@ def test_scale_binding_errors_name_the_node(g1, g2, leaf, at):
         parse_problem(two_level_doc(g1, g2, leaf))
     assert err.value.code == SCHEMA
     assert err.value.at == at
-
-
-def walkthrough_doc():
-    return json.loads(fixture_path("walkthrough").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("profiles, criterion, at", [
