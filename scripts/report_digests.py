@@ -10,7 +10,9 @@ CHECKOUT (default: the checkout holding this script), run in this process:
 - the walkthrough run and its ``--deterministic`` run;
 - the case study under ``--rule net|positive|negative`` x ``--threads 1|2``;
 - the generated ``case_study_interval(0)``, ``synthetic_wide(0)`` and
-  ``synthetic_wide(3)`` problems.
+  ``synthetic_wide(3)`` problems, and ``case_study_interval(0)`` again
+  under ``--rule positive``, ``--rule negative`` and ``--defuzz spread-sum``
+  (stochastic data: every draw builds its own pair components).
 
 Every run uses ``--level all-nodes`` and the problem's own iterations and
 seed, and writes its text and CSV reports to a temporary directory.  Each
@@ -80,6 +82,9 @@ def main(argv=None) -> int:
                 runs.append((f"case-study-{rule}-t{threads}", problems["case-study"],
                              ["--rule", rule, "--threads", str(threads)]))
         runs += [(name, problems[name], []) for name, _, _ in GENERATED]
+        for extra in (["--rule", "positive"], ["--rule", "negative"], ["--defuzz", "spread-sum"]):
+            runs.append((f"case-study-interval-0-{extra[1]}", problems["case-study-interval-0"],
+                         extra))
         for name, problem, extra in runs:
             out = tmp / name
             call(["run", str(problem), "--level", "all-nodes", "--out", str(out), *extra])

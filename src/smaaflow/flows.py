@@ -11,9 +11,10 @@ bracket the flow of the alternative, which pins down its category.
 Flows are linear in the preference degrees, so the net flows under any
 node of the tree are the weighted sum of per-leaf unicriterion flows.
 :class:`BatchEngine` is the one flow engine: it reduces each data draw to
-per-leaf flow tables once, aggregates their net columns children-first for
-whole batches of weight vectors, and weights the positive and negative
-tables by each leaf's path-product weight for the whole tree.
+per-leaf flow tables once, a chunk of draws per call, aggregates their net
+columns children-first for whole batches of weight vectors, and weights
+the positive and negative tables by each leaf's path-product weight for
+the whole tree.
 :func:`flow_bundle`, :func:`single_criterion_flows` and their relatives
 run the same engine on a single weight row.  The pairwise degrees
 (:func:`subtree_preference`, :func:`outranking_degree`) come from the same
@@ -38,7 +39,7 @@ from .errors import (
     InputError,
     InvariantError,
 )
-from .fuzzy import TFN
+from .fuzzy import DEFUZZ_METHODS, TFN
 from .hierarchy import CriteriaTree
 from .preference import PreferenceArrays, PreferenceSpec
 
@@ -50,6 +51,11 @@ RULES = tuple(_RULE_TABLE)
 
 #: Slack allowed when asserting that profile flows are ordered.
 ORDERING_TOL = 1e-9
+
+#: Data draws per :meth:`BatchEngine.pref_components` call in
+#: :meth:`BatchEngine.block_components`; it keeps each pair operand at
+#: about 2 MB on the case study.
+CHUNK = 16
 
 
 def _rule(rule: str) -> tuple[int, int]:
@@ -506,67 +512,100 @@ class BatchEngine:
 
     # -- per-leaf flow tables ----------------------------------------------
 
-    def pref_components(self, prefs, evals: np.ndarray, profiles: np.ndarray, defuzz: str):
-        """Net, positive and negative flow tables of every leaf for one data draw.
+    def pref_components(self, prefs, evals: np.ndarray, profiles: np.ndarray, defuzz: str,
+                        out: np.ndarray | None = None):
+        """Net, positive and negative flow tables of every leaf for one data
+        draw, or for a chunk of draws along a leading axis.
 
         Parameters
         ----------
         prefs :
             A sequence of :class:`PreferenceSpec` or their
-            :class:`PreferenceArrays`, one entry per leaf.
-        evals : (m, n_el, 3) array
-        profiles : (c, n_el, 3) array
+            :class:`PreferenceArrays`, one entry per leaf; with a draw axis,
+            arrays whose ``q`` and ``p`` are (n_el, draws).
+        evals : ([draws,] m, n_el, 3) array
+        profiles : ([draws,] c, n_el, 3) array
+        out :
+            Where to write the result: a ([draws,] 3 * n_pairs, n_el) view
+            of a leaf-major ([draws,] n_el, 3 * n_pairs) buffer, as returned.
 
         Returns
         -------
-        (3 * n_pairs, n_el) array: the net flows of every reference set
-        on each leaf alone, laid out like a node's value row, then the
-        positive and the negative flows in the same layout.
+        ([draws,] 3 * n_pairs, n_el) array: the net flows of every
+        reference set on each leaf alone, laid out like a node's value row,
+        then the positive and the negative flows in the same layout.  It is
+        the transposed view of a leaf-major array.
         """
+        if defuzz not in DEFUZZ_METHODS:
+            raise ValueError(f"unknown defuzzification method {defuzz!r}")
         prefs = prefs if isinstance(prefs, PreferenceArrays) else PreferenceArrays.of(prefs)
         c, m = self.c, self.m
-        n_el = evals.shape[1]
-        a = np.concatenate(
-            [
-                np.repeat(evals, c, axis=0),
-                np.tile(profiles, (m, 1, 1)),
-                np.repeat(profiles, c, axis=0),
-            ]
-        )
-        b = np.concatenate(
-            [
-                np.tile(profiles, (m, 1, 1)),
-                np.repeat(evals, c, axis=0),
-                np.tile(profiles, (c, 1, 1)),
-            ]
-        )
-        p0, p_lo, p_hi = prefs.fuzzy_degrees(a, b)
+        draws, n_el = evals.shape[:-3], evals.shape[-2]
+        mc = m * c
+        # oriented members as (n_el, members, 3[, draws]): the draw axis goes
+        # last, so the elementwise work runs along it
+        x, r = (np.ascontiguousarray(np.moveaxis(prefs.orient(v), (-2, -3, -1), (0, 1, 2)))
+                for v in (evals, profiles))
+        # the three points (d, d - s_l, d + s_r) of every pair, leaf-major:
+        # P(x_i, r_h), then P(r_h, x_i), then P(r_h, r_l)
+        pts = np.empty((n_el, 3, 2 * mc + c * c) + draws)
+        x_r = pts[:, :, :mc].reshape((n_el, 3, m, c) + draws)
+        r_x = pts[:, :, mc : 2 * mc].reshape((n_el, 3, m, c) + draws)
+        r_r = pts[:, :, 2 * mc :].reshape((n_el, 3, c, c) + draws)
+        for ab, (a, b) in ((x_r, (x, r)), (r_r, (r, r))):
+            d = np.subtract(a[:, :, None, 0], b[:, None, :, 0], out=ab[:, 0])
+            np.subtract(d, a[:, :, None, 1] + b[:, None, :, 2], out=ab[:, 1])
+            np.add(d, a[:, :, None, 2] + b[:, None, :, 1], out=ab[:, 2])
+        # a reverse pair's points are the forward ones negated: (-d, -(d + s_r), -(d - s_l))
+        for k, j in ((0, 0), (1, 2), (2, 1)):
+            np.negative(x_r[:, j], out=r_x[:, k])
+        p0, p_lo, p_hi = prefs.degrees(pts, out=pts).swapaxes(0, 1)
         if defuzz == "centroid":
             pair = p0 + (p_hi + p_lo - 2.0 * p0) / 3.0
-        elif defuzz == "spread-sum":
+        else:  # spread-sum
             pair = p0 + (p_hi - p_lo) / 3.0
-        else:
-            raise ValueError(f"unknown defuzzification method {defuzz!r}")
-        # Leaf-major blocks, so every sum runs over a contiguous profile
-        # axis, and net flows summed from pair differences rather than taken
-        # as positive minus negative: an alternative equal to a profile ties
-        # it exactly, and this rounding decides its category in the reports.
-        pair = np.ascontiguousarray(pair.T)
-        both = pair[:, : 2 * m * c].reshape(n_el, 2, m, c)
-        x_over_r, r_over_x = both[:, 0], both[:, 1]  # P(x_i, r_h), P(r_h, x_i)
-        r_over_r = pair[:, 2 * m * c :].reshape(n_el, c, c)  # P(r_h, r_l)
+        if draws:  # back to draw-major, (draws, n_el, pairs)
+            pair = np.ascontiguousarray(np.moveaxis(pair, -1, 0))
+        # Every sum runs over a contiguous profile axis, and net flows are
+        # summed from pair differences rather than taken as positive minus
+        # negative: an alternative equal to a profile ties it exactly, and
+        # this rounding decides its category in the reports.
+        both = pair[..., : 2 * mc].reshape(draws + (n_el, 2, m, c))
+        x_over_r, r_over_x = both[..., 0, :, :], both[..., 1, :, :]
+        r_over_r = pair[..., 2 * mc :].reshape(draws + (n_el, c, c))
         diag = np.einsum("...hh->...h", r_over_r)
         row = r_over_r.sum(axis=-1) - diag  # sum over l != h of P(r_h, r_l)
         col = r_over_r.sum(axis=-2) - diag  # sum over l != h of P(r_l, r_h)
         diff = x_over_r - r_over_x
-        out = np.empty((n_el, 3, m, c + 1))
-        out[:, 0, :, 0] = diff.sum(axis=-1)
-        out[:, 0, :, 1:] = (row - col)[:, None, :] - diff
-        out[:, 1:, :, 0] = both.sum(axis=-1)
-        out[:, 1, :, 1:] = row[:, None, :] + r_over_x
-        out[:, 2, :, 1:] = col[:, None, :] + x_over_r
-        out /= c
-        return out.reshape(n_el, 3 * self.n_pairs).T
+        shape = draws + (n_el, 3, m, c + 1)
+        if out is None:
+            leaf = np.empty(shape)
+        else:  # a view of the caller's buffer, or an error rather than a lost copy
+            leaf = np.reshape(np.swapaxes(out, -1, -2), shape, copy=False)
+        leaf[..., 0, :, 0] = diff.sum(axis=-1)
+        leaf[..., 0, :, 1:] = (row - col)[..., None, :] - diff
+        leaf[..., 1:, :, 0] = both.sum(axis=-1)
+        leaf[..., 1, :, 1:] = row[..., None, :] + r_over_x
+        leaf[..., 2, :, 1:] = col[..., None, :] + x_over_r
+        leaf /= c
+        return np.swapaxes(leaf.reshape(draws + (n_el, 3 * self.n_pairs)), -1, -2)
+
+    def block_components(self, prefs: PreferenceArrays, evals: np.ndarray,
+                         profiles: np.ndarray, defuzz: str) -> np.ndarray:
+        """:meth:`pref_components` of many data draws, :data:`CHUNK` draws
+        per call, written into one leaf-major buffer.
+
+        ``prefs`` carries (n_el, draws) ``q`` and ``p``; ``evals`` and
+        ``profiles`` lead with the draw axis.  Returns the (draws,
+        3 * n_pairs, n_el) view, the layout :meth:`node_values` reads.
+        """
+        draws = evals.shape[0]
+        tables = np.empty((draws, evals.shape[-2], 3 * self.n_pairs)).swapaxes(1, 2)
+        for j in range(0, draws, CHUNK):
+            rows = slice(j, j + CHUNK)
+            self.pref_components(prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows]),
+                                 evals[rows], profiles[rows], defuzz, out=tables[rows])
+        return tables
 
     # -- node values and flows --------------------------------------------
 

@@ -92,10 +92,10 @@ class WeightSpec:
     def from_spec(cls, obj, at: str | None = None) -> "WeightSpec":
         """Build from the JSON-level representation.
 
-        ``None`` and ``"missing"`` mean no information; otherwise a mapping
-        with exactly one of the kind keys is expected, listing finite
-        numbers (see :func:`is_number`): weights, integral ranks or null,
-        or [lo, hi] bounds.
+        ``None``, ``"missing"`` and ``{"missing": true}`` mean no
+        information; otherwise a mapping with exactly one of the kind keys
+        is expected, listing finite numbers (see :func:`is_number`):
+        weights, integral ranks or null, or [lo, hi] bounds.
         """
         if obj is None or obj == "missing":
             return cls.missing()
@@ -108,6 +108,8 @@ class WeightSpec:
             raise InputError(SCHEMA, f"weight spec needs exactly one of {WEIGHT_KINDS}", at)
         kind = kinds[0]
         if kind == "missing":
+            if obj[kind] is not True:
+                raise InputError(SCHEMA, f"missing weight spec must be true, got {obj[kind]!r}", at)
             return cls.missing()
         form, is_entry = _WEIGHT_ENTRIES[kind]
         values = obj[kind]

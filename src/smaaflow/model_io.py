@@ -272,6 +272,8 @@ def _collect_scale_bindings(raw_children, tree: CriteriaTree, scales, default_sc
 
 
 def _elementary_slot(tree: CriteriaTree, label_path: str, at: str) -> int:
+    _require(isinstance(label_path, str), f"criterion key must be a label path string, "
+             f"got {label_path!r}", at)
     slot = tree.elementary_slot.get(label_path)
     if slot is not None:
         return slot

@@ -14,8 +14,9 @@ to a preference degree in [0, 1]:
 Fuzzy evaluations are compared by pushing the three points of the fuzzy
 difference through the crisp shape, which yields a fuzzy preference degree.
 :class:`PreferenceArrays` holds the one implementation of the shapes, a
-kernel vectorized over criteria; the scalar functions are one-row calls of
-it, and the flow engine calls it for whole reference sets.
+kernel vectorized over criteria and, optionally, data draws; the scalar
+functions are one-row calls of it, and the flow engine calls it for whole
+reference sets of a chunk of draws.
 """
 
 from __future__ import annotations
@@ -76,21 +77,31 @@ class PreferenceSpec:
             raise ValueError("gaussian shape needs s > 0")
 
 
-#: Each shape's degree as a function of (d, q, p, s), elementwise.
+def _gaussian(d, q, p, s, out):
+    zero = d <= 0.0  # taken first: ``out`` may be ``d``
+    np.divide(-(d * d), 2.0 * s * s, out=out)
+    np.subtract(1.0, np.exp(out, out=out), out=out)
+    np.copyto(out, 0.0, where=zero)
+
+
+#: Each shape's degree as a function of (d, q, p, s), written elementwise
+#: into ``out``, which may be ``d`` itself.
 _KERNELS = {
-    "usual": lambda d, q, p, s: (d > 0.0).astype(float),
-    "u-shape": lambda d, q, p, s: (d > q).astype(float),
-    "v-shape": lambda d, q, p, s: np.clip(d / p, 0.0, 1.0),
-    "level": lambda d, q, p, s: 0.5 * (d > q) + 0.5 * (d > p),
-    "linear": lambda d, q, p, s: np.clip((d - q) / (p - q), 0.0, 1.0),
-    "gaussian": lambda d, q, p, s: np.where(d > 0.0, 1.0 - np.exp(-(d * d) / (2.0 * s * s)), 0.0),
+    "usual": lambda d, q, p, s, out: np.greater(d, 0.0, out=out),
+    "u-shape": lambda d, q, p, s, out: np.greater(d, q, out=out),
+    "v-shape": lambda d, q, p, s, out: np.clip(np.divide(d, p, out=out), 0.0, 1.0, out=out),
+    "level": lambda d, q, p, s, out: np.add(0.5 * (d > q), 0.5 * (d > p), out=out),
+    "linear": lambda d, q, p, s, out: np.clip(
+        np.divide(np.subtract(d, q, out=out), p - q, out=out), 0.0, 1.0, out=out),
+    "gaussian": _gaussian,
 }
 
 
 class PreferenceArrays(NamedTuple):
     """Shape codes (indices into :data:`SHAPES`), thresholds and directions
-    of a run of criteria, one entry per criterion.  The vectorized kernel
-    below is the one implementation of the six shapes."""
+    of a run of criteria, one entry per criterion; ``q`` and ``p`` may carry
+    a trailing draw axis, (n_criteria, draws).  The vectorized kernel below
+    is the one implementation of the six shapes."""
 
     codes: np.ndarray
     q: np.ndarray
@@ -109,27 +120,47 @@ class PreferenceArrays(NamedTuple):
                    np.array([x.s for x in prefs], dtype=float),
                    np.array([x.direction == "maximize" for x in prefs]))
 
-    def degrees(self, d: np.ndarray) -> np.ndarray:
-        """Preference degrees of oriented differences; criteria vary along
-        the last axis of ``d``."""
-        out = np.zeros(d.shape)
-        for code, shape in enumerate(SHAPES):
-            sel = self.codes == code
-            if sel.any():
-                out[..., sel] = _KERNELS[shape](d[..., sel], self.q[sel], self.p[sel], self.s[sel])
+    def degrees(self, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Preference degrees of oriented differences ``d``, whose first
+        axis runs over the criteria.
+
+        ``q`` and ``p`` are (n_criteria,), or (n_criteria, draws) to give
+        each draw its own thresholds along the last axis of ``d``.  Any axes
+        of ``d`` in between are pair axes, over which the thresholds
+        broadcast.  Each run of neighbouring criteria of one shape goes
+        through its kernel as a view.  The degrees go to ``out`` when
+        given, which may be ``d`` itself.
+        """
+        out = np.empty(d.shape) if out is None else out
+        pair_axes = (1,) * (d.ndim - self.q.ndim)
+        starts = np.flatnonzero(np.diff(self.codes, prepend=-1))
+        for lo, hi in zip(starts, [*starts[1:], len(self.codes)]):
+            q, p = (v[lo:hi].reshape((hi - lo,) + pair_axes + v.shape[1:])
+                    for v in (self.q, self.p))
+            s = self.s[lo:hi].reshape((hi - lo,) + (1,) * (d.ndim - 1))
+            _KERNELS[SHAPES[self.codes[lo]]](d[lo:hi], q, p, s, out[lo:hi])
         return out
+
+    def orient(self, x: np.ndarray) -> np.ndarray:
+        """(m, alpha, beta) rows (..., n_criteria, 3) turned so that more is
+        better on every criterion: a minimized criterion's mode is negated
+        and its spreads swap.  Differences of oriented rows are bitwise the
+        oriented differences, since (-a) - (-b) rounds like b - a."""
+        if self.maximize.all():
+            return x
+        return np.where(self.maximize[:, None], x, x[..., [0, 2, 1]] * (-1.0, 1.0, 1.0))
 
     def fuzzy_degrees(self, a: np.ndarray, b: np.ndarray):
         """Degrees P(d), P(d - s_l) and P(d + s_r) of ``a`` over ``b``.
 
-        ``a`` and ``b`` hold (m, alpha, beta) rows, (..., n_criteria, 3);
-        (d; s_l; s_r) is their difference oriented by each direction.
+        ``a`` and ``b`` hold one (m, alpha, beta) row per criterion,
+        (n_criteria, 3); (d; s_l; s_r) is their difference oriented by each
+        direction.
         """
-        maximize = self.maximize
-        d = np.where(maximize, a[..., 0] - b[..., 0], b[..., 0] - a[..., 0])
-        s_left = np.where(maximize, a[..., 1] + b[..., 2], a[..., 2] + b[..., 1])
-        s_right = np.where(maximize, a[..., 2] + b[..., 1], a[..., 1] + b[..., 2])
-        return self.degrees(d), self.degrees(d - s_left), self.degrees(d + s_right)
+        a, b = self.orient(a), self.orient(b)
+        d = a[..., 0] - b[..., 0]
+        return (self.degrees(d), self.degrees(d - (a[..., 1] + b[..., 2])),
+                self.degrees(d + (a[..., 2] + b[..., 1])))
 
 
 def preference_value(spec: PreferenceSpec, d: float) -> float:

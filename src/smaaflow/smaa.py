@@ -36,7 +36,7 @@ from .errors import (
     SamplingError,
 )
 from .flows import RULES, BatchEngine, profile_envelope, profile_pair_faults
-from .fuzzy import TFN
+from .fuzzy import DEFUZZ_METHODS, TFN
 from .hierarchy import WeightSpec
 from .preference import THRESHOLDS, PreferenceArrays, PreferenceSpec
 
@@ -434,6 +434,11 @@ class ProblemRuntime:
     """Precomputed sampling and evaluation state for one problem."""
 
     def __init__(self, problem: "Problem", rule: str, defuzz: str, seed: int, strict: bool):
+        # before any draw, so a bad option never reaches a worker
+        if rule not in RULES:
+            raise ValueError(f"unknown assignment rule {rule!r}")
+        if defuzz not in DEFUZZ_METHODS:
+            raise ValueError(f"unknown defuzzification method {defuzz!r}")
         self.problem = problem
         self.rule = rule
         self.defuzz = defuzz
@@ -454,8 +459,10 @@ class ProblemRuntime:
         data_fixed = problem.is_deterministic_data
         self.static_components = self._sample_components(None, 1)[0] if data_fixed else None
 
-    def _sample_components(self, rng: np.random.Generator | None, size: int) -> np.ndarray:
-        """Leaf flow tables of ``size`` data draws, (size, 3 * n_pairs, n_el).
+    def _sample_data(self, rng: np.random.Generator | None, size: int):
+        """Inputs of ``size`` data draws: the preference arrays with
+        (n_el, size) ``q`` and ``p``, the (size, m, n_el, 3) evaluations and
+        the (size, c, n_el, 3) profiles.
 
         Draws the profiles of every row, then the thresholds of the
         stochastic criteria, then each evaluation inside its row's profile
@@ -465,26 +472,26 @@ class ProblemRuntime:
         models = self.problem.preference_models
         n_el = len(models)
         profiles = sample_profiles(self.problem.profile_specs, models, rng, size=size)
-        q, p = np.empty((2, size, n_el))
+        q, p = np.empty((2, n_el, size))
         for t, mdl in enumerate(models):
             if mdl.is_deterministic:
-                q[:, t], p[:, t] = mdl.q.resolved().m, mdl.p.resolved().m
+                q[t], p[t] = mdl.q.resolved().m, mdl.p.resolved().m
             elif THRESHOLDS[mdl.shape] == ("q", "p"):
-                q[:, t], p[:, t] = sample_thresholds(mdl.q, mdl.p, rng, size=size,
-                                                     strict=mdl.shape == "linear")
+                q[t], p[t] = sample_thresholds(mdl.q, mdl.p, rng, size=size,
+                                               strict=mdl.shape == "linear")
             else:  # the one threshold the shape reads; the other stays at crisp 0
-                q[:, t], p[:, t] = (sample_value(v, rng, size=size)[:, 0] for v in (mdl.q, mdl.p))
+                q[t], p[t] = (sample_value(v, rng, size=size)[:, 0] for v in (mdl.q, mdl.p))
         envelope = profile_envelope(profiles.swapaxes(1, 2))
         evals = np.empty((size, self.m, n_el, 3))
         for i, row in enumerate(self.problem.evaluation_specs):
             for t, v in enumerate(row):
                 evals[:, i, t] = sample_value(v, rng, bounds=envelope[:, t], size=size)
-        # leaf-major like the engine's own tables: node_values reads each leaf contiguously
-        out = np.empty((size, n_el, 3 * self.engine.n_pairs))
-        for j in range(size):
-            prefs = self.prefs._replace(q=q[j], p=p[j])
-            out[j] = self.engine.pref_components(prefs, evals[j], profiles[j], self.defuzz).T
-        return out.transpose(0, 2, 1)
+        return self.prefs._replace(q=q, p=p), evals, profiles
+
+    def _sample_components(self, rng: np.random.Generator | None, size: int) -> np.ndarray:
+        """Leaf flow tables of ``size`` data draws, (size, 3 * n_pairs, n_el),
+        views of a leaf-major buffer: node_values reads each leaf contiguously."""
+        return self.engine.block_components(*self._sample_data(rng, size), self.defuzz)
 
     def draw_block(self, block: int, bs: int) -> tuple[np.ndarray, np.ndarray]:
         """Leaf flow tables and (bs, n_nodes) weight rows of the ``bs``
@@ -586,13 +593,15 @@ def run_smaa(
         or ``net``.  Per-node indices always use the net-style rule.
     threads :
         Worker processes.  Results are identical for any thread count.
+    defuzz :
+        Defuzzification of the aggregated preference degrees, one of
+        :data:`~smaaflow.fuzzy.DEFUZZ_METHODS`.  An unknown ``rule`` or
+        ``defuzz`` raises ``ValueError`` before any draw.
     strict :
         Raise on the first boundary violation instead of recording it.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
-    if rule not in RULES:
-        raise ValueError(f"unknown assignment rule {rule!r}")
     global _RUNTIME
     state = ProblemRuntime(problem, rule, defuzz, seed, strict)
     spans = _split(iterations, threads)

@@ -170,20 +170,42 @@ def test_four_category_bracketing():
         assert assign(bundle, "negative") == cat
 
 
-def test_unknown_rule_rejected(walkthrough, walkthrough_parts):
+def test_unknown_rule_rejected(walkthrough, walkthrough_parts, monkeypatch):
+    import json
+
+    from smaaflow import smaa
     from smaaflow.flows import BatchEngine, tfn_matrix
+    from smaaflow.model_io import fixture_path, parse_problem
 
     w = walkthrough_parts
     bundle = flow_bundle(w["tree"], w["weights"], w["prefs"], w["profiles"], w["x1"])
     engine = BatchEngine(w["tree"], 1, 3)
-    comp = engine.pref_components(w["prefs"], tfn_matrix(w["x1"])[None],
-                                  np.array([tfn_matrix(r) for r in w["profiles"].levels]),
-                                  "centroid")
+    data = (tfn_matrix(w["x1"])[None], np.array([tfn_matrix(r) for r in w["profiles"].levels]))
+    comp = engine.pref_components(w["prefs"], *data, "centroid")
     weight_row = np.array([[w["weights"][n.path] for n in w["tree"].nodes]])
     bf = engine.flows(engine.node_values(comp, weight_row))
+    # with stochastic data the components are drawn in the pool's workers;
+    # an unknown option must fail in the caller before the first draw
+    with open(fixture_path("walkthrough")) as fh:
+        doc = json.load(fh)
+    doc["alternatives"]["x1"]["G1/g11"] = [7, 9]
+    stochastic = parse_problem(doc)
+
+    def no_draws(seed, index):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(smaa, "iteration_rng", no_draws)
     for call in (lambda: assign(bundle, "median"),
                  lambda: run_smaa(walkthrough, iterations=10, rule="median"),
-                 lambda: engine.assign_overall(bf, "median")):
+                 lambda: engine.assign_overall(bf, "median"),
+                 lambda: run_smaa(walkthrough, iterations=10, defuzz="median"),
+                 lambda: run_smaa(stochastic, iterations=2 * smaa.BLOCK, threads=2,
+                                  rule="median"),
+                 lambda: run_smaa(stochastic, iterations=2 * smaa.BLOCK, threads=2,
+                                  defuzz="median"),
+                 lambda: smaa.deterministic_result(walkthrough, rule="median"),
+                 lambda: smaa.deterministic_result(walkthrough, defuzz="median"),
+                 lambda: engine.pref_components(w["prefs"], *data, "median")):
         with pytest.raises(ValueError):
             call()
 

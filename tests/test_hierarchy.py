@@ -113,6 +113,18 @@ def test_weight_spec_entries_must_be_finite_numbers(spec):
     assert err.value.at == "tree/weights"
 
 
+@pytest.mark.parametrize("value", [[0.2, 0.8], False, None, 1, "true"],
+                         ids=["weights", "false", "null", "one", "string"])
+def test_missing_weight_spec_must_be_true(value):
+    # a deterministic spec written under the wrong key must not load as
+    # "no information"
+    with pytest.raises(InputError) as err:
+        WeightSpec.from_spec({"missing": value}, "tree/weights")
+    assert err.value.code == SCHEMA
+    assert err.value.at == "tree/weights"
+    assert WeightSpec.from_spec({"missing": True}) == WeightSpec.missing()
+
+
 def test_weight_spec_validation():
     with pytest.raises(InputError) as err:
         WeightSpec.deterministic([0.5, 0.4]).validate(2)

@@ -318,6 +318,24 @@ def test_per_criterion_must_be_a_mapping(section, per_criterion):
     assert err.value.at == f"{section}/per_criterion"
 
 
+@pytest.mark.parametrize("section, at", [
+    ("alternatives", "alternatives/x1/5"),
+    ("preferences", "preferences/per_criterion/7"),
+    ("profiles", "profiles/per_criterion/7"),
+])
+def test_criterion_keys_must_be_strings(section, at):
+    # JSON keys are always strings, but a document built in Python need not be
+    doc = walkthrough_doc()
+    if section == "alternatives":
+        doc["alternatives"]["x1"][5] = 8
+    else:
+        doc[section]["per_criterion"][7] = doc[section]["per_criterion"]["G1/g12"]
+    with pytest.raises(InputError) as err:
+        parse_problem(doc)
+    assert err.value.code == SCHEMA
+    assert err.value.at == at
+
+
 # ---------------------------------------------------------------------------
 # Invalid documents, one error code each
 # ---------------------------------------------------------------------------

@@ -30,16 +30,20 @@ from smaaflow import (
 )
 from smaaflow.errors import WEIGHT_SPEC
 from smaaflow.flows import bracket
+from smaaflow.fuzzy import DEFUZZ_METHODS
 from smaaflow.model_io import fixture_path, parse_problem
 from smaaflow.smaa import (
     BLOCK,
     ProblemRuntime,
     _split,
     deterministic_result,
+    iteration_rng,
     sample_profiles,
     sample_thresholds,
     sample_value,
 )
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +315,48 @@ def test_defuzz_method_is_recorded(walkthrough):
     res = run_smaa(walkthrough, iterations=5, seed=0, defuzz="spread-sum")
     assert res.defuzz == "spread-sum"
     assert res.category_index.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def test_sampled_components_follow_the_defuzzification(walkthrough_doc):
+    # the stochastic walkthrough with two fuzzy evaluations of x2 next to
+    # the middle profile: the two defuzzifications sort x2 differently, and
+    # under each one run_smaa's tally equals a replay of the same data draws
+    # through the flat oracle, one draw at a time
+    linear = {"shape": "linear", "q": [0, 0.5], "p": [1, 2]}
+    profiles = copy.deepcopy(walkthrough_doc["profiles"]["per_criterion"])
+    profiles["G2/g21"] = [20, [8, 12], 0]
+    problem = variant(walkthrough_doc, **{
+        "alternatives": {
+            "x1": {"G1/g11": [7, 9], "G1/g12": [0.5, 2], "G2/g21": [14, 18], "G2/g22": [25, 29]},
+            "x2": {"G1/g11": {"tfn": [6, 2, 2]}, "G1/g12": [2, 4], "G2/g21": [6, 14],
+                   "G2/g22": {"tfn": [15, 3, 3]}},
+        },
+        "preferences": {"default": linear,
+                        "per_criterion": {"G1/g12": dict(linear, direction="minimize")}},
+        "profiles.per_criterion": profiles,
+    })
+    draws, seed = 200, 3
+    weights = problem.tree.deterministic_weights()
+    chains = [tuple(weights[path[:k]] for k in range(1, len(path) + 1))
+              for path in problem.tree.elementary_paths]
+    x2_c1 = {}
+    for defuzz in DEFUZZ_METHODS:
+        res = run_smaa(problem, iterations=draws, seed=seed, defuzz=defuzz)
+        assert res.boundary_violations == 0
+        state = ProblemRuntime(problem, "net", defuzz, seed, strict=False)
+        prefs, evals, levels = state._sample_data(iteration_rng(seed, 0), draws)
+        hits = np.zeros(res.category_index.shape)
+        for j in range(draws):
+            flat = [(chain, {"shape": mdl.shape, "q": prefs.q[t, j], "p": prefs.p[t, j],
+                             "s": mdl.s, "direction": mdl.direction})
+                    for t, (chain, mdl) in enumerate(zip(chains, problem.preference_models))]
+            prof = [[tuple(v) for v in row] for row in levels[j]]
+            for i, row in enumerate(evals[j]):
+                cat = oracles.oracle_assignments(flat, prof, [tuple(v) for v in row], defuzz)[2]
+                hits[i, cat - 1] += 1
+        assert res.category_index.tolist() == (hits / draws).tolist()
+        x2_c1[defuzz] = res.category_index[1, 0]
+    assert x2_c1["spread-sum"] - x2_c1["centroid"] > 0.1
 
 
 # ---------------------------------------------------------------------------
