@@ -52,10 +52,17 @@ RULES = tuple(_RULE_TABLE)
 #: Slack allowed when asserting that profile flows are ordered.
 ORDERING_TOL = 1e-9
 
-#: Data draws per :meth:`BatchEngine.pref_components` call in
-#: :meth:`BatchEngine.block_components`; it keeps each pair operand at
-#: about 2 MB on the case study.
-CHUNK = 16
+#: Bytes of pair points per :meth:`BatchEngine.pref_components` call in
+#: :meth:`BatchEngine.block_components`: 16 data draws on the case study,
+#: one on a problem of 192 leaves, 40 alternatives and 6 profiles.
+CHUNK_BYTES = 2_200_000
+
+
+def chunk_draws(n_el: int, m: int, c: int) -> int:
+    """Data draws per :meth:`BatchEngine.pref_components` call: as many as
+    keep the three points of every pair of every leaf within
+    :data:`CHUNK_BYTES`, and at least one."""
+    return max(1, CHUNK_BYTES // (3 * 8 * n_el * (2 * m * c + c * c)))
 
 
 def _rule(rule: str) -> tuple[int, int]:
@@ -512,7 +519,7 @@ class BatchEngine:
 
     # -- per-leaf flow tables ----------------------------------------------
 
-    def pref_components(self, prefs, evals: np.ndarray, profiles: np.ndarray, defuzz: str,
+    def pref_components(self, prefs, evals: np.ndarray, profiles: np.ndarray, defuzz: str, *,
                         out: np.ndarray | None = None):
         """Net, positive and negative flow tables of every leaf for one data
         draw, or for a chunk of draws along a leading axis.
@@ -526,18 +533,20 @@ class BatchEngine:
         evals : ([draws,] m, n_el, 3) array
         profiles : ([draws,] c, n_el, 3) array
         out :
-            Where to write the result: a ([draws,] 3 * n_pairs, n_el) view
-            of a leaf-major ([draws,] n_el, 3 * n_pairs) buffer, as returned.
+            A C-contiguous leaf-major ([draws,] n_el, 3 * n_pairs) array to
+            write the tables into, rather than a new one.
 
         Returns
         -------
         ([draws,] 3 * n_pairs, n_el) array: the net flows of every
         reference set on each leaf alone, laid out like a node's value row,
         then the positive and the negative flows in the same layout.  It is
-        the transposed view of a leaf-major array.
+        the transposed view of the leaf-major array, ``out`` when given.
         """
         if defuzz not in DEFUZZ_METHODS:
             raise ValueError(f"unknown defuzzification method {defuzz!r}")
+        if out is not None and not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
         prefs = prefs if isinstance(prefs, PreferenceArrays) else PreferenceArrays.of(prefs)
         c, m = self.c, self.m
         draws, n_el = evals.shape[:-3], evals.shape[-2]
@@ -577,35 +586,34 @@ class BatchEngine:
         row = r_over_r.sum(axis=-1) - diag  # sum over l != h of P(r_h, r_l)
         col = r_over_r.sum(axis=-2) - diag  # sum over l != h of P(r_l, r_h)
         diff = x_over_r - r_over_x
-        shape = draws + (n_el, 3, m, c + 1)
         if out is None:
-            leaf = np.empty(shape)
-        else:  # a view of the caller's buffer, or an error rather than a lost copy
-            leaf = np.reshape(np.swapaxes(out, -1, -2), shape, copy=False)
+            out = np.empty(draws + (n_el, 3 * self.n_pairs))
+        leaf = out.reshape(draws + (n_el, 3, m, c + 1))  # a view, out being contiguous
         leaf[..., 0, :, 0] = diff.sum(axis=-1)
         leaf[..., 0, :, 1:] = (row - col)[..., None, :] - diff
         leaf[..., 1:, :, 0] = both.sum(axis=-1)
         leaf[..., 1, :, 1:] = row[..., None, :] + r_over_x
         leaf[..., 2, :, 1:] = col[..., None, :] + x_over_r
         leaf /= c
-        return np.swapaxes(leaf.reshape(draws + (n_el, 3 * self.n_pairs)), -1, -2)
+        return np.swapaxes(out, -1, -2)
 
     def block_components(self, prefs: PreferenceArrays, evals: np.ndarray,
                          profiles: np.ndarray, defuzz: str) -> np.ndarray:
-        """:meth:`pref_components` of many data draws, :data:`CHUNK` draws
-        per call, written into one leaf-major buffer.
+        """:meth:`pref_components` of many data draws, :func:`chunk_draws`
+        draws per call, each written into its rows of one leaf-major buffer.
 
         ``prefs`` carries (n_el, draws) ``q`` and ``p``; ``evals`` and
         ``profiles`` lead with the draw axis.  Returns the (draws,
         3 * n_pairs, n_el) view, the layout :meth:`node_values` reads.
         """
-        draws = evals.shape[0]
-        tables = np.empty((draws, evals.shape[-2], 3 * self.n_pairs)).swapaxes(1, 2)
-        for j in range(0, draws, CHUNK):
-            rows = slice(j, j + CHUNK)
+        draws, n_el = evals.shape[0], evals.shape[-2]
+        tables = np.empty((draws, n_el, 3 * self.n_pairs))
+        step = chunk_draws(n_el, self.m, self.c)
+        for j in range(0, draws, step):
+            rows = slice(j, j + step)
             self.pref_components(prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows]),
                                  evals[rows], profiles[rows], defuzz, out=tables[rows])
-        return tables
+        return tables.swapaxes(1, 2)
 
     # -- node values and flows --------------------------------------------
 

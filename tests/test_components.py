@@ -1,10 +1,11 @@
 """Pair components of many data draws at once.
 
-``BatchEngine.block_components`` hands ``pref_components`` ``CHUNK`` draws
-per call, and each call broadcasts the pairs of every leaf over its draws.
-These tests pin the result to one-draw calls bit for bit, to the flat
-oracle within 1e-12 on every leaf, and to table digests computed with the
-earlier one-call-per-draw engine.
+``BatchEngine.block_components`` hands ``pref_components`` a chunk of
+draws per call, and each call broadcasts the pairs of every leaf over its
+draws.  These tests pin the result to one-draw calls bit for bit, to the
+flat oracle within 1e-12 on every leaf, and to table digests computed with
+the earlier one-call-per-draw engine; chunks hold ``CHUNK`` draws here,
+whatever the byte budget would give these small instances.
 """
 
 import dataclasses
@@ -14,15 +15,34 @@ import random
 import numpy as np
 import pytest
 
-from smaaflow.flows import CHUNK, BatchEngine
+from smaaflow import flows
+from smaaflow.flows import CHUNK_BYTES, BatchEngine, chunk_draws
 from smaaflow.fuzzy import DEFUZZ_METHODS
 from smaaflow.preference import SHAPES, PreferenceArrays
 
 import oracles
 from conftest import library_objects
 
+#: Data draws per chunk in these tests, as on the case study.
+CHUNK = 16
+
 #: Data draws per test instance: more than one chunk, and not a multiple of it.
 DRAWS = 35
+
+
+@pytest.fixture(autouse=True)
+def fixed_chunk(monkeypatch):
+    monkeypatch.setattr(flows, "chunk_draws", lambda n_el, m, c: CHUNK)
+
+
+def test_chunk_draws_fit_the_byte_budget():
+    # the unpatched function, on (n_el, m, c) of the case study and of a
+    # problem of synthetic-wide's size, whose one draw exceeds the budget
+    assert chunk_draws(54, 8, 5) == CHUNK
+    assert chunk_draws(192, 40, 6) == 1
+    for n_el, m, c in ((54, 8, 5), (3, 4, 2), (1, 1, 2), (60, 12, 9)):
+        step = chunk_draws(n_el, m, c)
+        assert step * 24 * n_el * (2 * m * c + c * c) <= CHUNK_BYTES
 
 
 def draw_inputs(seed: int, n_profiles: int, draws: int):
@@ -77,6 +97,17 @@ def test_chunked_components_equal_one_draw_calls(seed, n_profiles):
         for j in range(DRAWS):
             one = engine.pref_components(per_draw[j], evals[j], profiles[j], defuzz)
             assert np.array_equal(tables[j], one), (defuzz, j)
+
+
+def test_components_written_into_out():
+    tree, _, prefs, evals, profiles = draw_inputs(3, 5, 4)
+    engine = BatchEngine(tree, evals.shape[1], 5)
+    want = engine.pref_components(prefs, evals, profiles, "centroid")
+    buf = np.full((4, evals.shape[2], 3 * engine.n_pairs), np.nan)
+    got = engine.pref_components(prefs, evals, profiles, "centroid", out=buf)
+    assert np.shares_memory(got, buf) and np.array_equal(buf.swapaxes(1, 2), want)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        engine.pref_components(prefs, evals, profiles, "centroid", out=buf[:, :, ::-1])
 
 
 @pytest.mark.parametrize("n_profiles", [2, 5, 9])
