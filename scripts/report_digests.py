@@ -14,7 +14,9 @@ CHECKOUT (default: the checkout holding this script), run in this process:
   under ``--rule positive``, ``--rule negative`` and ``--defuzz spread-sum``
   (stochastic data: every draw builds its own pair components).
 
-Every run uses ``--level all-nodes`` and the problem's own iterations and
+Every run uses ``--level all-nodes``, and the case study (net rule, one
+thread) and ``synthetic_wide(0)`` run again under ``--level category`` and
+``--level first-level``.  Each run uses the problem's own iterations and
 seed, and writes its text and CSV reports to a temporary directory.  Each
 output line is ``<report> <file> <sha256>``.  One more line per problem,
 ``<problem> dump_problem <sha256>``, digests the canonical document of the
@@ -75,19 +77,24 @@ def main(argv=None) -> int:
                                       encoding="utf-8")
         for name, problem in problems.items():
             print(name, "dump_problem", sha(dump_problem(load_problem(problem)).encode()))
-        runs = [("walkthrough", problems["walkthrough"], []),
-                ("walkthrough-deterministic", problems["walkthrough"], ["--deterministic"])]
+        runs = [("walkthrough", problems["walkthrough"], "all-nodes", []),
+                ("walkthrough-deterministic", problems["walkthrough"], "all-nodes",
+                 ["--deterministic"])]
         for rule in ("net", "positive", "negative"):
             for threads in (1, 2):
                 runs.append((f"case-study-{rule}-t{threads}", problems["case-study"],
-                             ["--rule", rule, "--threads", str(threads)]))
-        runs += [(name, problems[name], []) for name, _, _ in GENERATED]
+                             "all-nodes", ["--rule", rule, "--threads", str(threads)]))
+        runs += [(name, problems[name], "all-nodes", []) for name, _, _ in GENERATED]
         for extra in (["--rule", "positive"], ["--rule", "negative"], ["--defuzz", "spread-sum"]):
             runs.append((f"case-study-interval-0-{extra[1]}", problems["case-study-interval-0"],
-                         extra))
-        for name, problem, extra in runs:
+                         "all-nodes", extra))
+        for level in ("category", "first-level"):
+            runs.append((f"case-study-net-t1-{level}", problems["case-study"], level,
+                         ["--threads", "1"]))
+            runs.append((f"synthetic-wide-0-{level}", problems["synthetic-wide-0"], level, []))
+        for name, problem, level, extra in runs:
             out = tmp / name
-            call(["run", str(problem), "--level", "all-nodes", "--out", str(out), *extra])
+            call(["run", str(problem), "--level", level, "--out", str(out), *extra])
             for report in sorted(out.iterdir()):
                 print(name, report.name, sha(report.read_bytes()))
     return 0

@@ -40,6 +40,17 @@ from .preference import fuzzy_preference
 from .smaa import deterministic_result, run_smaa
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smaaflow",
@@ -53,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the acceptability analysis")
     p_run.add_argument("problem", help="path of the problem JSON file")
-    p_run.add_argument("--iterations", type=int, default=None,
+    p_run.add_argument("--iterations", type=_positive_int, default=None,
                        help="Monte Carlo draws (default: problem setting or 10000)")
     p_run.add_argument("--seed", type=int, default=None,
                        help="root seed (default: problem setting or 0)")

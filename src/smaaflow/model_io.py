@@ -629,35 +629,42 @@ REPORT_FORMATS = ("text", "csv")
 
 
 def _node_rows(result, problem, level):
-    """(label, depth, acceptability matrix row index) per reported node."""
-    rows = []
-    for idx, path in enumerate(result.node_paths):
-        if level == "first-level" and len(path) != 1:
-            continue
-        rows.append((problem.tree.label_path(path), len(path), idx))
-    return rows
+    """Labels, depths and acceptability matrix row indices of the nodes
+    that ``level`` reports, as three lists."""
+    idx = [r for r, path in enumerate(result.node_paths)
+           if level == "all-nodes" or (level == "first-level" and len(path) == 1)]
+    paths = [result.node_paths[r] for r in idx]
+    return [problem.tree.label_path(path) for path in paths], [len(path) for path in paths], idx
 
 
-def _assigned(categories, row, threshold):
-    """Category name with the highest index, starred below the threshold."""
-    total = row.sum()
-    if total <= 0:
-        return "n/a"
-    best = int(np.argmax(row))
-    name = categories[best]
-    return name if row[best] >= threshold else f"{name}*"
+def _assigned(categories, rows, threshold) -> list:
+    """Per row of ``rows`` (last axis: categories), the name of the category
+    with the highest index (the first one on ties), starred below
+    ``threshold``, or ``"n/a"`` where the row sums to 0 or less.  Nested
+    lists shaped like ``rows`` without its last axis."""
+    rows = np.asarray(rows)
+    k = rows.shape[-1]
+    best = rows.argmax(axis=-1)
+    top = np.take_along_axis(rows, best[..., None], axis=-1)[..., 0]
+    # label codes: names 0..k-1, starred names k..2k-1, "n/a" 2k
+    code = np.where(rows.sum(axis=-1) <= 0, 2 * k, best + k * (top < threshold))
+    labels = np.array([*categories, *(f"{c}*" for c in categories), "n/a"], dtype=object)
+    # asarray: a single row indexes to a bare str
+    return np.asarray(labels[code], dtype=object).tolist()
 
 
-def _percentages(row) -> list[int]:
-    """Integer percentages by largest remainder, preserving the row total."""
-    scaled = row * 100.0
-    floors = np.floor(scaled).astype(int)
-    target = int(np.rint(scaled.sum()))
-    short = target - int(floors.sum())
-    if short > 0:
-        order = np.argsort(-(scaled - floors), kind="stable")
-        floors[order[:short]] += 1
-    return floors.tolist()
+def _percentages(rows) -> list:
+    """Integer percentages of each row of ``rows`` (last axis: categories)
+    by largest remainder, preserving each row's rounded total: the
+    members with the largest remainders (the first ones on ties) get one
+    point more.  Nested lists shaped like ``rows``."""
+    scaled = np.asarray(rows) * 100.0
+    floors = np.floor(scaled)
+    short = np.rint(scaled.sum(axis=-1, keepdims=True)) - floors.sum(axis=-1, keepdims=True)
+    order = np.argsort(floors - scaled, axis=-1, kind="stable")
+    bonus = np.zeros_like(floors)
+    np.put_along_axis(bonus, order, np.arange(scaled.shape[-1]) < short, axis=-1)
+    return (floors + bonus).astype(int).tolist()
 
 
 def write_report(result, problem, level: str = "category", fmt: str = "text",
@@ -683,15 +690,16 @@ def _csv_report(result, problem, level) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["alternative", "node", *result.categories, "assigned"])
-    node_rows = _node_rows(result, problem, level) if level != "category" else []
+    labels, _, idx = _node_rows(result, problem, level)
+    # csv writes floats by repr, so indices keep full precision
+    overall = result.category_index
+    finals = _assigned(result.categories, overall, threshold=0.0)
     for i, alt in enumerate(result.alternatives):
-        row = result.category_index[i]
-        writer.writerow([alt, "overall", *[repr(float(v)) for v in row],
-                         _assigned(result.categories, row, threshold=0.0)])
-        for label, _, idx in node_rows:
-            row = result.node_index[idx, i]
-            writer.writerow([alt, label, *[repr(float(v)) for v in row],
-                             _assigned(result.categories, row, threshold=0.0)])
+        writer.writerow([alt, "overall", *overall[i].tolist(), finals[i]])
+        # one alternative's (nodes, k) slab at a time keeps the lists small
+        slab = result.node_index[idx, i]
+        writer.writerows([alt, label, *row, best] for label, row, best in zip(
+            labels, slab.tolist(), _assigned(result.categories, slab, threshold=0.0)))
     return buf.getvalue()
 
 
@@ -715,50 +723,45 @@ def _text_report(result, problem, level, threshold) -> str:
     ) + "  Final"
     lines.append("Acceptability of each category (%)")
     lines.append(header)
-    starred = False
-    for i, alt in enumerate(result.alternatives):
-        row = result.category_index[i]
-        pct = _percentages(row)
-        final = _assigned(categories, row, threshold)
-        starred = starred or final.endswith("*")
+    finals = _assigned(categories, result.category_index, threshold)
+    for alt, pct, final in zip(result.alternatives, _percentages(result.category_index),
+                               finals):
         lines.append(
             alt.ljust(alt_w)
             + "".join(str(v).rjust(w + 2) for v, w in zip(pct, cat_w))
             + "  " + final
         )
-    if starred:
+    if any(final.endswith("*") for final in finals):
         lines.append(f"(*) best acceptability below {_num(threshold * 100)}%")
     lines.append("")
 
     if level == "first-level":
-        rows = _node_rows(result, problem, level)
-        lab_w = max(len("Criterion"), *(len(r[0]) for r in rows)) + 2
+        labels, _, idx = _node_rows(result, problem, level)
+        lab_w = max(len("Criterion"), *(len(label) for label in labels)) + 2
         col_w = [max(len(a), 4) for a in result.alternatives]
         lines.append("Assignments by first-level criterion (net single-criterion flows)")
         lines.append("Criterion".ljust(lab_w) + "".join(
             a.rjust(w + 2) for a, w in zip(result.alternatives, col_w)
         ))
-        for label, _, idx in rows:
-            cells = [
-                _assigned(categories, result.node_index[idx, i], threshold=0.0)
-                for i in range(len(result.alternatives))
-            ]
+        cells = _assigned(categories, result.node_index[idx], threshold=0.0)
+        for label, row in zip(labels, cells):
             lines.append(label.ljust(lab_w) + "".join(
-                c.rjust(w + 2) for c, w in zip(cells, col_w)
+                c.rjust(w + 2) for c, w in zip(row, col_w)
             ))
         lines.append("")
     elif level == "all-nodes":
-        rows = _node_rows(result, problem, level)
+        labels, depths, idx = _node_rows(result, problem, level)
+        prefixes = [f"  L{depth} {'  ' * (depth - 1)}{label.rsplit('/', 1)[-1]:<14} -> "
+                    for label, depth in zip(labels, depths)]
+        escaped = (c.replace("{", "{{").replace("}", "}}") for c in categories)
+        detail = "{:<12} " + "  ".join(f"{c}={{}}%" for c in escaped)
         lines.append("Assignments per tree node (net single-criterion flows)")
         for i, alt in enumerate(result.alternatives):
             lines.append(f"-- {alt} --")
-            for label, depth, idx in rows:
-                short = label.rsplit("/", 1)[-1]
-                row = result.node_index[idx, i]
-                pct = _percentages(row)
-                best = _assigned(categories, row, threshold=0.0)
-                detail = "  ".join(f"{c}={v}%" for c, v in zip(categories, pct))
-                lines.append(f"  L{depth} {'  ' * (depth - 1)}{short:<14} -> {best:<12} {detail}")
+            # one alternative's (nodes, k) slab at a time keeps the lists small
+            slab = result.node_index[idx, i]
+            lines += [prefix + detail.format(best, *pct) for prefix, best, pct in zip(
+                prefixes, _assigned(categories, slab, threshold=0.0), _percentages(slab))]
             lines.append("")
 
     return "\n".join(lines) + "\n"

@@ -456,8 +456,21 @@ class ProblemRuntime:
         ]
         # shape codes, s and directions; q and p are set per data draw
         self.prefs = PreferenceArrays.of(problem.preference_models, thresholds=(None, None))
-        data_fixed = problem.is_deterministic_data
-        self.static_components = self._sample_components(None, 1)[0] if data_fixed else None
+        # deterministic evaluation cells, resolved once; data draws start
+        # from them and sample the stochastic cells in row-major order
+        self.fixed_evals = np.zeros((self.m, len(problem.preference_models), 3))
+        self.sampled_evals = []
+        for i, row in enumerate(problem.evaluation_specs):
+            for t, v in enumerate(row):
+                if v.is_deterministic:
+                    f = v.resolved()
+                    self.fixed_evals[i, t] = (f.m, f.alpha, f.beta)
+                else:
+                    self.sampled_evals.append((i, t, v))
+        self.static_components = None
+        if problem.is_deterministic_data:
+            self.static_components = self._sample_components(None, 1)[0]
+            self.fixed_evals = None  # never read again; workers would inherit it
 
     def _sample_data(self, rng: np.random.Generator | None, size: int):
         """Inputs of ``size`` data draws: the preference arrays with
@@ -482,10 +495,11 @@ class ProblemRuntime:
             else:  # the one threshold the shape reads; the other stays at crisp 0
                 q[t], p[t] = (sample_value(v, rng, size=size)[:, 0] for v in (mdl.q, mdl.p))
         envelope = profile_envelope(profiles.swapaxes(1, 2))
-        evals = np.empty((size, self.m, n_el, 3))
-        for i, row in enumerate(self.problem.evaluation_specs):
-            for t, v in enumerate(row):
-                evals[:, i, t] = sample_value(v, rng, bounds=envelope[:, t], size=size)
+        evals = self.fixed_evals[None]
+        if size > 1 or self.sampled_evals:  # a copy to draw into
+            evals = np.repeat(evals, size, axis=0)
+        for i, t, v in self.sampled_evals:
+            evals[:, i, t] = sample_value(v, rng, bounds=envelope[:, t], size=size)
         return self.prefs._replace(q=q, p=p), evals, profiles
 
     def _sample_components(self, rng: np.random.Generator | None, size: int) -> np.ndarray:

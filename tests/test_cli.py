@@ -98,5 +98,15 @@ def test_unknown_example_name_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("iterations", ["0", "-5", "many"])
+def test_iterations_below_one_is_a_usage_error(tmp_path, capsys, iterations):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(fixture_path("walkthrough")), "--iterations", iterations,
+              "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert "--iterations" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_module_entry_point():
     import smaaflow.__main__  # noqa: F401  (import must not execute main)

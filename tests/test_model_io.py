@@ -444,6 +444,72 @@ def test_percentages_use_largest_remainder(walkthrough):
     assert _percentages(res.category_index[0]) == [100, 0]
 
 
+def _row_percentages(row):
+    """The largest-remainder rule one row at a time, as a reference."""
+    scaled = row * 100.0
+    floors = np.floor(scaled).astype(int)
+    short = int(np.rint(scaled.sum())) - int(floors.sum())
+    if short > 0:
+        floors[np.argsort(-(scaled - floors), kind="stable")[:short]] += 1
+    return floors.tolist()
+
+
+def _row_assigned(categories, row, threshold):
+    """The assignment label one row at a time, as a reference."""
+    if row.sum() <= 0:
+        return "n/a"
+    best = int(np.argmax(row))
+    return categories[best] if row[best] >= threshold else f"{categories[best]}*"
+
+
+def _rowwise(stack, categories, threshold):
+    return ([[_row_percentages(row) for row in alt] for alt in stack],
+            [[_row_assigned(categories, row, threshold) for row in alt] for alt in stack])
+
+
+@pytest.mark.parametrize("k", [2, 5, 9])
+def test_report_helpers_match_the_row_rules(k):
+    from smaaflow.model_io import _assigned, _percentages
+
+    rng = np.random.default_rng(k)
+    categories = [f"C{h + 1}" for h in range(k)]
+    for draws in (1, 3, 7, 50, 256, 10_000):
+        # tallies of `draws` iterations over 6 alternatives x 30 nodes; a
+        # cell draws its categories from a skewed split, and some draws go
+        # unbracketed, so some rows sum below 1 and some to 0
+        split = rng.dirichlet(np.full(k, 0.3), size=(6, 30))
+        bracketed = rng.integers(0, draws + 1, size=(6, 30))
+        bracketed[rng.random((6, 30)) < 0.6] = draws
+        counts = np.stack([[rng.multinomial(n, p) for n, p in zip(ns, ps)]
+                           for ns, ps in zip(bracketed, split)])
+        stack = counts / draws
+        for threshold in (0.0, 0.5, float(rng.random())):
+            pct, best = _rowwise(stack, categories, threshold)
+            assert _percentages(stack) == pct
+            assert _assigned(categories, stack, threshold) == best
+
+
+def test_report_helpers_on_ties_short_rows_and_the_threshold():
+    from smaaflow.model_io import _assigned, _percentages
+
+    rows = [[1 / 3] * 3, [1 / 4] * 4, [1 / 7] * 7, [2 / 7, 2 / 7, 3 / 7], [1 / 6] * 6,
+            [0.125] * 8, [0.2, 0.3], [0.0, 0.0], [0.5, 0.5], [0.4, 0.6], [0.6, 0.4],
+            [1 / 3, 0.0, 2 / 3], [0.005, 0.995], [0.015, 0.985]]
+    k = max(len(r) for r in rows)
+    stack = np.array([r + [0.0] * (k - len(r)) for r in rows])
+    categories = [f"C{h + 1}" for h in range(k)]
+    for threshold in (0.0, 0.5, 0.6):
+        pct, best = _rowwise(stack[None], categories, threshold)
+        assert _percentages(stack) == pct[0]
+        assert _assigned(categories, stack, threshold) == best[0]
+    assert _percentages(stack[0]) == [34, 33, 33, 0, 0, 0, 0, 0]
+    assert _percentages(stack[2])[:7] == [15, 15, 14, 14, 14, 14, 14]
+    labels = _assigned(categories, stack, 0.5)
+    assert labels[6] == "C2*" and labels[7] == "n/a"
+    # a best value equal to the threshold is not starred
+    assert labels[8] == "C1" and _assigned(categories, stack[9], 0.6) == "C2"
+
+
 def test_csv_report_structure(walkthrough):
     res = deterministic_result(walkthrough)
     out = write_report(res, walkthrough, level="all-nodes", fmt="csv")

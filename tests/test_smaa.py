@@ -29,7 +29,8 @@ from smaaflow import (
     run_smaa,
 )
 from smaaflow.errors import WEIGHT_SPEC
-from smaaflow.flows import bracket
+from smaaflow import smaa as smaa_module
+from smaaflow.flows import bracket, profile_envelope
 from smaaflow.fuzzy import DEFUZZ_METHODS
 from smaaflow.model_io import fixture_path, parse_problem
 from smaaflow.smaa import (
@@ -357,6 +358,39 @@ def test_sampled_components_follow_the_defuzzification(walkthrough_doc):
         assert res.category_index.tolist() == (hits / draws).tolist()
         x2_c1[defuzz] = res.category_index[1, 0]
     assert x2_c1["spread-sum"] - x2_c1["centroid"] > 0.1
+
+
+def test_data_draws_read_fixed_evaluations_once(walkthrough_doc, case_study, monkeypatch):
+    # fixed and interval cells mixed in both rows (crisp thresholds and
+    # profiles draw nothing): a block's evaluations equal one sample_value
+    # call per cell in row-major order, yet only the interval cells reach it
+    problem = variant(walkthrough_doc, **{"alternatives": {
+        "x1": {"G1/g11": 8, "G1/g12": [0.5, 2], "G2/g21": {"tfn": [16, 2, 1]}, "G2/g22": [25, 29]},
+        "x2": {"G1/g11": [6, 9], "G1/g12": 3, "G2/g21": [6, 14], "G2/g22": 12},
+    }})
+    draws = 40
+    rng = iteration_rng(5, 0)
+    envelope = profile_envelope(
+        sample_profiles(problem.profile_specs, problem.preference_models, rng, size=draws)
+        .swapaxes(1, 2))
+    expected = np.stack([np.stack([sample_value(v, rng, bounds=envelope[:, t], size=draws)
+                                   for t, v in enumerate(row)], axis=1)
+                         for row in problem.evaluation_specs], axis=1)
+    calls = []
+
+    def counted(value, *args, **kwargs):
+        calls.append(value.kind)
+        return sample_value(value, *args, **kwargs)
+
+    monkeypatch.setattr(smaa_module, "sample_value", counted)
+    state = ProblemRuntime(problem, "net", "centroid", 5, strict=False)
+    _, evals, _ = state._sample_data(iteration_rng(5, 0), draws)
+    assert np.array_equal(evals, expected)
+    assert calls == ["interval"] * 4
+    # static data resolves every cell at set-up, without sample_value
+    del calls[:]
+    ProblemRuntime(case_study, "net", "centroid", 0, strict=False)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
