@@ -12,7 +12,10 @@ CHECKOUT (default: the checkout holding this script), run in this process:
 - the generated ``case_study_interval(0)``, ``synthetic_wide(0)`` and
   ``synthetic_wide(3)`` problems, and ``case_study_interval(0)`` again
   under ``--rule positive``, ``--rule negative`` and ``--defuzz spread-sum``
-  (stochastic data: every draw builds its own pair components).
+  (stochastic data: every draw builds its own pair components);
+- ``synthetic_wide(0)`` again under ``--rule positive`` and ``--rule
+  negative`` (fixed inner nodes: the folded sums, with the whole tree's
+  positive or negative table built for its rule alone).
 
 Every run uses ``--level all-nodes``, and the case study (net rule, one
 thread) and ``synthetic_wide(0)`` run again under ``--level category`` and
@@ -88,6 +91,9 @@ def main(argv=None) -> int:
         for extra in (["--rule", "positive"], ["--rule", "negative"], ["--defuzz", "spread-sum"]):
             runs.append((f"case-study-interval-0-{extra[1]}", problems["case-study-interval-0"],
                          "all-nodes", extra))
+        for rule in ("positive", "negative"):
+            runs.append((f"synthetic-wide-0-{rule}", problems["synthetic-wide-0"], "all-nodes",
+                         ["--rule", rule]))
         for level in ("category", "first-level"):
             runs.append((f"case-study-net-t1-{level}", problems["case-study"], level,
                          ["--threads", "1"]))

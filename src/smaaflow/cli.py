@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report granularity")
     p_run.add_argument("--out", default="reports", metavar="DIR",
                        help="output directory (default: ./reports)")
-    p_run.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    p_run.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
                        help="worker processes (default: all cores); results do not depend on this")
     p_run.add_argument("--deterministic", action="store_true",
                        help="single run with fixed inputs instead of sampling "
@@ -122,7 +122,7 @@ def cmd_run(args) -> int:
             iterations=args.iterations if args.iterations is not None else d.iterations,
             seed=args.seed if args.seed is not None else d.seed,
             rule=rule,
-            threads=max(1, args.threads),
+            threads=args.threads,
             defuzz=defuzz,
             strict=args.strict,
         )

@@ -12,9 +12,9 @@ Flows are linear in the preference degrees, so the net flows under any
 node of the tree are the weighted sum of per-leaf unicriterion flows.
 :class:`BatchEngine` is the one flow engine: it reduces each data draw to
 per-leaf flow tables once, a chunk of draws per call, aggregates their net
-columns children-first for whole batches of weight vectors, and weights
-the positive and negative tables by each leaf's path-product weight for
-the whole tree.
+columns children-first for whole batches of weight vectors, and, for a
+rule that brackets by them, weights the positive or negative tables by
+each leaf's path-product weight for the whole tree.
 :func:`flow_bundle`, :func:`single_criterion_flows` and their relatives
 run the same engine on a single weight row.  The pairwise degrees
 (:func:`subtree_preference`, :func:`outranking_degree`) come from the same
@@ -393,7 +393,10 @@ class BatchFlows:
     """Flow arrays for a block of weight rows.
 
     The whole tree's flows are (rows, m) for the alternatives and
-    (rows, m, k+1) for the profiles.  ``nodes`` holds the net flows of
+    (rows, m, k+1) for the profiles.  The net flows are always there; the
+    positive and negative ones only where :meth:`BatchEngine.node_values`
+    built their table (both with no rule, one under its own rule), and
+    None otherwise.  ``nodes`` holds the net flows of
     every real tree node in the engine's three groups (see
     :class:`BatchEngine`): the leaves and the fixed internal nodes carry one
     row per data draw, the varying nodes one row per weight row.  The whole
@@ -418,12 +421,15 @@ class NodeValues(NamedTuple):
     tables, and the fixed internal nodes, with one row per data draw (1
     when the components are shared across the block); then the varying
     nodes, with one row per weight row.  The whole tree has the rows of
-    the fixed groups when the root is fixed, else one per weight row.
+    the fixed groups when the root is fixed, else one per weight row.  Its
+    positive and negative tables are None unless the rule passed to
+    :meth:`BatchEngine.node_values` brackets by them.
     """
 
     nodes: tuple[np.ndarray, np.ndarray, np.ndarray]
     root_net: np.ndarray  # (rows, n_pairs) net flow rows of the whole tree
-    root: np.ndarray  # (rows, 2 * n_pairs) positive then negative flow rows
+    root_plus: np.ndarray | None  # (rows, n_pairs) positive flow rows, or None
+    root_minus: np.ndarray | None  # (rows, n_pairs) negative flow rows, or None
 
 
 def bracket(alt: np.ndarray, prof: np.ndarray, rule: str):
@@ -469,7 +475,12 @@ class BatchEngine:
     three components of a fuzzy number, so each leaf contributes one crisp
     flow table per data draw; node rows are weighted sums of their
     children's rows, and the whole tree's positive and negative flows are
-    the leaf tables weighted by each leaf's path-product weight.
+    the leaf tables weighted by each leaf's path-product weight.  Only the
+    table a rule brackets by is built: none under ``net``, one under
+    ``positive`` or ``negative``.  The path products sum to 1, so those
+    flows are convex combinations of the leaf tables, and
+    :meth:`check_ordering` checks the profile order once per data draw on
+    the leaf tables rather than on every weight row's whole-tree flows.
 
     A node's row depends only on the weights inside its subtree, so the
     engine splits the tree once, from its sibling groups.  A node is
@@ -656,7 +667,8 @@ class BatchEngine:
         self._sum_children(self.inner, rows, w, [values[idx] for idx in self.inner])
         return values
 
-    def node_values(self, components: np.ndarray, w: np.ndarray) -> NodeValues:
+    def node_values(self, components: np.ndarray, w: np.ndarray,
+                    rule: str | None = None) -> NodeValues:
         """Aggregate per-leaf flow tables into per-node flow rows.
 
         ``components`` is (3 * n_pairs, n_el) when shared across the batch
@@ -665,6 +677,12 @@ class BatchEngine:
         are summed once per data draw, with the first weight row (the
         deterministic groups weigh every row alike); varying nodes once per
         weight row.
+
+        Every node's net rows are built.  The whole tree's positive and
+        negative tables are built only for the ``rule`` that brackets by
+        them: the positive one under ``positive``, the negative one under
+        ``negative``, neither under ``net``, and both when ``rule`` is
+        None.
         """
         n = self.n_pairs
         leaf_rows = self._leaf_rows(components[..., :n, :])
@@ -677,29 +695,45 @@ class BatchEngine:
         w_root = w[:1] if self.root_fixed else w
         root_rows = draws if self.root_fixed else w.shape[0]
         net = self._sum_children([self.root], rows, w_root, np.empty((1, root_rows, n)))[0]
+        # table blocks [lo, hi) of the leaf tables to weight: 1 is the
+        # positive block, 2 the negative one
+        lo, hi = (1, 3) if rule is None else ((1, 2), (2, 3), (1, 1))[_rule(rule)[0]]
+        if lo == hi:
+            return NodeValues((leaf_rows, fixed, varying), net, None, None)
         path = np.empty_like(w_root)
         for idx, parent in enumerate(self.parent):
             path[:, idx] = w_root[:, idx] if parent < 0 else path[:, parent] * w_root[:, idx]
         path = path[:, self.leaf_nodes]
-        root = path[:, 0, None] * components[..., n:, 0]
+        cols = slice(lo * n, hi * n)
+        root = path[:, 0, None] * components[..., cols, 0]
         for slot in range(1, path.shape[1]):
-            root += path[:, slot, None] * components[..., n:, slot]
-        return NodeValues((leaf_rows, fixed, varying), net, root)
+            root += path[:, slot, None] * components[..., cols, slot]
+        plus = root[:, :n] if lo == 1 else None
+        minus = root[:, -n:] if hi == 3 else None
+        return NodeValues((leaf_rows, fixed, varying), net, plus, minus)
 
     def flows(self, values: NodeValues) -> BatchFlows:
-        """Flows for every node and the root from the aggregated rows."""
+        """Flows for every node and the root from the aggregated rows; the
+        whole tree's positive or negative fields are None where
+        ``values`` lacks their table."""
         rows = (self.m, self.c + 1)
-        net = values.root_net.reshape((-1,) + rows)
-        root = values.root.reshape((-1, 2) + rows)
-        plus, minus = root[:, 0], root[:, 1]
+
+        def split(table):
+            if table is None:
+                return None, None
+            table = table.reshape((-1,) + rows)
+            return table[..., 0], table[..., 1:]
+
+        (alt_plus, prof_plus), (alt_minus, prof_minus), (alt_net, prof_net) = map(
+            split, (values.root_plus, values.root_minus, values.root_net))
         groups = (g.reshape(g.shape[:-1] + rows) for g in values.nodes)
         return BatchFlows(
-            alt_plus=plus[..., 0],
-            alt_minus=minus[..., 0],
-            alt_net=net[..., 0],
-            prof_plus=plus[..., 1:],
-            prof_minus=minus[..., 1:],
-            prof_net=net[..., 1:],
+            alt_plus=alt_plus,
+            alt_minus=alt_minus,
+            alt_net=alt_net,
+            prof_plus=prof_plus,
+            prof_minus=prof_minus,
+            prof_net=prof_net,
             nodes=tuple(NodeFlows(g[..., 0], g[..., 1:]) for g in groups),
         )
 
@@ -708,18 +742,27 @@ class BatchEngine:
         group, pos = self.node_slot[idx]
         return NodeFlows(*(a[pos] for a in batch_flows.nodes[group]))
 
-    def check_ordering(self, batch_flows: BatchFlows) -> None:
-        """Assert the bracketing premise: profile flows ordered best to worst.
+    def check_ordering(self, components: np.ndarray) -> None:
+        """Assert the bracketing premise on every leaf: net and positive
+        profile flows fall from best to worst, negative ones rise.
 
-        Every node's net flows are a convex combination of its leaves', so
-        checking the leaf tables covers every node.
+        ``components`` are leaf tables as :meth:`pref_components` or
+        :meth:`block_components` return them, ([draws,] 3 * n_pairs, n_el).
+        Every node's net flows are a convex combination of its leaves', and
+        so are the whole tree's positive and negative flows, whose
+        path-product weights sum to 1: checking the leaf tables covers every
+        node under every rule.  The tables are read through strided views,
+        never copied.
         """
-        check_profile_order(batch_flows.nodes[0].prof, "net", "net")
-        check_profile_order(batch_flows.prof_plus, "positive", "positive")
-        check_profile_order(batch_flows.prof_minus, "negative", "negative")
+        tables = components.reshape(
+            components.shape[:-2] + (3, self.m, self.c + 1, components.shape[-1]))
+        for t, rule in enumerate(("net", "positive", "negative")):
+            check_profile_order(tables[..., t, :, 1:, :], rule, rule, axis=-2)
 
     def assign_overall(self, batch_flows: BatchFlows, rule: str):
-        """Categories (rows, m) and validity mask under the requested rule."""
+        """Categories (rows, m) and validity mask under the requested rule,
+        from the whole tree's flows that the rule brackets; the others may
+        be None (see :meth:`node_values`)."""
         bf = batch_flows
         flows = ((bf.alt_plus, bf.prof_plus), (bf.alt_minus, bf.prof_minus),
                  (bf.alt_net, bf.prof_net))

@@ -496,16 +496,24 @@ class ProblemRuntime:
                 q[t], p[t] = (sample_value(v, rng, size=size)[:, 0] for v in (mdl.q, mdl.p))
         envelope = profile_envelope(profiles.swapaxes(1, 2))
         evals = self.fixed_evals[None]
-        if size > 1 or self.sampled_evals:  # a copy to draw into
+        if self.sampled_evals:  # a copy to draw into
             evals = np.repeat(evals, size, axis=0)
+        else:  # a read-only view: no per-block copy of fixed evaluations
+            evals = np.broadcast_to(evals, (size,) + evals.shape[1:])
         for i, t, v in self.sampled_evals:
             evals[:, i, t] = sample_value(v, rng, bounds=envelope[:, t], size=size)
         return self.prefs._replace(q=q, p=p), evals, profiles
 
     def _sample_components(self, rng: np.random.Generator | None, size: int) -> np.ndarray:
         """Leaf flow tables of ``size`` data draws, (size, 3 * n_pairs, n_el),
-        views of a leaf-major buffer: node_values reads each leaf contiguously."""
-        return self.engine.block_components(*self._sample_data(rng, size), self.defuzz)
+        views of a leaf-major buffer: node_values reads each leaf contiguously.
+
+        Their profile flows are checked here, once per data draw, so static
+        data is checked once per run.
+        """
+        components = self.engine.block_components(*self._sample_data(rng, size), self.defuzz)
+        self.engine.check_ordering(components)
+        return components
 
     def draw_block(self, block: int, bs: int) -> tuple[np.ndarray, np.ndarray]:
         """Leaf flow tables and (bs, n_nodes) weight rows of the ``bs``
@@ -538,8 +546,9 @@ class ProblemRuntime:
         return cat_hits, node_hits, violations
 
     def tally_block(self, components: np.ndarray, w: np.ndarray, block: int):
-        """Flows, ordering check, bracketing and category counts for one
-        block of weight rows starting at iteration ``block``.
+        """Flows, bracketing and category counts for one block of weight
+        rows starting at iteration ``block``; the leaf tables were checked
+        for profile order when they were drawn.
 
         A row bracketed once for a fixed node or a fixed whole tree stands
         for ``len(w) // rows`` weight rows: its hits and its unbracketed
@@ -547,8 +556,7 @@ class ProblemRuntime:
         """
         m, k, n_nodes = self.m, self.k, self.n_nodes
         bs = w.shape[0]
-        bf = self.engine.flows(self.engine.node_values(components, w))
-        self.engine.check_ordering(bf)
+        bf = self.engine.flows(self.engine.node_values(components, w, rule=self.rule))
         cat, valid = self.engine.assign_overall(bf, self.rule)
         alt_ids = np.arange(m)
         cat_hits, bad = _count(alt_ids * k + (cat - 1), valid, bs, m * k)

@@ -30,7 +30,7 @@ def triangle_gap(inst, defuzz="centroid"):
     comp = engine.pref_components(prefs, eval_arr, prof_arr, defuzz)
     w_row = np.array([[weights[n.path] for n in tree.nodes]])
     bf = engine.flows(engine.node_values(comp, w_row))
-    engine.check_ordering(bf)
+    engine.check_ordering(comp)
     cats, valid = engine.assign_overall(bf, "net")
     assert valid.all(), "batch engine rejected a dominance-respecting instance"
 
@@ -74,7 +74,7 @@ def ordering_margins(inst):
     )
     w_row = np.array([[weights[n.path] for n in tree.nodes]])
     bf = engine.flows(engine.node_values(comp, w_row))
-    engine.check_ordering(bf)
+    engine.check_ordering(comp)
 
     margin = min(
         float(-np.diff(bf.prof_net, axis=-1).max()),

@@ -108,5 +108,15 @@ def test_iterations_below_one_is_a_usage_error(tmp_path, capsys, iterations):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(fixture_path("walkthrough")), "--iterations", "5",
+              "--threads", threads, "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_module_entry_point():
     import smaaflow.__main__  # noqa: F401  (import must not execute main)

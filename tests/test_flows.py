@@ -238,7 +238,43 @@ def test_engine_trips_the_invariant_on_an_unordered_leaf():
     assert (np.diff(bf.prof_plus, axis=-1) < 0).all()
     assert (np.diff(bf.prof_minus, axis=-1) > 0).all()
     with pytest.raises(InvariantError, match="net profile flows"):
-        engine.check_ordering(bf)
+        engine.check_ordering(comp)
+
+
+def hand_built_leaves(table, columns):
+    """Leaf tables (3 * n_pairs, 2) of one alternative and three profiles
+    on two leaves: both ordered, except that the second leaf's profile
+    columns of ``table`` (1 positive, 2 negative) are ``columns``."""
+    ordered = np.array([[0.0, 0.5, 0.0, -0.5],    # net: alternative, r1, r2, r3
+                        [0.5, 0.8, 0.5, 0.2],     # positive, falling
+                        [0.5, 0.3, 0.5, 0.8]])    # negative, rising
+    second = ordered.copy()
+    second[table, 1:] = columns
+    return np.stack([ordered.ravel(), second.ravel()], axis=1)
+
+
+@pytest.mark.parametrize("table, columns, rule", [
+    (1, [0.2, 0.5, 0.8], "positive"),
+    (2, [0.8, 0.5, 0.3], "negative"),
+])
+def test_engine_checks_each_leaf_table(table, columns, rule):
+    # one leaf's positive (or negative) profile flows run the wrong way
+    # while its net flows and the whole tree's flows stay ordered: only
+    # the leaf check of that table can object
+    from smaaflow.flows import BatchEngine
+
+    tree = build_tree([{"label": "a"}, {"label": "b"}], {"deterministic": [0.99, 0.01]})
+    engine = BatchEngine(tree, 1, 3)
+    comp = hand_built_leaves(table, columns)
+    bf = engine.flows(engine.node_values(comp, np.array([[0.99, 0.01]])))
+    assert (np.diff(bf.prof_net, axis=-1) < 0).all()
+    assert (np.diff(bf.prof_plus, axis=-1) < 0).all()
+    assert (np.diff(bf.prof_minus, axis=-1) > 0).all()
+    assert (np.diff(bf.nodes[0].prof, axis=-1) < 0).all()
+    with pytest.raises(InvariantError, match=f"{rule} profile flows"):
+        engine.check_ordering(comp)
+    comp[:, 1] = comp[:, 0]
+    engine.check_ordering(comp)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +329,7 @@ def test_flows_against_raw_batch_arrays(walkthrough_parts):
     weight_row = np.array([[w["weights"][n.path] for n in tree.nodes]])
     values = engine.node_values(comp, weight_row)
     bf = engine.flows(values)
-    engine.check_ordering(bf)
+    engine.check_ordering(comp)
 
     net = bf.alt_plus[0] - bf.alt_minus[0]
     assert net == pytest.approx([1 / 3, -0.4 / 3], abs=1e-12)

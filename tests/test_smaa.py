@@ -13,6 +13,7 @@ unanimously across criteria, so its category ignores the weights.
 import copy
 import json
 import math
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -393,6 +394,26 @@ def test_data_draws_read_fixed_evaluations_once(walkthrough_doc, case_study, mon
     assert calls == []
 
 
+def test_fixed_evaluations_reach_the_components_as_a_view(walkthrough_doc):
+    # the walkthrough's crisp evaluations under sampled thresholds and
+    # profiles: the block's evaluations are one read-only row seen by every
+    # draw, not a copy per draw, and they give the tables of the copies
+    problem = variant(walkthrough_doc, **{
+        "preferences.default": {"shape": "linear", "q": [0, 0.5], "p": [1, 2]},
+        "profiles.per_criterion.G2/g21": [20, [8, 12], 0],
+    })
+    state = ProblemRuntime(problem, "net", "centroid", seed=2, strict=False)
+    assert state.static_components is None and not state.sampled_evals
+    draws = 40
+    prefs, evals, profiles = state._sample_data(iteration_rng(2, 0), draws)
+    assert evals.shape[0] == draws and evals.strides[0] == 0
+    assert not evals.flags.writeable
+    assert len(np.unique(prefs.q, axis=1).T) > 1 and len(np.unique(profiles, axis=0)) > 1
+    copied = np.repeat(evals[:1], draws, axis=0)
+    assert np.array_equal(state.engine.block_components(prefs, evals, profiles, "centroid"),
+                          state.engine.block_components(prefs, copied, profiles, "centroid"))
+
+
 # ---------------------------------------------------------------------------
 # Folded blocks
 # ---------------------------------------------------------------------------
@@ -439,3 +460,43 @@ def test_folded_block_tally_matches_the_unfolded_one(name, groups, root_fixed, c
         assert got[0].tolist() == want[0].tolist()
         assert got[1].tolist() == want[1].tolist()
         assert got[2] == want[2]
+
+
+# ---------------------------------------------------------------------------
+# Whole-tree tables per rule
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["walkthrough", "synthetic_wide", "case_study_interval"])
+def test_rule_tables_are_the_floats_of_all_tables(name, walkthrough, monkeypatch):
+    # the walkthrough, a static problem with fixed inner nodes and one
+    # stochastic block: each column of the whole tree's positive and
+    # negative tables is summed on its own, so building one table, or
+    # none, leaves every float as it is when both are built
+    if name == "walkthrough":
+        problem = walkthrough
+    else:
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        problem = parse_problem(getattr(workloads, name)(0))
+    state = ProblemRuntime(problem, "net", "centroid", seed=0, strict=False)
+    engine = state.engine
+    components, w = state.draw_block(0, 16)
+    full = engine.node_values(components, w)
+    assert full.root_plus is not None and full.root_minus is not None
+    for rule, built in (("net", ()), ("positive", ("root_plus",)),
+                        ("negative", ("root_minus",))):
+        values = engine.node_values(components, w, rule=rule)
+        assert values.root_net.tobytes() == full.root_net.tobytes()
+        for got, want in zip(values.nodes, full.nodes):
+            assert got.tobytes() == want.tobytes()
+        for field in ("root_plus", "root_minus"):
+            got = getattr(values, field)
+            if field in built:
+                assert got.tobytes() == getattr(full, field).tobytes()
+            else:
+                assert got is None
+        cat, valid = engine.assign_overall(engine.flows(values), rule)
+        want_cat, want_valid = engine.assign_overall(engine.flows(full), rule)
+        assert np.array_equal(cat, want_cat) and np.array_equal(valid, want_valid)
