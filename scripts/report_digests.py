@@ -15,7 +15,10 @@ CHECKOUT (default: the checkout holding this script), run in this process:
   (stochastic data: every draw builds its own pair components);
 - ``synthetic_wide(0)`` again under ``--rule positive`` and ``--rule
   negative`` (fixed inner nodes: the folded sums, with the whole tree's
-  positive or negative table built for its rule alone).
+  positive or negative table built for its rule alone);
+- ``tests/data/mixed_forms.json`` of the checkout holding this script (the
+  walkthrough with every value form), so CHECKOUT is tried on the same
+  document whether or not it has the file.
 
 Every run uses ``--level all-nodes``, and the case study (net rule, one
 thread) and ``synthetic_wide(0)`` run again under ``--level category`` and
@@ -41,6 +44,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+MIXED_FORMS = Path(__file__).resolve().parent.parent / "tests" / "data" / "mixed_forms.json"
 
 GENERATED = (("case-study-interval-0", "case_study_interval", 0),
              ("synthetic-wide-0", "synthetic_wide", 0),
@@ -74,6 +79,7 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         print("example-walkthrough stdout", sha(call(["example", "walkthrough"])))
         problems = {name: fixture_path(name) for name in ("walkthrough", "case-study")}
+        problems["mixed-forms"] = MIXED_FORMS
         for name, generator, seed in GENERATED:
             problems[name] = tmp / f"{name}.json"
             problems[name].write_text(json.dumps(getattr(workloads, generator)(seed)),
@@ -87,7 +93,8 @@ def main(argv=None) -> int:
             for threads in (1, 2):
                 runs.append((f"case-study-{rule}-t{threads}", problems["case-study"],
                              "all-nodes", ["--rule", rule, "--threads", str(threads)]))
-        runs += [(name, problems[name], "all-nodes", []) for name, _, _ in GENERATED]
+        runs += [(name, problems[name], "all-nodes", [])
+                 for name in ("mixed-forms", *(name for name, _, _ in GENERATED))]
         for extra in (["--rule", "positive"], ["--rule", "negative"], ["--defuzz", "spread-sum"]):
             runs.append((f"case-study-interval-0-{extra[1]}", problems["case-study-interval-0"],
                          "all-nodes", extra))

@@ -135,20 +135,21 @@ class ProfileSet:
             check_profile_column(tfn_matrix([row[t] for row in self.levels]), spec.direction, t)
 
 
-def profile_pair_faults(columns: np.ndarray, maximize: bool) -> tuple[np.ndarray, np.ndarray]:
+def profile_pair_faults(columns: np.ndarray, maximize) -> tuple[np.ndarray, np.ndarray]:
     """Dominance and overlap faults of every adjacent profile pair.
 
-    ``columns`` holds one criterion's profiles as (..., k+1, 3) rows of
-    (m, alpha, beta), best first.  Modes must be strictly ordered in the
-    preference direction, and the supports of adjacent profiles may touch
-    but not overlap.  Returns two (..., k) masks: entry h is true where
-    profiles h and h+1 break the mode ordering, or where their supports
-    overlap.
+    ``columns`` holds criteria's profiles as (..., k+1, 3) rows of
+    (m, alpha, beta), best first, and ``maximize`` their directions: one
+    bool, or a bool array over the leading axes.  Modes must be strictly
+    ordered in the preference direction, and the supports of adjacent
+    profiles may touch but not overlap.  Returns two (..., k) masks: entry
+    h is true where profiles h and h+1 break the mode ordering, or where
+    their supports overlap.
     """
     better, worse = columns[..., :-1, :], columns[..., 1:, :]
-    sign = 1.0 if maximize else -1.0
-    dominance = sign * (better[..., 0] - worse[..., 0]) <= 0
-    upper, lower = (better, worse) if maximize else (worse, better)
+    up = np.asarray(maximize)[..., None]
+    dominance = np.where(up, better[..., 0] - worse[..., 0], worse[..., 0] - better[..., 0]) <= 0
+    upper, lower = np.where(up[..., None], better, worse), np.where(up[..., None], worse, better)
     overlap = upper[..., 0] - upper[..., 1] < lower[..., 0] + lower[..., 2]
     return dominance, overlap
 

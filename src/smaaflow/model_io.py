@@ -33,6 +33,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -48,7 +49,13 @@ from .errors import (
     UNKNOWN_TERM,
     InputError,
 )
-from .flows import RULES, ProfileSet, check_profile_column, profile_envelope, tfn_matrix
+from .flows import (
+    RULES,
+    ProfileSet,
+    check_profile_column,
+    profile_envelope,
+    profile_pair_faults,
+)
 from .fuzzy import DEFUZZ_METHODS, TFN
 from .hierarchy import CriteriaTree, WeightSpec, build_tree, is_number
 from .preference import DIRECTIONS, SHAPES, THRESHOLDS, PreferenceSpec
@@ -89,15 +96,19 @@ class LinguisticScale:
                 f"scales/{self.name}",
             )
 
-    def lookup(self, term: str) -> TFN:
-        for label, value in self.terms:
+    def index(self, term: str) -> int:
+        """Position of ``term`` in :attr:`terms`."""
+        for i, (label, _) in enumerate(self.terms):
             if label == term:
-                return value
+                return i
         raise InputError(
             UNKNOWN_TERM,
             f"term {term!r} not in scale {self.name!r} "
             f"(known: {[t for t, _ in self.terms]})",
         )
+
+    def lookup(self, term: str) -> TFN:
+        return self.terms[self.index(term)][1]
 
 
 @dataclass(frozen=True)
@@ -110,16 +121,34 @@ class RunDefaults:
     defuzz: str = "centroid"
 
 
-@dataclass
+#: Forms of the cells of an evaluation or profile table; a cell holding a
+#: linguistic term stores the term's index in its scale (0 and up).
+CRISP, FUZZY, STOCHASTIC = -1, -2, -3
+
+
+@dataclass(eq=False)
 class Problem:
-    """A fully validated sorting problem."""
+    """A fully validated sorting problem.
+
+    Evaluations are held as arrays: ``fixed_evals[i, t]`` is the (m,
+    alpha, beta) of alternative i on elementary criterion t when that cell
+    is deterministic and zeros when it is not, ``evaluation_forms[i, t]``
+    says how the cell was written (:data:`CRISP`, :data:`FUZZY`,
+    :data:`STOCHASTIC` or a term index), and ``sampled_evals`` lists the
+    stochastic cells as (i, t, value), row by row.
+    :attr:`evaluation_specs` builds one value per cell from them.
+    """
 
     tree: CriteriaTree
     categories: tuple[str, ...]
     alternative_names: tuple[str, ...]
-    evaluation_specs: tuple[tuple[StochasticValue, ...], ...]  # (m, n_el)
+    fixed_evals: np.ndarray                                    # (m, n_el, 3), read-only
+    evaluation_forms: np.ndarray                               # (m, n_el)
+    sampled_evals: tuple[tuple[int, int, StochasticValue], ...]
     profile_specs: tuple[tuple[StochasticValue, ...], ...]     # (k+1, n_el)
     preference_models: tuple[PreferenceModel, ...]             # n_el
+    #: True when evaluations, profiles and thresholds carry no randomness.
+    is_deterministic_data: bool
     scales: dict[str, LinguisticScale] = field(default_factory=dict)
     scale_binding: tuple[str | None, ...] = ()
     default_scale: str | None = None
@@ -131,14 +160,13 @@ class Problem:
     def n_categories(self) -> int:
         return len(self.categories)
 
-    @property
-    def is_deterministic_data(self) -> bool:
-        """True when evaluations, profiles and thresholds carry no randomness."""
-        return (
-            all(v.is_deterministic for row in self.evaluation_specs for v in row)
-            and all(v.is_deterministic for row in self.profile_specs for v in row)
-            and all(m.is_deterministic for m in self.preference_models)
-        )
+    @cached_property
+    def evaluation_specs(self) -> tuple[tuple[StochasticValue, ...], ...]:
+        """One value per evaluation cell, (m, n_el), built from the tables
+        on first use."""
+        return _cell_values(self.fixed_evals, self.evaluation_forms,
+                            {(i, t): v for i, t, v in self.sampled_evals},
+                            [self.scales.get(name) for name in self.scale_binding])
 
     def resolved_preferences(self) -> list[PreferenceSpec]:
         return [m.resolve_deterministic() for m in self.preference_models]
@@ -151,6 +179,27 @@ class Problem:
     def evaluation_tfns(self, name: str) -> list[TFN]:
         row = self.evaluation_specs[self.alternative_names.index(name)]
         return [v.resolved() for v in row]
+
+
+def _cell_values(table, forms, stochastic, scales) -> tuple[tuple[StochasticValue, ...], ...]:
+    """One value per cell of a (rows, cols, 3) table of deterministic values
+    and its (rows, cols) forms.  ``stochastic`` maps (row, col) to the value
+    of each stochastic cell, and column ``col`` reads its terms from
+    ``scales[col]``."""
+    out = []
+    for r, (cells, row_forms) in enumerate(zip(table.tolist(), forms.tolist())):
+        row = []
+        for c, (cell, form) in enumerate(zip(cells, row_forms)):
+            if form == CRISP:
+                row.append(StochasticValue.crisp(cell[0]))
+            elif form == FUZZY:
+                row.append(StochasticValue.fuzzy(TFN(*cell)))
+            elif form == STOCHASTIC:
+                row.append(stochastic[r, c])
+            else:
+                row.append(StochasticValue.linguistic(*scales[c].terms[form]))
+        out.append(tuple(row))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -173,27 +222,63 @@ def _parse_tfn_triple(obj, at: str) -> TFN:
         raise InputError(SCHEMA, str(exc), at) from exc
 
 
-def _parse_value(obj, scale: LinguisticScale | None, at: str) -> StochasticValue:
-    if is_number(obj):
-        return StochasticValue.crisp(obj)
-    if isinstance(obj, str):
+def _unrecognized(obj, at: str) -> InputError:
+    return InputError(SCHEMA, f"unrecognized value form {obj!r}", at)
+
+
+def _read_value(obj, scale: LinguisticScale | None, at: str, cells: list, j: int):
+    """Read one evaluation, profile level or threshold written at ``at``.
+
+    A deterministic value writes its (m, alpha, beta) to ``cells[3j:3j+3]``
+    and returns its form: :data:`CRISP`, :data:`FUZZY` or the index of its
+    term in ``scale``.  A stochastic value is checked here and returned.
+    A float, alone or in a list of three floats under ``tfn``, is written
+    unchecked: :func:`_cell_faults` checks whole tables for numbers that
+    are not finite and for negative spreads, and :func:`_raise_cell_fault`
+    words the error this reader would raise.  Plain ``float``, ``str``,
+    ``list`` and ``dict`` are recognized by their exact type; any other
+    object is tried as a number (:func:`~smaaflow.hierarchy.is_number`), a
+    string, a sequence and a mapping, in that order.
+    """
+    kind = type(obj)
+    if kind is float:
+        cells[3 * j] = obj
+        return CRISP
+    if kind is not dict and kind is not list and kind is not str:
+        if is_number(obj):
+            cells[3 * j] = float(obj)
+            return CRISP
+        kind = (str if isinstance(obj, str)
+                else list if isinstance(obj, Sequence) and not isinstance(obj, bytes)
+                else dict if isinstance(obj, Mapping) else None)
+    if kind is str:
         if scale is None:
             raise InputError(
                 UNKNOWN_TERM, f"term {obj!r} given but no scale is bound here", at
             )
         try:
-            return StochasticValue.linguistic(obj, scale.lookup(obj))
+            index = scale.index(obj)
         except InputError as exc:
             raise InputError(exc.code, str(exc), at) from exc
-    if isinstance(obj, Sequence) and not isinstance(obj, (str, bytes)):
+        f = scale.terms[index][1]
+        cells[3 * j:3 * j + 3] = f.m, f.alpha, f.beta
+        return index
+    if kind is list:
         _require(len(obj) == 2 and all(is_number(v) for v in obj),
                  "interval must be [lo, hi]", at)
         _require(obj[0] <= obj[1], f"empty interval [{obj[0]}, {obj[1]}]", at)
         return StochasticValue.interval(obj[0], obj[1])
-    if isinstance(obj, Mapping):
-        if set(obj) == {"tfn"}:
-            return StochasticValue.fuzzy(_parse_tfn_triple(obj["tfn"], f"{at}/tfn"))
-        if set(obj) == {"normal"}:
+    if kind is dict:
+        if len(obj) == 1 and "tfn" in obj:
+            triple = obj["tfn"]
+            if (type(triple) is list and len(triple) == 3 and type(triple[0]) is float
+                    and type(triple[1]) is float and type(triple[2]) is float):
+                cells[3 * j:3 * j + 3] = triple
+            else:
+                f = _parse_tfn_triple(triple, f"{at}/tfn")
+                cells[3 * j:3 * j + 3] = f.m, f.alpha, f.beta
+            return FUZZY
+        if len(obj) == 1 and "normal" in obj:
             spec = obj["normal"]
             _require(isinstance(spec, Mapping), "normal spec must be a mapping", at)
             unknown = set(spec) - {"mean", "sd", "min", "max"}
@@ -208,13 +293,33 @@ def _parse_value(obj, scale: LinguisticScale | None, at: str) -> StochasticValue
             # a continuous draw never lands on a single point, so [lo, lo] is empty too
             _require(lo < hi, f"empty truncation [{lo}, {hi}]", at)
             return StochasticValue.normal(spec["mean"], spec["sd"], lo, hi)
-    raise InputError(SCHEMA, f"unrecognized value form {obj!r}", at)
+    raise _unrecognized(obj, at)
 
 
-def _parse_threshold(obj, at: str) -> StochasticValue:
-    value = _parse_value(obj, None, at)
-    _require(value.kind in ("crisp", "interval", "normal"),
-             "thresholds must be scalar: number, [lo, hi] or normal", at, THRESHOLD)
+def _cell_faults(cells: np.ndarray) -> np.ndarray:
+    """Mask of the (..., 3) rows of (m, alpha, beta) that hold a number that
+    is not finite or a negative spread."""
+    return ~(np.isfinite(cells).all(axis=-1) & (cells[..., 1:] >= 0).all(axis=-1))
+
+
+def _raise_cell_fault(cell: list, form: int, at: str) -> None:
+    """Raise the error :func:`_read_value` words for a cell that
+    :func:`_cell_faults` flags: ``cell`` holds its three floats."""
+    if form == CRISP:
+        raise _unrecognized(cell[0], at)
+    _parse_tfn_triple(cell, f"{at}/tfn")
+
+
+def _parse_threshold(obj, at: str, read: list) -> StochasticValue:
+    """Read a threshold; a crisp or tfn one is appended to ``read`` as
+    (cell, form, at) for :func:`_parse_preferences` to check."""
+    cell = [0.0] * 3
+    value = _read_value(obj, None, at, cell, 0)
+    if type(value) is int:  # no scale here, so a number or a tfn
+        read.append((cell, value, at))
+        _require(value == CRISP, "thresholds must be scalar: number, [lo, hi] or normal",
+                 at, THRESHOLD)
+        value = StochasticValue.crisp(cell[0])
     # PreferenceSpec checks crisp values; a stochastic one may not draw below 0
     _require(value.lo >= 0, f"{value.kind} threshold can draw below 0 (lower end {value.lo})",
              at, THRESHOLD)
@@ -272,11 +377,11 @@ def _collect_scale_bindings(raw_children, tree: CriteriaTree, scales, default_sc
 
 
 def _elementary_slot(tree: CriteriaTree, label_path: str, at: str) -> int:
-    _require(isinstance(label_path, str), f"criterion key must be a label path string, "
-             f"got {label_path!r}", at)
-    slot = tree.elementary_slot.get(label_path)
+    slot = tree.elementary_slot.get(label_path) if isinstance(label_path, str) else None
     if slot is not None:
         return slot
+    _require(isinstance(label_path, str), f"criterion key must be a label path string, "
+             f"got {label_path!r}", at)
     try:  # only to word the error
         tree.path_of_labels(label_path)
     except InputError as exc:
@@ -302,7 +407,7 @@ def _section(raw, tree: CriteriaTree, at: str, fallback=None) -> list[tuple[obje
     return entries
 
 
-def _preference_model(spec, at: str) -> PreferenceModel:
+def _preference_model(spec, at: str, thresholds: list) -> PreferenceModel:
     _require(isinstance(spec, Mapping), "preference spec must be a mapping", at)
     unknown = set(spec) - {"shape", "direction", "q", "p", "s"}
     _require(not unknown, f"unknown preference keys {sorted(unknown)}", at)
@@ -310,7 +415,7 @@ def _preference_model(spec, at: str) -> PreferenceModel:
     _require(shape in SHAPES, f"unknown shape {shape!r} (known: {SHAPES})", at)
     direction = spec.get("direction", "maximize")
     _require(direction in DIRECTIONS, f"unknown direction {direction!r}", at)
-    q, p = (_parse_threshold(spec[name], f"{at}/{name}") if name in spec
+    q, p = (_parse_threshold(spec[name], f"{at}/{name}", thresholds) if name in spec
             else StochasticValue.crisp(0.0) for name in ("q", "p"))
     s = spec.get("s", 0.0)
     _require(is_number(s) and s >= 0, "s must be a non-negative number", at)
@@ -333,80 +438,174 @@ def _preference_model(spec, at: str) -> PreferenceModel:
 
 
 def _parse_preferences(raw, tree, at: str = "preferences") -> list[PreferenceModel]:
-    # a missing section or default is the usual shape, maximized
-    return [_preference_model(spec, here)
-            for spec, here in _section({} if raw is None else raw, tree, at, fallback={})]
+    """One model per elementary slot.  The crisp and tfn thresholds are
+    checked for finite numbers and spreads at once after the walk, or when
+    the walk meets a fault, so the error raised is that of the first fault
+    in reading order."""
+    thresholds = []  # (cell, form, at) in reading order
+
+    def check():
+        if thresholds:
+            bad = _cell_faults(np.array([cell for cell, _, _ in thresholds]))
+            if bad.any():
+                _raise_cell_fault(*thresholds[int(bad.argmax())])
+
+    try:
+        # a missing section or default is the usual shape, maximized
+        models = [_preference_model(spec, here, thresholds) for spec, here
+                  in _section({} if raw is None else raw, tree, at, fallback={})]
+    except InputError:
+        check()  # a fault read earlier comes first
+        raise
+    check()
+    return models
 
 
 def _parse_profiles(raw, tree, models, scales, k, at: str = "profiles"):
-    """Profile levels, (k+1, n_el), and each column's support span (None
-    when stochastic).  A deterministic column is checked for dominance
-    where it is parsed."""
+    """Profile levels, (k+1, n_el), and the (n_el, 2) support span of each
+    column, (-inf, inf) where a column is stochastic.
+
+    Columns are read in slot order.  The numeric checks of their cells and
+    the dominance check of the deterministic columns run once over the
+    whole (n_el, k+1, 3) stack after the walk, or over what was read when
+    the walk meets a fault, so the error raised is that of the first fault
+    in reading order: a column's cells come before its dominance check.
+    """
     labels = list(tree.elementary_slot)
-    columns, envelopes = [], []
-    for slot, (values, here) in enumerate(_section(raw, tree, at)):
-        _require(here != at, f"no profiles for {labels[slot]!r} and no default", at)
-        _require(isinstance(values, Sequence) and not isinstance(values, (str, bytes)),
-                 "profile column must be a list", here)
-        _require(len(values) == k + 1,
-                 f"need {k + 1} profile levels for {k} categories, got {len(values)}", here)
-        column = [_parse_value(v, scales[slot], f"{here}/{h}") for h, v in enumerate(values)]
-        envelope = None
-        if all(v.is_deterministic for v in column):
-            rows = tfn_matrix([v.resolved() for v in column])
-            check_profile_column(rows, models[slot].direction, labels[slot], here)
-            envelope = tuple(map(float, profile_envelope(rows)))
-        columns.append(column)
-        envelopes.append(envelope)
-    return tuple(zip(*columns)), envelopes
+    n_el, c = tree.n_elementary, k + 1
+    entries = _section(raw, tree, at)
+    cells = [0.0] * (3 * n_el * c)
+    forms = [STOCHASTIC] * (n_el * c)
+    stochastic = {}  # cell -> value; cell t * c + h is level h of column t
+    read = 0
+
+    def check():
+        stack = np.array(cells).reshape(n_el, c, 3)
+        done = read // c
+        deterministic = (np.array(forms).reshape(n_el, c) != STOCHASTIC).all(axis=1)
+        maximize = np.array([mdl.direction == "maximize" for mdl in models[:done]], dtype=bool)
+        # cells read as inf or nan are flagged below, without a warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            bad_cell = _cell_faults(stack.reshape(-1, 3)[:read])
+            dominance, overlap = profile_pair_faults(stack[:done], maximize)
+        bad_column = deterministic[:done] & (dominance | overlap).any(axis=-1)
+        cell = int(bad_cell.argmax()) if bad_cell.any() else read
+        column = int(bad_column.argmax()) if bad_column.any() else n_el
+        if cell < read and cell // c <= column:
+            t, h = divmod(cell, c)
+            _raise_cell_fault(stack[t, h].tolist(), forms[cell], f"{entries[t][1]}/{h}")
+        if column < done:  # only to word the error
+            check_profile_column(stack[column], models[column].direction, labels[column],
+                                 entries[column][1])
+        return stack, deterministic
+
+    try:
+        for slot, (values, here) in enumerate(entries):
+            _require(here != at, f"no profiles for {labels[slot]!r} and no default", at)
+            _require(isinstance(values, Sequence) and not isinstance(values, (str, bytes)),
+                     "profile column must be a list", here)
+            _require(len(values) == c,
+                     f"need {c} profile levels for {k} categories, got {len(values)}", here)
+            for h, value in enumerate(values):
+                form = _read_value(value, scales[slot], f"{here}/{h}", cells, read)
+                if type(form) is not int:
+                    stochastic[read], form = form, STOCHASTIC
+                forms[read] = form
+                read += 1
+    except InputError:
+        check()  # a fault read earlier comes first
+        raise
+    stack, deterministic = check()
+    envelope = profile_envelope(stack)
+    envelope[~deterministic] = -np.inf, np.inf
+    specs = _cell_values(stack.swapaxes(0, 1), np.array(forms).reshape(n_el, c).T,
+                         {(j % c, j // c): v for j, v in stochastic.items()}, scales)
+    return specs, envelope, bool(deterministic.all())
 
 
-def _check_evaluation_bounds(value: StochasticValue, envelope, at: str) -> None:
-    """A deterministic support must lie inside the profile envelope, and a
-    stochastic [lo, hi] must reach it."""
-    if envelope is None:
-        return
-    lo, hi = envelope
-    if value.is_deterministic:
-        s_lo, s_hi = value.resolved().support
-        if s_lo < lo or s_hi > hi:
-            raise InputError(
-                EVALUATION_BOUNDS,
-                f"evaluation support [{s_lo}, {s_hi}] leaves the profile span [{lo}, {hi}]",
-                at,
-            )
-    elif value.hi < lo or value.lo > hi:
-        raise InputError(
-            EVALUATION_BOUNDS,
-            f"{value.kind} [{value.lo}, {value.hi}] cannot reach the profile span [{lo}, {hi}]",
-            at,
-        )
+def _parse_alternatives(raw, tree, scales, envelope, at: str = "alternatives"):
+    """Names, the (m, n_el, 3) table of deterministic evaluations (zeros at
+    stochastic cells), its (m, n_el) forms and the stochastic cells as
+    (row, slot, value), row by row.
 
-
-def _parse_alternatives(raw, tree, scales, envelopes, at: str = "alternatives"):
+    Alternatives are read in document order, each by key order.  The
+    numeric checks of the cells (finite numbers, spreads, and each
+    evaluation against the profile ``envelope``) run once over the whole
+    table after the walk, or over the cells read when the walk meets a
+    fault, so the error raised is that of the first fault in reading order.
+    """
     _require(isinstance(raw, Mapping) and raw, "alternatives must be a non-empty mapping", at)
-    names = []
-    rows = []
-    for name, values in raw.items():
-        here = f"{at}/{name}"
-        _require(isinstance(name, str) and name, "alternative names must be non-empty strings", at)
-        _require(isinstance(values, Mapping), "alternative must map criteria to values", here)
-        row: list[StochasticValue | None] = [None] * tree.n_elementary
-        for label_path, value in values.items():
-            cell = f"{here}/{label_path}"
-            slot = _elementary_slot(tree, label_path, cell)
-            row[slot] = _parse_value(value, scales[slot], cell)
-            _check_evaluation_bounds(row[slot], envelopes[slot], cell)
-        missing = [label for label, v in zip(tree.elementary_slot, row) if v is None]
-        if missing:
-            raise InputError(
-                MISSING_EVALUATION,
-                f"alternative {name!r} lacks evaluations for {missing}",
-                here,
-            )
-        names.append(name)
-        rows.append(tuple(row))
-    return tuple(names), tuple(rows)
+    labels = list(tree.elementary_slot)
+    n_el = tree.n_elementary
+    cells = [0.0] * (3 * len(raw) * n_el)
+    forms = [None] * (len(raw) * n_el)
+    names, read, stochastic = [], [], {}  # read: cells in reading order, i * n_el + slot
+    sampled_at = []  # positions in read of the stochastic cells
+
+    def check():
+        order = np.array(read, dtype=np.intp)
+        table = np.array(cells).reshape(-1, 3)
+        got = table[order]
+        lo, hi = envelope[order % n_el].T
+        # cells read as inf or nan are flagged below, without a warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            s_lo, s_hi = got[:, 0] - got[:, 1], got[:, 0] + got[:, 2]
+        sampled = np.zeros(len(read), dtype=bool)
+        if sampled_at:
+            sampled[sampled_at] = True
+            s_lo[sampled_at], s_hi[sampled_at] = np.array(
+                [(v.lo, v.hi) for v in (stochastic[read[p]] for p in sampled_at)]).T
+        # a deterministic support must lie inside the envelope, a stochastic one reach it
+        outside = np.where(sampled, (s_hi < lo) | (s_lo > hi), (s_lo < lo) | (s_hi > hi))
+        bad_cell = _cell_faults(got)
+        bad = bad_cell | outside
+        if bad.any():
+            p = int(bad.argmax())
+            i, slot = divmod(read[p], n_el)
+            here = f"{at}/{names[i]}/{labels[slot]}"
+            if bad_cell[p]:
+                _raise_cell_fault(got[p].tolist(), forms[read[p]], here)
+            span = f"the profile span [{float(lo[p])}, {float(hi[p])}]"
+            if sampled[p]:
+                v = stochastic[read[p]]
+                raise InputError(EVALUATION_BOUNDS,
+                                 f"{v.kind} [{v.lo}, {v.hi}] cannot reach {span}", here)
+            raise InputError(EVALUATION_BOUNDS, f"evaluation support [{float(s_lo[p])}, "
+                             f"{float(s_hi[p])}] leaves {span}", here)
+        return table
+
+    try:
+        for i, (name, values) in enumerate(raw.items()):
+            here = f"{at}/{name}"
+            _require(isinstance(name, str) and name, "alternative names must be non-empty strings", at)
+            _require(isinstance(values, Mapping), "alternative must map criteria to values", here)
+            names.append(name)
+            for label_path, value in values.items():
+                cell = f"{here}/{label_path}"
+                slot = _elementary_slot(tree, label_path, cell)
+                j = i * n_el + slot
+                form = _read_value(value, scales[slot], cell, cells, j)
+                if type(form) is not int:
+                    stochastic[j], form = form, STOCHASTIC
+                    sampled_at.append(len(read))
+                forms[j] = form
+                read.append(j)
+            row = forms[i * n_el:(i + 1) * n_el]
+            if None in row:
+                missing = [label for label, form in zip(labels, row) if form is None]
+                raise InputError(
+                    MISSING_EVALUATION,
+                    f"alternative {name!r} lacks evaluations for {missing}",
+                    here,
+                )
+    except InputError:
+        check()  # a fault read earlier comes first
+        raise
+    table = check().reshape(len(names), n_el, 3)
+    table.flags.writeable = False
+    sampled = tuple((*divmod(j, n_el), v) for j, v in sorted(stochastic.items()))
+    return (tuple(names), table, np.array(forms, dtype=np.int32).reshape(len(names), n_el),
+            sampled)
 
 
 def _parse_smaa(raw, at: str = "smaa") -> RunDefaults:
@@ -461,8 +660,10 @@ def parse_problem(doc) -> Problem:
     slot_scales = [scales[name] if name else None for name in binding]
 
     models = _parse_preferences(doc.get("preferences"), tree)
-    profile_specs, envelopes = _parse_profiles(doc["profiles"], tree, models, slot_scales, k)
-    names, rows = _parse_alternatives(doc["alternatives"], tree, slot_scales, envelopes)
+    profile_specs, envelope, fixed_profiles = _parse_profiles(
+        doc["profiles"], tree, models, slot_scales, k)
+    names, fixed_evals, forms, sampled_evals = _parse_alternatives(
+        doc["alternatives"], tree, slot_scales, envelope)
     defaults = _parse_smaa(doc.get("smaa"))
 
     name = doc.get("name")
@@ -474,9 +675,13 @@ def parse_problem(doc) -> Problem:
         tree=tree,
         categories=tuple(categories),
         alternative_names=names,
-        evaluation_specs=rows,
+        fixed_evals=fixed_evals,
+        evaluation_forms=forms,
+        sampled_evals=sampled_evals,
         profile_specs=profile_specs,
         preference_models=tuple(models),
+        is_deterministic_data=(not sampled_evals and fixed_profiles
+                               and all(m.is_deterministic for m in models)),
         scales=scales,
         scale_binding=binding,
         default_scale=default_scale,
@@ -600,12 +805,10 @@ def problem_to_document(problem: Problem) -> dict:
             for slot, path in enumerate(problem.tree.elementary_paths)
         }
     }
+    labels = [problem.tree.label_path(path) for path in problem.tree.elementary_paths]
     doc["alternatives"] = {
-        name: {
-            problem.tree.label_path(path): _render_value(problem.evaluation_specs[i][slot])
-            for slot, path in enumerate(problem.tree.elementary_paths)
-        }
-        for i, name in enumerate(problem.alternative_names)
+        name: {label: _render_value(v) for label, v in zip(labels, row)}
+        for name, row in zip(problem.alternative_names, problem.evaluation_specs)
     }
     doc["smaa"] = {
         "iterations": problem.defaults.iterations,

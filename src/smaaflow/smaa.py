@@ -456,21 +456,13 @@ class ProblemRuntime:
         ]
         # shape codes, s and directions; q and p are set per data draw
         self.prefs = PreferenceArrays.of(problem.preference_models, thresholds=(None, None))
-        # deterministic evaluation cells, resolved once; data draws start
-        # from them and sample the stochastic cells in row-major order
-        self.fixed_evals = np.zeros((self.m, len(problem.preference_models), 3))
-        self.sampled_evals = []
-        for i, row in enumerate(problem.evaluation_specs):
-            for t, v in enumerate(row):
-                if v.is_deterministic:
-                    f = v.resolved()
-                    self.fixed_evals[i, t] = (f.m, f.alpha, f.beta)
-                else:
-                    self.sampled_evals.append((i, t, v))
+        # data draws start from the deterministic evaluation cells and sample
+        # the stochastic ones in row-major order
+        self.fixed_evals = problem.fixed_evals
+        self.sampled_evals = problem.sampled_evals
         self.static_components = None
         if problem.is_deterministic_data:
             self.static_components = self._sample_components(None, 1)[0]
-            self.fixed_evals = None  # never read again; workers would inherit it
 
     def _sample_data(self, rng: np.random.Generator | None, size: int):
         """Inputs of ``size`` data draws: the preference arrays with

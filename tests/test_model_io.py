@@ -2,12 +2,14 @@
 
 import copy
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smaaflow import InputError, SmaaFlowError, TFN, run_smaa
 from smaaflow.errors import (
@@ -30,7 +32,7 @@ from smaaflow.model_io import (
     problem_to_document,
     write_report,
 )
-from smaaflow.smaa import StochasticValue, deterministic_result
+from smaaflow.smaa import ProblemRuntime, StochasticValue, deterministic_result
 
 INVALID = Path(__file__).parent / "data" / "invalid"
 
@@ -204,6 +206,147 @@ def test_every_load_failure_is_a_smaaflow_error():
             except Exception as exc:  # anything else escapes the error contract
                 crashes.append(("/".join(map(str, keys)), repr(value), repr(exc)))
     assert crashes == []
+
+
+MIXED_FORMS = Path(__file__).parent / "data" / "mixed_forms.json"
+
+
+def mixed_forms_doc():
+    """The walkthrough with crisp, term, tfn, interval and normal evaluations
+    (normal with and without min/max), a tfn and an interval profile level
+    and an interval q/p pair."""
+    return json.loads(MIXED_FORMS.read_text(encoding="utf-8"))
+
+
+def test_mixed_forms_document_holds_every_form():
+    problem = parse_problem(mixed_forms_doc())
+    kinds = {v.kind for row in problem.evaluation_specs for v in row}
+    assert kinds == {"crisp", "linguistic", "fuzzy", "interval", "normal"}
+    normals = [v for row in problem.evaluation_specs for v in row if v.kind == "normal"]
+    assert {np.isfinite(v.lo) for v in normals} == {True, False}
+    assert {v.kind for row in problem.profile_specs for v in row} == {"crisp", "fuzzy", "interval"}
+    assert problem.preference_models[3].q == StochasticValue.interval(0.5, 1)
+    assert problem.preference_models[3].p == StochasticValue.interval(2, 3)
+    assert not problem.is_deterministic_data
+
+
+def with_cells(doc, **changes):
+    """``doc`` with ``alternatives`` rows, ``profiles`` columns or
+    ``preferences`` entries replaced: ``x1={...}`` sets a row,
+    ``x1__drop="G2/g22"`` deletes one of its cells, ``profile__G1__g12=[...]``
+    sets a profile column and ``preference__G1__g12={...}`` a model."""
+    doc = copy.deepcopy(doc)
+    for key, value in changes.items():
+        section, _, leaf = key.partition("__")
+        if section in ("profile", "preference"):
+            doc[section + "s"]["per_criterion"][leaf.replace("__", "/")] = value
+        elif key.endswith("__drop"):
+            del doc["alternatives"][key[:-len("__drop")]][value]
+        else:
+            doc["alternatives"][key] = value
+    return doc
+
+
+#: Documents with two faults each, and the code and location of the one
+#: reported: always the first in document order.
+TWO_FAULTS = {
+    "nan-threshold-before-unknown-shape": (
+        lambda: with_cells(mixed_forms_doc(), preference__G1__g12={"shape": "v-shape", "p": NAN},
+                           preference__G2__g22={"shape": "bogus"}),
+        SCHEMA, "preferences/per_criterion/G1/g12/p"),
+    "nan-q-before-unused-p": (
+        lambda: with_cells(mixed_forms_doc(), preference__G1__g12={"shape": "u-shape",
+                                                                   "q": NAN, "p": 1}),
+        SCHEMA, "preferences/per_criterion/G1/g12/q"),
+    "bad-tfn-threshold-before-unknown-term": (
+        lambda: with_cells(mixed_forms_doc(),
+                           preference__G1__g12={"shape": "u-shape", "q": {"tfn": [1, -1, 0]}},
+                           x1={"G1/g11": "top", "G1/g12": 1, "G2/g21": 8, "G2/g22": 14}),
+        SCHEMA, "preferences/per_criterion/G1/g12/q/tfn"),
+    "float-tfn-threshold-with-negative-spread": (
+        lambda: with_cells(mixed_forms_doc(), preference__G1__g12={
+            "shape": "u-shape", "q": {"tfn": [1.0, -0.5, 0.0]}, "p": 1}),
+        SCHEMA, "preferences/per_criterion/G1/g12/q/tfn"),
+    "float-tfn-infinite-spread-before-dominance": (
+        lambda: with_cells(mixed_forms_doc(), profile__G1__g12=[0, {"tfn": [5.0, INF, 0.5]}, 10],
+                           profile__G2__g22=[30, 35, 0]),
+        SCHEMA, "profiles/per_criterion/G1/g12/1/tfn"),
+    "key-order-float-tfn-negative-spread-before-nan": (
+        lambda: with_cells(mixed_forms_doc(), x1={"G2/g22": {"tfn": [20.0, -1.0, 0.5]}, "G2/g21": 8,
+                                                  "G1/g12": 2, "G1/g11": {"tfn": [5.0, NAN, 1.0]}}),
+        SCHEMA, "alternatives/x1/G2/g22/tfn"),
+    "dominance-in-column-1-nan-in-column-3": (
+        lambda: with_cells(walkthrough_doc(), profile__G1__g12=[5, 5, 10],
+                           profile__G2__g22=[30, NAN, 0]),
+        PROFILE_DOMINANCE, "profiles/per_criterion/G1/g12"),
+    "nan-in-column-1-dominance-in-column-3": (
+        lambda: with_cells(walkthrough_doc(), profile__G1__g12=[0, NAN, 10],
+                           profile__G2__g22=[30, 35, 0]),
+        SCHEMA, "profiles/per_criterion/G1/g12/1"),
+    "overlap-in-column-0-bad-spread-in-column-1": (
+        lambda: with_cells(mixed_forms_doc(), profile__G1__g11=[10, {"tfn": [5, 0, 6]}, 0],
+                           profile__G1__g12=[0, {"tfn": [5, -1, 0]}, 10]),
+        PROFILE_OVERLAP, "profiles/per_criterion/G1/g11"),
+    "out-of-envelope-in-row-0-missing-leaf-in-row-1": (
+        lambda: with_cells(walkthrough_doc(), x1={"G1/g11": 11, "G1/g12": 1, "G2/g21": 16,
+                                                  "G2/g22": 28}, x2__drop="G2/g22"),
+        EVALUATION_BOUNDS, "alternatives/x1/G1/g11"),
+    "missing-leaf-in-row-0-out-of-envelope-in-row-1": (
+        lambda: with_cells(walkthrough_doc(), x1__drop="G2/g22",
+                           x2={"G1/g11": 11, "G1/g12": 3, "G2/g21": 8, "G2/g22": 12}),
+        MISSING_EVALUATION, "alternatives/x1"),
+    "key-order-nan-before-out-of-envelope": (
+        lambda: with_cells(walkthrough_doc(), x1={"G2/g22": NAN, "G1/g12": 1, "G2/g21": 16,
+                                                  "G1/g11": 11}),
+        SCHEMA, "alternatives/x1/G2/g22"),
+    "key-order-out-of-envelope-before-bad-spread": (
+        lambda: with_cells(walkthrough_doc(), x1={"G2/g22": 40, "G1/g12": 1, "G2/g21": 16,
+                                                  "G1/g11": {"tfn": [8, -1, 0]}}),
+        EVALUATION_BOUNDS, "alternatives/x1/G2/g22"),
+    "key-order-out-of-envelope-before-unknown-term": (
+        lambda: with_cells(mixed_forms_doc(), x2={"G2/g22": {"tfn": [40, 1, 1]}, "G2/g21": 8,
+                                                  "G1/g12": 2, "G1/g11": "top"}),
+        EVALUATION_BOUNDS, "alternatives/x2/G2/g22"),
+    "key-order-unreachable-interval-before-nan-tfn": (
+        lambda: with_cells(mixed_forms_doc(), x3={"G2/g22": [31, 32], "G2/g21": 8,
+                                                  "G1/g12": 2, "G1/g11": {"tfn": [5, NAN, 1]}}),
+        EVALUATION_BOUNDS, "alternatives/x3/G2/g22"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_FAULTS))
+def test_first_of_two_faults_in_document_order(case):
+    build, code, at = TWO_FAULTS[case]
+    with pytest.raises(InputError) as err:
+        parse_problem(build())
+    assert (err.value.code, err.value.at) == (code, at)
+
+
+def load_outcome(doc) -> tuple[str, str, str]:
+    """(code, at, message) of loading ``doc``, all empty when it loads."""
+    try:
+        parse_problem(doc)
+    except SmaaFlowError as err:
+        return err.code, str(getattr(err, "at", None)), str(err)
+    return "", "", ""
+
+
+def test_load_errors_are_frozen():
+    # every outcome of the walkthrough and mixed-forms sweeps and of the
+    # two-fault documents, frozen as one sha256: any change of a code, a
+    # location, a message or of which fault is reported moves it
+    outcomes = []
+    for doc in (walkthrough_doc(), mixed_forms_doc()):
+        for keys in field_paths(doc):
+            for value in MALFORMED:
+                bad = copy.deepcopy(doc)
+                set_field(bad, keys, copy.deepcopy(value))
+                outcomes.append(("/".join(map(str, keys)), repr(value), *load_outcome(bad)))
+    outcomes += [(case, "", *load_outcome(build())) for case, (build, _, _) in TWO_FAULTS.items()]
+    assert len(outcomes) == (76 + 142) * len(MALFORMED) + len(TWO_FAULTS)
+    text = "\n".join("\t".join(row) for row in sorted(outcomes))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9a5062892abf7b005d740c05c1324b6a481357a40cf0347893d973a24afdb84f")
 
 
 POINT_NORMAL = {"normal": {"mean": 6, "sd": 1, "min": 6, "max": 6}}
@@ -394,6 +537,64 @@ def test_dump_problem_is_loadable(tmp_path, walkthrough):
     assert again.alternative_names == walkthrough.alternative_names
     assert again.evaluation_tfns("x1") == walkthrough.evaluation_tfns("x1")
     assert target.read_text().endswith("\n")
+
+
+#: Leaves of the mixed-forms document; every profile envelope holds [0, 10].
+LEAVES = ("G1/g11", "G1/g12", "G2/g21", "G2/g22")
+GRADE = {"low": TFN(2, 1, 1), "mid": TFN(5, 1, 1), "high": TFN(8, 1, 1)}
+
+number = st.one_of(st.integers(0, 10), st.floats(0, 10))
+spread = st.one_of(st.integers(0, 1), st.floats(0, 1))
+#: (raw cell, the value it stands for), one strategy per value form
+cell_forms = st.one_of(
+    number.map(lambda x: (x, StochasticValue.crisp(x))),
+    st.sampled_from(sorted(GRADE)).map(
+        lambda term: (term, StochasticValue.linguistic(term, GRADE[term]))),
+    st.tuples(st.floats(1, 9), spread, spread).map(
+        lambda t: ({"tfn": list(t)}, StochasticValue.fuzzy(TFN(*map(float, t))))),
+    st.lists(number, min_size=2, max_size=2).map(sorted).map(
+        lambda ends: (ends, StochasticValue.interval(*ends))),
+    st.tuples(number, st.floats(0.1, 3), st.one_of(st.none(), st.floats(0, 4.9)),
+              st.one_of(st.none(), st.floats(5, 10))).map(lambda n: (
+        {"normal": {"mean": n[0], "sd": n[1],
+                    **({} if n[2] is None else {"min": n[2]}),
+                    **({} if n[3] is None else {"max": n[3]})}},
+        StochasticValue.normal(n[0], n[1], -np.inf if n[2] is None else n[2],
+                               np.inf if n[3] is None else n[3]))),
+)
+#: rows of (label path, (raw, value)) in the order the document lists them
+alternative_rows = st.lists(
+    st.tuples(st.permutations(LEAVES), st.lists(cell_forms, min_size=4, max_size=4)).map(
+        lambda row: list(zip(row[0], row[1]))),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alternative_rows)
+def test_mixed_forms_round_trip_and_tables(rows):
+    doc = mixed_forms_doc()
+    doc["default_scale"] = "grade"  # terms on every leaf
+    doc["alternatives"] = {f"a{i}": {path: raw for path, (raw, _) in row}
+                           for i, row in enumerate(rows)}
+    problem = parse_problem(doc)
+    text = dump_problem(problem)
+    assert dump_problem(parse_problem(json.loads(text))) == text
+
+    slot = {path: t for t, path in enumerate(LEAVES)}
+    want = [[None] * len(LEAVES) for _ in rows]
+    for i, row in enumerate(rows):
+        for path, (_, value) in row:
+            want[i][slot[path]] = value
+    assert problem.evaluation_specs == tuple(map(tuple, want))
+
+    state = ProblemRuntime(problem, "net", "centroid", seed=0, strict=False)
+    assert state.sampled_evals == tuple(
+        (i, t, v) for i, row in enumerate(want) for t, v in enumerate(row)
+        if not v.is_deterministic)
+    for i, row in enumerate(want):
+        for t, v in enumerate(row):
+            f = v.resolved() if v.is_deterministic else TFN(0)
+            assert state.fixed_evals[i, t].tolist() == [f.m, f.alpha, f.beta]
 
 
 def test_round_trip_preserves_stochastic_forms():
