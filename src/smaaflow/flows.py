@@ -144,22 +144,26 @@ def profile_pair_faults(columns: np.ndarray, maximize) -> tuple[np.ndarray, np.n
     ordered in the preference direction, and the supports of adjacent
     profiles may touch but not overlap.  Returns two (..., k) masks: entry
     h is true where profiles h and h+1 break the mode ordering, or where
-    their supports overlap.
+    their supports overlap.  A mode, support end or difference that
+    overflows to an infinity still compares correctly, so it does not warn.
     """
     better, worse = columns[..., :-1, :], columns[..., 1:, :]
     up = np.asarray(maximize)[..., None]
-    dominance = np.where(up, better[..., 0] - worse[..., 0], worse[..., 0] - better[..., 0]) <= 0
     upper, lower = np.where(up[..., None], better, worse), np.where(up[..., None], worse, better)
-    overlap = upper[..., 0] - upper[..., 1] < lower[..., 0] + lower[..., 2]
+    with np.errstate(over="ignore"):
+        dominance = np.where(up, better[..., 0] - worse[..., 0], worse[..., 0] - better[..., 0]) <= 0
+        overlap = upper[..., 0] - upper[..., 1] < lower[..., 0] + lower[..., 2]
     return dominance, overlap
 
 
 def profile_envelope(columns: np.ndarray) -> np.ndarray:
     """Support span of each criterion's profiles: ``columns`` as in
     :func:`profile_pair_faults`, (..., k+1, 3); returns (..., 2) pairs of
-    the lowest left and the highest right support end."""
-    return np.stack([(columns[..., 0] - columns[..., 1]).min(axis=-1),
-                     (columns[..., 0] + columns[..., 2]).max(axis=-1)], axis=-1)
+    the lowest left and the highest right support end, infinite where one
+    overflows."""
+    with np.errstate(over="ignore"):
+        return np.stack([(columns[..., 0] - columns[..., 1]).min(axis=-1),
+                         (columns[..., 0] + columns[..., 2]).max(axis=-1)], axis=-1)
 
 
 def check_profile_column(column: np.ndarray, direction: str, criterion: int | str,

@@ -164,12 +164,17 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class CriterionNode:
-    """A node of the criteria tree; elementary iff it has no children."""
+    """A node of the criteria tree; elementary iff it has no children.
+
+    ``scale`` is the node's ``scale`` entry as written; the problem parser
+    checks that it names a known scale, and only on a leaf.
+    """
 
     path: tuple[int, ...]
     label: str
     children: tuple["CriterionNode", ...] = ()
     child_weights: WeightSpec | None = None
+    scale: str | None = None
 
     @property
     def is_elementary(self) -> bool:
@@ -214,7 +219,7 @@ def _build_node(obj: Mapping, path: tuple[int, ...], at: str) -> CriterionNode:
         weights.validate(len(children), f"{at}/weights")
     elif "weights" in obj:
         raise InputError(SCHEMA, "elementary criteria carry no child weights", f"{at}/weights")
-    return CriterionNode(path, label, children, weights)
+    return CriterionNode(path, label, children, weights, obj.get("scale"))
 
 
 class CriteriaTree:

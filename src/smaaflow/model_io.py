@@ -24,7 +24,10 @@ number must be finite (:func:`~smaaflow.hierarchy.is_number`): ``NaN`` and
 ``Infinity``, which ``json.loads`` reads, are rejected.
 
 Validation failures raise :class:`~smaaflow.errors.InputError` with a
-stable code and the path of the offending field.
+stable code and the path of the offending field.  The cells of a section
+(the thresholds, the profile levels, the evaluations) are each read once,
+into one :class:`_Cells` reader per section, which checks them all at once
+and reports the first fault in reading order.
 """
 
 from __future__ import annotations
@@ -164,8 +167,7 @@ class Problem:
     def evaluation_specs(self) -> tuple[tuple[StochasticValue, ...], ...]:
         """One value per evaluation cell, (m, n_el), built from the tables
         on first use."""
-        return _cell_values(self.fixed_evals, self.evaluation_forms,
-                            {(i, t): v for i, t, v in self.sampled_evals},
+        return _cell_values(self.fixed_evals, self.evaluation_forms, self.sampled_evals,
                             [self.scales.get(name) for name in self.scale_binding])
 
     def resolved_preferences(self) -> list[PreferenceSpec]:
@@ -181,11 +183,12 @@ class Problem:
         return [v.resolved() for v in row]
 
 
-def _cell_values(table, forms, stochastic, scales) -> tuple[tuple[StochasticValue, ...], ...]:
-    """One value per cell of a (rows, cols, 3) table of deterministic values
-    and its (rows, cols) forms.  ``stochastic`` maps (row, col) to the value
-    of each stochastic cell, and column ``col`` reads its terms from
+def _cell_values(table, forms, sampled, scales) -> tuple[tuple[StochasticValue, ...], ...]:
+    """One value per cell of a (rows, cols, 3) table of deterministic values,
+    its (rows, cols) forms and its stochastic cells as (row, col, value), as
+    :meth:`_Cells.table` returns them.  Column ``col`` reads its terms from
     ``scales[col]``."""
+    stochastic = {(r, c): v for r, c, v in sampled}
     out = []
     for r, (cells, row_forms) in enumerate(zip(table.tolist(), forms.tolist())):
         row = []
@@ -233,12 +236,12 @@ def _read_value(obj, scale: LinguisticScale | None, at: str, cells: list, j: int
     and returns its form: :data:`CRISP`, :data:`FUZZY` or the index of its
     term in ``scale``.  A stochastic value is checked here and returned.
     A float, alone or in a list of three floats under ``tfn``, is written
-    unchecked: :func:`_cell_faults` checks whole tables for numbers that
-    are not finite and for negative spreads, and :func:`_raise_cell_fault`
-    words the error this reader would raise.  Plain ``float``, ``str``,
-    ``list`` and ``dict`` are recognized by their exact type; any other
-    object is tried as a number (:func:`~smaaflow.hierarchy.is_number`), a
-    string, a sequence and a mapping, in that order.
+    unchecked: :class:`_Cells` checks every cell read for numbers that
+    are not finite and for negative spreads, and words the error this
+    reader would raise.  Plain ``float``, ``str``, ``list`` and ``dict`` are
+    recognized by their exact type; any other object is tried as a number
+    (:func:`~smaaflow.hierarchy.is_number`), a string, a sequence and a
+    mapping, in that order.
     """
     kind = type(obj)
     if kind is float:
@@ -266,7 +269,8 @@ def _read_value(obj, scale: LinguisticScale | None, at: str, cells: list, j: int
     if kind is list:
         _require(len(obj) == 2 and all(is_number(v) for v in obj),
                  "interval must be [lo, hi]", at)
-        _require(obj[0] <= obj[1], f"empty interval [{obj[0]}, {obj[1]}]", at)
+        if obj[0] > obj[1]:
+            raise InputError(SCHEMA, f"empty interval [{obj[0]}, {obj[1]}]", at)
         return StochasticValue.interval(obj[0], obj[1])
     if kind is dict:
         if len(obj) == 1 and "tfn" in obj:
@@ -282,7 +286,8 @@ def _read_value(obj, scale: LinguisticScale | None, at: str, cells: list, j: int
             spec = obj["normal"]
             _require(isinstance(spec, Mapping), "normal spec must be a mapping", at)
             unknown = set(spec) - {"mean", "sd", "min", "max"}
-            _require(not unknown, f"unknown normal keys {sorted(unknown)}", at)
+            if unknown:
+                raise InputError(SCHEMA, f"unknown normal keys {sorted(unknown)}", at)
             _require(is_number(spec.get("mean")) and is_number(spec.get("sd")),
                      "normal needs numeric mean and sd", at)
             _require(spec["sd"] > 0, "normal sd must be positive", at)
@@ -291,38 +296,97 @@ def _read_value(obj, scale: LinguisticScale | None, at: str, cells: list, j: int
             lo = spec.get("min", -np.inf)
             hi = spec.get("max", np.inf)
             # a continuous draw never lands on a single point, so [lo, lo] is empty too
-            _require(lo < hi, f"empty truncation [{lo}, {hi}]", at)
+            if not lo < hi:
+                raise InputError(SCHEMA, f"empty truncation [{lo}, {hi}]", at)
             return StochasticValue.normal(spec["mean"], spec["sd"], lo, hi)
     raise _unrecognized(obj, at)
 
 
-def _cell_faults(cells: np.ndarray) -> np.ndarray:
-    """Mask of the (..., 3) rows of (m, alpha, beta) that hold a number that
-    is not finite or a negative spread."""
-    return ~(np.isfinite(cells).all(axis=-1) & (cells[..., 1:] >= 0).all(axis=-1))
+class _Cells:
+    """The cells of one section, each read once by :func:`_read_value`.
+
+    Cell ``j`` keeps its (m, alpha, beta) in ``values[3j:3j+3]`` and its
+    form in ``forms[j]``, and ``sampled`` maps each stochastic cell to its
+    value; ``order`` and ``paths`` list the cells read, and where they were
+    written, in reading order.
+
+    Used as a context manager around the walk of its section, the reader
+    checks every cell read when the walk ends or raises, and raises the
+    first fault in reading order; only when there is none does an error of
+    the walk pass.  A cell's own faults are a number that is not finite and
+    a negative spread.  ``faults(cells, got)``, if given, raises the first
+    fault that the section itself finds among the cells read before the
+    first faulty one, ``got`` holding their (m, alpha, beta) rows in
+    reading order: a section fault may sit at any cell but depends on none
+    after it, and a cell's own fault comes before it at the same cell.
+    """
+
+    def __init__(self, n: int, faults=None):
+        self.values = [0.0] * (3 * n)
+        self.forms = [STOCHASTIC] * n
+        self.sampled: dict[int, StochasticValue] = {}
+        self.order: list[int] = []
+        self.paths: list[str] = []
+        self.faults = faults
+
+    def read(self, obj, scale: LinguisticScale | None, at: str, j: int):
+        """Read ``obj``, written at ``at``, into cell ``j``; returns what
+        :func:`_read_value` returns."""
+        value = _read_value(obj, scale, at, self.values, j)
+        if type(value) is int:
+            self.forms[j] = value
+        else:
+            self.sampled[j] = value
+        self.order.append(j)
+        self.paths.append(at)
+        return value
+
+    def __enter__(self) -> "_Cells":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and not issubclass(kind, InputError):
+            return
+        self.array = np.array(self.values).reshape(-1, 3)  # kept for table()
+        got = self.array[self.order]
+        # cells read as inf or nan are flagged here, without a warning
+        with np.errstate(invalid="ignore"):
+            bad = ~(np.isfinite(got).all(axis=1) & (got[:, 1:] >= 0).all(axis=1))
+        first = int(bad.argmax()) if bad.any() else len(got)
+        if self.faults is not None:
+            self.faults(self, got[:first])
+        if first < len(got):  # only to word the error
+            cell, at = got[first].tolist(), self.paths[first]
+            if self.forms[self.order[first]] == CRISP:
+                raise _unrecognized(cell[0], at)
+            _parse_tfn_triple(cell, f"{at}/tfn")
+
+    def table(self, cols: int):
+        """The cells as ``(values, forms, sampled)``: a read-only (rows,
+        cols, 3) table of deterministic values, zeros at stochastic cells,
+        its (rows, cols) forms and the stochastic cells as (row, col,
+        value), row by row."""
+        values = self.array.reshape(-1, cols, 3)
+        values.flags.writeable = False
+        return (values, np.array(self.forms, dtype=np.int32).reshape(-1, cols),
+                tuple((*divmod(j, cols), v) for j, v in sorted(self.sampled.items())))
 
 
-def _raise_cell_fault(cell: list, form: int, at: str) -> None:
-    """Raise the error :func:`_read_value` words for a cell that
-    :func:`_cell_faults` flags: ``cell`` holds its three floats."""
-    if form == CRISP:
-        raise _unrecognized(cell[0], at)
-    _parse_tfn_triple(cell, f"{at}/tfn")
+#: The default of an absent q or p.
+_ZERO = StochasticValue.crisp(0.0)
 
 
-def _parse_threshold(obj, at: str, read: list) -> StochasticValue:
-    """Read a threshold; a crisp or tfn one is appended to ``read`` as
-    (cell, form, at) for :func:`_parse_preferences` to check."""
-    cell = [0.0] * 3
-    value = _read_value(obj, None, at, cell, 0)
+def _parse_threshold(obj, at: str, cells: _Cells, j: int) -> StochasticValue:
+    """Read a threshold into cell ``j`` of ``cells``."""
+    value = cells.read(obj, None, at, j)
     if type(value) is int:  # no scale here, so a number or a tfn
-        read.append((cell, value, at))
         _require(value == CRISP, "thresholds must be scalar: number, [lo, hi] or normal",
                  at, THRESHOLD)
-        value = StochasticValue.crisp(cell[0])
+        value = StochasticValue.crisp(cells.values[3 * j])
     # PreferenceSpec checks crisp values; a stochastic one may not draw below 0
-    _require(value.lo >= 0, f"{value.kind} threshold can draw below 0 (lower end {value.lo})",
-             at, THRESHOLD)
+    if value.lo < 0:
+        raise InputError(THRESHOLD, f"{value.kind} threshold can draw below 0 "
+                         f"(lower end {value.lo})", at)
     return value
 
 
@@ -351,29 +415,6 @@ def _parse_scales(raw, at: str = "scales") -> dict[str, LinguisticScale]:
             parsed.append((entry[0], _parse_tfn_triple(entry[1], f"{here}/terms/{i}")))
         scales[name] = LinguisticScale(name, tuple(parsed))
     return scales
-
-
-def _collect_scale_bindings(raw_children, tree: CriteriaTree, scales, default_scale):
-    """Scale name per elementary slot, from leaf 'scale' keys or the default."""
-    binding: list[str | None] = [None] * tree.n_elementary
-
-    def walk(children, prefix, at):
-        for i, obj in enumerate(children):
-            path = prefix + (i + 1,)
-            here = f"{at}/children/{i}"
-            name = obj.get("scale")
-            kids = obj.get("children", [])
-            if name is not None:
-                _require(isinstance(name, str), "scale must be a name", here)
-                _require(not kids, "only elementary criteria bind a scale", here)
-                _require(name in scales, f"unknown scale {name!r}", here)
-            if kids:
-                walk(kids, path, here)
-            else:
-                binding[tree.elementary_index[path]] = name or default_scale
-
-    walk(raw_children, (), "tree")
-    return tuple(binding)
 
 
 def _elementary_slot(tree: CriteriaTree, label_path: str, at: str) -> int:
@@ -407,21 +448,26 @@ def _section(raw, tree: CriteriaTree, at: str, fallback=None) -> list[tuple[obje
     return entries
 
 
-def _preference_model(spec, at: str, thresholds: list) -> PreferenceModel:
+def _preference_model(spec, at: str, cells: _Cells, j: int) -> PreferenceModel:
+    """Read one model; its q and p go to cells ``j`` and ``j + 1``."""
     _require(isinstance(spec, Mapping), "preference spec must be a mapping", at)
     unknown = set(spec) - {"shape", "direction", "q", "p", "s"}
-    _require(not unknown, f"unknown preference keys {sorted(unknown)}", at)
+    if unknown:
+        raise InputError(SCHEMA, f"unknown preference keys {sorted(unknown)}", at)
     shape = spec.get("shape", "usual")
-    _require(shape in SHAPES, f"unknown shape {shape!r} (known: {SHAPES})", at)
+    if shape not in SHAPES:
+        raise InputError(SCHEMA, f"unknown shape {shape!r} (known: {SHAPES})", at)
     direction = spec.get("direction", "maximize")
-    _require(direction in DIRECTIONS, f"unknown direction {direction!r}", at)
-    q, p = (_parse_threshold(spec[name], f"{at}/{name}", thresholds) if name in spec
-            else StochasticValue.crisp(0.0) for name in ("q", "p"))
+    if direction not in DIRECTIONS:
+        raise InputError(SCHEMA, f"unknown direction {direction!r}", at)
+    q, p = (_parse_threshold(spec[name], f"{at}/{name}", cells, j + i) if name in spec
+            else _ZERO for i, name in enumerate(("q", "p")))
     s = spec.get("s", 0.0)
     _require(is_number(s) and s >= 0, "s must be a non-negative number", at)
-    for name, value in (("q", q), ("p", p), ("s", StochasticValue.crisp(s))):
-        _require(name in THRESHOLDS[shape] or value == StochasticValue.crisp(0.0),
-                 f"shape {shape!r} does not use threshold {name!r}", f"{at}/{name}", THRESHOLD)
+    for name, unset in (("q", q == _ZERO), ("p", p == _ZERO), ("s", s == 0)):
+        if not (unset or name in THRESHOLDS[shape]):
+            raise InputError(THRESHOLD, f"shape {shape!r} does not use threshold {name!r}",
+                             f"{at}/{name}")
     model = PreferenceModel(shape=shape, direction=direction, q=q, p=p, s=float(s))
     if model.is_deterministic:  # PreferenceSpec checks the crisp thresholds
         try:
@@ -431,75 +477,45 @@ def _preference_model(spec, at: str, thresholds: list) -> PreferenceModel:
     elif THRESHOLDS[shape] == ("q", "p"):  # a sampled pair needs some ordered draw
         (q_lo, q_hi), (p_lo, p_hi) = _support(q), _support(p)
         # a tie can be drawn only where both thresholds are single points
-        _require(q_lo < p_hi or (shape == "level" and q_lo == q_hi == p_lo == p_hi),
-                 f"{shape} thresholds can never be ordered: q starts at {q_lo}, "
-                 f"p ends at {p_hi}", at, THRESHOLD)
+        if not (q_lo < p_hi or (shape == "level" and q_lo == q_hi == p_lo == p_hi)):
+            raise InputError(THRESHOLD, f"{shape} thresholds can never be ordered: q starts "
+                             f"at {q_lo}, p ends at {p_hi}", at)
     return model
 
 
 def _parse_preferences(raw, tree, at: str = "preferences") -> list[PreferenceModel]:
-    """One model per elementary slot.  The crisp and tfn thresholds are
-    checked for finite numbers and spreads at once after the walk, or when
-    the walk meets a fault, so the error raised is that of the first fault
-    in reading order."""
-    thresholds = []  # (cell, form, at) in reading order
-
-    def check():
-        if thresholds:
-            bad = _cell_faults(np.array([cell for cell, _, _ in thresholds]))
-            if bad.any():
-                _raise_cell_fault(*thresholds[int(bad.argmax())])
-
-    try:
+    """One model per elementary slot; the q and p of slot t are cells 2t
+    and 2t + 1 of one reader."""
+    with _Cells(2 * tree.n_elementary) as cells:
         # a missing section or default is the usual shape, maximized
-        models = [_preference_model(spec, here, thresholds) for spec, here
-                  in _section({} if raw is None else raw, tree, at, fallback={})]
-    except InputError:
-        check()  # a fault read earlier comes first
-        raise
-    check()
-    return models
+        return [_preference_model(spec, here, cells, 2 * slot) for slot, (spec, here)
+                in enumerate(_section({} if raw is None else raw, tree, at, fallback={}))]
 
 
 def _parse_profiles(raw, tree, models, scales, k, at: str = "profiles"):
     """Profile levels, (k+1, n_el), and the (n_el, 2) support span of each
     column, (-inf, inf) where a column is stochastic.
 
-    Columns are read in slot order.  The numeric checks of their cells and
-    the dominance check of the deterministic columns run once over the
-    whole (n_el, k+1, 3) stack after the walk, or over what was read when
-    the walk meets a fault, so the error raised is that of the first fault
-    in reading order: a column's cells come before its dominance check.
+    Columns are read in slot order, each best level first, into cells
+    stored level-major.  Besides its cells' own checks, each deterministic
+    column's profile order is checked at its last cell.
     """
     labels = list(tree.elementary_slot)
     n_el, c = tree.n_elementary, k + 1
     entries = _section(raw, tree, at)
-    cells = [0.0] * (3 * n_el * c)
-    forms = [STOCHASTIC] * (n_el * c)
-    stochastic = {}  # cell -> value; cell t * c + h is level h of column t
-    read = 0
+    maximize = np.array([mdl.direction == "maximize" for mdl in models], dtype=bool)
 
-    def check():
-        stack = np.array(cells).reshape(n_el, c, 3)
-        done = read // c
-        deterministic = (np.array(forms).reshape(n_el, c) != STOCHASTIC).all(axis=1)
-        maximize = np.array([mdl.direction == "maximize" for mdl in models[:done]], dtype=bool)
-        # cells read as inf or nan are flagged below, without a warning
-        with np.errstate(invalid="ignore", over="ignore"):
-            bad_cell = _cell_faults(stack.reshape(-1, 3)[:read])
-            dominance, overlap = profile_pair_faults(stack[:done], maximize)
-        bad_column = deterministic[:done] & (dominance | overlap).any(axis=-1)
-        cell = int(bad_cell.argmax()) if bad_cell.any() else read
-        column = int(bad_column.argmax()) if bad_column.any() else n_el
-        if cell < read and cell // c <= column:
-            t, h = divmod(cell, c)
-            _raise_cell_fault(stack[t, h].tolist(), forms[cell], f"{entries[t][1]}/{h}")
-        if column < done:  # only to word the error
-            check_profile_column(stack[column], models[column].direction, labels[column],
-                                 entries[column][1])
-        return stack, deterministic
+    def order_faults(cells, got):
+        done = len(got) // c  # whole columns among the cells read
+        columns = got[:done * c].reshape(done, c, 3)
+        fixed = (np.array(cells.forms).reshape(c, n_el)[:, :done] != STOCHASTIC).all(axis=0)
+        dominance, overlap = profile_pair_faults(columns, maximize[:done])
+        bad = fixed & (dominance | overlap).any(axis=-1)
+        if bad.any():  # only to word the error
+            t = int(bad.argmax())
+            check_profile_column(columns[t], models[t].direction, labels[t], entries[t][1])
 
-    try:
+    with _Cells(c * n_el, order_faults) as cells:
         for slot, (values, here) in enumerate(entries):
             _require(here != at, f"no profiles for {labels[slot]!r} and no default", at)
             _require(isinstance(values, Sequence) and not isinstance(values, (str, bytes)),
@@ -507,20 +523,12 @@ def _parse_profiles(raw, tree, models, scales, k, at: str = "profiles"):
             _require(len(values) == c,
                      f"need {c} profile levels for {k} categories, got {len(values)}", here)
             for h, value in enumerate(values):
-                form = _read_value(value, scales[slot], f"{here}/{h}", cells, read)
-                if type(form) is not int:
-                    stochastic[read], form = form, STOCHASTIC
-                forms[read] = form
-                read += 1
-    except InputError:
-        check()  # a fault read earlier comes first
-        raise
-    stack, deterministic = check()
-    envelope = profile_envelope(stack)
-    envelope[~deterministic] = -np.inf, np.inf
-    specs = _cell_values(stack.swapaxes(0, 1), np.array(forms).reshape(n_el, c).T,
-                         {(j % c, j // c): v for j, v in stochastic.items()}, scales)
-    return specs, envelope, bool(deterministic.all())
+                cells.read(value, scales[slot], f"{here}/{h}", h * n_el + slot)
+    table = cells.table(n_el)
+    fixed = (table[1] != STOCHASTIC).all(axis=0)
+    envelope = profile_envelope(table[0].swapaxes(0, 1))
+    envelope[~fixed] = -np.inf, np.inf
+    return _cell_values(*table, scales), envelope, bool(fixed.all())
 
 
 def _parse_alternatives(raw, tree, scales, envelope, at: str = "alternatives"):
@@ -528,53 +536,37 @@ def _parse_alternatives(raw, tree, scales, envelope, at: str = "alternatives"):
     stochastic cells), its (m, n_el) forms and the stochastic cells as
     (row, slot, value), row by row.
 
-    Alternatives are read in document order, each by key order.  The
-    numeric checks of the cells (finite numbers, spreads, and each
-    evaluation against the profile ``envelope``) run once over the whole
-    table after the walk, or over the cells read when the walk meets a
-    fault, so the error raised is that of the first fault in reading order.
+    Alternatives are read in document order, each by key order.  Besides
+    its own checks, each evaluation is checked against the profile
+    ``envelope`` of its criterion.
     """
     _require(isinstance(raw, Mapping) and raw, "alternatives must be a non-empty mapping", at)
     labels = list(tree.elementary_slot)
     n_el = tree.n_elementary
-    cells = [0.0] * (3 * len(raw) * n_el)
-    forms = [None] * (len(raw) * n_el)
-    names, read, stochastic = [], [], {}  # read: cells in reading order, i * n_el + slot
-    sampled_at = []  # positions in read of the stochastic cells
 
-    def check():
-        order = np.array(read, dtype=np.intp)
-        table = np.array(cells).reshape(-1, 3)
-        got = table[order]
+    def envelope_faults(cells, got):
+        order = np.array(cells.order[:len(got)], dtype=np.intp)
         lo, hi = envelope[order % n_el].T
-        # cells read as inf or nan are flagged below, without a warning
-        with np.errstate(invalid="ignore", over="ignore"):
+        with np.errstate(over="ignore"):
             s_lo, s_hi = got[:, 0] - got[:, 1], got[:, 0] + got[:, 2]
-        sampled = np.zeros(len(read), dtype=bool)
-        if sampled_at:
-            sampled[sampled_at] = True
-            s_lo[sampled_at], s_hi[sampled_at] = np.array(
-                [(v.lo, v.hi) for v in (stochastic[read[p]] for p in sampled_at)]).T
+        sampled = np.array(cells.forms)[order] == STOCHASTIC
+        if sampled.any():
+            s_lo[sampled], s_hi[sampled] = np.array(
+                [(v.lo, v.hi) for v in map(cells.sampled.get, order[sampled].tolist())]).T
         # a deterministic support must lie inside the envelope, a stochastic one reach it
         outside = np.where(sampled, (s_hi < lo) | (s_lo > hi), (s_lo < lo) | (s_hi > hi))
-        bad_cell = _cell_faults(got)
-        bad = bad_cell | outside
-        if bad.any():
-            p = int(bad.argmax())
-            i, slot = divmod(read[p], n_el)
-            here = f"{at}/{names[i]}/{labels[slot]}"
-            if bad_cell[p]:
-                _raise_cell_fault(got[p].tolist(), forms[read[p]], here)
+        if outside.any():  # only to word the error
+            p = int(outside.argmax())
             span = f"the profile span [{float(lo[p])}, {float(hi[p])}]"
             if sampled[p]:
-                v = stochastic[read[p]]
-                raise InputError(EVALUATION_BOUNDS,
-                                 f"{v.kind} [{v.lo}, {v.hi}] cannot reach {span}", here)
+                v = cells.sampled[int(order[p])]
+                raise InputError(EVALUATION_BOUNDS, f"{v.kind} [{v.lo}, {v.hi}] cannot reach "
+                                 f"{span}", cells.paths[p])
             raise InputError(EVALUATION_BOUNDS, f"evaluation support [{float(s_lo[p])}, "
-                             f"{float(s_hi[p])}] leaves {span}", here)
-        return table
+                             f"{float(s_hi[p])}] leaves {span}", cells.paths[p])
 
-    try:
+    names = []
+    with _Cells(len(raw) * n_el, envelope_faults) as cells:
         for i, (name, values) in enumerate(raw.items()):
             here = f"{at}/{name}"
             _require(isinstance(name, str) and name, "alternative names must be non-empty strings", at)
@@ -583,29 +575,15 @@ def _parse_alternatives(raw, tree, scales, envelope, at: str = "alternatives"):
             for label_path, value in values.items():
                 cell = f"{here}/{label_path}"
                 slot = _elementary_slot(tree, label_path, cell)
-                j = i * n_el + slot
-                form = _read_value(value, scales[slot], cell, cells, j)
-                if type(form) is not int:
-                    stochastic[j], form = form, STOCHASTIC
-                    sampled_at.append(len(read))
-                forms[j] = form
-                read.append(j)
-            row = forms[i * n_el:(i + 1) * n_el]
-            if None in row:
-                missing = [label for label, form in zip(labels, row) if form is None]
+                cells.read(value, scales[slot], cell, i * n_el + slot)
+            if len(values) < n_el:  # every key read names a distinct leaf
+                missing = [label for label in labels if label not in values]
                 raise InputError(
                     MISSING_EVALUATION,
                     f"alternative {name!r} lacks evaluations for {missing}",
                     here,
                 )
-    except InputError:
-        check()  # a fault read earlier comes first
-        raise
-    table = check().reshape(len(names), n_el, 3)
-    table.flags.writeable = False
-    sampled = tuple((*divmod(j, n_el), v) for j, v in sorted(stochastic.items()))
-    return (tuple(names), table, np.array(forms, dtype=np.int32).reshape(len(names), n_el),
-            sampled)
+    return (tuple(names), *cells.table(n_el))
 
 
 def _parse_smaa(raw, at: str = "smaa") -> RunDefaults:
@@ -656,7 +634,13 @@ def parse_problem(doc) -> Problem:
     unknown = set(raw_tree) - {"weights", "children"}
     _require(not unknown, f"unknown tree keys {sorted(unknown)}", "tree")
     tree = build_tree(raw_tree.get("children", []), raw_tree.get("weights"))
-    binding = _collect_scale_bindings(raw_tree.get("children", []), tree, scales, default_scale)
+    for node in tree.nodes:  # depth first, so the first bad binding in document order
+        if node.scale is not None:
+            here = "tree" + "".join(f"/children/{i - 1}" for i in node.path)
+            _require(isinstance(node.scale, str), "scale must be a name", here)
+            _require(node.is_elementary, "only elementary criteria bind a scale", here)
+            _require(node.scale in scales, f"unknown scale {node.scale!r}", here)
+    binding = tuple(node.scale or default_scale for node in tree.nodes if node.is_elementary)
     slot_scales = [scales[name] if name else None for name in binding]
 
     models = _parse_preferences(doc.get("preferences"), tree)

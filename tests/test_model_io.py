@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from smaaflow.errors import (
     UNKNOWN_TERM,
     WEIGHT_SPEC,
 )
+from smaaflow.flows import ProfileSet
 from smaaflow.model_io import (
     LinguisticScale,
     dump_problem,
@@ -32,6 +34,7 @@ from smaaflow.model_io import (
     problem_to_document,
     write_report,
 )
+from smaaflow.preference import PreferenceSpec
 from smaaflow.smaa import ProblemRuntime, StochasticValue, deterministic_result
 
 INVALID = Path(__file__).parent / "data" / "invalid"
@@ -450,6 +453,29 @@ def test_profile_column_errors_name_the_criterion(profiles, criterion, at):
     assert f"on criterion {criterion} (" in str(err.value)
 
 
+@pytest.mark.parametrize("column, code", [
+    ([10, 5, {"tfn": [1e308, 1e308, 1e308]}], PROFILE_DOMINANCE),
+    ([{"tfn": [-1e308, 1e308, 1e308]}, 5, 0], PROFILE_DOMINANCE),
+    ([{"tfn": [1e308, 0, 1e308]}, 5, 0], None),
+], ids=["worst-level-overflows", "best-level-overflows", "envelope-overflows"])
+def test_profile_support_overflow_does_not_warn(column, code):
+    # a support end or difference beyond the float range is an infinity,
+    # which still compares correctly
+    doc = walkthrough_doc()
+    doc["profiles"]["per_criterion"]["G1/g11"] = column
+    profiles = ProfileSet([[TFN(*level["tfn"]) if isinstance(level, dict) else TFN(level)]
+                           for level in column])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for load in (lambda: parse_problem(doc), lambda: profiles.validate([PreferenceSpec()])):
+            if code is None:
+                load()
+                continue
+            with pytest.raises(InputError) as err:
+                load()
+            assert err.value.code == code
+
+
 @pytest.mark.parametrize("section", ["preferences", "profiles"])
 @pytest.mark.parametrize("per_criterion", [[1], [], True, "G1/g11"])
 def test_per_criterion_must_be_a_mapping(section, per_criterion):
@@ -595,6 +621,33 @@ def test_mixed_forms_round_trip_and_tables(rows):
         for t, v in enumerate(row):
             f = v.resolved() if v.is_deterministic else TFN(0)
             assert state.fixed_evals[i, t].tolist() == [f.m, f.alpha, f.beta]
+
+
+#: Cell faults, one per way a cell is rejected: a number that is not finite,
+#: a negative spread, an empty interval and an unknown term.
+CELL_FAULTS = [NAN, {"tfn": [5, -1, 0]}, [2, 1], "bogus"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_first_of_two_cell_faults_in_reading_order(data):
+    doc = mixed_forms_doc()
+    rows = doc["alternatives"]
+    for name, row in rows.items():
+        rows[name] = {key: row[key] for key in data.draw(st.permutations(list(row)))}
+    # every profile level and evaluation as (container, key, path), in reading order
+    cells = [(doc["profiles"]["per_criterion"][leaf], h, f"profiles/per_criterion/{leaf}/{h}")
+             for leaf in LEAVES for h in range(3)]
+    cells += [(row, key, f"alternatives/{name}/{key}") for name, row in rows.items() for key in row]
+    picked = sorted(data.draw(st.lists(st.integers(0, len(cells) - 1), min_size=2, max_size=2,
+                                       unique=True)))
+    faults = data.draw(st.lists(st.sampled_from(CELL_FAULTS), min_size=2, max_size=2))
+    for p, fault in zip(picked, faults):
+        container, key, _ = cells[p]
+        container[key] = copy.deepcopy(fault)
+    with pytest.raises(InputError) as err:
+        parse_problem(doc)
+    assert err.value.at == cells[picked[0]][2] + ("/tfn" if isinstance(faults[0], dict) else "")
 
 
 def test_round_trip_preserves_stochastic_forms():
