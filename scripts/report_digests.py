@@ -16,6 +16,10 @@ CHECKOUT (default: the checkout holding this script), run in this process:
 - ``synthetic_wide(0)`` again under ``--rule positive`` and ``--rule
   negative`` (fixed inner nodes: the folded sums, with the whole tree's
   positive or negative table built for its rule alone);
+- the walkthrough, with and without ``--deterministic``, and
+  ``tests/data/mixed_forms.json`` under ``--rule positive`` and ``--rule
+  negative`` (a fixed whole tree; fixed and varying inner nodes over
+  stochastic data);
 - ``tests/data/mixed_forms.json`` of the checkout holding this script (the
   walkthrough with every value form), so CHECKOUT is tried on the same
   document whether or not it has the file.
@@ -101,6 +105,11 @@ def main(argv=None) -> int:
         for rule in ("positive", "negative"):
             runs.append((f"synthetic-wide-0-{rule}", problems["synthetic-wide-0"], "all-nodes",
                          ["--rule", rule]))
+            runs += [(f"walkthrough-{rule}", problems["walkthrough"], "all-nodes", ["--rule", rule]),
+                     (f"walkthrough-deterministic-{rule}", problems["walkthrough"], "all-nodes",
+                      ["--rule", rule, "--deterministic"]),
+                     (f"mixed-forms-{rule}", problems["mixed-forms"], "all-nodes",
+                      ["--rule", rule])]
         for level in ("category", "first-level"):
             runs.append((f"case-study-net-t1-{level}", problems["case-study"], level,
                          ["--threads", "1"]))

@@ -8,13 +8,13 @@ into an outranking degree, and turned into positive, negative and net flows
 within the reference set {r_1, ..., r_{k+1}, x}.  Flows of the profiles
 bracket the flow of the alternative, which pins down its category.
 
-Flows are linear in the preference degrees, so the net flows under any
-node of the tree are the weighted sum of per-leaf unicriterion flows.
-:class:`BatchEngine` is the one flow engine: it reduces each data draw to
-per-leaf flow tables once, a chunk of draws per call, aggregates their net
-columns children-first for whole batches of weight vectors, and, for a
-rule that brackets by them, weights the positive or negative tables by
-each leaf's path-product weight for the whole tree.
+Flows are linear in the preference degrees, so the positive, negative and
+net flows under any node of the tree are weighted sums of its children's,
+down to per-leaf unicriterion flows.  :class:`BatchEngine` is the one flow
+engine: it reduces each data draw to per-leaf flow tables once, a chunk of
+draws per call, and sums their columns children-first for whole batches of
+weight vectors: the net columns for every node, and the positive or
+negative columns for the whole tree under a rule that brackets by them.
 :func:`flow_bundle`, :func:`single_criterion_flows` and their relatives
 run the same engine on a single weight row.  The pairwise degrees
 (:func:`subtree_preference`, :func:`outranking_degree`) come from the same
@@ -427,7 +427,8 @@ class NodeValues(NamedTuple):
     when the components are shared across the block); then the varying
     nodes, with one row per weight row.  The whole tree has the rows of
     the fixed groups when the root is fixed, else one per weight row.  Its
-    positive and negative tables are None unless the rule passed to
+    positive and negative tables are summed children-first like its net
+    rows, and are None unless the rule passed to
     :meth:`BatchEngine.node_values` brackets by them.
     """
 
@@ -478,14 +479,14 @@ class BatchEngine:
     the members of its reference set R_i = {x_i, r_1, ..., r_{k+1}}, the
     alternative first.  Aggregation and defuzzification are linear in the
     three components of a fuzzy number, so each leaf contributes one crisp
-    flow table per data draw; node rows are weighted sums of their
-    children's rows, and the whole tree's positive and negative flows are
-    the leaf tables weighted by each leaf's path-product weight.  Only the
-    table a rule brackets by is built: none under ``net``, one under
-    ``positive`` or ``negative``.  The path products sum to 1, so those
-    flows are convex combinations of the leaf tables, and
+    flow table per data draw, and node rows are weighted sums of their
+    children's rows.  The whole tree's positive and negative flows are
+    summed the same way from the leaves' positive and negative tables, but
+    only the table a rule brackets by is built: none under ``net``, one
+    under ``positive`` or ``negative``.  Each group's weights sum to 1, so
+    every node's flows are convex combinations of the leaf tables, and
     :meth:`check_ordering` checks the profile order once per data draw on
-    the leaf tables rather than on every weight row's whole-tree flows.
+    the leaf tables rather than on every weight row's flows.
 
     A node's row depends only on the weights inside its subtree, so the
     engine splits the tree once, from its sibling groups.  A node is
@@ -514,7 +515,6 @@ class BatchEngine:
         self.children.append([tree.node_index[n.path] for n in tree.first_level])
         self.order = [*range(self.n_nodes - 1, -1, -1), self.root]
         self.inner = [idx for idx in self.order if self.elem_slot[idx] < 0]
-        self.parent = [tree.node_index.get(n.path[:-1], -1) for n in tree.nodes]
         self.leaf_nodes = [tree.node_index[p] for p in tree.elementary_paths]
         deterministic = {tree.node_index.get(g.parent_path, self.root): g.spec.is_deterministic
                          for g in tree.sibling_groups()}
@@ -672,6 +672,22 @@ class BatchEngine:
         self._sum_children(self.inner, rows, w, [values[idx] for idx in self.inner])
         return values
 
+    def _fold(self, leaves: np.ndarray, w: np.ndarray):
+        """Children-first sums of one column block of the leaf tables,
+        ([batch,] width, n_el): the fixed internal nodes with the first weight
+        row, the varying nodes with every row, then the whole tree's rows."""
+        leaf_rows = self._leaf_rows(leaves)
+        draws, width = leaf_rows.shape[1:]
+        rows = dict(zip(self.leaf_nodes, leaf_rows))
+        fixed = self._sum_children(self.fixed_inner, rows, w[:1],
+                                   np.empty((len(self.fixed_inner), draws, width)))
+        varying = self._sum_children(self.varying, rows, w,
+                                     np.empty((len(self.varying), w.shape[0], width)))
+        w_root = w[:1] if self.root_fixed else w
+        root_rows = draws if self.root_fixed else w.shape[0]
+        root = self._sum_children([self.root], rows, w_root, np.empty((1, root_rows, width)))[0]
+        return (leaf_rows, fixed, varying), root
+
     def node_values(self, components: np.ndarray, w: np.ndarray,
                     rule: str | None = None) -> NodeValues:
         """Aggregate per-leaf flow tables into per-node flow rows.
@@ -684,38 +700,19 @@ class BatchEngine:
         weight row.
 
         Every node's net rows are built.  The whole tree's positive and
-        negative tables are built only for the ``rule`` that brackets by
-        them: the positive one under ``positive``, the negative one under
-        ``negative``, neither under ``net``, and both when ``rule`` is
-        None.
+        negative tables are summed the same way, but only for the ``rule``
+        that brackets by them: the positive one under ``positive``, the
+        negative one under ``negative``, neither under ``net``, and both
+        when ``rule`` is None.
         """
         n = self.n_pairs
-        leaf_rows = self._leaf_rows(components[..., :n, :])
-        draws = leaf_rows.shape[1]
-        rows = dict(zip(self.leaf_nodes, leaf_rows))
-        fixed = self._sum_children(self.fixed_inner, rows, w[:1],
-                                   np.empty((len(self.fixed_inner), draws, n)))
-        varying = self._sum_children(self.varying, rows, w,
-                                     np.empty((len(self.varying), w.shape[0], n)))
-        w_root = w[:1] if self.root_fixed else w
-        root_rows = draws if self.root_fixed else w.shape[0]
-        net = self._sum_children([self.root], rows, w_root, np.empty((1, root_rows, n)))[0]
-        # table blocks [lo, hi) of the leaf tables to weight: 1 is the
-        # positive block, 2 the negative one
-        lo, hi = (1, 3) if rule is None else ((1, 2), (2, 3), (1, 1))[_rule(rule)[0]]
-        if lo == hi:
-            return NodeValues((leaf_rows, fixed, varying), net, None, None)
-        path = np.empty_like(w_root)
-        for idx, parent in enumerate(self.parent):
-            path[:, idx] = w_root[:, idx] if parent < 0 else path[:, parent] * w_root[:, idx]
-        path = path[:, self.leaf_nodes]
-        cols = slice(lo * n, hi * n)
-        root = path[:, 0, None] * components[..., cols, 0]
-        for slot in range(1, path.shape[1]):
-            root += path[:, slot, None] * components[..., cols, slot]
-        plus = root[:, :n] if lo == 1 else None
-        minus = root[:, -n:] if hi == 3 else None
-        return NodeValues((leaf_rows, fixed, varying), net, plus, minus)
+        nodes, net = self._fold(components[..., :n, :], w)
+        # column blocks [lo, hi) of the leaf tables to sum for the whole
+        # tree: 1 is the positive block, 2 the negative one, none under net
+        lo, hi = (1, 3) if rule is None else ((1, 2), (2, 3), (0, 0))[_rule(rule)[0]]
+        root = self._fold(components[..., lo * n : hi * n, :], w)[1] if lo else None
+        return NodeValues(nodes, net, root[:, :n] if lo == 1 else None,
+                          root[:, -n:] if hi == 3 else None)
 
     def flows(self, values: NodeValues) -> BatchFlows:
         """Flows for every node and the root from the aggregated rows; the
@@ -753,11 +750,11 @@ class BatchEngine:
 
         ``components`` are leaf tables as :meth:`pref_components` or
         :meth:`block_components` return them, ([draws,] 3 * n_pairs, n_el).
-        Every node's net flows are a convex combination of its leaves', and
-        so are the whole tree's positive and negative flows, whose
-        path-product weights sum to 1: checking the leaf tables covers every
-        node under every rule.  The tables are read through strided views,
-        never copied.
+        Each sibling group's weights sum to 1, so level by level every
+        node's net flows, and the whole tree's positive and negative flows,
+        are convex combinations of the leaf tables: checking the leaf tables
+        covers every node under every rule.  The tables are read through
+        strided views, never copied.
         """
         tables = components.reshape(
             components.shape[:-2] + (3, self.m, self.c + 1, components.shape[-1]))

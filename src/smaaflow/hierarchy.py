@@ -156,6 +156,16 @@ class WeightSpec:
                     f"no weight vector sums to 1 within bounds (sum lo = {lo_sum}, sum hi = {hi_sum})",
                     at,
                 )
+            # a uniform simplex draw never lands on a set of zero volume
+            if n > 1 and (any(lo == hi for lo, hi in self.values) or lo_sum >= 1.0 - WEIGHT_SUM_TOL
+                          or hi_sum <= 1.0 + WEIGHT_SUM_TOL):
+                raise InputError(
+                    WEIGHT_SPEC,
+                    f"interval bounds leave only a zero-volume set of weights, which sampling "
+                    f"never draws (a bound with lo == hi, or sum lo = {lo_sum} or sum hi = "
+                    f"{hi_sum} within {WEIGHT_SUM_TOL} of 1)",
+                    at,
+                )
 
     @property
     def is_deterministic(self) -> bool:

@@ -635,23 +635,16 @@ def run_smaa(
         finally:
             _RUNTIME = None
     cat_hits, node_hits, violations = (sum(col) for col in zip(*parts))
-    return _result(state, cat_hits, node_hits, violations, iterations)
-
-
-def _result(state: ProblemRuntime, cat_hits, node_hits, violations, iterations):
-    """Acceptability indices from the category counts of ``iterations`` draws."""
-    m, k, n_nodes = state.m, state.k, state.n_nodes
-    problem = state.problem
     return AcceptabilityResult(
         categories=tuple(problem.categories),
         alternatives=tuple(problem.alternative_names),
-        category_index=cat_hits.reshape(m, k) / iterations,
+        category_index=cat_hits.reshape(state.m, state.k) / iterations,
         node_paths=tuple(n.path for n in problem.tree.nodes),
-        node_index=node_hits.reshape(n_nodes, m, k) / iterations,
+        node_index=node_hits.reshape(state.n_nodes, state.m, state.k) / iterations,
         iterations=iterations,
-        seed=state.seed,
-        rule=state.rule,
-        defuzz=state.defuzz,
+        seed=seed,
+        rule=rule,
+        defuzz=defuzz,
         boundary_violations=violations,
     )
 
@@ -680,16 +673,15 @@ def deterministic_result(
     """Single engine run with all inputs fixed (zero-variance analysis).
 
     Requires deterministic weights, evaluations, profiles and thresholds;
-    the result's indices are unit rows.
+    the result's indices are unit rows.  It is :func:`run_smaa` with one
+    iteration, whose only draw is then the one possible.
     """
-    weights = problem.tree.deterministic_weights()
+    problem.tree.deterministic_weights()  # raises unless every group is deterministic
     if not problem.is_deterministic_data:
         raise InputError(
             SAMPLING,
             "deterministic run requires fully deterministic evaluations, "
             "profiles and thresholds",
         )
-    state = ProblemRuntime(problem, rule, defuzz, seed=0, strict=strict)
-    w = np.array([[weights[n.path] for n in problem.tree.nodes]])
-    cat_hits, node_hits, violations = state.tally_block(state.static_components, w, 0)
-    return _result(state, cat_hits, node_hits, violations, 1)
+    return run_smaa(problem, iterations=1, seed=0, rule=rule, threads=1, defuzz=defuzz,
+                    strict=strict)

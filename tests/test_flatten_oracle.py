@@ -8,9 +8,12 @@ weighted sums commute.
 
 import random
 
+import numpy as np
 import pytest
 
-from smaaflow import flow_bundle, outranking_degree, subtree_preference
+from smaaflow import build_tree, flow_bundle, outranking_degree, subtree_preference
+from smaaflow.flows import BatchEngine, tfn_matrix
+from smaaflow.smaa import iteration_rng, sample_group_weights
 
 import corpus
 import oracles
@@ -102,3 +105,56 @@ def test_profile_flow_monotonicity_randomized():
         inst = oracles.random_instance(rng, fuzzy=rng.random() < 0.5,
                                        max_depth=rng.randint(2, 3))
         assert corpus.ordering_margins(inst) > 0
+
+
+def sampled_tree(rng):
+    """An oracle instance and its tree with the first-level group and the
+    last inner group in depth-first order sampled (``missing``), so the
+    engine has fixed inner nodes, varying nodes and a varying whole tree."""
+    while True:
+        inst = oracles.random_instance(rng, fuzzy=True, max_depth=3)
+        children = oracles.library_tree_spec(inst["children"])
+        inner, todo = [], list(children)
+        while todo:
+            node = todo.pop(0)
+            if "children" in node:
+                inner.append(node)
+                todo[:0] = node["children"]
+        inner[-1]["weights"] = {"missing": True}
+        tree = build_tree(children, {"missing": True})
+        engine = BatchEngine(tree, len(inst["evals"]), len(inst["profiles"]))
+        if engine.fixed_inner and engine.varying and not engine.root_fixed:
+            return inst, tree, engine
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_whole_tree_flows_match_under_sampled_weights(seed):
+    # every rule's whole-tree table, built for all rules and for its own,
+    # with static and per-draw leaf tables, against the flat oracle with
+    # each weight row's path-product chains
+    inst, tree, engine = sampled_tree(random.Random(8000 + seed))
+    _, _, prefs, profiles, evals = library_objects(inst)
+    np_rng = iteration_rng(seed, 0)
+    w = np.empty((8, len(tree.nodes)))
+    for group in tree.sibling_groups():
+        idx = [tree.node_index[p] for p in group.members]
+        w[:, idx] = sample_group_weights(group.spec, len(idx), np_rng, size=len(w))
+    comp = engine.pref_components(prefs, np.array([tfn_matrix(r) for r in evals]),
+                                  np.array([tfn_matrix(r) for r in profiles.levels]), "centroid")
+    models = [model for _, model in inst["flat"]]
+    want = []
+    for row in w:
+        flat = [(tuple(row[tree.node_index[p[:d]]] for d in range(1, len(p) + 1)), model)
+                for p, model in zip(tree.elementary_paths, models)]
+        want.append([oracles.oracle_flows(flat, inst["profiles"], x) for x in inst["evals"]])
+    for leaves in (comp, np.broadcast_to(comp, (len(w),) + comp.shape)):
+        for rule, tables in ((None, (0, 1)), ("positive", (0,)), ("negative", (1,))):
+            bf = engine.flows(engine.node_values(leaves, w, rule))
+            flows = ((bf.alt_plus, bf.prof_plus), (bf.alt_minus, bf.prof_minus))
+            for t in tables:
+                alt, prof = flows[t]
+                for r, rows in enumerate(want):
+                    for i, (alt_want, prof_want) in enumerate(rows):
+                        assert alt[r, i] == pytest.approx(alt_want[t], abs=1e-12)
+                        assert prof[r, i] == pytest.approx([p[t] for p in prof_want],
+                                                           abs=1e-12)

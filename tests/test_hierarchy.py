@@ -149,6 +149,33 @@ def test_weight_spec_validation():
     WeightSpec.ordinal([2, 2, 1]).validate(3)        # ties are fine
 
 
+@pytest.mark.parametrize("bounds", [
+    [[0.3, 0.3], [0.7, 0.7]],               # one point
+    [[0.3, 0.3], [0.6, 0.8]],               # a pinned member
+    [[0.0, 0.0], [0.2, 0.6], [0.4, 0.8]],   # a member pinned at 0
+], ids=["point", "pinned", "pinned-at-0"])
+@pytest.mark.parametrize("first_level", [True, False])
+def test_zero_volume_interval_weights_rejected(bounds, first_level):
+    # a uniform simplex draw never lands on such a set, so sampling could
+    # only stall until it gives up
+    spec = {"interval": bounds}
+    leaves = [{"label": f"g{i + 1}"} for i in range(len(bounds))]
+    if first_level:
+        children, root, at = leaves, spec, "tree/weights"
+    else:
+        children = [{"label": "G", "weights": spec, "children": leaves}, {"label": "H"}]
+        root, at = {"deterministic": [0.3, 0.7]}, "tree/children/0/weights"
+    with pytest.raises(InputError) as err:
+        build_tree(children, root)
+    assert err.value.code == WEIGHT_SPEC
+    assert err.value.at == at
+
+
+def test_interval_weights_with_volume_or_one_member_load():
+    build_tree([{"label": "g"}], {"interval": [[1.0, 1.0]]})
+    WeightSpec.interval([(0.30, 0.31), (0.30, 0.31), (0.38, 0.40)]).validate(3)
+
+
 def test_partial_ordinal_ranks_allowed():
     spec = WeightSpec.ordinal([1, None, 2])
     spec.validate(3)
