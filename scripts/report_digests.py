@@ -20,6 +20,10 @@ CHECKOUT (default: the checkout holding this script), run in this process:
   ``tests/data/mixed_forms.json`` under ``--rule positive`` and ``--rule
   negative`` (a fixed whole tree; fixed and varying inner nodes over
   stochastic data);
+- ``tests/data/mixed_forms.json`` again under ``--defuzz spread-sum`` and
+  under ``--threads 2`` (normal cells between interval runs, an interval
+  profile level and an interval q/p pair: both defuzzifications of the
+  pair kernel on leaves whose profiles vary and leaves whose do not);
 - ``tests/data/mixed_forms.json`` of the checkout holding this script (the
   walkthrough with every value form), so CHECKOUT is tried on the same
   document whether or not it has the file.
@@ -110,6 +114,8 @@ def main(argv=None) -> int:
                       ["--rule", rule, "--deterministic"]),
                      (f"mixed-forms-{rule}", problems["mixed-forms"], "all-nodes",
                       ["--rule", rule])]
+        for extra in (["--defuzz", "spread-sum"], ["--threads", "2"]):
+            runs.append((f"mixed-forms-{extra[1]}", problems["mixed-forms"], "all-nodes", extra))
         for level in ("category", "first-level"):
             runs.append((f"case-study-net-t1-{level}", problems["case-study"], level,
                          ["--threads", "1"]))

@@ -472,6 +472,64 @@ def check_profile_order(prof: np.ndarray, rule: str, what: str, axis: int = -1) 
         raise InvariantError(f"{what} profile flows are not {trend} (worst step {worst})")
 
 
+def _points(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Points (d, d - s_l, d + s_r) of oriented members (n, A, 3, draws)
+    over (n, B, 3, draws), written into ``out``, (n, 3, A, B, draws)."""
+    d = np.subtract(a[:, :, None, 0], b[:, None, :, 0], out=out[:, 0])
+    np.subtract(d, a[:, :, None, 1] + b[:, None, :, 2], out=out[:, 1])
+    np.add(d, a[:, :, None, 2] + b[:, None, :, 1], out=out[:, 2])
+    return out
+
+
+def _defuzzed(degrees: np.ndarray, defuzz: str) -> np.ndarray:
+    """Pair degrees from (n, 3, ...) P(d), P(d - s_l), P(d + s_r), in place over the last:
+    ``(p_hi + p_lo) - 2.0*p0`` (centroid) or ``p_hi - p_lo``, then ``/ 3.0``, then ``+ p0``."""
+    p0, p_lo, p_hi = degrees.swapaxes(0, 1)
+    if defuzz == "centroid":
+        np.add(p_hi, p_lo, out=p_hi)
+        p_hi -= np.multiply(p0, 2.0, out=p_lo)
+    else:  # spread-sum
+        p_hi -= p_lo
+    p_hi /= 3.0
+    p_hi += p0
+    return p_hi
+
+
+def _sum_profiles(a: np.ndarray, out=None, pairwise: bool = True) -> np.ndarray:
+    """Sum of ``a`` (..., n, draws) over axis -2 into ``out`` in numpy's order for
+    a contiguous (``pairwise``) or a strided axis: one by one from 0.0 if strided
+    or n < 8, else eight running sums as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)) then the rest one by one, in halves cut at a multiple of 8 past 128."""
+    n = a.shape[-2]
+    out = np.empty(a.shape[:-2] + a.shape[-1:]) if out is None else out
+    if pairwise and n > 128:
+        half = n // 2 - n // 2 % 8
+        return np.add(_sum_profiles(a[..., :half, :]), _sum_profiles(a[..., half:, :]), out=out)
+    step = 8 if pairwise and n >= 8 else 1
+    r = a[..., :step, :] + 0.0  # 0.0 + -0.0 is 0.0, as from numpy's start at 0.0
+    for i in range(step, n - n % step, step):
+        r += a[..., i : i + step, :]
+    if step == 8:
+        r[..., ::2, :] += r[..., 1::2, :]
+        r[..., ::4, :] += r[..., 2::4, :]
+        r[..., 0, :] += r[..., 4, :]
+    np.copyto(out, r[..., 0, :])
+    for i in range(n - n % step, n):
+        out += a[..., i, :]
+    return out
+
+
+def _profile_pair_sums(prefs: PreferenceArrays, r: np.ndarray, defuzz: str):
+    """Sums over l != h of P(r_h, r_l) and of P(r_l, r_h), (n, c, draws)
+    each, from oriented profiles (n, c, 3, draws) and their ``prefs``."""
+    c = r.shape[1]
+    pts = _points(r, r, np.empty((len(r), 3, c, c) + r.shape[3:]))
+    r_over_r = _defuzzed(prefs.degrees(pts, out=pts), defuzz)
+    diag = r_over_r[:, np.arange(c), np.arange(c)]
+    return (_sum_profiles(r_over_r) - diag,
+            _sum_profiles(r_over_r.swapaxes(1, 2), pairwise=False) - diag)
+
+
 class BatchEngine:
     """Evaluates flows for many weight vectors from per-leaf flow tables.
 
@@ -536,7 +594,7 @@ class BatchEngine:
     # -- per-leaf flow tables ----------------------------------------------
 
     def pref_components(self, prefs, evals: np.ndarray, profiles: np.ndarray, defuzz: str, *,
-                        out: np.ndarray | None = None):
+                        out: np.ndarray | None = None, profile_sums=None):
         """Net, positive and negative flow tables of every leaf for one data
         draw, or for a chunk of draws along a leading axis.
 
@@ -551,66 +609,62 @@ class BatchEngine:
         out :
             A C-contiguous leaf-major ([draws,] n_el, 3 * n_pairs) array to
             write the tables into, rather than a new one.
+        profile_sums :
+            ``(leaves, row, col)``: leaves with the same profiles and thresholds
+            in every draw and their :func:`_profile_pair_sums` of one draw.
 
         Returns
         -------
         ([draws,] 3 * n_pairs, n_el) array: the net flows of every
         reference set on each leaf alone, laid out like a node's value row,
-        then the positive and the negative flows in the same layout.  It is
-        the transposed view of the leaf-major array, ``out`` when given.
+        then the positive and the negative flows in the same layout: the
+        transposed view of the leaf-major array (``out`` when given), into
+        which the draw-last work is copied once, or written for one draw.
         """
         if defuzz not in DEFUZZ_METHODS:
             raise ValueError(f"unknown defuzzification method {defuzz!r}")
         if out is not None and not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
         prefs = prefs if isinstance(prefs, PreferenceArrays) else PreferenceArrays.of(prefs)
+        if evals.ndim == 3:  # one draw: a draw axis of one
+            return self.pref_components(
+                prefs._replace(q=prefs.q[:, None], p=prefs.p[:, None]), evals[None],
+                profiles[None], defuzz, out=None if out is None else out[None],
+                profile_sums=profile_sums)[0]
         c, m = self.c, self.m
-        draws, n_el = evals.shape[:-3], evals.shape[-2]
-        mc = m * c
-        # oriented members as (n_el, members, 3[, draws]): the draw axis goes
-        # last, so the elementwise work runs along it
+        draws, n_el = evals.shape[0], evals.shape[-2]
+        # oriented members as (n_el, members, 3, draws)
         x, r = (np.ascontiguousarray(np.moveaxis(prefs.orient(v), (-2, -3, -1), (0, 1, 2)))
                 for v in (evals, profiles))
-        # the three points (d, d - s_l, d + s_r) of every pair, leaf-major:
-        # P(x_i, r_h), then P(r_h, x_i), then P(r_h, r_l)
-        pts = np.empty((n_el, 3, 2 * mc + c * c) + draws)
-        x_r = pts[:, :, :mc].reshape((n_el, 3, m, c) + draws)
-        r_x = pts[:, :, mc : 2 * mc].reshape((n_el, 3, m, c) + draws)
-        r_r = pts[:, :, 2 * mc :].reshape((n_el, 3, c, c) + draws)
-        for ab, (a, b) in ((x_r, (x, r)), (r_r, (r, r))):
-            d = np.subtract(a[:, :, None, 0], b[:, None, :, 0], out=ab[:, 0])
-            np.subtract(d, a[:, :, None, 1] + b[:, None, :, 2], out=ab[:, 1])
-            np.add(d, a[:, :, None, 2] + b[:, None, :, 1], out=ab[:, 2])
-        # a reverse pair's points are the forward ones negated: (-d, -(d + s_r), -(d - s_l))
+        # points of P(x_i, r_h); those of P(r_h, x_i) negate them: (-d, -(d + s_r), -(d - s_l))
+        pts = np.empty((n_el, 3, 2, m, c, draws))
+        _points(x, r, pts[:, :, 0])
         for k, j in ((0, 0), (1, 2), (2, 1)):
-            np.negative(x_r[:, j], out=r_x[:, k])
-        p0, p_lo, p_hi = prefs.degrees(pts, out=pts).swapaxes(0, 1)
-        if defuzz == "centroid":
-            pair = p0 + (p_hi + p_lo - 2.0 * p0) / 3.0
-        else:  # spread-sum
-            pair = p0 + (p_hi - p_lo) / 3.0
-        if draws:  # back to draw-major, (draws, n_el, pairs)
-            pair = np.ascontiguousarray(np.moveaxis(pair, -1, 0))
-        # Every sum runs over a contiguous profile axis, and net flows are
-        # summed from pair differences rather than taken as positive minus
-        # negative: an alternative equal to a profile ties it exactly, and
-        # this rounding decides its category in the reports.
-        both = pair[..., : 2 * mc].reshape(draws + (n_el, 2, m, c))
-        x_over_r, r_over_x = both[..., 0, :, :], both[..., 1, :, :]
-        r_over_r = pair[..., 2 * mc :].reshape(draws + (n_el, c, c))
-        diag = np.einsum("...hh->...h", r_over_r)
-        row = r_over_r.sum(axis=-1) - diag  # sum over l != h of P(r_h, r_l)
-        col = r_over_r.sum(axis=-2) - diag  # sum over l != h of P(r_l, r_h)
-        diff = x_over_r - r_over_x
+            np.negative(pts[:, j, 0], out=pts[:, k, 1])
+        x_over_r, r_over_x = _defuzzed(prefs.degrees(pts, out=pts), defuzz).swapaxes(0, 1)
+        leaves, fixed_row, fixed_col = profile_sums or (np.zeros(0, np.int64), 0.0, 0.0)
+        vary = np.delete(np.arange(n_el), leaves)
+        row, col = np.empty((2, n_el, c, draws))
+        row[leaves], col[leaves] = fixed_row, fixed_col
+        row[vary], col[vary] = _profile_pair_sums(
+            PreferenceArrays(*(v[vary] for v in prefs)), r[vary], defuzz)
         if out is None:
-            out = np.empty(draws + (n_el, 3 * self.n_pairs))
-        leaf = out.reshape(draws + (n_el, 3, m, c + 1))  # a view, out being contiguous
-        leaf[..., 0, :, 0] = diff.sum(axis=-1)
-        leaf[..., 0, :, 1:] = (row - col)[..., None, :] - diff
-        leaf[..., 1:, :, 0] = both.sum(axis=-1)
-        leaf[..., 1, :, 1:] = row[..., None, :] + r_over_x
-        leaf[..., 2, :, 1:] = col[..., None, :] + x_over_r
-        leaf /= c
+            out = np.empty((draws, n_el, 3 * self.n_pairs))
+        table = out if draws == 1 else np.empty((n_el, 3 * self.n_pairs, draws))
+        net, plus, minus = table.reshape((n_el, 3, m, c + 1, draws)).swapaxes(0, 1)
+        # Net flows are summed from pair differences rather than taken as
+        # positive minus negative: an alternative equal to a profile ties it
+        # exactly, and this rounding decides its category in the reports.
+        diff = np.subtract(x_over_r, r_over_x, out=net[:, :, 1:])
+        _sum_profiles(diff, out=net[:, :, 0])
+        np.subtract((row - col)[:, None], diff, out=diff)
+        _sum_profiles(x_over_r, out=plus[:, :, 0])
+        _sum_profiles(r_over_x, out=minus[:, :, 0])
+        np.add(row[:, None], r_over_x, out=plus[:, :, 1:])
+        np.add(col[:, None], x_over_r, out=minus[:, :, 1:])
+        table /= c
+        if draws > 1:
+            np.copyto(out, np.moveaxis(table, -1, 0))
         return np.swapaxes(out, -1, -2)
 
     def block_components(self, prefs: PreferenceArrays, evals: np.ndarray,
@@ -621,14 +675,27 @@ class BatchEngine:
         ``prefs`` carries (n_el, draws) ``q`` and ``p``; ``evals`` and
         ``profiles`` lead with the draw axis.  Returns the (draws,
         3 * n_pairs, n_el) view, the layout :meth:`node_values` reads.
+
+        Leaves whose profiles and thresholds hold the same bits in every
+        draw get their profile-versus-profile sums once, from the first.
         """
         draws, n_el = evals.shape[0], evals.shape[-2]
         tables = np.empty((draws, n_el, 3 * self.n_pairs))
+        fixed = np.ones(n_el, bool)
+        for v in (np.moveaxis(profiles, (2, 0), (0, 1)), prefs.q, prefs.p):  # (n_el, draws, ...)
+            bits = v.view(np.int64)
+            fixed &= (bits == bits[:, :1]).all(axis=tuple(range(1, bits.ndim)))
+        leaves = np.flatnonzero(fixed)
+        first = PreferenceArrays(*(v[leaves] for v in prefs._replace(q=prefs.q[:, :1],
+                                                                   p=prefs.p[:, :1])))
+        r = np.moveaxis(first.orient(profiles[:1, :, leaves]), (-2, -3, -1), (0, 1, 2))
+        sums = (leaves, *_profile_pair_sums(first, r, defuzz))
         step = chunk_draws(n_el, self.m, self.c)
         for j in range(0, draws, step):
             rows = slice(j, j + step)
             self.pref_components(prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows]),
-                                 evals[rows], profiles[rows], defuzz, out=tables[rows])
+                                 evals[rows], profiles[rows], defuzz, out=tables[rows],
+                                 profile_sums=sums)
         return tables.swapaxes(1, 2)
 
     # -- node values and flows --------------------------------------------

@@ -375,14 +375,26 @@ def sample_profiles(
     until successive profiles dominate each other.  Only rejected rows are
     redrawn, each at most ``max_attempts`` times.
     """
-    c, n_el = len(profile_specs), len(profile_specs[0])
+    return _draw_profiles(*_fixed_profiles(profile_specs), profile_specs, models, rng,
+                          max_attempts, size)
+
+
+def _fixed_profiles(profile_specs) -> tuple[np.ndarray, list[int]]:
+    """The (k+1, n_el, 3) profiles, deterministic entries resolved and the
+    others zero, and the slots of the columns with stochastic entries."""
+    table = np.array([[(f.m, f.alpha, f.beta) for f in (
+        v.resolved() if v.is_deterministic else TFN(0.0) for v in row)] for row in profile_specs])
+    return table, [t for t, col in enumerate(zip(*profile_specs))
+                   if not all(v.is_deterministic for v in col)]
+
+
+def _draw_profiles(fixed, sampled, profile_specs, models, rng, max_attempts, size):
+    """:func:`sample_profiles` from the table and the column slots that
+    :func:`_fixed_profiles` returns: only the listed columns are drawn."""
     n = 1 if size is None else size
-    out = np.empty((n, c, n_el, 3))
-    for t in range(n_el):
-        spec_col = [profile_specs[h][t] for h in range(c)]
-        if all(v.is_deterministic for v in spec_col):
-            out[:, :, t] = [(f.m, f.alpha, f.beta) for f in (v.resolved() for v in spec_col)]
-            continue
+    out = np.repeat(fixed[None], n, axis=0)
+    for t in sampled:
+        spec_col = [row[t] for row in profile_specs]
         maximize = models[t].direction == "maximize"
 
         def draw(rows):
@@ -390,7 +402,7 @@ def sample_profiles(
             dominance, overlap = profile_pair_faults(col, maximize)
             return col, ~(dominance | overlap).any(axis=-1)
 
-        column, failed = _by_rejection((n, c, 3), draw, max_attempts)
+        column, failed = _by_rejection((n, len(fixed), 3), draw, max_attempts)
         if len(failed):
             raise SamplingError(
                 f"no dominance-respecting profile draw on criterion {t} "
@@ -456,10 +468,19 @@ class ProblemRuntime:
         ]
         # shape codes, s and directions; q and p are set per data draw
         self.prefs = PreferenceArrays.of(problem.preference_models, thresholds=(None, None))
-        # data draws start from the deterministic evaluation cells and sample
-        # the stochastic ones in row-major order
+        # data draws start from the deterministic profiles and evaluation
+        # cells, resolved here once, and sample the others
+        self.fixed_profiles, self.sampled_profiles = _fixed_profiles(problem.profile_specs)
         self.fixed_evals = problem.fixed_evals
-        self.sampled_evals = problem.sampled_evals
+        self.sampled_evals = cells = problem.sampled_evals
+        # stochastic cells as arrays; (start, stop) runs of interval cells, or a normal one
+        self.cell_index = np.array([(i, t) for i, t, _ in cells], dtype=np.int64).reshape(-1, 2).T
+        self.cell_bounds = np.array([(v.lo, v.hi) for _, _, v in cells]).reshape(-1, 2).T
+        normal = [j for j, (_, _, v) in enumerate(cells) if v.kind == "normal"]
+        edges = sorted({0, len(cells), *normal, *(j + 1 for j in normal)})
+        self.cell_runs = list(zip(edges, edges[1:]))
+        self.draws_anything = not problem.is_deterministic_data or any(
+            not spec.is_deterministic for _, spec in self.groups)
         self.static_components = None
         if problem.is_deterministic_data:
             self.static_components = self._sample_components(None, 1)[0]
@@ -469,15 +490,17 @@ class ProblemRuntime:
         (n_el, size) ``q`` and ``p``, the (size, m, n_el, 3) evaluations and
         the (size, c, n_el, 3) profiles.
 
-        Draws the profiles of every row, then the thresholds of the
-        stochastic criteria, then each evaluation inside its row's profile
-        envelope.  Deterministic inputs consume no randomness, so static
-        data needs no generator.
+        Draws the stochastic profile columns, the thresholds of stochastic
+        criteria, then the stochastic cells in row-major order inside their
+        row's profile envelope: a run of interval cells in one ``uniform``
+        call (the floats of one call per cell), a normal cell through
+        :func:`sample_value`, as is an empty interval's error.  Fixed
+        inputs were resolved at set-up, so static data needs no generator.
         """
         models = self.problem.preference_models
-        n_el = len(models)
-        profiles = sample_profiles(self.problem.profile_specs, models, rng, size=size)
-        q, p = np.empty((2, n_el, size))
+        profiles = _draw_profiles(self.fixed_profiles, self.sampled_profiles,
+                                  self.problem.profile_specs, models, rng, VALUE_ATTEMPTS, size)
+        q, p = np.empty((2, len(models), size))
         for t, mdl in enumerate(models):
             if mdl.is_deterministic:
                 q[t], p[t] = mdl.q.resolved().m, mdl.p.resolved().m
@@ -487,13 +510,22 @@ class ProblemRuntime:
             else:  # the one threshold the shape reads; the other stays at crisp 0
                 q[t], p[t] = (sample_value(v, rng, size=size)[:, 0] for v in (mdl.q, mdl.p))
         envelope = profile_envelope(profiles.swapaxes(1, 2))
-        evals = self.fixed_evals[None]
-        if self.sampled_evals:  # a copy to draw into
-            evals = np.repeat(evals, size, axis=0)
-        else:  # a read-only view: no per-block copy of fixed evaluations
-            evals = np.broadcast_to(evals, (size,) + evals.shape[1:])
-        for i, t, v in self.sampled_evals:
-            evals[:, i, t] = sample_value(v, rng, bounds=envelope[:, t], size=size)
+        evals = np.broadcast_to(self.fixed_evals, (size,) + self.fixed_evals.shape)
+        if self.sampled_evals:  # a copy to draw into; else a read-only view
+            evals = evals.copy()
+        for a, b in self.cell_runs:
+            i, t = self.cell_index[:, a:b]
+            if self.sampled_evals[a][2].kind == "normal":
+                evals[:, i[0], t[0]] = sample_value(self.sampled_evals[a][2], rng,
+                                                    bounds=envelope[:, t[0]], size=size)
+                continue
+            env = envelope[:, t].T  # (2, cells, size)
+            lo = np.maximum(self.cell_bounds[0, a:b, None], env[0])
+            hi = np.minimum(self.cell_bounds[1, a:b, None], env[1])
+            if (lo > hi).any():  # sample_value raises for the first empty cell
+                j = (lo > hi).any(axis=1).argmax()
+                sample_value(self.sampled_evals[a + j][2], None, envelope[:, t[j]], size=size)
+            evals[:, i, t, 0] = rng.uniform(lo, hi).T
         return self.prefs._replace(q=q, p=p), evals, profiles
 
     def _sample_components(self, rng: np.random.Generator | None, size: int) -> np.ndarray:
@@ -510,8 +542,9 @@ class ProblemRuntime:
     def draw_block(self, block: int, bs: int) -> tuple[np.ndarray, np.ndarray]:
         """Leaf flow tables and (bs, n_nodes) weight rows of the ``bs``
         iterations starting at iteration ``block``, from that block's
-        substream.  Static data shares one table across the block."""
-        rng = iteration_rng(self.seed, block // BLOCK)
+        substream.  Static data shares one table across the block, and a
+        block that draws neither weights nor data makes no generator."""
+        rng = iteration_rng(self.seed, block // BLOCK) if self.draws_anything else None
         components = self.static_components
         if components is None:
             components = self._sample_components(rng, bs)

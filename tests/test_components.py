@@ -99,6 +99,49 @@ def test_chunked_components_equal_one_draw_calls(seed, n_profiles):
             assert np.array_equal(tables[j], one), (defuzz, j)
 
 
+@pytest.mark.parametrize("n_profiles", [2, 5, 9])
+@pytest.mark.parametrize("kept", ["some", "all", "none"])
+def test_fixed_profile_sums_equal_one_draw_calls(n_profiles, kept, monkeypatch):
+    # leaves that keep their profiles and thresholds across the block get
+    # their profile-versus-profile sums once, from the first draw; the
+    # tables still equal one call per draw, bit for bit.  Under "some",
+    # half the leaves keep their profiles and a quarter their thresholds
+    # too (shapes without q and p keep theirs at 0 anyway).
+    tree, per_draw, prefs, evals, profiles = draw_inputs(11, n_profiles, DRAWS)
+    n_el = evals.shape[2]
+    every = np.arange(n_el)
+    keep_profiles, keep_thresholds = {"some": (every % 2 == 0, every % 4 == 0),
+                                      "all": (every >= 0,) * 2, "none": (every < 0,) * 2}[kept]
+    profiles[:, :, keep_profiles] = profiles[:1, :, keep_profiles]
+    evals[:, 0] = profiles[:, 1]
+    q, p = (np.where(keep_thresholds[:, None], v[:, :1], v) for v in (prefs.q, prefs.p))
+    prefs = prefs._replace(q=q, p=p)
+    keep = keep_profiles & (q == q[:, :1]).all(1) & (p == p[:, :1]).all(1)
+    assert kept != "some" or 0 < keep.sum() < keep_profiles.sum()
+    per_draw = [[dataclasses.replace(s, q=q[t, j], p=p[t, j]) for t, s in enumerate(specs)]
+                for j, specs in enumerate(per_draw)]
+    sized = []
+    real = flows._profile_pair_sums
+
+    def counted(prefs, r, defuzz):
+        sized.append(r.shape[::3])
+        return real(prefs, r, defuzz)
+
+    monkeypatch.setattr(flows, "_profile_pair_sums", counted)
+    engine = BatchEngine(tree, evals.shape[1], n_profiles)
+    for defuzz in DEFUZZ_METHODS:
+        del sized[:]
+        tables = engine.block_components(prefs, evals, profiles, defuzz)
+        # (leaves, draws) summed: the kept leaves once for the block, the
+        # others once per chunk (either may be none)
+        fixed, varying = int(keep.sum()), int(n_el - keep.sum())
+        assert sized == [(fixed, 1)] + [(varying, min(CHUNK, DRAWS - j))
+                                         for j in range(0, DRAWS, CHUNK)]
+        for j in range(DRAWS):
+            one = engine.pref_components(per_draw[j], evals[j], profiles[j], defuzz)
+            assert np.array_equal(tables[j], one), (defuzz, j)
+
+
 def test_components_written_into_out():
     tree, _, prefs, evals, profiles = draw_inputs(3, 5, 4)
     engine = BatchEngine(tree, evals.shape[1], 5)

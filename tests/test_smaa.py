@@ -18,6 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smaaflow import (
     TFN,
@@ -25,6 +26,7 @@ from smaaflow import (
     InputError,
     PreferenceSpec,
     ProfileSet,
+    SamplingError,
     assign,
     flow_bundle,
     run_smaa,
@@ -93,6 +95,22 @@ def test_degenerate_run_equals_deterministic_result(walkthrough):
         assert np.array_equal(res.node_index, fixed.node_index)
         assert res.iterations == iters
         assert res.boundary_violations == 0
+
+
+def test_blocks_without_draws_make_no_generator(walkthrough, walkthrough_doc, monkeypatch):
+    # fixed weights and data draw nothing, so no block builds a generator
+    # (nor loads numpy's random module); one sampled weight group draws
+    # from every block's substream
+    blocks = []
+    real = smaa_module.iteration_rng
+    monkeypatch.setattr(smaa_module, "iteration_rng",
+                        lambda seed, index: blocks.append(index) or real(seed, index))
+    deterministic_result(walkthrough)
+    run_smaa(walkthrough, iterations=2 * BLOCK, seed=3)
+    assert blocks == []
+    run_smaa(variant(walkthrough_doc, **{"tree.weights": {"ordinal": [1, 2]}}),
+             iterations=2 * BLOCK, seed=3)
+    assert blocks == [0, 1]
 
 
 def test_node_index_shape_and_rows(walkthrough):
@@ -362,12 +380,15 @@ def test_sampled_components_follow_the_defuzzification(walkthrough_doc):
 
 
 def test_data_draws_read_fixed_evaluations_once(walkthrough_doc, case_study, monkeypatch):
-    # fixed and interval cells mixed in both rows (crisp thresholds and
-    # profiles draw nothing): a block's evaluations equal one sample_value
-    # call per cell in row-major order, yet only the interval cells reach it
+    # fixed, interval and normal cells mixed in both rows (crisp thresholds
+    # and profiles draw nothing): a block's evaluations equal one
+    # sample_value call per cell in row-major order, yet only the normal
+    # cell reaches it; the interval runs on either side of it are drawn
+    # whole
     problem = variant(walkthrough_doc, **{"alternatives": {
         "x1": {"G1/g11": 8, "G1/g12": [0.5, 2], "G2/g21": {"tfn": [16, 2, 1]}, "G2/g22": [25, 29]},
-        "x2": {"G1/g11": [6, 9], "G1/g12": 3, "G2/g21": [6, 14], "G2/g22": 12},
+        "x2": {"G1/g11": [6, 9], "G1/g12": {"normal": {"mean": 3, "sd": 0.5}},
+               "G2/g21": [6, 14], "G2/g22": 12},
     }})
     draws = 40
     rng = iteration_rng(5, 0)
@@ -387,11 +408,88 @@ def test_data_draws_read_fixed_evaluations_once(walkthrough_doc, case_study, mon
     state = ProblemRuntime(problem, "net", "centroid", 5, strict=False)
     _, evals, _ = state._sample_data(iteration_rng(5, 0), draws)
     assert np.array_equal(evals, expected)
-    assert calls == ["interval"] * 4
+    assert calls == ["normal"]
     # static data resolves every cell at set-up, without sample_value
     del calls[:]
     ProblemRuntime(case_study, "net", "centroid", 0, strict=False)
     assert calls == []
+
+
+def one_call_per_cell(problem, rng, draws):
+    """The evaluations of ``draws`` data draws of a problem with crisp
+    thresholds, drawn the reference way: the profiles, then one
+    sample_value call per cell in row-major order; or the message of the
+    SamplingError that stops it."""
+    try:
+        envelope = profile_envelope(
+            sample_profiles(problem.profile_specs, problem.preference_models, rng, size=draws)
+            .swapaxes(1, 2))
+        return np.stack([np.stack([sample_value(v, rng, bounds=envelope[:, t], size=draws)
+                                   for t, v in enumerate(row)], axis=1)
+                         for row in problem.evaluation_specs], axis=1)
+    except SamplingError as exc:
+        return str(exc)
+
+
+def table_draws(problem, seed, draws):
+    """``_sample_data``'s evaluations, or the message of its SamplingError."""
+    state = ProblemRuntime(problem, "net", "centroid", seed, strict=False)
+    try:
+        return state._sample_data(iteration_rng(seed, 0), draws)[1]
+    except SamplingError as exc:
+        return str(exc)
+
+
+def enveloped(walkthrough_doc, alternatives, worst, best):
+    """The walkthrough with usual maximized criteria whose worst and best
+    profiles are intervals [0, worst] and [100 - best, 100] around a crisp
+    middle one at 50: the profile envelope varies from draw to draw, and an
+    evaluation interval low or high enough misses it on some draws."""
+    leaves = ("G1/g11", "G1/g12", "G2/g21", "G2/g22")
+    return variant(walkthrough_doc, **{
+        "preferences.per_criterion": {},
+        "profiles.per_criterion": {leaf: [[100 - best, 100], 50, [0, worst]] for leaf in leaves},
+        "alternatives": {f"a{i}": dict(zip(leaves, row)) for i, row in enumerate(alternatives)},
+    })
+
+
+CELLS = st.one_of(
+    st.integers(45, 55),
+    st.tuples(st.floats(0, 95), st.floats(0, 5)).map(lambda t: [t[0], t[0] + t[1]]),
+    st.tuples(st.floats(30, 70), st.floats(0.5, 20)).map(
+        lambda t: {"normal": {"mean": t[0], "sd": t[1]}}),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.lists(CELLS, min_size=4, max_size=4), min_size=1, max_size=4),
+       worst=st.floats(0.5, 10), best=st.floats(0.5, 10), seed=st.integers(0, 2**32),
+       draws=st.integers(1, 40))
+def test_table_sampler_equals_one_call_per_cell(walkthrough_doc, rows, worst, best, seed, draws):
+    # fixed, interval and normal cells in any order: the runs of interval
+    # cells drawn whole give the arrays of one sample_value call per cell,
+    # or the SamplingError of its first failing cell
+    problem = enveloped(walkthrough_doc, rows, worst, best)
+    want = one_call_per_cell(problem, iteration_rng(seed, 0), draws)
+    got = table_draws(problem, seed, draws)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("normal_first", [True, False])
+def test_empty_interval_names_its_cell_either_side_of_a_normal(walkthrough_doc, normal_first):
+    # [1, 2] misses the envelope whenever the worst profile draws above 2,
+    # and [97, 99] whenever the best one draws below 99: the message names
+    # the first such cell in row-major order, whether a normal cell comes
+    # before it or after it
+    normal = {"normal": {"mean": 50, "sd": 5}}
+    row = [normal, [1, 2], 50, [97, 99]] if normal_first else [[1, 2], normal, [97, 99], 50]
+    problem = enveloped(walkthrough_doc, [[50, [40, 60], 50, 50], row], 4, 4)
+    want = one_call_per_cell(problem, iteration_rng(9, 0), 40)
+    assert isinstance(want, str) and want.startswith("interval [1.0, 2.0] cannot reach bounds")
+    assert table_draws(problem, 9, 40) == want
 
 
 def test_fixed_evaluations_reach_the_components_as_a_view(walkthrough_doc):
