@@ -24,9 +24,14 @@ CHECKOUT (default: the checkout holding this script), run in this process:
   under ``--threads 2`` (normal cells between interval runs, an interval
   profile level and an interval q/p pair: both defuzzifications of the
   pair kernel on leaves whose profiles vary and leaves whose do not);
-- ``tests/data/mixed_forms.json`` of the checkout holding this script (the
-  walkthrough with every value form), so CHECKOUT is tried on the same
-  document whether or not it has the file.
+- ``tests/data/sampled_inputs.json``, and again under ``--threads 2`` (a
+  normal profile level, an interval profile column redrawn until ordered,
+  a normal q on a linear pair, an interval q on a u-shape and an interval
+  p on a v-shape);
+- ``tests/data/mixed_forms.json`` (the walkthrough with every value form)
+  and ``tests/data/sampled_inputs.json`` of the checkout holding this
+  script, so CHECKOUT is tried on the same documents whether or not it
+  has the files.
 
 Every run uses ``--level all-nodes``, and the case study (net rule, one
 thread) and ``synthetic_wide(0)`` run again under ``--level category`` and
@@ -53,7 +58,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-MIXED_FORMS = Path(__file__).resolve().parent.parent / "tests" / "data" / "mixed_forms.json"
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 
 GENERATED = (("case-study-interval-0", "case_study_interval", 0),
              ("synthetic-wide-0", "synthetic_wide", 0),
@@ -87,7 +92,8 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         print("example-walkthrough stdout", sha(call(["example", "walkthrough"])))
         problems = {name: fixture_path(name) for name in ("walkthrough", "case-study")}
-        problems["mixed-forms"] = MIXED_FORMS
+        problems["mixed-forms"] = DATA / "mixed_forms.json"
+        problems["sampled-inputs"] = DATA / "sampled_inputs.json"
         for name, generator, seed in GENERATED:
             problems[name] = tmp / f"{name}.json"
             problems[name].write_text(json.dumps(getattr(workloads, generator)(seed)),
@@ -102,7 +108,8 @@ def main(argv=None) -> int:
                 runs.append((f"case-study-{rule}-t{threads}", problems["case-study"],
                              "all-nodes", ["--rule", rule, "--threads", str(threads)]))
         runs += [(name, problems[name], "all-nodes", [])
-                 for name in ("mixed-forms", *(name for name, _, _ in GENERATED))]
+                 for name in ("mixed-forms", "sampled-inputs",
+                              *(name for name, _, _ in GENERATED))]
         for extra in (["--rule", "positive"], ["--rule", "negative"], ["--defuzz", "spread-sum"]):
             runs.append((f"case-study-interval-0-{extra[1]}", problems["case-study-interval-0"],
                          "all-nodes", extra))
@@ -116,6 +123,7 @@ def main(argv=None) -> int:
                       ["--rule", rule])]
         for extra in (["--defuzz", "spread-sum"], ["--threads", "2"]):
             runs.append((f"mixed-forms-{extra[1]}", problems["mixed-forms"], "all-nodes", extra))
+        runs.append(("sampled-inputs-2", problems["sampled-inputs"], "all-nodes", ["--threads", "2"]))
         for level in ("category", "first-level"):
             runs.append((f"case-study-net-t1-{level}", problems["case-study"], level,
                          ["--threads", "1"]))

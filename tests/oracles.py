@@ -334,3 +334,156 @@ def library_tree_spec(children, prefix="n"):
 
 def library_root_weights(children):
     return {"deterministic": [c["weight"] for c in children]}
+
+
+# ---------------------------------------------------------------------------
+# Data draws, one value at a time
+# ---------------------------------------------------------------------------
+#
+# A cell is ("fixed", (m, alpha, beta)), ("interval", lo, hi) or ("normal",
+# mean, sd, lo, hi).  ``rng`` is a numpy Generator, used only through scalar
+# ``uniform`` and ``normal`` calls: a call over an array draws the same
+# floats in the same order, so these loops pin the random stream that the
+# package's array samplers must keep.  A rejection redraws, round after
+# round, the rows still rejected, in row order, for at most ``attempts``
+# rounds.
+
+
+class SamplingFailure(Exception):
+    """A draw that cannot complete; its message is the package's."""
+
+
+def draw_cell(rng, cell, bounds, attempts):
+    """One value of a stochastic ``cell`` per (lo, hi) pair of ``bounds``,
+    inside it: an interval by one clipped ``uniform`` call per value, a
+    normal by rejection per row."""
+    if cell[0] == "interval":
+        _, lo, hi = cell
+        for b_lo, b_hi in bounds:
+            if max(lo, b_lo) > min(hi, b_hi):
+                raise SamplingFailure(f"interval [{lo}, {hi}] cannot reach bounds [{b_lo}, {b_hi}]")
+        return [rng.uniform(max(lo, b_lo), min(hi, b_hi)) for b_lo, b_hi in bounds]
+    _, mean, sd, lo, hi = cell
+    spans = [(max(lo, b_lo), min(hi, b_hi)) for b_lo, b_hi in bounds]
+    out = [None] * len(bounds)
+    pending = list(range(len(bounds)))
+    for _ in range(attempts):
+        rejected = []
+        for r in pending:
+            x = rng.normal(mean, sd)
+            if spans[r][0] <= x <= spans[r][1]:
+                out[r] = x
+            else:
+                rejected.append(r)
+        pending = rejected
+        if not pending:
+            return out
+    s_lo, s_hi = spans[pending[0]]
+    raise SamplingFailure(f"normal({mean}, {sd}) produced no draw inside [{s_lo}, {s_hi}] "
+                          f"after {attempts} attempts")
+
+
+def _cell_rows(rng, cell, rows, attempts, bounds=None):
+    """(m, alpha, beta) of ``cell`` for ``rows`` rows: a fixed cell as it
+    is, a stochastic one drawn with zero spreads."""
+    if cell[0] == "fixed":
+        return [tuple(cell[1])] * rows
+    free = [(-math.inf, math.inf)] * rows
+    return [(x, 0.0, 0.0) for x in draw_cell(rng, cell, bounds or free, attempts)]
+
+
+def profile_faults(column, maximize):
+    """True where a profile column, (m, alpha, beta) levels best first,
+    breaks the order: each mode strictly better than the next one's in the
+    preference direction, and adjacent supports at most touching."""
+    for better, worse in zip(column, column[1:]):
+        upper, lower = (better, worse) if maximize else (worse, better)
+        if upper[0] - lower[0] <= 0 or upper[0] - upper[1] < lower[0] + lower[2]:
+            return True
+    return False
+
+
+def draw_profile_column(rng, column, maximize, slot, rows, attempts):
+    """``rows`` draws of one profile column of cells, best level first,
+    each column redrawn whole until it is ordered."""
+    out = [None] * rows
+    pending = list(range(rows))
+    for _ in range(attempts):
+        levels = [_cell_rows(rng, cell, len(pending), attempts) for cell in column]
+        rejected = []
+        for j, r in enumerate(pending):
+            drawn = [level[j] for level in levels]
+            if profile_faults(drawn, maximize):
+                rejected.append(r)
+            else:
+                out[r] = drawn
+        pending = rejected
+        if not pending:
+            return out
+    raise SamplingFailure(f"no dominance-respecting profile draw on criterion {slot} "
+                          f"after {attempts} attempts")
+
+
+def draw_threshold_pair(rng, model, rows, attempts):
+    """``rows`` draws of a model's q and p.  A ``level`` or ``linear``
+    pair is redrawn whole until q <= p (q < p for ``linear``); a shape
+    with one threshold draws q, then p."""
+    def values(cell, n):
+        return [f[0] for f in _cell_rows(rng, cell, n, attempts)]
+
+    if model["shape"] not in ("level", "linear") or model["q"][0] == model["p"][0] == "fixed":
+        return values(model["q"], rows), values(model["p"], rows)
+    strict = model["shape"] == "linear"
+    q, p = [None] * rows, [None] * rows
+    pending = list(range(rows))
+    for _ in range(attempts):
+        qs, ps = values(model["q"], len(pending)), values(model["p"], len(pending))
+        rejected = []
+        for r, a, b in zip(pending, qs, ps):
+            if a < b or (a == b and not strict):
+                q[r], p[r] = a, b
+            else:
+                rejected.append(r)
+        pending = rejected
+        if not pending:
+            return q, p
+    need = "q < p" if strict else "q <= p"
+    raise SamplingFailure(f"no admissible threshold pair ({need}) after {attempts} attempts")
+
+
+def draw_data(rng, profiles, models, evaluations, rows, attempts=10_000):
+    """``rows`` data draws of a problem, in the package's sampling order:
+    each profile column with a stochastic level in criterion order, then
+    each model's thresholds, then the evaluations alternative by
+    alternative, criterion by criterion, each stochastic one inside the
+    span of its criterion's drawn profiles.
+
+    ``profiles`` holds (k+1, n) cells, best level first, ``models`` n
+    dicts with ``shape``, ``direction``, ``q`` and ``p`` (cells), and
+    ``evaluations`` (m, n) cells.  Returns ``q`` and ``p`` as (n, rows)
+    lists, the evaluations as (rows, m, n, 3) and the profiles as (rows,
+    k+1, n, 3).  Raises :class:`SamplingFailure` for the first value that
+    cannot be drawn.
+    """
+    n = len(models)
+    drawn = [[[tuple(cell[1]) if cell[0] == "fixed" else None for cell in level]
+              for level in profiles] for _ in range(rows)]
+    for t, model in enumerate(models):
+        column = [level[t] for level in profiles]
+        if all(cell[0] == "fixed" for cell in column):
+            continue
+        for r, levels in enumerate(draw_profile_column(
+                rng, column, model["direction"] == "maximize", t, rows, attempts)):
+            for h, f in enumerate(levels):
+                drawn[r][h][t] = f
+    q, p = zip(*(draw_threshold_pair(rng, model, rows, attempts) for model in models))
+    spans = [[(min(level[t][0] - level[t][1] for level in draw),
+               max(level[t][0] + level[t][2] for level in draw)) for t in range(n)]
+             for draw in drawn]
+    evals = [[[None] * n for _ in evaluations] for _ in range(rows)]
+    for i, row in enumerate(evaluations):
+        for t, cell in enumerate(row):
+            bounds = [spans[r][t] for r in range(rows)]
+            for r, f in enumerate(_cell_rows(rng, cell, rows, attempts, bounds)):
+                evals[r][i][t] = f
+    return list(q), list(p), evals, drawn

@@ -379,25 +379,56 @@ def test_sampled_components_follow_the_defuzzification(walkthrough_doc):
     assert x2_c1["spread-sum"] - x2_c1["centroid"] > 0.1
 
 
+def oracle_cell(value):
+    """``value`` as a cell of :func:`oracles.draw_data`."""
+    if value.is_deterministic:
+        f = value.resolved()
+        return ("fixed", (f.m, f.alpha, f.beta))
+    if value.kind == "interval":
+        return ("interval", value.lo, value.hi)
+    return ("normal", value.mean, value.sd, value.lo, value.hi)
+
+
+def reference_draws(problem, rng, draws):
+    """``draws`` data draws of ``problem`` by the flat reference, as
+    ``_sample_data``'s ``q``, ``p``, evaluations and profiles; or the message
+    of the failure that stops it."""
+    models = [{"shape": mdl.shape, "direction": mdl.direction,
+               "q": oracle_cell(mdl.q), "p": oracle_cell(mdl.p)}
+              for mdl in problem.preference_models]
+    try:
+        out = oracles.draw_data(
+            rng, [[oracle_cell(v) for v in row] for row in problem.profile_specs], models,
+            [[oracle_cell(v) for v in row] for row in problem.evaluation_specs], draws)
+    except oracles.SamplingFailure as exc:
+        return str(exc)
+    return tuple(np.array(part, dtype=float) for part in out)
+
+
+def table_draws(problem, seed, draws):
+    """``_sample_data``'s ``q``, ``p``, evaluations and profiles, or the
+    message of its SamplingError."""
+    state = ProblemRuntime(problem, "net", "centroid", seed, strict=False)
+    try:
+        prefs, evals, profiles = state._sample_data(iteration_rng(seed, 0), draws)
+    except SamplingError as exc:
+        return str(exc)
+    return prefs.q, prefs.p, evals, profiles
+
+
 def test_data_draws_read_fixed_evaluations_once(walkthrough_doc, case_study, monkeypatch):
     # fixed, interval and normal cells mixed in both rows (crisp thresholds
-    # and profiles draw nothing): a block's evaluations equal one
-    # sample_value call per cell in row-major order, yet only the normal
-    # cell reaches it; the interval runs on either side of it are drawn
-    # whole
+    # and profiles draw nothing): a block's evaluations equal the flat
+    # reference's, one value at a time in row-major order, yet only the
+    # normal cell reaches sample_value; the interval runs on either side of
+    # it are drawn whole
     problem = variant(walkthrough_doc, **{"alternatives": {
         "x1": {"G1/g11": 8, "G1/g12": [0.5, 2], "G2/g21": {"tfn": [16, 2, 1]}, "G2/g22": [25, 29]},
         "x2": {"G1/g11": [6, 9], "G1/g12": {"normal": {"mean": 3, "sd": 0.5}},
                "G2/g21": [6, 14], "G2/g22": 12},
     }})
     draws = 40
-    rng = iteration_rng(5, 0)
-    envelope = profile_envelope(
-        sample_profiles(problem.profile_specs, problem.preference_models, rng, size=draws)
-        .swapaxes(1, 2))
-    expected = np.stack([np.stack([sample_value(v, rng, bounds=envelope[:, t], size=draws)
-                                   for t, v in enumerate(row)], axis=1)
-                         for row in problem.evaluation_specs], axis=1)
+    expected = reference_draws(problem, iteration_rng(5, 0), draws)[2]
     calls = []
 
     def counted(value, *args, **kwargs):
@@ -415,29 +446,17 @@ def test_data_draws_read_fixed_evaluations_once(walkthrough_doc, case_study, mon
     assert calls == []
 
 
-def one_call_per_cell(problem, rng, draws):
-    """The evaluations of ``draws`` data draws of a problem with crisp
-    thresholds, drawn the reference way: the profiles, then one
-    sample_value call per cell in row-major order; or the message of the
-    SamplingError that stops it."""
-    try:
-        envelope = profile_envelope(
-            sample_profiles(problem.profile_specs, problem.preference_models, rng, size=draws)
-            .swapaxes(1, 2))
-        return np.stack([np.stack([sample_value(v, rng, bounds=envelope[:, t], size=draws)
-                                   for t, v in enumerate(row)], axis=1)
-                         for row in problem.evaluation_specs], axis=1)
-    except SamplingError as exc:
-        return str(exc)
+LEAVES = ("G1/g11", "G1/g12", "G2/g21", "G2/g22")
 
 
-def table_draws(problem, seed, draws):
-    """``_sample_data``'s evaluations, or the message of its SamplingError."""
-    state = ProblemRuntime(problem, "net", "centroid", seed, strict=False)
-    try:
-        return state._sample_data(iteration_rng(seed, 0), draws)[1]
-    except SamplingError as exc:
-        return str(exc)
+def sampled_doc(walkthrough_doc, alternatives, leaves):
+    """The walkthrough with ``alternatives`` rows and, per leaf, a profile
+    column and a preference model from ``leaves``."""
+    return variant(walkthrough_doc, **{
+        "preferences.per_criterion": {leaf: model for leaf, (_, model) in zip(LEAVES, leaves)},
+        "profiles.per_criterion": {leaf: column for leaf, (column, _) in zip(LEAVES, leaves)},
+        "alternatives": {f"a{i}": dict(zip(LEAVES, row)) for i, row in enumerate(alternatives)},
+    })
 
 
 def enveloped(walkthrough_doc, alternatives, worst, best):
@@ -445,12 +464,8 @@ def enveloped(walkthrough_doc, alternatives, worst, best):
     profiles are intervals [0, worst] and [100 - best, 100] around a crisp
     middle one at 50: the profile envelope varies from draw to draw, and an
     evaluation interval low or high enough misses it on some draws."""
-    leaves = ("G1/g11", "G1/g12", "G2/g21", "G2/g22")
-    return variant(walkthrough_doc, **{
-        "preferences.per_criterion": {},
-        "profiles.per_criterion": {leaf: [[100 - best, 100], 50, [0, worst]] for leaf in leaves},
-        "alternatives": {f"a{i}": dict(zip(leaves, row)) for i, row in enumerate(alternatives)},
-    })
+    column = [[100 - best, 100], 50, [0, worst]]
+    return sampled_doc(walkthrough_doc, alternatives, [(column, {})] * len(LEAVES))
 
 
 CELLS = st.one_of(
@@ -461,21 +476,73 @@ CELLS = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
+def profile_level(base):
+    """A profile level around ``base``: crisp, fuzzy, an interval that may
+    overlap its neighbours' or an untruncated normal."""
+    return st.one_of(
+        st.just(base),
+        st.just({"tfn": [base, 3, 3]}),
+        st.tuples(st.floats(0, 50), st.floats(0, 50)).map(lambda t: [base - t[0], base + t[1]]),
+        st.floats(1, 30).map(lambda sd: {"normal": {"mean": base, "sd": sd}}),
+    )
+
+
+def mirrored(level):
+    """A maximized profile level on [0, 100] as the same level minimized."""
+    if isinstance(level, list):
+        return [100 - level[1], 100 - level[0]]
+    if isinstance(level, dict) and "tfn" in level:
+        m, alpha, beta = level["tfn"]
+        return {"tfn": [100 - m, beta, alpha]}
+    if isinstance(level, dict):
+        return {"normal": dict(level["normal"], mean=100 - level["normal"]["mean"])}
+    return 100 - level
+
+
+Q = st.one_of(st.just(1), st.floats(0, 3).map(lambda w: [0, 1 + w]),
+              st.floats(0.2, 2).map(lambda sd: {"normal": {"mean": 1, "sd": sd, "min": 0}}))
+P = st.one_of(st.just(3), st.floats(0, 3).map(lambda w: [3 - w, 3 + w]),
+              st.floats(0.2, 2).map(lambda sd: {"normal": {"mean": 3, "sd": sd, "min": 0.5}}))
+MODELS = st.one_of(
+    st.just({}),
+    st.tuples(st.sampled_from(["level", "linear"]), Q, P).map(
+        lambda t: {"shape": t[0], "q": t[1], "p": t[2]}),
+    Q.map(lambda q: {"shape": "u-shape", "q": q}),
+    P.map(lambda p: {"shape": "v-shape", "p": p}),
+)
+
+
+@st.composite
+def leaf_inputs(draw):
+    """One leaf's profile column, best level first, and preference model:
+    maximized on levels near 100, 50 and 0, or minimized on the mirror."""
+    column = [draw(profile_level(base)) for base in (100, 50, 0)]
+    model = dict(draw(MODELS))
+    if draw(st.booleans()):
+        column = [mirrored(level) for level in column]
+        model["direction"] = "minimize"
+    return column, model
+
+
+@settings(max_examples=100, deadline=None)
 @given(rows=st.lists(st.lists(CELLS, min_size=4, max_size=4), min_size=1, max_size=4),
-       worst=st.floats(0.5, 10), best=st.floats(0.5, 10), seed=st.integers(0, 2**32),
+       leaves=st.lists(leaf_inputs(), min_size=4, max_size=4), seed=st.integers(0, 2**32),
        draws=st.integers(1, 40))
-def test_table_sampler_equals_one_call_per_cell(walkthrough_doc, rows, worst, best, seed, draws):
-    # fixed, interval and normal cells in any order: the runs of interval
-    # cells drawn whole give the arrays of one sample_value call per cell,
-    # or the SamplingError of its first failing cell
-    problem = enveloped(walkthrough_doc, rows, worst, best)
-    want = one_call_per_cell(problem, iteration_rng(seed, 0), draws)
+def test_table_sampler_equals_one_call_per_cell(walkthrough_doc, rows, leaves, seed, draws):
+    # fixed, interval and normal evaluations in any order, under profile
+    # columns and q/p thresholds that are fixed, interval or normal (columns
+    # and level/linear pairs redrawn until ordered): every array of a block
+    # of data draws equals the flat reference's, one value at a time, or
+    # the SamplingError names the reference's first failing value
+    problem = sampled_doc(walkthrough_doc, rows, leaves)
+    want = reference_draws(problem, iteration_rng(seed, 0), draws)
     got = table_draws(problem, seed, draws)
     if isinstance(want, str):
         assert got == want
     else:
-        assert np.array_equal(got, want)
+        assert not isinstance(got, str), got
+        for part, expected in zip(got, want):
+            assert np.array_equal(part, expected)
 
 
 @pytest.mark.parametrize("normal_first", [True, False])
@@ -487,9 +554,42 @@ def test_empty_interval_names_its_cell_either_side_of_a_normal(walkthrough_doc, 
     normal = {"normal": {"mean": 50, "sd": 5}}
     row = [normal, [1, 2], 50, [97, 99]] if normal_first else [[1, 2], normal, [97, 99], 50]
     problem = enveloped(walkthrough_doc, [[50, [40, 60], 50, 50], row], 4, 4)
-    want = one_call_per_cell(problem, iteration_rng(9, 0), 40)
+    want = reference_draws(problem, iteration_rng(9, 0), 40)
     assert isinstance(want, str) and want.startswith("interval [1.0, 2.0] cannot reach bounds")
     assert table_draws(problem, 9, 40) == want
+
+
+def two_leaves(profile, value, model=None):
+    """Leaves A (weight 0.6) and B: A with its own profile column, its
+    alternative's value and its preference model; B fixed."""
+    return parse_problem({
+        "schema": 1,
+        "categories": ["good", "bad"],
+        "tree": {"weights": {"deterministic": [0.6, 0.4]},
+                 "children": [{"label": "A"}, {"label": "B"}]},
+        "preferences": {"per_criterion": {"A": model or {}}},
+        "profiles": {"default": [10, 5, 0], "per_criterion": {"A": profile}},
+        "alternatives": {"a": {"A": value, "B": 4}},
+    })
+
+
+@pytest.mark.parametrize("profile, value, model, message", [
+    ([10, 5, [0, 4]], [1, 2], None,
+     "interval [1.0, 2.0] cannot reach bounds [3.7717502115315176, 10.0]"),
+    ([10, 5, 0], {"normal": {"mean": 1000, "sd": 1}}, None,
+     "normal(1000.0, 1.0) produced no draw inside [0.0, 10.0] after 10000 attempts"),
+    ([10, 5, 0], 4, {"shape": "linear", "q": [0, 1], "p": [0, 1e-12]},
+     "no admissible threshold pair (q < p) after 10000 attempts"),
+    ([[0, 1], 5, [8, 9]], 4, None,
+     "no dominance-respecting profile draw on criterion 0 after 10000 attempts"),
+], ids=["interval", "normal", "threshold-pair", "profile-column"])
+def test_sampling_failures_keep_their_wording(profile, value, model, message):
+    # an evaluation interval that misses the drawn envelope, a normal
+    # evaluation that never lands in it, a q/p pair ordered about once in
+    # 10^12 draws and a profile column never ordered
+    with pytest.raises(SamplingError) as err:
+        run_smaa(two_leaves(profile, value, model), iterations=1, seed=0)
+    assert str(err.value) == message
 
 
 def test_fixed_evaluations_reach_the_components_as_a_view(walkthrough_doc):
