@@ -123,7 +123,8 @@ def main(argv=None) -> int:
                       ["--rule", rule])]
         for extra in (["--defuzz", "spread-sum"], ["--threads", "2"]):
             runs.append((f"mixed-forms-{extra[1]}", problems["mixed-forms"], "all-nodes", extra))
-        runs.append(("sampled-inputs-2", problems["sampled-inputs"], "all-nodes", ["--threads", "2"]))
+        runs.append(("sampled-inputs-2", problems["sampled-inputs"], "all-nodes",
+                     ["--threads", "2"]))
         for level in ("category", "first-level"):
             runs.append((f"case-study-net-t1-{level}", problems["case-study"], level,
                          ["--threads", "1"]))

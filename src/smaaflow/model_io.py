@@ -138,8 +138,11 @@ class Problem:
     is deterministic and zeros when it is not, ``evaluation_forms[i, t]``
     says how the cell was written (:data:`CRISP`, :data:`FUZZY`,
     :data:`STOCHASTIC` or a term index), and ``sampled_evals`` lists the
-    stochastic cells as (i, t, value), row by row.
-    :attr:`evaluation_specs` builds one value per cell from them.
+    stochastic cells as (i, t, value), row by row.  Profiles are held the
+    same way, level h (best first) in place of alternative i:
+    ``fixed_profiles``, ``profile_forms`` and ``sampled_profiles``.
+    :attr:`evaluation_specs` and :attr:`profile_specs` build one value per
+    cell from them on first use.
     """
 
     tree: CriteriaTree
@@ -148,7 +151,9 @@ class Problem:
     fixed_evals: np.ndarray                                    # (m, n_el, 3), read-only
     evaluation_forms: np.ndarray                               # (m, n_el)
     sampled_evals: tuple[tuple[int, int, StochasticValue], ...]
-    profile_specs: tuple[tuple[StochasticValue, ...], ...]     # (k+1, n_el)
+    fixed_profiles: np.ndarray                                 # (k+1, n_el, 3), read-only
+    profile_forms: np.ndarray                                  # (k+1, n_el)
+    sampled_profiles: tuple[tuple[int, int, StochasticValue], ...]
     preference_models: tuple[PreferenceModel, ...]             # n_el
     #: True when evaluations, profiles and thresholds carry no randomness.
     is_deterministic_data: bool
@@ -170,13 +175,20 @@ class Problem:
         return _cell_values(self.fixed_evals, self.evaluation_forms, self.sampled_evals,
                             [self.scales.get(name) for name in self.scale_binding])
 
+    @cached_property
+    def profile_specs(self) -> tuple[tuple[StochasticValue, ...], ...]:
+        """One value per profile level, (k+1, n_el), built from the tables
+        on first use."""
+        return _cell_values(self.fixed_profiles, self.profile_forms, self.sampled_profiles,
+                            [self.scales.get(name) for name in self.scale_binding])
+
     def resolved_preferences(self) -> list[PreferenceSpec]:
         return [m.resolve_deterministic() for m in self.preference_models]
 
     def resolved_profile_set(self) -> ProfileSet:
-        return ProfileSet(
-            [[v.resolved() for v in row] for row in self.profile_specs]
-        )
+        if self.sampled_profiles:  # raises: a sampled level has no fixed value
+            self.sampled_profiles[0][2].resolved()
+        return ProfileSet([[TFN(*f) for f in row] for row in self.fixed_profiles.tolist()])
 
     def evaluation_tfns(self, name: str) -> list[TFN]:
         row = self.evaluation_specs[self.alternative_names.index(name)]
@@ -234,7 +246,9 @@ def _read_value(obj, scale: LinguisticScale | None, at: str, cells: list, j: int
 
     A deterministic value writes its (m, alpha, beta) to ``cells[3j:3j+3]``
     and returns its form: :data:`CRISP`, :data:`FUZZY` or the index of its
-    term in ``scale``.  A stochastic value is checked here and returned.
+    term in ``scale``.  A stochastic value is checked here and returned;
+    its constructor's ``ValueError`` (an empty interval or truncation) is
+    left to :meth:`_Cells.read`.
     A float, alone or in a list of three floats under ``tfn``, is written
     unchecked: :class:`_Cells` checks every cell read for numbers that
     are not finite and for negative spreads, and words the error this
@@ -269,8 +283,6 @@ def _read_value(obj, scale: LinguisticScale | None, at: str, cells: list, j: int
     if kind is list:
         _require(len(obj) == 2 and all(is_number(v) for v in obj),
                  "interval must be [lo, hi]", at)
-        if obj[0] > obj[1]:
-            raise InputError(SCHEMA, f"empty interval [{obj[0]}, {obj[1]}]", at)
         return StochasticValue.interval(obj[0], obj[1])
     if kind is dict:
         if len(obj) == 1 and "tfn" in obj:
@@ -293,12 +305,8 @@ def _read_value(obj, scale: LinguisticScale | None, at: str, cells: list, j: int
             _require(spec["sd"] > 0, "normal sd must be positive", at)
             _require(all(is_number(spec[end]) for end in ("min", "max") if end in spec),
                      "normal min and max must be numbers", at)
-            lo = spec.get("min", -np.inf)
-            hi = spec.get("max", np.inf)
-            # a continuous draw never lands on a single point, so [lo, lo] is empty too
-            if not lo < hi:
-                raise InputError(SCHEMA, f"empty truncation [{lo}, {hi}]", at)
-            return StochasticValue.normal(spec["mean"], spec["sd"], lo, hi)
+            return StochasticValue.normal(spec["mean"], spec["sd"], spec.get("min", -np.inf),
+                                          spec.get("max", np.inf))
     raise _unrecognized(obj, at)
 
 
@@ -332,7 +340,10 @@ class _Cells:
     def read(self, obj, scale: LinguisticScale | None, at: str, j: int):
         """Read ``obj``, written at ``at``, into cell ``j``; returns what
         :func:`_read_value` returns."""
-        value = _read_value(obj, scale, at, self.values, j)
+        try:
+            value = _read_value(obj, scale, at, self.values, j)
+        except ValueError as exc:
+            raise InputError(SCHEMA, str(exc), at) from exc
         if type(value) is int:
             self.forms[j] = value
         else:
@@ -493,8 +504,10 @@ def _parse_preferences(raw, tree, at: str = "preferences") -> list[PreferenceMod
 
 
 def _parse_profiles(raw, tree, models, scales, k, at: str = "profiles"):
-    """Profile levels, (k+1, n_el), and the (n_el, 2) support span of each
-    column, (-inf, inf) where a column is stochastic.
+    """The (k+1, n_el, 3) table of deterministic profile levels (zeros at
+    stochastic ones), its (k+1, n_el) forms, the stochastic levels as
+    (level, slot, value), level by level, and the (n_el, 2) support span
+    of each column, (-inf, inf) where a column is stochastic.
 
     Columns are read in slot order, each best level first, into cells
     stored level-major.  Besides its cells' own checks, each deterministic
@@ -525,10 +538,9 @@ def _parse_profiles(raw, tree, models, scales, k, at: str = "profiles"):
             for h, value in enumerate(values):
                 cells.read(value, scales[slot], f"{here}/{h}", h * n_el + slot)
     table = cells.table(n_el)
-    fixed = (table[1] != STOCHASTIC).all(axis=0)
     envelope = profile_envelope(table[0].swapaxes(0, 1))
-    envelope[~fixed] = -np.inf, np.inf
-    return _cell_values(*table, scales), envelope, bool(fixed.all())
+    envelope[(table[1] == STOCHASTIC).any(axis=0)] = -np.inf, np.inf
+    return (*table, envelope)
 
 
 def _parse_alternatives(raw, tree, scales, envelope, at: str = "alternatives"):
@@ -644,7 +656,7 @@ def parse_problem(doc) -> Problem:
     slot_scales = [scales[name] if name else None for name in binding]
 
     models = _parse_preferences(doc.get("preferences"), tree)
-    profile_specs, envelope, fixed_profiles = _parse_profiles(
+    fixed_profiles, profile_forms, sampled_profiles, envelope = _parse_profiles(
         doc["profiles"], tree, models, slot_scales, k)
     names, fixed_evals, forms, sampled_evals = _parse_alternatives(
         doc["alternatives"], tree, slot_scales, envelope)
@@ -662,9 +674,11 @@ def parse_problem(doc) -> Problem:
         fixed_evals=fixed_evals,
         evaluation_forms=forms,
         sampled_evals=sampled_evals,
-        profile_specs=profile_specs,
+        fixed_profiles=fixed_profiles,
+        profile_forms=profile_forms,
+        sampled_profiles=sampled_profiles,
         preference_models=tuple(models),
-        is_deterministic_data=(not sampled_evals and fixed_profiles
+        is_deterministic_data=(not sampled_evals and not sampled_profiles
                                and all(m.is_deterministic for m in models)),
         scales=scales,
         scale_binding=binding,

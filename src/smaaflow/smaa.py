@@ -13,10 +13,13 @@ random substream from the root seed and the block index, and work is split
 over processes only at block boundaries, so results depend only on
 (problem, seed, iterations) and never on how iterations are distributed
 over processes.  Within a block the sampling order is fixed, and each step
-draws for the whole block at once: the profiles, the thresholds of each
-stochastic criterion in tree order, each evaluation (alternative by
+draws for the whole block at once: the stochastic profile columns in tree
+order, each best level first, the thresholds of each stochastic criterion
+in tree order, q before p, each stochastic evaluation (alternative by
 alternative, criterion by criterion), then one matrix of weight vectors
-per sibling group in tree order.
+per sibling group in tree order.  Every stochastic profile level,
+threshold and evaluation is drawn by one sampler over a table of cells,
+whose draws do not depend on how the cells are grouped into calls.
 """
 
 from __future__ import annotations
@@ -96,6 +99,9 @@ class StochasticValue:
     def normal(cls, mean: float, sd: float, lo: float = -np.inf, hi: float = np.inf) -> "StochasticValue":
         if sd <= 0:
             raise ValueError(f"normal spread must be positive, got {sd}")
+        # a continuous draw never lands on a single point, so [lo, lo] is empty too
+        if not lo < hi:
+            raise ValueError(f"empty truncation [{lo}, {hi}]")
         return cls("normal", mean=float(mean), sd=float(sd), lo=float(lo), hi=float(hi))
 
     @property
@@ -282,6 +288,112 @@ def _by_rejection(shape: tuple[int, ...], draw, max_attempts: int):
     return out, pending
 
 
+def _cell_table(values: Sequence[StochasticValue]) -> np.ndarray:
+    """The (5, n) table of stochastic ``values``: rows lo, hi, mean, sd
+    (zero for an interval) and 1 for a normal value, 0 for an interval."""
+    return np.array([(v.lo, v.hi, v.mean, v.sd, v.kind == "normal")
+                     for v in values]).reshape(-1, 5).T
+
+
+def _draw_cells(cells: np.ndarray, rng: np.random.Generator, size: int,
+                bounds=(-np.inf, np.inf), max_attempts: int = VALUE_ATTEMPTS) -> np.ndarray:
+    """``size`` draws of each cell of a table, as a (cells, size) array.
+
+    ``bounds``, a (lo, hi) pair of numbers or of arrays that broadcast to
+    (cells, size), narrows each cell's range per row.  A run of interval
+    cells is one ``uniform`` call, which draws the floats of one call per
+    cell and row in that order; a normal cell is redrawn, in the rows
+    still outside its range, at most ``max_attempts`` times.  The first
+    cell, and in it the first row, that cannot be drawn raises
+    :class:`SamplingError`.
+    """
+    shape = (cells.shape[1], size)
+    b_lo, b_hi = (np.broadcast_to(end, shape) for end in bounds)
+    lo, hi = np.maximum(cells[0, :, None], b_lo), np.minimum(cells[1, :, None], b_hi)
+    singles = np.flatnonzero(cells[4])
+    edges = sorted({0, shape[0], *singles.tolist(), *(singles + 1).tolist()})
+    out = np.empty(shape)
+    for a, b in zip(edges, edges[1:]):
+        if not cells[4, a]:
+            empty = lo[a:b] > hi[a:b]
+            if empty.any():
+                j, r = divmod(int(empty.argmax()), size)
+                raise SamplingError(f"interval [{cells[0, a + j]}, {cells[1, a + j]}] cannot "
+                                    f"reach bounds [{b_lo[a + j, r]}, {b_hi[a + j, r]}]")
+            out[a:b] = rng.uniform(lo[a:b], hi[a:b])
+            continue
+
+        def draw(rows):
+            x = rng.normal(cells[2, a], cells[3, a], len(rows))
+            return x, (lo[a, rows] <= x) & (x <= hi[a, rows])
+
+        out[a], failed = _by_rejection((size,), draw, max_attempts)
+        if len(failed):
+            raise SamplingError(f"normal({cells[2, a]}, {cells[3, a]}) produced no draw inside "
+                                f"[{lo[a, failed[0]]}, {hi[a, failed[0]]}] after {max_attempts} "
+                                f"attempts")
+    return out
+
+
+def _fixed_and_sampled(values: Sequence[StochasticValue]):
+    """The (n, 3) (m, alpha, beta) of the deterministic ``values``, zeros
+    at the others, and the others as (index, value) pairs."""
+    fixed = [v.resolved() if v.is_deterministic else TFN(0.0) for v in values]
+    return (np.array([(f.m, f.alpha, f.beta) for f in fixed]),
+            [(j, v) for j, v in enumerate(values) if not v.is_deterministic])
+
+
+def _draw_group(fixed, sampled, faults, fault: str, rng, size: int, max_attempts: int):
+    """``size`` draws, (size, n, 3), of a group of values: the (n, 3) rows
+    ``fixed`` with the (index, value) pairs of ``sampled`` drawn.  Each row
+    is redrawn while ``faults`` (if given) flags it, at most
+    ``max_attempts`` times, and then raises :class:`SamplingError` with
+    ``fault``."""
+    slots = [j for j, _ in sampled]
+    cells = _cell_table([v for _, v in sampled])
+
+    def draw(rows):
+        group = np.repeat(fixed[None], len(rows), axis=0)
+        group[:, slots, 0] = _draw_cells(cells, rng, len(rows), max_attempts=max_attempts).T
+        return group, np.ones(len(rows), dtype=bool) if faults is None else ~faults(group)
+
+    group, failed = _by_rejection((size,) + fixed.shape, draw, max_attempts)
+    if len(failed):
+        raise SamplingError(f"{fault} after {max_attempts} attempts")
+    return group
+
+
+def _draw_profiles(fixed, sampled, maximize, rng, size: int, max_attempts: int) -> np.ndarray:
+    """``size`` draws, (size, k+1, n_el, 3), of the (k+1, n_el, 3) profile
+    table ``fixed`` with its (level, slot, value) levels ``sampled`` drawn
+    column by column in slot order, best level first, each column redrawn
+    until successive profiles dominate each other."""
+    out = np.repeat(fixed[None], size, axis=0)
+    for t in sorted({t for _, t, _ in sampled}):
+        def faults(column):
+            dominance, overlap = profile_pair_faults(column, maximize[t])
+            return (dominance | overlap).any(axis=-1)
+
+        out[:, :, t] = _draw_group(fixed[:, t], [(h, v) for h, s, v in sampled if s == t], faults,
+                                   f"no dominance-respecting profile draw on criterion {t}", rng,
+                                   size, max_attempts)
+    return out
+
+
+def _draw_pair(q_spec, p_spec, strict: bool | None, rng, size: int,
+               max_attempts: int) -> np.ndarray:
+    """``size`` draws of thresholds q and p, (2, size), redrawn until
+    q <= p, or q < p when ``strict``; when ``strict`` is None (a shape
+    reads one of them) they are drawn once, q first."""
+    def faults(pair):
+        q, p = pair[..., 0].T
+        return (q > p) | ((q == p) & strict)
+
+    need = "q < p" if strict else "q <= p"
+    return _draw_group(*_fixed_and_sampled([q_spec, p_spec]), None if strict is None else faults,
+                       f"no admissible threshold pair ({need})", rng, size, max_attempts)[..., 0].T
+
+
 def sample_value(
     value: StochasticValue,
     rng: np.random.Generator | None,
@@ -303,25 +415,8 @@ def sample_value(
         f = value.resolved()
         return f if size is None else np.full((size, 3), (f.m, f.alpha, f.beta))
     n = 1 if size is None else size
-    lo, hi = np.broadcast_to((-np.inf, np.inf) if bounds is None else bounds, (n, 2)).T
-    vlo, vhi = np.maximum(value.lo, lo), np.minimum(value.hi, hi)
-    if value.kind == "interval":
-        empty = np.flatnonzero(vlo > vhi)
-        if len(empty):
-            raise SamplingError(f"interval [{value.lo}, {value.hi}] cannot reach bounds "
-                                f"[{lo[empty[0]]}, {hi[empty[0]]}]")
-        x = rng.uniform(vlo, vhi)
-    else:  # normal, truncated to the declared [lo, hi] intersected with bounds
-        def draw(rows):
-            d = rng.normal(value.mean, value.sd, len(rows))
-            return d, (vlo[rows] <= d) & (d <= vhi[rows])
-
-        x, failed = _by_rejection((n,), draw, max_attempts)
-        if len(failed):
-            raise SamplingError(
-                f"normal({value.mean}, {value.sd}) produced no draw inside "
-                f"[{vlo[failed[0]]}, {vhi[failed[0]]}] after {max_attempts} attempts"
-            )
+    bounds = (-np.inf, np.inf) if bounds is None else np.broadcast_to(bounds, (n, 2)).T[:, None]
+    x = _draw_cells(_cell_table([value]), rng, n, bounds, max_attempts)[0]
     return TFN(float(x[0])) if size is None else np.column_stack([x, np.zeros((n, 2))])
 
 
@@ -338,7 +433,8 @@ def sample_thresholds(
 
     Pairs violating the ordering are redrawn; ``strict`` additionally
     requires q < p, which the linear shape needs.  Only rejected rows are
-    redrawn, each at most ``max_attempts`` times.
+    redrawn, each at most ``max_attempts`` times, and so is a normal
+    threshold inside its truncation.
     """
     need = "q < p" if strict else "q <= p"
     if q_spec.is_deterministic and p_spec.is_deterministic:
@@ -346,18 +442,8 @@ def sample_thresholds(
         if q > p or (strict and q >= p):
             raise InputError(THRESHOLD, f"thresholds must satisfy {need}, got q={q}, p={p}")
         return (q, p) if size is None else (np.full(size, q), np.full(size, p))
-
-    def draw(rows):
-        q = sample_value(q_spec, rng, size=len(rows))[:, 0]
-        p = sample_value(p_spec, rng, size=len(rows))[:, 0]
-        return np.stack([q, p], axis=1), (q < p) | ((q == p) & (not strict))
-
-    pairs, failed = _by_rejection((1 if size is None else size, 2), draw, max_attempts)
-    if len(failed):
-        raise SamplingError(
-            f"no admissible threshold pair ({need}) after {max_attempts} attempts"
-        )
-    return tuple(map(float, pairs[0])) if size is None else (pairs[:, 0], pairs[:, 1])
+    q, p = _draw_pair(q_spec, p_spec, strict, rng, 1 if size is None else size, max_attempts)
+    return (float(q[0]), float(p[0])) if size is None else (q, p)
 
 
 def sample_profiles(
@@ -373,42 +459,14 @@ def sample_profiles(
     Deterministic columns pass through unchecked (they are validated when
     the problem is parsed); columns with stochastic entries are redrawn
     until successive profiles dominate each other.  Only rejected rows are
-    redrawn, each at most ``max_attempts`` times.
+    redrawn, each at most ``max_attempts`` times, and so is a normal level
+    inside its truncation.
     """
-    return _draw_profiles(*_fixed_profiles(profile_specs), profile_specs, models, rng,
-                          max_attempts, size)
-
-
-def _fixed_profiles(profile_specs) -> tuple[np.ndarray, list[int]]:
-    """The (k+1, n_el, 3) profiles, deterministic entries resolved and the
-    others zero, and the slots of the columns with stochastic entries."""
-    table = np.array([[(f.m, f.alpha, f.beta) for f in (
-        v.resolved() if v.is_deterministic else TFN(0.0) for v in row)] for row in profile_specs])
-    return table, [t for t, col in enumerate(zip(*profile_specs))
-                   if not all(v.is_deterministic for v in col)]
-
-
-def _draw_profiles(fixed, sampled, profile_specs, models, rng, max_attempts, size):
-    """:func:`sample_profiles` from the table and the column slots that
-    :func:`_fixed_profiles` returns: only the listed columns are drawn."""
-    n = 1 if size is None else size
-    out = np.repeat(fixed[None], n, axis=0)
-    for t in sampled:
-        spec_col = [row[t] for row in profile_specs]
-        maximize = models[t].direction == "maximize"
-
-        def draw(rows):
-            col = np.stack([sample_value(v, rng, size=len(rows)) for v in spec_col], axis=1)
-            dominance, overlap = profile_pair_faults(col, maximize)
-            return col, ~(dominance | overlap).any(axis=-1)
-
-        column, failed = _by_rejection((n, len(fixed), 3), draw, max_attempts)
-        if len(failed):
-            raise SamplingError(
-                f"no dominance-respecting profile draw on criterion {t} "
-                f"after {max_attempts} attempts"
-            )
-        out[:, :, t] = column
+    n_el = len(profile_specs[0])
+    fixed, sampled = _fixed_and_sampled([v for row in profile_specs for v in row])
+    out = _draw_profiles(fixed.reshape(-1, n_el, 3), [(*divmod(j, n_el), v) for j, v in sampled],
+                         [m.direction == "maximize" for m in models], rng,
+                         1 if size is None else size, max_attempts)
     return out[0] if size is None else out
 
 
@@ -458,7 +516,7 @@ class ProblemRuntime:
         self.strict = strict
         tree = problem.tree
         self.m = len(problem.alternative_names)
-        self.c = len(problem.profile_specs)
+        self.c = len(problem.fixed_profiles)
         self.k = self.c - 1
         self.n_nodes = len(tree.nodes)
         self.engine = BatchEngine(tree, self.m, self.c)
@@ -469,16 +527,12 @@ class ProblemRuntime:
         # shape codes, s and directions; q and p are set per data draw
         self.prefs = PreferenceArrays.of(problem.preference_models, thresholds=(None, None))
         # data draws start from the deterministic profiles and evaluation
-        # cells, resolved here once, and sample the others
-        self.fixed_profiles, self.sampled_profiles = _fixed_profiles(problem.profile_specs)
+        # cells, resolved at parse time, and draw the others; the
+        # evaluation cells from one table built here
         self.fixed_evals = problem.fixed_evals
         self.sampled_evals = cells = problem.sampled_evals
-        # stochastic cells as arrays; (start, stop) runs of interval cells, or a normal one
-        self.cell_index = np.array([(i, t) for i, t, _ in cells], dtype=np.int64).reshape(-1, 2).T
-        self.cell_bounds = np.array([(v.lo, v.hi) for _, _, v in cells]).reshape(-1, 2).T
-        normal = [j for j, (_, _, v) in enumerate(cells) if v.kind == "normal"]
-        edges = sorted({0, len(cells), *normal, *(j + 1 for j in normal)})
-        self.cell_runs = list(zip(edges, edges[1:]))
+        self.eval_slots = np.array([(i, t) for i, t, _ in cells], dtype=np.int64).reshape(-1, 2).T
+        self.eval_cells = _cell_table([v for _, _, v in cells])
         self.draws_anything = not problem.is_deterministic_data or any(
             not spec.is_deterministic for _, spec in self.groups)
         self.static_components = None
@@ -490,42 +544,31 @@ class ProblemRuntime:
         (n_el, size) ``q`` and ``p``, the (size, m, n_el, 3) evaluations and
         the (size, c, n_el, 3) profiles.
 
-        Draws the stochastic profile columns, the thresholds of stochastic
-        criteria, then the stochastic cells in row-major order inside their
-        row's profile envelope: a run of interval cells in one ``uniform``
-        call (the floats of one call per cell), a normal cell through
-        :func:`sample_value`, as is an empty interval's error.  Fixed
+        Draws the stochastic profile columns in slot order, each best level
+        first and redrawn until ordered; the thresholds of stochastic
+        criteria in slot order, q before p, a level or linear pair redrawn
+        until ordered; then the stochastic evaluation cells in row-major
+        order inside their row's profile envelope.  Every cell is drawn
+        through one table sampler, which draws each run of interval cells
+        in one ``uniform`` call (the floats of one call per cell).  Fixed
         inputs were resolved at set-up, so static data needs no generator.
         """
         models = self.problem.preference_models
-        profiles = _draw_profiles(self.fixed_profiles, self.sampled_profiles,
-                                  self.problem.profile_specs, models, rng, VALUE_ATTEMPTS, size)
+        profiles = _draw_profiles(self.problem.fixed_profiles, self.problem.sampled_profiles,
+                                  self.prefs.maximize, rng, size, VALUE_ATTEMPTS)
         q, p = np.empty((2, len(models), size))
         for t, mdl in enumerate(models):
             if mdl.is_deterministic:
                 q[t], p[t] = mdl.q.resolved().m, mdl.p.resolved().m
-            elif THRESHOLDS[mdl.shape] == ("q", "p"):
-                q[t], p[t] = sample_thresholds(mdl.q, mdl.p, rng, size=size,
-                                               strict=mdl.shape == "linear")
-            else:  # the one threshold the shape reads; the other stays at crisp 0
-                q[t], p[t] = (sample_value(v, rng, size=size)[:, 0] for v in (mdl.q, mdl.p))
-        envelope = profile_envelope(profiles.swapaxes(1, 2))
+            else:  # a shape that reads one threshold leaves the other at crisp 0
+                strict = mdl.shape == "linear" if THRESHOLDS[mdl.shape] == ("q", "p") else None
+                q[t], p[t] = _draw_pair(mdl.q, mdl.p, strict, rng, size, VALUE_ATTEMPTS)
         evals = np.broadcast_to(self.fixed_evals, (size,) + self.fixed_evals.shape)
         if self.sampled_evals:  # a copy to draw into; else a read-only view
+            envelope = profile_envelope(profiles.swapaxes(1, 2))
+            i, t = self.eval_slots
             evals = evals.copy()
-        for a, b in self.cell_runs:
-            i, t = self.cell_index[:, a:b]
-            if self.sampled_evals[a][2].kind == "normal":
-                evals[:, i[0], t[0]] = sample_value(self.sampled_evals[a][2], rng,
-                                                    bounds=envelope[:, t[0]], size=size)
-                continue
-            env = envelope[:, t].T  # (2, cells, size)
-            lo = np.maximum(self.cell_bounds[0, a:b, None], env[0])
-            hi = np.minimum(self.cell_bounds[1, a:b, None], env[1])
-            if (lo > hi).any():  # sample_value raises for the first empty cell
-                j = (lo > hi).any(axis=1).argmax()
-                sample_value(self.sampled_evals[a + j][2], None, envelope[:, t[j]], size=size)
-            evals[:, i, t, 0] = rng.uniform(lo, hi).T
+            evals[:, i, t, 0] = _draw_cells(self.eval_cells, rng, size, envelope[:, t].T).T
         return self.prefs._replace(q=q, p=p), evals, profiles
 
     def _sample_components(self, rng: np.random.Generator | None, size: int) -> np.ndarray:

@@ -246,6 +246,25 @@ def test_normal_value_truncated():
     assert (block >= 1.5).all()
 
 
+def test_normal_value_needs_a_nonempty_truncation():
+    # a continuous draw never lands on a single point
+    for lo, hi in ((1.0, 1.0), (2.0, 1.0)):
+        with pytest.raises(ValueError, match="empty truncation"):
+            StochasticValue.normal(0.0, 1.0, lo=lo, hi=hi)
+
+
+def test_pair_and_column_samplers_honour_max_attempts():
+    # about 1 draw in 15 lands above 1.5, so one attempt per row cannot
+    # fill 256 rows; the limit reaches the normal's own truncation too
+    tail = StochasticValue.normal(0.0, 1.0, lo=1.5)
+    with pytest.raises(SamplingError, match=r"no draw inside \[1.5, inf\] after 1 attempts"):
+        sample_thresholds(tail, StochasticValue.crisp(10.0), iteration_rng(0, 0),
+                          max_attempts=1, size=BLOCK)
+    with pytest.raises(SamplingError, match=r"no draw inside \[1.5, inf\] after 1 attempts"):
+        sample_profiles([[tail], [StochasticValue.crisp(0.0)]], [PreferenceModel()],
+                        iteration_rng(0, 0), max_attempts=1, size=BLOCK)
+
+
 def test_threshold_pair_deterministic():
     q, p = sample_thresholds(StochasticValue.crisp(0.5),
                              StochasticValue.crisp(2.0), iteration_rng(0, 0))
@@ -276,6 +295,11 @@ def test_threshold_pair_stochastic_resamples_until_ordered():
     q, p = sample_thresholds(q_spec, p_spec, rng, strict=True, size=BLOCK)
     assert q.shape == p.shape == (BLOCK,)
     assert (q < p).all() and (q >= 0.0).all() and (p <= 1.0).all()
+    # a one-point interval pair ties on every draw: q <= p takes it, q < p never
+    point = StochasticValue.interval(1.0, 1.0)
+    assert sample_thresholds(point, point, rng, size=BLOCK)[0].tolist() == [1.0] * BLOCK
+    with pytest.raises(SamplingError, match=r"\(q < p\) after 5 attempts"):
+        sample_thresholds(point, point, rng, strict=True, max_attempts=5, size=BLOCK)
 
 
 def test_sample_profiles_deterministic_passthrough():

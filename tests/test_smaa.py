@@ -419,9 +419,8 @@ def table_draws(problem, seed, draws):
 def test_data_draws_read_fixed_evaluations_once(walkthrough_doc, case_study, monkeypatch):
     # fixed, interval and normal cells mixed in both rows (crisp thresholds
     # and profiles draw nothing): a block's evaluations equal the flat
-    # reference's, one value at a time in row-major order, yet only the
-    # normal cell reaches sample_value; the interval runs on either side of
-    # it are drawn whole
+    # reference's, one value at a time in row-major order, yet no cell
+    # reaches sample_value; the block draws them all from one table
     problem = variant(walkthrough_doc, **{"alternatives": {
         "x1": {"G1/g11": 8, "G1/g12": [0.5, 2], "G2/g21": {"tfn": [16, 2, 1]}, "G2/g22": [25, 29]},
         "x2": {"G1/g11": [6, 9], "G1/g12": {"normal": {"mean": 3, "sd": 0.5}},
@@ -439,7 +438,7 @@ def test_data_draws_read_fixed_evaluations_once(walkthrough_doc, case_study, mon
     state = ProblemRuntime(problem, "net", "centroid", 5, strict=False)
     _, evals, _ = state._sample_data(iteration_rng(5, 0), draws)
     assert np.array_equal(evals, expected)
-    assert calls == ["normal"]
+    assert calls == []
     # static data resolves every cell at set-up, without sample_value
     del calls[:]
     ProblemRuntime(case_study, "net", "centroid", 0, strict=False)
