@@ -560,7 +560,7 @@ class ProblemRuntime:
         for t, mdl in enumerate(models):
             if mdl.is_deterministic:
                 q[t], p[t] = mdl.q.resolved().m, mdl.p.resolved().m
-            else:  # a shape that reads one threshold leaves the other at crisp 0
+            else:  # a level or linear pair is ordered; an unread threshold stays crisp 0
                 strict = mdl.shape == "linear" if THRESHOLDS[mdl.shape] == ("q", "p") else None
                 q[t], p[t] = _draw_pair(mdl.q, mdl.p, strict, rng, size, VALUE_ATTEMPTS)
         evals = np.broadcast_to(self.fixed_evals, (size,) + self.fixed_evals.shape)
