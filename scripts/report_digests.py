@@ -24,10 +24,11 @@ CHECKOUT (default: the checkout holding this script), run in this process:
   under ``--threads 2`` (normal cells between interval runs, an interval
   profile level and an interval q/p pair: both defuzzifications of the
   pair kernel on leaves whose profiles vary and leaves whose do not);
-- ``tests/data/sampled_inputs.json``, and again under ``--threads 2`` (a
-  normal profile level, an interval profile column redrawn until ordered,
-  a normal q on a linear pair, an interval q on a u-shape and an interval
-  p on a v-shape);
+- ``tests/data/sampled_inputs.json``, and again under ``--threads 2``,
+  ``--rule positive`` and ``--rule negative`` (a normal profile level, an
+  interval profile column redrawn until ordered, a normal q on a linear
+  pair, an interval q on a u-shape and an interval p on a v-shape: the
+  leaf tables each rule keeps, on leaves whose profiles vary);
 - ``tests/data/mixed_forms.json`` (the walkthrough with every value form)
   and ``tests/data/sampled_inputs.json`` of the checkout holding this
   script, so CHECKOUT is tried on the same documents whether or not it
@@ -125,6 +126,8 @@ def main(argv=None) -> int:
             runs.append((f"mixed-forms-{extra[1]}", problems["mixed-forms"], "all-nodes", extra))
         runs.append(("sampled-inputs-2", problems["sampled-inputs"], "all-nodes",
                      ["--threads", "2"]))
+        runs += [(f"sampled-inputs-{rule}", problems["sampled-inputs"], "all-nodes",
+                  ["--rule", rule]) for rule in ("positive", "negative")]
         for level in ("category", "first-level"):
             runs.append((f"case-study-net-t1-{level}", problems["case-study"], level,
                          ["--threads", "1"]))

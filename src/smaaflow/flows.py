@@ -11,10 +11,12 @@ bracket the flow of the alternative, which pins down its category.
 Flows are linear in the preference degrees, so the positive, negative and
 net flows under any node of the tree are weighted sums of its children's,
 down to per-leaf unicriterion flows.  :class:`BatchEngine` is the one flow
-engine: it reduces each data draw to per-leaf flow tables once, a chunk of
-draws per call, and sums their columns children-first for whole batches of
-weight vectors: the net columns for every node, and the positive or
-negative columns for the whole tree under a rule that brackets by them.
+engine: it reduces each data draw to the per-leaf flow tables that the
+rule reads, a chunk of draws per call, checking the order of every
+table's profile flows as it goes, and sums their columns children-first
+for whole batches of weight vectors: the net columns for every node, and
+the positive or negative columns for the whole tree under a rule that
+brackets by them.
 :func:`flow_bundle`, :func:`single_criterion_flows` and their relatives
 run the same engine on a single weight row.  The pairwise degrees
 (:func:`subtree_preference`, :func:`outranking_degree`) come from the same
@@ -49,6 +51,15 @@ from .preference import PreferenceArrays, PreferenceSpec
 _RULE_TABLE = {"positive": (0, -1), "negative": (1, 1), "net": (2, -1)}
 RULES = tuple(_RULE_TABLE)
 
+#: The three leaf tables of :meth:`BatchEngine.pref_components`, in order,
+#: each named by the rule its profile flows step for.
+_TABLES = ("net", "positive", "negative")
+
+#: Indices in :data:`_TABLES` of the leaf tables each rule reads: net
+#: always, and the table a rule brackets the whole tree by; None reads all.
+_RULE_TABLES = {None: range(3), "net": range(1), "positive": range(2),
+                "negative": range(0, 3, 2)}
+
 #: Slack allowed when asserting that profile flows are ordered.
 ORDERING_TOL = 1e-9
 
@@ -70,6 +81,13 @@ def _rule(rule: str) -> tuple[int, int]:
         return _RULE_TABLE[rule]
     except KeyError:
         raise ValueError(f"unknown assignment rule {rule!r}") from None
+
+
+def _leaf_tables(rule: str | None) -> range:
+    """Indices in :data:`_TABLES` of the leaf tables that ``rule`` reads."""
+    if rule is not None:
+        _rule(rule)
+    return _RULE_TABLES[rule]
 
 
 class FlowTriple(NamedTuple):
@@ -428,8 +446,9 @@ class NodeValues(NamedTuple):
     nodes, with one row per weight row.  The whole tree has the rows of
     the fixed groups when the root is fixed, else one per weight row.  Its
     positive and negative tables are summed children-first like its net
-    rows, and are None unless the rule passed to
-    :meth:`BatchEngine.node_values` brackets by them.
+    rows, from the leaf tables of the same kind, and are None unless the
+    rule passed to :meth:`BatchEngine.node_values` brackets by them; leaf
+    tables built for a rule hold only the net table and that one.
     """
 
     nodes: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -454,6 +473,22 @@ def bracket(alt: np.ndarray, prof: np.ndarray, rule: str):
     return 1 + (prof[..., 1:] >= alt[..., None]).sum(axis=-1), valid
 
 
+def _worst_step(prof: np.ndarray, rule: str, axis: int = -1):
+    """Largest step of profile flows ``prof``, best first along ``axis``,
+    against the direction :func:`bracket` expects under ``rule``; nan if a
+    flow is nan."""
+    step = np.diff(prof, axis=axis)
+    return -step.min() if _rule(rule)[1] > 0 else step.max()
+
+
+def _check_step(worst, rule: str, what: str) -> None:
+    """Raise :class:`InvariantError`, naming ``what``, if ``worst`` (see
+    :func:`_worst_step`) exceeds :data:`ORDERING_TOL`."""
+    if worst > ORDERING_TOL:
+        trend = "non-decreasing" if _rule(rule)[1] > 0 else "non-increasing"
+        raise InvariantError(f"{what} profile flows are not {trend} (worst step {worst})")
+
+
 def check_profile_order(prof: np.ndarray, rule: str, what: str, axis: int = -1) -> None:
     """Assert the bracketing premise of ``rule``: profile flows, best first
     along ``axis``, step the way :func:`bracket` expects, within
@@ -464,12 +499,15 @@ def check_profile_order(prof: np.ndarray, rule: str, what: str, axis: int = -1) 
     InvariantError
         Naming ``what`` and the worst step against the expected direction.
     """
-    step = np.diff(prof, axis=axis)
-    rising = _rule(rule)[1] > 0
-    worst = -step.min() if rising else step.max()
-    if worst > ORDERING_TOL:
-        trend = "non-decreasing" if rising else "non-increasing"
-        raise InvariantError(f"{what} profile flows are not {trend} (worst step {worst})")
+    _check_step(_worst_step(prof, rule, axis), rule, what)
+
+
+def _check_steps(worst) -> None:
+    """Raise for the first of the net, positive and negative leaf tables,
+    in that order, whose worst step (see :meth:`BatchEngine.check_ordering`)
+    exceeds :data:`ORDERING_TOL`."""
+    for step, rule in zip(worst, _TABLES):
+        _check_step(step, rule, rule)
 
 
 def _points(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -540,11 +578,13 @@ class BatchEngine:
     flow table per data draw, and node rows are weighted sums of their
     children's rows.  The whole tree's positive and negative flows are
     summed the same way from the leaves' positive and negative tables, but
-    only the table a rule brackets by is built: none under ``net``, one
-    under ``positive`` or ``negative``.  Each group's weights sum to 1, so
-    every node's flows are convex combinations of the leaf tables, and
-    :meth:`check_ordering` checks the profile order once per data draw on
-    the leaf tables rather than on every weight row's flows.
+    only the table a rule brackets by is built, and only it is kept per
+    leaf beside the net one: none under ``net``, one under ``positive`` or
+    ``negative``.  Each group's weights sum to 1, so every node's flows are
+    convex combinations of the leaf tables, and the profile order is
+    checked once per data draw on all three leaf tables (see
+    :meth:`check_ordering`), as :meth:`block_components` builds them,
+    rather than on every weight row's flows.
 
     A node's row depends only on the weights inside its subtree, so the
     engine splits the tree once, from its sibling groups.  A node is
@@ -594,9 +634,15 @@ class BatchEngine:
     # -- per-leaf flow tables ----------------------------------------------
 
     def pref_components(self, prefs, evals: np.ndarray, profiles: np.ndarray, defuzz: str, *,
-                        out: np.ndarray | None = None, profile_sums=None):
+                        rule: str | None = None, out: np.ndarray | None = None,
+                        profile_sums=None, worst: np.ndarray | None = None):
         """Net, positive and negative flow tables of every leaf for one data
         draw, or for a chunk of draws along a leading axis.
+
+        All three tables are built in a draw-last scratch array; only the
+        ones that ``rule`` reads are copied out: the net table, then the
+        positive or the negative one under a rule that brackets by it, and
+        all three when ``rule`` is None.
 
         Parameters
         ----------
@@ -606,20 +652,26 @@ class BatchEngine:
             arrays whose ``q`` and ``p`` are (n_el, draws).
         evals : ([draws,] m, n_el, 3) array
         profiles : ([draws,] c, n_el, 3) array
+        rule :
+            An assignment rule, or None for all three tables.
         out :
-            A C-contiguous leaf-major ([draws,] n_el, 3 * n_pairs) array to
-            write the tables into, rather than a new one.
+            A C-contiguous leaf-major ([draws,] n_el, tables * n_pairs) array
+            to write the tables into, rather than a new one.
         profile_sums :
             ``(leaves, row, col)``: leaves with the same profiles and thresholds
             in every draw and their :func:`_profile_pair_sums` of one draw.
+        worst :
+            A float array of three that takes, entry by entry, the larger of
+            itself and the worst step (see :meth:`check_ordering`) of the net,
+            positive and negative profile flows of these draws, all three
+            tables read while they are in the scratch array.
 
         Returns
         -------
-        ([draws,] 3 * n_pairs, n_el) array: the net flows of every
+        ([draws,] tables * n_pairs, n_el) array: the net flows of every
         reference set on each leaf alone, laid out like a node's value row,
-        then the positive and the negative flows in the same layout: the
-        transposed view of the leaf-major array (``out`` when given), into
-        which the draw-last work is copied once, or written for one draw.
+        then the kept positive and negative flows in the same layout: the
+        transposed view of the leaf-major array (``out`` when given).
         """
         if defuzz not in DEFUZZ_METHODS:
             raise ValueError(f"unknown defuzzification method {defuzz!r}")
@@ -629,10 +681,11 @@ class BatchEngine:
         if evals.ndim == 3:  # one draw: a draw axis of one
             return self.pref_components(
                 prefs._replace(q=prefs.q[:, None], p=prefs.p[:, None]), evals[None],
-                profiles[None], defuzz, out=None if out is None else out[None],
-                profile_sums=profile_sums)[0]
-        c, m = self.c, self.m
+                profiles[None], defuzz, rule=rule, out=None if out is None else out[None],
+                profile_sums=profile_sums, worst=worst)[0]
+        c, m, n = self.c, self.m, self.n_pairs
         draws, n_el = evals.shape[0], evals.shape[-2]
+        kept = _leaf_tables(rule)
         # oriented members as (n_el, members, 3, draws)
         x, r = (np.ascontiguousarray(np.moveaxis(prefs.orient(v), (-2, -3, -1), (0, 1, 2)))
                 for v in (evals, profiles))
@@ -648,9 +701,7 @@ class BatchEngine:
         row[leaves], col[leaves] = fixed_row, fixed_col
         row[vary], col[vary] = _profile_pair_sums(
             PreferenceArrays(*(v[vary] for v in prefs)), r[vary], defuzz)
-        if out is None:
-            out = np.empty((draws, n_el, 3 * self.n_pairs))
-        table = out if draws == 1 else np.empty((n_el, 3 * self.n_pairs, draws))
+        table = np.empty((n_el, 3 * n, draws))
         net, plus, minus = table.reshape((n_el, 3, m, c + 1, draws)).swapaxes(0, 1)
         # Net flows are summed from pair differences rather than taken as
         # positive minus negative: an alternative equal to a profile ties it
@@ -663,24 +714,38 @@ class BatchEngine:
         np.add(row[:, None], r_over_x, out=plus[:, :, 1:])
         np.add(col[:, None], x_over_r, out=minus[:, :, 1:])
         table /= c
-        if draws > 1:
-            np.copyto(out, np.moveaxis(table, -1, 0))
+        if worst is not None:
+            np.maximum(worst, self._worst_steps(table), out=worst)
+        if out is None:
+            out = np.empty((draws, n_el, len(kept) * n))
+        blocks = table.reshape((n_el, 3, n, draws))[:, kept.start:kept.stop:kept.step]
+        np.copyto(out.reshape((draws, n_el, len(kept), n)), np.moveaxis(blocks, -1, 0))
         return np.swapaxes(out, -1, -2)
 
     def block_components(self, prefs: PreferenceArrays, evals: np.ndarray,
-                         profiles: np.ndarray, defuzz: str) -> np.ndarray:
+                         profiles: np.ndarray, defuzz: str, rule: str | None = None) -> np.ndarray:
         """:meth:`pref_components` of many data draws, :func:`chunk_draws`
-        draws per call, each written into its rows of one leaf-major buffer.
+        draws per call, each writing the tables that ``rule`` reads into its
+        rows of one leaf-major buffer.
 
         ``prefs`` carries (n_el, draws) ``q`` and ``p``; ``evals`` and
         ``profiles`` lead with the draw axis.  Returns the (draws,
-        3 * n_pairs, n_el) view, the layout :meth:`node_values` reads.
+        tables * n_pairs, n_el) view, the layout :meth:`node_values` reads:
+        the net tables, then the positive or negative ones under a rule that
+        brackets by them, or both when ``rule`` is None.
 
         Leaves whose profiles and thresholds hold the same bits in every
         draw get their profile-versus-profile sums once, from the first.
+
+        Raises
+        ------
+        InvariantError
+            As :meth:`check_ordering` would on the block's three tables:
+            each chunk's worst steps are taken while it is built, whatever
+            ``rule`` keeps, and the block's largest are checked at the end.
         """
         draws, n_el = evals.shape[0], evals.shape[-2]
-        tables = np.empty((draws, n_el, 3 * self.n_pairs))
+        tables = np.empty((draws, n_el, len(_leaf_tables(rule)) * self.n_pairs))
         fixed = np.ones(n_el, bool)
         for v in (np.moveaxis(profiles, (2, 0), (0, 1)), prefs.q, prefs.p):  # (n_el, draws, ...)
             bits = v.view(np.int64)
@@ -690,12 +755,14 @@ class BatchEngine:
                                                                    p=prefs.p[:, :1])))
         r = np.moveaxis(first.orient(profiles[:1, :, leaves]), (-2, -3, -1), (0, 1, 2))
         sums = (leaves, *_profile_pair_sums(first, r, defuzz))
+        worst = np.full(3, -np.inf)
         step = chunk_draws(n_el, self.m, self.c)
         for j in range(0, draws, step):
             rows = slice(j, j + step)
             self.pref_components(prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows]),
-                                 evals[rows], profiles[rows], defuzz, out=tables[rows],
-                                 profile_sums=sums)
+                                 evals[rows], profiles[rows], defuzz, rule=rule,
+                                 out=tables[rows], profile_sums=sums, worst=worst)
+        _check_steps(worst)
         return tables.swapaxes(1, 2)
 
     # -- node values and flows --------------------------------------------
@@ -759,12 +826,13 @@ class BatchEngine:
                     rule: str | None = None) -> NodeValues:
         """Aggregate per-leaf flow tables into per-node flow rows.
 
-        ``components`` is (3 * n_pairs, n_el) when shared across the batch
-        or (batch, 3 * n_pairs, n_el) otherwise; ``w`` is (batch, n_nodes)
-        holding every node's weight within its sibling group.  Fixed nodes
-        are summed once per data draw, with the first weight row (the
-        deterministic groups weigh every row alike); varying nodes once per
-        weight row.
+        ``components`` is (tables * n_pairs, n_el) when shared across the
+        batch or (batch, tables * n_pairs, n_el) otherwise: all three leaf
+        tables, or those that :meth:`block_components` keeps for ``rule``;
+        ``w`` is (batch, n_nodes) holding every node's weight within its
+        sibling group.  Fixed nodes are summed once per data draw, with the
+        first weight row (the deterministic groups weigh every row alike);
+        varying nodes once per weight row.
 
         Every node's net rows are built.  The whole tree's positive and
         negative tables are summed the same way, but only for the ``rule``
@@ -772,14 +840,19 @@ class BatchEngine:
         negative one under ``negative``, neither under ``net``, and both
         when ``rule`` is None.
         """
-        n = self.n_pairs
+        n, kept = self.n_pairs, _leaf_tables(rule)
+        held = components.shape[-2] // n
+        if held not in (3, len(kept)):
+            raise ValueError(f"{held} leaf tables hold neither all three nor the {len(kept)} "
+                             f"that rule {rule!r} reads")
         nodes, net = self._fold(components[..., :n, :], w)
-        # column blocks [lo, hi) of the leaf tables to sum for the whole
-        # tree: 1 is the positive block, 2 the negative one, none under net
-        lo, hi = (1, 3) if rule is None else ((1, 2), (2, 3), (0, 0))[_rule(rule)[0]]
-        root = self._fold(components[..., lo * n : hi * n, :], w)[1] if lo else None
-        return NodeValues(nodes, net, root[:, :n] if lo == 1 else None,
-                          root[:, -n:] if hi == 3 else None)
+        if len(kept) == 1:
+            return NodeValues(nodes, net, None, None)
+        # the tables after net: where they sit among all three, else from 1 on
+        lo = kept[1] if held == 3 else 1
+        root = self._fold(components[..., lo * n : (lo + len(kept) - 1) * n, :], w)[1]
+        return NodeValues(nodes, net, root[:, :n] if 1 in kept else None,
+                          root[:, -n:] if 2 in kept else None)
 
     def flows(self, values: NodeValues) -> BatchFlows:
         """Flows for every node and the root from the aggregated rows; the
@@ -811,22 +884,31 @@ class BatchEngine:
         group, pos = self.node_slot[idx]
         return NodeFlows(*(a[pos] for a in batch_flows.nodes[group]))
 
+    def _worst_steps(self, tables: np.ndarray) -> list:
+        """Worst step of the profile flows in each of the net, positive and
+        negative tables of ``tables``, (..., 3 * n_pairs, X) with any last
+        axis X, against the direction that table's rule expects."""
+        split = tables.reshape(tables.shape[:-2] + (3, self.m, self.c + 1, tables.shape[-1]))
+        return [_worst_step(split[..., t, :, 1:, :], rule, axis=-2)
+                for t, rule in enumerate(_TABLES)]
+
     def check_ordering(self, components: np.ndarray) -> None:
         """Assert the bracketing premise on every leaf: net and positive
         profile flows fall from best to worst, negative ones rise.
 
-        ``components`` are leaf tables as :meth:`pref_components` or
-        :meth:`block_components` return them, ([draws,] 3 * n_pairs, n_el).
-        Each sibling group's weights sum to 1, so level by level every
-        node's net flows, and the whole tree's positive and negative flows,
-        are convex combinations of the leaf tables: checking the leaf tables
-        covers every node under every rule.  The tables are read through
-        strided views, never copied.
+        ``components`` are all three leaf tables, as :meth:`pref_components`
+        returns them with no rule, ([draws,] 3 * n_pairs, n_el).  A table's
+        worst step is its profile flows' largest step against that
+        direction, and the first table whose worst step exceeds
+        :data:`ORDERING_TOL` raises, net before positive before negative.
+        :meth:`block_components` runs the same check chunk by chunk.  Each
+        sibling group's weights sum to 1, so level by level every node's net
+        flows, and the whole tree's positive and negative flows, are convex
+        combinations of the leaf tables: checking the leaf tables covers
+        every node under every rule.  The tables are read through strided
+        views, never copied.
         """
-        tables = components.reshape(
-            components.shape[:-2] + (3, self.m, self.c + 1, components.shape[-1]))
-        for t, rule in enumerate(("net", "positive", "negative")):
-            check_profile_order(tables[..., t, :, 1:, :], rule, rule, axis=-2)
+        _check_steps(self._worst_steps(components))
 
     def assign_overall(self, batch_flows: BatchFlows, rule: str):
         """Categories (rows, m) and validity mask under the requested rule,

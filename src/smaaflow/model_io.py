@@ -47,6 +47,7 @@ from .errors import (
     EVALUATION_BOUNDS,
     IO,
     MISSING_EVALUATION,
+    PROFILE_DOMINANCE,
     SCHEMA,
     THRESHOLD,
     UNKNOWN_TERM,
@@ -503,6 +504,33 @@ def _parse_preferences(raw, tree, at: str = "preferences") -> list[PreferenceMod
                 in enumerate(_section({} if raw is None else raw, tree, at, fallback={}))]
 
 
+def _most_ordered(columns: np.ndarray, sampled: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  maximize: np.ndarray) -> np.ndarray:
+    """Profile columns as in :func:`~smaaflow.flows.profile_pair_faults`,
+    (n, k+1, 3), with each ``sampled`` level, (n, k+1), set to the value in
+    its range [``lo``, ``hi``] that leaves the most room to the better
+    levels: from the worst level up, the least (the greatest on a minimized
+    column) that clears the level below it, or the nearest end of its range.
+
+    A sampled level has no spreads, and clearing the level below only gets
+    harder as that level moves towards the better ones, so the column can be
+    ordered by some choice of values inside the ranges exactly when the
+    returned column shows no pair fault.
+    """
+    out = columns.copy()
+    up = np.asarray(maximize)
+    with np.errstate(over="ignore"):
+        for h in range(out.shape[1] - 1, -1, -1):
+            least, most = -np.inf, np.inf
+            if h + 1 < out.shape[1]:
+                m, alpha, beta = out[:, h + 1].T
+                least = np.maximum(np.nextafter(m, np.inf), m + beta)
+                most = np.minimum(np.nextafter(m, -np.inf), m - alpha)
+            value = np.clip(np.where(up, least, most), lo[:, h], hi[:, h])
+            out[:, h, 0] = np.where(sampled[:, h], value, out[:, h, 0])
+    return out
+
+
 def _parse_profiles(raw, tree, models, scales, k, at: str = "profiles"):
     """The (k+1, n_el, 3) table of deterministic profile levels (zeros at
     stochastic ones), its (k+1, n_el) forms, the stochastic levels as
@@ -510,8 +538,11 @@ def _parse_profiles(raw, tree, models, scales, k, at: str = "profiles"):
     of each column, (-inf, inf) where a column is stochastic.
 
     Columns are read in slot order, each best level first, into cells
-    stored level-major.  Besides its cells' own checks, each deterministic
-    column's profile order is checked at its last cell.
+    stored level-major.  Besides its cells' own checks, each column's
+    profile order is checked at its last cell: a deterministic column as it
+    is, and a column with sampled levels for some choice of values inside
+    their ranges (see :func:`_most_ordered`), which the profile sampler
+    would otherwise look for in vain.
     """
     labels = list(tree.elementary_slot)
     n_el, c = tree.n_elementary, k + 1
@@ -521,12 +552,33 @@ def _parse_profiles(raw, tree, models, scales, k, at: str = "profiles"):
     def order_faults(cells, got):
         done = len(got) // c  # whole columns among the cells read
         columns = got[:done * c].reshape(done, c, 3)
-        fixed = (np.array(cells.forms).reshape(c, n_el)[:, :done] != STOCHASTIC).all(axis=0)
-        dominance, overlap = profile_pair_faults(columns, maximize[:done])
-        bad = fixed & (dominance | overlap).any(axis=-1)
-        if bad.any():  # only to word the error
-            t = int(bad.argmax())
-            check_profile_column(columns[t], models[t].direction, labels[t], entries[t][1])
+        sampled = np.array(cells.forms).reshape(c, n_el)[:, :done].T == STOCHASTIC
+        chosen = columns
+        if sampled.any():
+            ends = np.full((done, c, 2), [-np.inf, np.inf])
+            for j, value in cells.sampled.items():
+                h, t = divmod(j, n_el)
+                if t < done:
+                    ends[t, h] = value.lo, value.hi
+            chosen = _most_ordered(columns, sampled, ends[..., 0], ends[..., 1], maximize[:done])
+        with np.errstate(invalid="ignore"):  # nan steps between infinite choices
+            dominance, overlap = profile_pair_faults(chosen, maximize[:done])
+        # a level that only infinity clears, past a support end that
+        # overflows, is never drawn there
+        beyond = np.where(maximize[:done, None], np.inf, -np.inf)
+        dominance |= sampled[:, :-1] & (chosen[:, :-1, 0] == beyond)
+        bad = (dominance | overlap).any(axis=-1)
+        if not bad.any():
+            return
+        t = int(bad.argmax())  # only to word the error
+        direction = models[t].direction
+        if not sampled[t].any():
+            check_profile_column(columns[t], direction, labels[t], entries[t][1])
+        # the pair nearest the worst level, where the choice from below first fails
+        h = c - 2 - int((dominance | overlap)[t, ::-1].argmax())
+        raise InputError(PROFILE_DOMINANCE, f"profile {h + 1} can never dominate profile "
+                         f"{h + 2} on criterion {labels[t]} (at best {chosen[t, h, 0]} vs "
+                         f"{chosen[t, h + 1, 0]}, {direction})", entries[t][1])
 
     with _Cells(c * n_el, order_faults) as cells:
         for slot, (values, here) in enumerate(entries):

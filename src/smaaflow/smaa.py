@@ -572,15 +572,15 @@ class ProblemRuntime:
         return self.prefs._replace(q=q, p=p), evals, profiles
 
     def _sample_components(self, rng: np.random.Generator | None, size: int) -> np.ndarray:
-        """Leaf flow tables of ``size`` data draws, (size, 3 * n_pairs, n_el),
-        views of a leaf-major buffer: node_values reads each leaf contiguously.
+        """Leaf flow tables of ``size`` data draws that the run's rule reads,
+        (size, tables * n_pairs, n_el), views of a leaf-major buffer:
+        node_values reads each leaf contiguously.
 
-        Their profile flows are checked here, once per data draw, so static
-        data is checked once per run.
+        ``block_components`` checks the profile flows of all three tables as
+        it builds them, once per data draw, so static data is checked once
+        per run.
         """
-        components = self.engine.block_components(*self._sample_data(rng, size), self.defuzz)
-        self.engine.check_ordering(components)
-        return components
+        return self.engine.block_components(*self._sample_data(rng, size), self.defuzz, self.rule)
 
     def draw_block(self, block: int, bs: int) -> tuple[np.ndarray, np.ndarray]:
         """Leaf flow tables and (bs, n_nodes) weight rows of the ``bs``

@@ -4,13 +4,15 @@
 draws per call, and each call broadcasts the pairs of every leaf over its
 draws.  These tests pin the result to one-draw calls bit for bit, to the
 flat oracle within 1e-12 on every leaf, and to table digests computed with
-the earlier one-call-per-draw engine; chunks hold ``CHUNK`` draws here,
+the earlier one-call-per-draw engine, and the tables kept under each rule
+to the matching blocks of all three; chunks hold ``CHUNK`` draws here,
 whatever the byte budget would give these small instances.
 """
 
 import dataclasses
 import hashlib
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ import pytest
 from smaaflow import flows
 from smaaflow.flows import CHUNK_BYTES, BatchEngine, chunk_draws
 from smaaflow.fuzzy import DEFUZZ_METHODS
+from smaaflow.model_io import load_problem, parse_problem
 from smaaflow.preference import SHAPES, PreferenceArrays
+from smaaflow.smaa import ProblemRuntime, iteration_rng
 
 import oracles
 from conftest import library_objects
@@ -140,6 +144,35 @@ def test_fixed_profile_sums_equal_one_draw_calls(n_profiles, kept, monkeypatch):
         for j in range(DRAWS):
             one = engine.pref_components(per_draw[j], evals[j], profiles[j], defuzz)
             assert np.array_equal(tables[j], one), (defuzz, j)
+
+
+@pytest.mark.parametrize("name", ["case-study-interval", "mixed-forms"])
+def test_rule_tables_are_blocks_of_all_tables(name, monkeypatch):
+    # the tables a rule keeps are the matching blocks of all three, bit for
+    # bit, and only those are held: n_pairs columns per leaf under net,
+    # 2 * n_pairs under positive or negative, 3 * n_pairs with no rule
+    root = Path(__file__).resolve().parent.parent
+    if name == "mixed-forms":
+        problem = load_problem(root / "tests" / "data" / "mixed_forms.json")
+    else:
+        monkeypatch.syspath_prepend(str(root / "perfbench"))
+        import workloads
+
+        problem = parse_problem(workloads.case_study_interval(0))
+    state = ProblemRuntime(problem, "net", "centroid", seed=0, strict=False)
+    data = state._sample_data(iteration_rng(0, 0), DRAWS)
+    engine, n = state.engine, state.engine.n_pairs
+    n_el = data[1].shape[2]
+    for defuzz in DEFUZZ_METHODS:
+        full = engine.block_components(*data, defuzz)
+        assert full.shape == (DRAWS, 3 * n, n_el)
+        for rule, kept in ((None, (0, 1, 2)), ("net", (0,)), ("positive", (0, 1)),
+                           ("negative", (0, 2))):
+            tables = engine.block_components(*data, defuzz, rule)
+            assert tables.shape == (DRAWS, len(kept) * n, n_el)
+            assert tables.base.nbytes == DRAWS * len(kept) * n * n_el * 8
+            want = np.concatenate([full[:, t * n:(t + 1) * n] for t in kept], axis=1)
+            assert np.array_equal(tables.view(np.int64), want.view(np.int64)), (defuzz, rule)
 
 
 def test_components_written_into_out():

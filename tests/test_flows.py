@@ -277,6 +277,76 @@ def test_engine_checks_each_leaf_table(table, columns, rule):
     engine.check_ordering(comp)
 
 
+def fuzzy_draws(count: int):
+    """An engine over two linear leaves, two alternatives and three
+    profiles, and ``count`` random fuzzy data draws of it, (prefs, evals,
+    profiles) leading with the draw axis.  Profile modes are ordered best
+    first, but spreads are drawn freely, so some draws leave one leaf table
+    unordered, and some another."""
+    from smaaflow.flows import BatchEngine
+    from smaaflow.preference import PreferenceArrays
+
+    tree = build_tree([{"label": "a"}, {"label": "b"}], {"deterministic": [0.5, 0.5]})
+    gen = np.random.default_rng(0)
+
+    def tfns(shape):
+        out = np.empty(shape + (3,))
+        out[..., 0] = gen.uniform(0, 10, shape)
+        out[..., 1:] = gen.uniform(0, 4, shape + (2,))
+        return out
+
+    evals, profiles = tfns((count, 2, 2)), tfns((count, 3, 2))
+    profiles[..., 0] = np.sort(profiles[..., 0], axis=1)[:, ::-1]
+    prefs = PreferenceArrays.of([PreferenceSpec(shape="linear", q=0.5, p=3.0)] * 2,
+                                thresholds=(np.full((2, count), 0.5), np.full((2, count), 3.0)))
+    return BatchEngine(tree, 2, 3), prefs, evals, profiles
+
+
+def ordering_fault(engine, tables):
+    """The message of :meth:`check_ordering` on ``tables``, or None."""
+    try:
+        engine.check_ordering(tables)
+    except InvariantError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("late", [6, 9], ids=["middle-chunk", "last-chunk"])
+@pytest.mark.parametrize("table", ["net", "positive", "negative"])
+def test_block_path_checks_each_leaf_table(table, late, monkeypatch):
+    # the block path of test_engine_checks_each_leaf_table: ten draws in
+    # chunks of 4, a small fault of one table in the first chunk and a
+    # larger one at draw ``late``, in the middle chunk or the last, partial
+    # one.  Whatever tables a rule keeps, the block raises the text that
+    # check_ordering gives on all three tables of the block: the worst step
+    # of the later chunk, not the first one found nor the last chunk's.
+    from smaaflow import flows
+
+    monkeypatch.setattr(flows, "chunk_draws", lambda n_el, m, c: 4)
+    engine, prefs, evals, profiles = fuzzy_draws(400)
+    tables = engine.pref_components(prefs, evals, profiles, "centroid")
+    faults = [ordering_fault(engine, tables[j]) for j in range(400)]
+    ordered = [j for j, fault in enumerate(faults) if fault is None]
+    hits = sorted((float(fault.rsplit(" ", 1)[1][:-1]), j) for j, fault in enumerate(faults)
+                  if fault is not None and fault.startswith(table + " "))
+    (small, first), (large, last) = hits[0], hits[-1]
+    assert len(ordered) >= 8 and large > small > 1e-9
+    block = [ordered[0], first, *ordered[1:9]]
+    block[late] = last
+
+    def data(rows):
+        return (prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows]), evals[rows],
+                profiles[rows])
+
+    want = ordering_fault(engine, engine.pref_components(*data(block), "centroid"))
+    assert want == faults[last] != faults[first]
+    for rule in (None, "net", "positive", "negative"):
+        with pytest.raises(InvariantError) as err:
+            engine.block_components(*data(block), "centroid", rule)
+        assert str(err.value) == want, rule
+        engine.block_components(*data(ordered[:10]), "centroid", rule)
+
+
 # ---------------------------------------------------------------------------
 # Profile validation
 # ---------------------------------------------------------------------------

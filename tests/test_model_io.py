@@ -24,7 +24,7 @@ from smaaflow.errors import (
     UNKNOWN_TERM,
     WEIGHT_SPEC,
 )
-from smaaflow.flows import ProfileSet
+from smaaflow.flows import ProfileSet, profile_pair_faults
 from smaaflow.model_io import (
     LinguisticScale,
     dump_problem,
@@ -348,8 +348,13 @@ def test_load_errors_are_frozen():
     outcomes += [(case, "", *load_outcome(build())) for case, (build, _, _) in TWO_FAULTS.items()]
     assert len(outcomes) == (76 + 142) * len(MALFORMED) + len(TWO_FAULTS)
     text = "\n".join("\t".join(row) for row in sorted(outcomes))
+    # three of them are unorderable sampled columns, rejected at load: the
+    # mixed-forms column G2/g21, [20, [9, 11], 0], with its best level set
+    # to -1, 0 or 1.5
+    assert sorted(row[:3] for row in outcomes if "can never dominate" in row[-1]) == [
+        ("profiles/per_criterion/G2/g21/0", repr(v), PROFILE_DOMINANCE) for v in (-1, 0, 1.5)]
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "9a5062892abf7b005d740c05c1324b6a481357a40cf0347893d973a24afdb84f")
+        "8217a3f00b96695dcf8b130ac42fa01a72367f685b4d8c10458103e99438b713")
 
 
 POINT_NORMAL = {"normal": {"mean": 6, "sd": 1, "min": 6, "max": 6}}
@@ -396,6 +401,107 @@ def test_unorderable_stochastic_threshold_pair_rejected(preference):
         parse_problem(doc)
     assert err.value.code == THRESHOLD
     assert err.value.at == "preferences/default"
+
+
+def profile_column_doc(column, direction="maximize"):
+    """One leaf with profile ``column`` under ``direction``."""
+    doc = doc_with_value(2)
+    doc["preferences"]["default"]["direction"] = direction
+    doc["profiles"]["per_criterion"]["g"] = column
+    return doc
+
+
+@pytest.mark.parametrize("column, direction, message", [
+    ([[0, 1], 5, [8, 9]], "maximize",
+     "profile 2 can never dominate profile 3 on criterion g (at best 5.0 vs 8.0, maximize)"),
+    ([[8, 9], 5, [0, 1]], "minimize",
+     "profile 2 can never dominate profile 3 on criterion g (at best 5.0 vs 1.0, minimize)"),
+    # each pair alone can be ordered, the column cannot: 0 needs more than 1,
+    # which needs more than 6
+    ([[0, 6], [0, 10], [6, 7]], "maximize",
+     "profile 1 can never dominate profile 2 on criterion g (at best 6.0 vs "
+     "6.000000000000001, maximize)"),
+    # any mode below 10 would do, but the support of 10 reaches down to 7
+    ([{"tfn": [10, 3, 0]}, [7.5, 9], 0], "maximize",
+     "profile 1 can never dominate profile 2 on criterion g (at best 10.0 vs 7.5, maximize)"),
+    ([[5, 5], 5, 0], "maximize",
+     "profile 1 can never dominate profile 2 on criterion g (at best 5.0 vs 5.0, maximize)"),
+    ([{"normal": {"mean": 0, "sd": 1, "max": 5}}, 5, 0], "maximize",
+     "profile 1 can never dominate profile 2 on criterion g (at best 5.0 vs 5.0, maximize)"),
+    # only a level beyond the float range clears a support end that overflows
+    ([{"normal": {"mean": 0, "sd": 1}}, {"normal": {"mean": 0, "sd": 1}},
+      {"tfn": [1e308, 0, 1e308]}], "maximize",
+     "profile 2 can never dominate profile 3 on criterion g (at best inf vs 1e+308, maximize)"),
+    ([{"normal": {"mean": 0, "sd": 1}}, {"normal": {"mean": 0, "sd": 1}},
+      {"tfn": [-1e308, 1e308, 0]}], "minimize",
+     "profile 2 can never dominate profile 3 on criterion g (at best -inf vs -1e+308, minimize)"),
+], ids=["maximize", "minimize", "chain", "support-gap", "point-interval", "truncated-normal",
+        "overflow", "overflow-minimize"])
+def test_unorderable_stochastic_profile_column_rejected(column, direction, message):
+    # no draw of such a column is ordered, so the profile sampler could only
+    # stall; the column is refused where it is written
+    with pytest.raises(InputError) as err:
+        parse_problem(profile_column_doc(column, direction))
+    assert (err.value.code, err.value.at) == (PROFILE_DOMINANCE, "profiles/per_criterion/g")
+    assert str(err.value) == f"{message} (at profiles/per_criterion/g)"
+
+
+@pytest.mark.parametrize("column, direction", [
+    ([[0, 5.000000000001], 5, 0], "maximize"),
+    ([[0, 6], [0, 10], [5.9, 7]], "maximize"),
+    ([{"tfn": [10, 2, 0]}, [5, 8], 0], "maximize"),
+    ([[-1, 4.999999999999], 5, 10], "minimize"),
+    ([{"normal": {"mean": 0, "sd": 1}}, 5, 0], "maximize"),
+    ([[0, 10], [0, 10], [0, 10]], "minimize"),
+], ids=["barely", "chain", "support-gap", "minimize", "normal", "all-sampled"])
+def test_orderable_stochastic_profile_column_loads(column, direction):
+    parse_problem(profile_column_doc(column, direction))
+
+
+def test_profile_column_check_matches_a_grid_search():
+    # columns of three levels: crisp or spread levels and intervals with
+    # integer ends in [0, 4], spreads 0 or 1.  With integer data and three
+    # levels, a column that some real values order is ordered by values in
+    # eighths, so a search over that grid says which columns must load
+    gen = np.random.default_rng(5)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        direction = ("maximize", "minimize")[gen.integers(2)]
+        column, choices, spreads = [], [], []
+        for _ in range(3):
+            if gen.random() < 0.6:
+                lo, hi = sorted(gen.integers(0, 5, 2).tolist())
+                column.append([lo, hi])
+                choices.append(np.arange(8 * lo, 8 * hi + 1) / 8)
+                spreads.append((0, 0))
+            else:
+                m, alpha, beta = gen.integers(0, 5).item(), *gen.integers(0, 2, 2).tolist()
+                column.append({"tfn": [m, alpha, beta]})
+                choices.append(np.array([m]))
+                spreads.append((alpha, beta))
+        if all(isinstance(level, dict) for level in column):
+            continue
+        grid = np.stack(np.meshgrid(*choices, indexing="ij"), axis=-1).reshape(-1, 3)
+        columns = np.concatenate([grid[..., None], np.broadcast_to(
+            np.array(spreads, dtype=float), grid.shape + (2,))], axis=-1)
+        dominance, overlap = profile_pair_faults(columns, direction == "maximize")
+        orderable = not (dominance | overlap).any(axis=-1).all()
+        code = load_outcome(profile_column_doc(column, direction))[0]
+        assert code in ("", PROFILE_DOMINANCE), (column, direction, code)
+        assert (code == "") == orderable, (column, direction)
+        seen[orderable] += 1
+    assert min(seen.values()) > 50
+
+
+def test_unorderable_stochastic_column_in_reading_order():
+    # a sampled column that can never be ordered is reported at its last
+    # cell: after a fault inside it, before a fault in a later column
+    doc = walkthrough_doc()
+    doc["profiles"]["per_criterion"]["G1/g11"] = [[0, 1], 5, [8, 9]]
+    doc["profiles"]["per_criterion"]["G1/g12"] = [0, NAN, 10]
+    assert load_outcome(doc)[:2] == (PROFILE_DOMINANCE, "profiles/per_criterion/G1/g11")
+    doc["profiles"]["per_criterion"]["G1/g11"] = [[0, 1], 5, [9, 8]]
+    assert load_outcome(doc)[:2] == (SCHEMA, "profiles/per_criterion/G1/g11/2")
 
 
 def test_overlapping_stochastic_threshold_pair_loads():

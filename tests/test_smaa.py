@@ -579,13 +579,13 @@ def two_leaves(profile, value, model=None):
      "normal(1000.0, 1.0) produced no draw inside [0.0, 10.0] after 10000 attempts"),
     ([10, 5, 0], 4, {"shape": "linear", "q": [0, 1], "p": [0, 1e-12]},
      "no admissible threshold pair (q < p) after 10000 attempts"),
-    ([[0, 1], 5, [8, 9]], 4, None,
+    ([[0, 5.000000000001], 5, 0], 4, None,
      "no dominance-respecting profile draw on criterion 0 after 10000 attempts"),
 ], ids=["interval", "normal", "threshold-pair", "profile-column"])
 def test_sampling_failures_keep_their_wording(profile, value, model, message):
     # an evaluation interval that misses the drawn envelope, a normal
-    # evaluation that never lands in it, a q/p pair ordered about once in
-    # 10^12 draws and a profile column never ordered
+    # evaluation that never lands in it, and a q/p pair and a profile column
+    # each ordered about once in 10^12 draws
     with pytest.raises(SamplingError) as err:
         run_smaa(two_leaves(profile, value, model), iterations=1, seed=0)
     assert str(err.value) == message
@@ -669,7 +669,8 @@ def test_rule_tables_are_the_floats_of_all_tables(name, walkthrough, monkeypatch
     # the walkthrough, a static problem with fixed inner nodes and one
     # stochastic block: each column of the whole tree's positive and
     # negative tables is summed on its own, so building one table, or
-    # none, leaves every float as it is when both are built
+    # none, leaves every float as it is when both are built, whether the
+    # leaf tables hold all three tables or only those the rule reads
     if name == "walkthrough":
         problem = walkthrough
     else:
@@ -680,20 +681,31 @@ def test_rule_tables_are_the_floats_of_all_tables(name, walkthrough, monkeypatch
     state = ProblemRuntime(problem, "net", "centroid", seed=0, strict=False)
     engine = state.engine
     components, w = state.draw_block(0, 16)
-    full = engine.node_values(components, w)
+    # the block's data draw again, the first draw from its substream
+    static = state.static_components is not None
+    data = state._sample_data(None if static else iteration_rng(0, 0), 1 if static else 16)
+
+    def tables(rule):
+        built = engine.block_components(*data, "centroid", rule)
+        return built[0] if static else built
+
+    assert components.tobytes() == tables("net").tobytes()
+    all_tables = tables(None)
+    full = engine.node_values(all_tables, w)
     assert full.root_plus is not None and full.root_minus is not None
     for rule, built in (("net", ()), ("positive", ("root_plus",)),
                         ("negative", ("root_minus",))):
-        values = engine.node_values(components, w, rule=rule)
-        assert values.root_net.tobytes() == full.root_net.tobytes()
-        for got, want in zip(values.nodes, full.nodes):
-            assert got.tobytes() == want.tobytes()
-        for field in ("root_plus", "root_minus"):
-            got = getattr(values, field)
-            if field in built:
-                assert got.tobytes() == getattr(full, field).tobytes()
-            else:
-                assert got is None
-        cat, valid = engine.assign_overall(engine.flows(values), rule)
-        want_cat, want_valid = engine.assign_overall(engine.flows(full), rule)
-        assert np.array_equal(cat, want_cat) and np.array_equal(valid, want_valid)
+        for leaves in (all_tables, tables(rule)):
+            values = engine.node_values(leaves, w, rule=rule)
+            assert values.root_net.tobytes() == full.root_net.tobytes()
+            for got, want in zip(values.nodes, full.nodes):
+                assert got.tobytes() == want.tobytes()
+            for field in ("root_plus", "root_minus"):
+                got = getattr(values, field)
+                if field in built:
+                    assert got.tobytes() == getattr(full, field).tobytes()
+                else:
+                    assert got is None
+            cat, valid = engine.assign_overall(engine.flows(values), rule)
+            want_cat, want_valid = engine.assign_overall(engine.flows(full), rule)
+            assert np.array_equal(cat, want_cat) and np.array_equal(valid, want_valid)
