@@ -12,7 +12,7 @@ Flows are linear in the preference degrees, so the positive, negative and
 net flows under any node of the tree are weighted sums of its children's,
 down to per-leaf unicriterion flows.  :class:`BatchEngine` is the one flow
 engine: it reduces each data draw to the per-leaf flow tables that the
-rule reads, a chunk of draws per call, checking the order of every
+rule reads, a chunk of draws per kernel pass, checking the order of every
 table's profile flows as it goes, and sums their columns children-first
 for whole batches of weight vectors: the net columns for every node, and
 the positive or negative columns for the whole tree under a rule that
@@ -22,8 +22,9 @@ run the same engine on a single weight row.  The pairwise degrees
 (:func:`subtree_preference`, :func:`outranking_degree`) come from the same
 preference kernel and the same children-first aggregation, applied to one
 pair's (m, alpha, beta) rows.  One rule table drives bracketing:
-:func:`bracket` and :func:`check_profile_order` serve the single-evaluation
-and the batch paths alike.
+:func:`bracket` serves the single-evaluation and the batch paths alike.
+:func:`check_profile_order` checks the profile order of one evaluation,
+and :meth:`BatchEngine.pref_components` that of every leaf table.
 """
 
 from __future__ import annotations
@@ -63,15 +64,15 @@ _RULE_TABLES = {None: range(3), "net": range(1), "positive": range(2),
 #: Slack allowed when asserting that profile flows are ordered.
 ORDERING_TOL = 1e-9
 
-#: Bytes of pair points per :meth:`BatchEngine.pref_components` call in
-#: :meth:`BatchEngine.block_components`: 16 data draws on the case study,
-#: one on a problem of 192 leaves, 40 alternatives and 6 profiles.
+#: Bytes of pair points per kernel pass of :meth:`BatchEngine.pref_components`:
+#: 16 data draws on the case study, one on a problem of 192 leaves, 40
+#: alternatives and 6 profiles.
 CHUNK_BYTES = 2_200_000
 
 
 def chunk_draws(n_el: int, m: int, c: int) -> int:
-    """Data draws per :meth:`BatchEngine.pref_components` call: as many as
-    keep the three points of every pair of every leaf within
+    """Data draws per kernel pass of :meth:`BatchEngine.pref_components`: as
+    many as keep the three points of every pair of every leaf within
     :data:`CHUNK_BYTES`, and at least one."""
     return max(1, CHUNK_BYTES // (3 * 8 * n_el * (2 * m * c + c * c)))
 
@@ -447,8 +448,8 @@ class NodeValues(NamedTuple):
     the fixed groups when the root is fixed, else one per weight row.  Its
     positive and negative tables are summed children-first like its net
     rows, from the leaf tables of the same kind, and are None unless the
-    rule passed to :meth:`BatchEngine.node_values` brackets by them; leaf
-    tables built for a rule hold only the net table and that one.
+    rule passed to :meth:`BatchEngine.node_values` brackets by them (both
+    with no rule).
     """
 
     nodes: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -489,9 +490,9 @@ def _check_step(worst, rule: str, what: str) -> None:
         raise InvariantError(f"{what} profile flows are not {trend} (worst step {worst})")
 
 
-def check_profile_order(prof: np.ndarray, rule: str, what: str, axis: int = -1) -> None:
+def check_profile_order(prof: np.ndarray, rule: str, what: str) -> None:
     """Assert the bracketing premise of ``rule``: profile flows, best first
-    along ``axis``, step the way :func:`bracket` expects, within
+    along the last axis, step the way :func:`bracket` expects, within
     :data:`ORDERING_TOL`.
 
     Raises
@@ -499,7 +500,7 @@ def check_profile_order(prof: np.ndarray, rule: str, what: str, axis: int = -1) 
     InvariantError
         Naming ``what`` and the worst step against the expected direction.
     """
-    _check_step(_worst_step(prof, rule, axis), rule, what)
+    _check_step(_worst_step(prof, rule), rule, what)
 
 
 def _check_steps(worst) -> None:
@@ -583,7 +584,7 @@ class BatchEngine:
     ``negative``.  Each group's weights sum to 1, so every node's flows are
     convex combinations of the leaf tables, and the profile order is
     checked once per data draw on all three leaf tables (see
-    :meth:`check_ordering`), as :meth:`block_components` builds them,
+    :meth:`check_ordering`), as :meth:`pref_components` builds them,
     rather than on every weight row's flows.
 
     A node's row depends only on the weights inside its subtree, so the
@@ -633,16 +634,18 @@ class BatchEngine:
 
     # -- per-leaf flow tables ----------------------------------------------
 
-    def pref_components(self, prefs, evals: np.ndarray, profiles: np.ndarray, defuzz: str, *,
-                        rule: str | None = None, out: np.ndarray | None = None,
-                        profile_sums=None, worst: np.ndarray | None = None):
-        """Net, positive and negative flow tables of every leaf for one data
-        draw, or for a chunk of draws along a leading axis.
+    def pref_components(self, prefs, evals: np.ndarray, profiles: np.ndarray, defuzz: str,
+                        rule: str | None = None) -> np.ndarray:
+        """The flow tables of every leaf that ``rule`` reads, for one data
+        draw or for a block of draws along a leading axis.
 
-        All three tables are built in a draw-last scratch array; only the
-        ones that ``rule`` reads are copied out: the net table, then the
-        positive or the negative one under a rule that brackets by it, and
-        all three when ``rule`` is None.
+        The draws go :func:`chunk_draws` at a time through one kernel pass,
+        which builds a chunk's net, positive and negative tables in a
+        draw-last scratch array and copies out the net table, then the
+        positive or the negative one under a rule that brackets by it, or
+        all three when ``rule`` is None.  Leaves whose profiles and
+        thresholds hold the same bits in every draw get their
+        profile-versus-profile sums once, from the first.
 
         Parameters
         ----------
@@ -654,38 +657,68 @@ class BatchEngine:
         profiles : ([draws,] c, n_el, 3) array
         rule :
             An assignment rule, or None for all three tables.
-        out :
-            A C-contiguous leaf-major ([draws,] n_el, tables * n_pairs) array
-            to write the tables into, rather than a new one.
-        profile_sums :
-            ``(leaves, row, col)``: leaves with the same profiles and thresholds
-            in every draw and their :func:`_profile_pair_sums` of one draw.
-        worst :
-            A float array of three that takes, entry by entry, the larger of
-            itself and the worst step (see :meth:`check_ordering`) of the net,
-            positive and negative profile flows of these draws, all three
-            tables read while they are in the scratch array.
 
         Returns
         -------
-        ([draws,] tables * n_pairs, n_el) array: the net flows of every
+        ([draws,] tables * n_pairs, n_el) array, the layout
+        :meth:`node_values` reads for ``rule``: the net flows of every
         reference set on each leaf alone, laid out like a node's value row,
-        then the kept positive and negative flows in the same layout: the
-        transposed view of the leaf-major array (``out`` when given).
+        then the kept positive and negative flows in the same layout, as a
+        view of a leaf-major buffer.
+
+        Raises
+        ------
+        InvariantError
+            As :meth:`check_ordering` would on all three tables of the
+            draws, whatever ``rule`` keeps: each chunk's worst steps are
+            taken while it is in the scratch array, and the largest are
+            checked at the end.
         """
         if defuzz not in DEFUZZ_METHODS:
             raise ValueError(f"unknown defuzzification method {defuzz!r}")
-        if out is not None and not out.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous")
+        kept = _leaf_tables(rule)
         prefs = prefs if isinstance(prefs, PreferenceArrays) else PreferenceArrays.of(prefs)
-        if evals.ndim == 3:  # one draw: a draw axis of one
-            return self.pref_components(
-                prefs._replace(q=prefs.q[:, None], p=prefs.p[:, None]), evals[None],
-                profiles[None], defuzz, rule=rule, out=None if out is None else out[None],
-                profile_sums=profile_sums, worst=worst)[0]
+        one = evals.ndim == 3
+        if one:  # a draw axis of one
+            prefs = prefs._replace(q=prefs.q[:, None], p=prefs.p[:, None])
+            evals, profiles = evals[None], profiles[None]
+        draws, n_el = evals.shape[0], evals.shape[-2]
+        tables = np.empty((draws, n_el, len(kept) * self.n_pairs))
+        fixed = np.ones(n_el, bool)
+        for v in (np.moveaxis(profiles, (2, 0), (0, 1)), prefs.q, prefs.p):  # (n_el, draws, ...)
+            bits = v.view(np.int64)
+            fixed &= (bits == bits[:, :1]).all(axis=tuple(range(1, bits.ndim)))
+        leaves = np.flatnonzero(fixed)
+        first = PreferenceArrays(*(v[leaves] for v in prefs._replace(q=prefs.q[:, :1],
+                                                                   p=prefs.p[:, :1])))
+        r = np.moveaxis(first.orient(profiles[:1, :, leaves]), (-2, -3, -1), (0, 1, 2))
+        sums = (leaves, *_profile_pair_sums(first, r, defuzz))
+        worst = np.full(3, -np.inf)
+        step = chunk_draws(n_el, self.m, self.c)
+        for j in range(0, draws, step):
+            rows = slice(j, j + step)
+            self._chunk_tables(prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows]),
+                               evals[rows], profiles[rows], defuzz, kept, sums, worst,
+                               tables[rows])
+        _check_steps(worst)
+        tables = tables.swapaxes(1, 2)
+        return tables[0] if one else tables
+
+    def _chunk_tables(self, prefs: PreferenceArrays, evals: np.ndarray, profiles: np.ndarray,
+                      defuzz: str, kept: range, profile_sums, worst: np.ndarray,
+                      out: np.ndarray) -> None:
+        """One unchecked kernel pass of :meth:`pref_components` over a chunk
+        of draws, its inputs as there with (n_el, draws) ``q`` and ``p``.
+
+        ``kept`` indexes :data:`_TABLES`; ``profile_sums`` is ``(leaves, row,
+        col)``, the leaves with the same profiles and thresholds in every
+        draw and their :func:`_profile_pair_sums` of one draw; ``worst``,
+        three floats, takes the larger of itself and each table's worst step
+        (see :meth:`check_ordering`).  The kept tables go to the leaf-major
+        (draws, n_el, len(kept) * n_pairs) array ``out``.
+        """
         c, m, n = self.c, self.m, self.n_pairs
         draws, n_el = evals.shape[0], evals.shape[-2]
-        kept = _leaf_tables(rule)
         # oriented members as (n_el, members, 3, draws)
         x, r = (np.ascontiguousarray(np.moveaxis(prefs.orient(v), (-2, -3, -1), (0, 1, 2)))
                 for v in (evals, profiles))
@@ -695,7 +728,7 @@ class BatchEngine:
         for k, j in ((0, 0), (1, 2), (2, 1)):
             np.negative(pts[:, j, 0], out=pts[:, k, 1])
         x_over_r, r_over_x = _defuzzed(prefs.degrees(pts, out=pts), defuzz).swapaxes(0, 1)
-        leaves, fixed_row, fixed_col = profile_sums or (np.zeros(0, np.int64), 0.0, 0.0)
+        leaves, fixed_row, fixed_col = profile_sums
         vary = np.delete(np.arange(n_el), leaves)
         row, col = np.empty((2, n_el, c, draws))
         row[leaves], col[leaves] = fixed_row, fixed_col
@@ -714,56 +747,9 @@ class BatchEngine:
         np.add(row[:, None], r_over_x, out=plus[:, :, 1:])
         np.add(col[:, None], x_over_r, out=minus[:, :, 1:])
         table /= c
-        if worst is not None:
-            np.maximum(worst, self._worst_steps(table), out=worst)
-        if out is None:
-            out = np.empty((draws, n_el, len(kept) * n))
+        np.maximum(worst, self._worst_steps(table), out=worst)
         blocks = table.reshape((n_el, 3, n, draws))[:, kept.start:kept.stop:kept.step]
         np.copyto(out.reshape((draws, n_el, len(kept), n)), np.moveaxis(blocks, -1, 0))
-        return np.swapaxes(out, -1, -2)
-
-    def block_components(self, prefs: PreferenceArrays, evals: np.ndarray,
-                         profiles: np.ndarray, defuzz: str, rule: str | None = None) -> np.ndarray:
-        """:meth:`pref_components` of many data draws, :func:`chunk_draws`
-        draws per call, each writing the tables that ``rule`` reads into its
-        rows of one leaf-major buffer.
-
-        ``prefs`` carries (n_el, draws) ``q`` and ``p``; ``evals`` and
-        ``profiles`` lead with the draw axis.  Returns the (draws,
-        tables * n_pairs, n_el) view, the layout :meth:`node_values` reads:
-        the net tables, then the positive or negative ones under a rule that
-        brackets by them, or both when ``rule`` is None.
-
-        Leaves whose profiles and thresholds hold the same bits in every
-        draw get their profile-versus-profile sums once, from the first.
-
-        Raises
-        ------
-        InvariantError
-            As :meth:`check_ordering` would on the block's three tables:
-            each chunk's worst steps are taken while it is built, whatever
-            ``rule`` keeps, and the block's largest are checked at the end.
-        """
-        draws, n_el = evals.shape[0], evals.shape[-2]
-        tables = np.empty((draws, n_el, len(_leaf_tables(rule)) * self.n_pairs))
-        fixed = np.ones(n_el, bool)
-        for v in (np.moveaxis(profiles, (2, 0), (0, 1)), prefs.q, prefs.p):  # (n_el, draws, ...)
-            bits = v.view(np.int64)
-            fixed &= (bits == bits[:, :1]).all(axis=tuple(range(1, bits.ndim)))
-        leaves = np.flatnonzero(fixed)
-        first = PreferenceArrays(*(v[leaves] for v in prefs._replace(q=prefs.q[:, :1],
-                                                                   p=prefs.p[:, :1])))
-        r = np.moveaxis(first.orient(profiles[:1, :, leaves]), (-2, -3, -1), (0, 1, 2))
-        sums = (leaves, *_profile_pair_sums(first, r, defuzz))
-        worst = np.full(3, -np.inf)
-        step = chunk_draws(n_el, self.m, self.c)
-        for j in range(0, draws, step):
-            rows = slice(j, j + step)
-            self.pref_components(prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows]),
-                                 evals[rows], profiles[rows], defuzz, rule=rule,
-                                 out=tables[rows], profile_sums=sums, worst=worst)
-        _check_steps(worst)
-        return tables.swapaxes(1, 2)
 
     # -- node values and flows --------------------------------------------
 
@@ -827,10 +813,10 @@ class BatchEngine:
         """Aggregate per-leaf flow tables into per-node flow rows.
 
         ``components`` is (tables * n_pairs, n_el) when shared across the
-        batch or (batch, tables * n_pairs, n_el) otherwise: all three leaf
-        tables, or those that :meth:`block_components` keeps for ``rule``;
-        ``w`` is (batch, n_nodes) holding every node's weight within its
-        sibling group.  Fixed nodes are summed once per data draw, with the
+        batch or (batch, tables * n_pairs, n_el) otherwise: the leaf tables
+        that :meth:`pref_components` keeps for ``rule``, all three when it
+        is None; ``w`` is (batch, n_nodes) holding every node's weight
+        within its sibling group.  Fixed nodes are summed once per data draw, with the
         first weight row (the deterministic groups weigh every row alike);
         varying nodes once per weight row.
 
@@ -841,16 +827,13 @@ class BatchEngine:
         when ``rule`` is None.
         """
         n, kept = self.n_pairs, _leaf_tables(rule)
-        held = components.shape[-2] // n
-        if held not in (3, len(kept)):
-            raise ValueError(f"{held} leaf tables hold neither all three nor the {len(kept)} "
-                             f"that rule {rule!r} reads")
+        if components.shape[-2] != len(kept) * n:
+            raise ValueError(f"leaf tables of {components.shape[-2]} rows are not the "
+                             f"{len(kept)} of {n} that rule {rule!r} reads")
         nodes, net = self._fold(components[..., :n, :], w)
         if len(kept) == 1:
             return NodeValues(nodes, net, None, None)
-        # the tables after net: where they sit among all three, else from 1 on
-        lo = kept[1] if held == 3 else 1
-        root = self._fold(components[..., lo * n : (lo + len(kept) - 1) * n, :], w)[1]
+        root = self._fold(components[..., n:, :], w)[1]
         return NodeValues(nodes, net, root[:, :n] if 1 in kept else None,
                           root[:, -n:] if 2 in kept else None)
 
@@ -901,7 +884,7 @@ class BatchEngine:
         worst step is its profile flows' largest step against that
         direction, and the first table whose worst step exceeds
         :data:`ORDERING_TOL` raises, net before positive before negative.
-        :meth:`block_components` runs the same check chunk by chunk.  Each
+        :meth:`pref_components` runs the same check chunk by chunk.  Each
         sibling group's weights sum to 1, so level by level every node's net
         flows, and the whole tree's positive and negative flows, are convex
         combinations of the leaf tables: checking the leaf tables covers

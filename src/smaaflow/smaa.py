@@ -525,7 +525,18 @@ class ProblemRuntime:
             for g in tree.sibling_groups()
         ]
         # shape codes, s and directions; q and p are set per data draw
-        self.prefs = PreferenceArrays.of(problem.preference_models, thresholds=(None, None))
+        models = problem.preference_models
+        self.prefs = PreferenceArrays.of(models, thresholds=(None, None))
+        # the (2, n_el) q and p of deterministic criteria, resolved here
+        # (0 elsewhere), and the criteria whose pair is drawn, in slot order
+        # with their ordering: a level or linear pair is ordered, and an
+        # unread threshold stays crisp 0
+        self.fixed_thresholds = np.array([
+            (mdl.q.resolved().m, mdl.p.resolved().m) if mdl.is_deterministic else (0.0, 0.0)
+            for mdl in models]).T
+        self.sampled_thresholds = [
+            (t, mdl, mdl.shape == "linear" if THRESHOLDS[mdl.shape] == ("q", "p") else None)
+            for t, mdl in enumerate(models) if not mdl.is_deterministic]
         # data draws start from the deterministic profiles and evaluation
         # cells, resolved at parse time, and draw the others; the
         # evaluation cells from one table built here
@@ -553,16 +564,11 @@ class ProblemRuntime:
         in one ``uniform`` call (the floats of one call per cell).  Fixed
         inputs were resolved at set-up, so static data needs no generator.
         """
-        models = self.problem.preference_models
         profiles = _draw_profiles(self.problem.fixed_profiles, self.problem.sampled_profiles,
                                   self.prefs.maximize, rng, size, VALUE_ATTEMPTS)
-        q, p = np.empty((2, len(models), size))
-        for t, mdl in enumerate(models):
-            if mdl.is_deterministic:
-                q[t], p[t] = mdl.q.resolved().m, mdl.p.resolved().m
-            else:  # a level or linear pair is ordered; an unread threshold stays crisp 0
-                strict = mdl.shape == "linear" if THRESHOLDS[mdl.shape] == ("q", "p") else None
-                q[t], p[t] = _draw_pair(mdl.q, mdl.p, strict, rng, size, VALUE_ATTEMPTS)
+        q, p = np.repeat(self.fixed_thresholds[..., None], size, axis=-1)
+        for t, mdl, strict in self.sampled_thresholds:
+            q[t], p[t] = _draw_pair(mdl.q, mdl.p, strict, rng, size, VALUE_ATTEMPTS)
         evals = np.broadcast_to(self.fixed_evals, (size,) + self.fixed_evals.shape)
         if self.sampled_evals:  # a copy to draw into; else a read-only view
             envelope = profile_envelope(profiles.swapaxes(1, 2))
@@ -576,11 +582,11 @@ class ProblemRuntime:
         (size, tables * n_pairs, n_el), views of a leaf-major buffer:
         node_values reads each leaf contiguously.
 
-        ``block_components`` checks the profile flows of all three tables as
+        ``pref_components`` checks the profile flows of all three tables as
         it builds them, once per data draw, so static data is checked once
         per run.
         """
-        return self.engine.block_components(*self._sample_data(rng, size), self.defuzz, self.rule)
+        return self.engine.pref_components(*self._sample_data(rng, size), self.defuzz, self.rule)
 
     def draw_block(self, block: int, bs: int) -> tuple[np.ndarray, np.ndarray]:
         """Leaf flow tables and (bs, n_nodes) weight rows of the ``bs``

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from smaaflow import TFN, PreferenceSpec, ProfileSet, build_tree
 from smaaflow.model_io import fixture_path, load_problem
+from smaaflow.preference import PreferenceArrays
 
 import oracles
 
@@ -34,3 +36,21 @@ def library_objects(inst):
     profiles = ProfileSet([[TFN(*t) for t in row] for row in inst["profiles"]])
     evals = [[TFN(*t) for t in row] for row in inst["evals"]]
     return tree, weights, prefs, profiles, evals
+
+
+def unchecked_tables(engine, prefs, evals, profiles, defuzz="centroid"):
+    """All three leaf tables of one data draw, or of draws along a leading
+    axis, as ``engine.pref_components`` lays them out, from one pass of its
+    kernel and without its profile-order check: ``prefs`` are
+    :class:`PreferenceSpec` entries for one draw, or arrays with (n_el,
+    draws) ``q`` and ``p``."""
+    one = evals.ndim == 3
+    if one:
+        prefs = PreferenceArrays.of(prefs)
+        prefs = prefs._replace(q=prefs.q[:, None], p=prefs.p[:, None])
+        evals, profiles = evals[None], profiles[None]
+    out = np.empty((evals.shape[0], evals.shape[2], 3 * engine.n_pairs))
+    engine._chunk_tables(prefs, evals, profiles, defuzz, range(3),
+                         (np.zeros(0, np.int64), 0.0, 0.0), np.full(3, -np.inf), out)
+    tables = out.swapaxes(1, 2)
+    return tables[0] if one else tables

@@ -120,3 +120,22 @@ def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
 
 def test_module_entry_point():
     import smaaflow.__main__  # noqa: F401  (import must not execute main)
+
+
+def test_reports_match_frozen_digests(capsys, monkeypatch):
+    # every report and parsed problem of scripts/report_digests.py, byte
+    # for byte as frozen in tests/data/report_digests.txt
+    import importlib.util
+    import sys
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("report_digests",
+                                                  root / "scripts" / "report_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends the checkout's paths
+    capsys.readouterr()
+    assert script.main([]) == 0
+    got = capsys.readouterr().out.splitlines()
+    want = (root / "tests" / "data" / "report_digests.txt").read_text().splitlines()
+    assert got == want

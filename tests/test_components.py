@@ -1,11 +1,11 @@
 """Pair components of many data draws at once.
 
-``BatchEngine.block_components`` hands ``pref_components`` a chunk of
-draws per call, and each call broadcasts the pairs of every leaf over its
-draws.  These tests pin the result to one-draw calls bit for bit, to the
-flat oracle within 1e-12 on every leaf, and to table digests computed with
-the earlier one-call-per-draw engine, and the tables kept under each rule
-to the matching blocks of all three; chunks hold ``CHUNK`` draws here,
+``BatchEngine.pref_components`` hands its kernel pass a chunk of draws at
+a time, and each pass broadcasts the pairs of every leaf over its draws.
+These tests pin the result to one-draw calls bit for bit, to the flat
+oracle within 1e-12 on every leaf, and to table digests computed with the
+earlier one-call-per-draw engine, and the tables kept under each rule to
+the matching blocks of all three; chunks hold ``CHUNK`` draws here,
 whatever the byte budget would give these small instances.
 """
 
@@ -87,8 +87,8 @@ def chunked_tables(seed, n_profiles, defuzz):
     :func:`draw_inputs`."""
     tree, per_draw, prefs, evals, profiles = draw_inputs(seed, n_profiles, DRAWS)
     engine = BatchEngine(tree, evals.shape[1], n_profiles)
-    return engine, per_draw, evals, profiles, engine.block_components(prefs, evals, profiles,
-                                                                      defuzz)
+    return engine, per_draw, evals, profiles, engine.pref_components(prefs, evals, profiles,
+                                                                     defuzz)
 
 
 @pytest.mark.parametrize("n_profiles", [2, 5, 9])
@@ -135,7 +135,7 @@ def test_fixed_profile_sums_equal_one_draw_calls(n_profiles, kept, monkeypatch):
     engine = BatchEngine(tree, evals.shape[1], n_profiles)
     for defuzz in DEFUZZ_METHODS:
         del sized[:]
-        tables = engine.block_components(prefs, evals, profiles, defuzz)
+        tables = engine.pref_components(prefs, evals, profiles, defuzz)
         # (leaves, draws) summed: the kept leaves once for the block, the
         # others once per chunk (either may be none)
         fixed, varying = int(keep.sum()), int(n_el - keep.sum())
@@ -164,26 +164,15 @@ def test_rule_tables_are_blocks_of_all_tables(name, monkeypatch):
     engine, n = state.engine, state.engine.n_pairs
     n_el = data[1].shape[2]
     for defuzz in DEFUZZ_METHODS:
-        full = engine.block_components(*data, defuzz)
+        full = engine.pref_components(*data, defuzz)
         assert full.shape == (DRAWS, 3 * n, n_el)
         for rule, kept in ((None, (0, 1, 2)), ("net", (0,)), ("positive", (0, 1)),
                            ("negative", (0, 2))):
-            tables = engine.block_components(*data, defuzz, rule)
+            tables = engine.pref_components(*data, defuzz, rule)
             assert tables.shape == (DRAWS, len(kept) * n, n_el)
             assert tables.base.nbytes == DRAWS * len(kept) * n * n_el * 8
             want = np.concatenate([full[:, t * n:(t + 1) * n] for t in kept], axis=1)
             assert np.array_equal(tables.view(np.int64), want.view(np.int64)), (defuzz, rule)
-
-
-def test_components_written_into_out():
-    tree, _, prefs, evals, profiles = draw_inputs(3, 5, 4)
-    engine = BatchEngine(tree, evals.shape[1], 5)
-    want = engine.pref_components(prefs, evals, profiles, "centroid")
-    buf = np.full((4, evals.shape[2], 3 * engine.n_pairs), np.nan)
-    got = engine.pref_components(prefs, evals, profiles, "centroid", out=buf)
-    assert np.shares_memory(got, buf) and np.array_equal(buf.swapaxes(1, 2), want)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        engine.pref_components(prefs, evals, profiles, "centroid", out=buf[:, :, ::-1])
 
 
 @pytest.mark.parametrize("n_profiles", [2, 5, 9])

@@ -129,9 +129,9 @@ def sampled_tree(rng):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_whole_tree_flows_match_under_sampled_weights(seed):
-    # every rule's whole-tree table, built for all rules and for its own,
-    # with static and per-draw leaf tables, against the flat oracle with
-    # each weight row's path-product chains
+    # every rule's whole-tree table, built from the leaf tables that rule
+    # reads (all three with no rule), static and per draw, against the flat
+    # oracle with each weight row's path-product chains
     inst, tree, engine = sampled_tree(random.Random(8000 + seed))
     _, _, prefs, profiles, evals = library_objects(inst)
     np_rng = iteration_rng(seed, 0)
@@ -139,16 +139,17 @@ def test_whole_tree_flows_match_under_sampled_weights(seed):
     for group in tree.sibling_groups():
         idx = [tree.node_index[p] for p in group.members]
         w[:, idx] = sample_group_weights(group.spec, len(idx), np_rng, size=len(w))
-    comp = engine.pref_components(prefs, np.array([tfn_matrix(r) for r in evals]),
-                                  np.array([tfn_matrix(r) for r in profiles.levels]), "centroid")
+    data = (np.array([tfn_matrix(r) for r in evals]),
+            np.array([tfn_matrix(r) for r in profiles.levels]))
     models = [model for _, model in inst["flat"]]
     want = []
     for row in w:
         flat = [(tuple(row[tree.node_index[p[:d]]] for d in range(1, len(p) + 1)), model)
                 for p, model in zip(tree.elementary_paths, models)]
         want.append([oracles.oracle_flows(flat, inst["profiles"], x) for x in inst["evals"]])
-    for leaves in (comp, np.broadcast_to(comp, (len(w),) + comp.shape)):
-        for rule, tables in ((None, (0, 1)), ("positive", (0,)), ("negative", (1,))):
+    for rule, tables in ((None, (0, 1)), ("positive", (0,)), ("negative", (1,))):
+        comp = engine.pref_components(prefs, *data, "centroid", rule)
+        for leaves in (comp, np.broadcast_to(comp, (len(w),) + comp.shape)):
             bf = engine.flows(engine.node_values(leaves, w, rule))
             flows = ((bf.alt_plus, bf.prof_plus), (bf.alt_minus, bf.prof_minus))
             for t in tables:

@@ -27,7 +27,9 @@ from smaaflow import (
     single_criterion_flows,
 )
 from smaaflow.errors import PROFILE_DOMINANCE, PROFILE_OVERLAP
-from smaaflow.flows import FlowBundle, FlowTriple, InvariantError
+from smaaflow.flows import RULES, FlowBundle, FlowTriple, InvariantError
+
+from conftest import unchecked_tables
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +224,8 @@ def test_unordered_profile_flows_trip_the_invariant():
 def test_engine_trips_the_invariant_on_an_unordered_leaf():
     # profiles reach the engine directly, past load-time validation; the
     # second leaf lists them worst first, but its small weight keeps the
-    # whole-tree flows ordered, so only the per-leaf check can object
+    # whole-tree flows ordered, so only the per-leaf check can object, and
+    # a one-draw pref_components call raises its text
     from smaaflow.flows import BatchEngine
 
     tree = build_tree([{"label": "a"}, {"label": "b"}], {"deterministic": [0.99, 0.01]})
@@ -232,13 +235,17 @@ def test_engine_trips_the_invariant_on_an_unordered_leaf():
                          [[1.0, 0, 0], [1.0, 0, 0]],
                          [[0.0, 0, 0], [2.0, 0, 0]]])
     evals = np.array([[[1.5, 0, 0], [1.5, 0, 0]]])
-    comp = engine.pref_components(prefs, evals, profiles, "centroid")
+    comp = unchecked_tables(engine, prefs, evals, profiles)
     bf = engine.flows(engine.node_values(comp, np.array([[0.99, 0.01]])))
     assert (np.diff(bf.prof_net, axis=-1) < 0).all()
     assert (np.diff(bf.prof_plus, axis=-1) < 0).all()
     assert (np.diff(bf.prof_minus, axis=-1) > 0).all()
-    with pytest.raises(InvariantError, match="net profile flows"):
+    with pytest.raises(InvariantError, match="net profile flows") as want:
         engine.check_ordering(comp)
+    for rule in (None, *RULES):
+        with pytest.raises(InvariantError) as err:
+            engine.pref_components(prefs, evals, profiles, "centroid", rule)
+        assert str(err.value) == str(want.value), rule
 
 
 def hand_built_leaves(table, columns):
@@ -324,7 +331,7 @@ def test_block_path_checks_each_leaf_table(table, late, monkeypatch):
 
     monkeypatch.setattr(flows, "chunk_draws", lambda n_el, m, c: 4)
     engine, prefs, evals, profiles = fuzzy_draws(400)
-    tables = engine.pref_components(prefs, evals, profiles, "centroid")
+    tables = unchecked_tables(engine, prefs, evals, profiles)
     faults = [ordering_fault(engine, tables[j]) for j in range(400)]
     ordered = [j for j, fault in enumerate(faults) if fault is None]
     hits = sorted((float(fault.rsplit(" ", 1)[1][:-1]), j) for j, fault in enumerate(faults)
@@ -338,13 +345,13 @@ def test_block_path_checks_each_leaf_table(table, late, monkeypatch):
         return (prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows]), evals[rows],
                 profiles[rows])
 
-    want = ordering_fault(engine, engine.pref_components(*data(block), "centroid"))
+    want = ordering_fault(engine, unchecked_tables(engine, *data(block)))
     assert want == faults[last] != faults[first]
     for rule in (None, "net", "positive", "negative"):
         with pytest.raises(InvariantError) as err:
-            engine.block_components(*data(block), "centroid", rule)
+            engine.pref_components(*data(block), "centroid", rule)
         assert str(err.value) == want, rule
-        engine.block_components(*data(ordered[:10]), "centroid", rule)
+        engine.pref_components(*data(ordered[:10]), "centroid", rule)
 
 
 # ---------------------------------------------------------------------------
@@ -406,3 +413,22 @@ def test_flows_against_raw_batch_arrays(walkthrough_parts):
     cats, valid = engine.assign_overall(bf, "net")
     assert valid.all()
     assert list(cats[0]) == [1, 2]
+
+
+def test_node_values_reads_only_its_rules_tables(walkthrough_parts):
+    # the leaf tables a rule keeps and no other layout: all three tables
+    # under a rule raise, and so do a rule's tables under no rule
+    from smaaflow.flows import BatchEngine, tfn_matrix
+
+    w = walkthrough_parts
+    engine = BatchEngine(w["tree"], 1, 3)
+    data = (w["prefs"], tfn_matrix(w["x1"])[None],
+            np.array([tfn_matrix(r) for r in w["profiles"].levels]))
+    weight_row = np.array([[w["weights"][n.path] for n in w["tree"].nodes]])
+    full = engine.pref_components(*data, "centroid")
+    for rule in RULES:
+        kept = engine.pref_components(*data, "centroid", rule)
+        engine.node_values(kept, weight_row, rule)
+        for comp, read in ((full, rule), (kept, None)):
+            with pytest.raises(ValueError, match=f"that rule {read!r} reads"):
+                engine.node_values(comp, weight_row, read)

@@ -607,8 +607,8 @@ def test_fixed_evaluations_reach_the_components_as_a_view(walkthrough_doc):
     assert not evals.flags.writeable
     assert len(np.unique(prefs.q, axis=1).T) > 1 and len(np.unique(profiles, axis=0)) > 1
     copied = np.repeat(evals[:1], draws, axis=0)
-    assert np.array_equal(state.engine.block_components(prefs, evals, profiles, "centroid"),
-                          state.engine.block_components(prefs, copied, profiles, "centroid"))
+    assert np.array_equal(state.engine.pref_components(prefs, evals, profiles, "centroid"),
+                          state.engine.pref_components(prefs, copied, profiles, "centroid"))
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +669,8 @@ def test_rule_tables_are_the_floats_of_all_tables(name, walkthrough, monkeypatch
     # the walkthrough, a static problem with fixed inner nodes and one
     # stochastic block: each column of the whole tree's positive and
     # negative tables is summed on its own, so building one table, or
-    # none, leaves every float as it is when both are built, whether the
-    # leaf tables hold all three tables or only those the rule reads
+    # none, from the leaf tables the rule reads leaves every float as it
+    # is when both are built from all three
     if name == "walkthrough":
         problem = walkthrough
     else:
@@ -686,7 +686,7 @@ def test_rule_tables_are_the_floats_of_all_tables(name, walkthrough, monkeypatch
     data = state._sample_data(None if static else iteration_rng(0, 0), 1 if static else 16)
 
     def tables(rule):
-        built = engine.block_components(*data, "centroid", rule)
+        built = engine.pref_components(*data, "centroid", rule)
         return built[0] if static else built
 
     assert components.tobytes() == tables("net").tobytes()
@@ -695,17 +695,16 @@ def test_rule_tables_are_the_floats_of_all_tables(name, walkthrough, monkeypatch
     assert full.root_plus is not None and full.root_minus is not None
     for rule, built in (("net", ()), ("positive", ("root_plus",)),
                         ("negative", ("root_minus",))):
-        for leaves in (all_tables, tables(rule)):
-            values = engine.node_values(leaves, w, rule=rule)
-            assert values.root_net.tobytes() == full.root_net.tobytes()
-            for got, want in zip(values.nodes, full.nodes):
-                assert got.tobytes() == want.tobytes()
-            for field in ("root_plus", "root_minus"):
-                got = getattr(values, field)
-                if field in built:
-                    assert got.tobytes() == getattr(full, field).tobytes()
-                else:
-                    assert got is None
-            cat, valid = engine.assign_overall(engine.flows(values), rule)
-            want_cat, want_valid = engine.assign_overall(engine.flows(full), rule)
-            assert np.array_equal(cat, want_cat) and np.array_equal(valid, want_valid)
+        values = engine.node_values(tables(rule), w, rule=rule)
+        assert values.root_net.tobytes() == full.root_net.tobytes()
+        for got, want in zip(values.nodes, full.nodes):
+            assert got.tobytes() == want.tobytes()
+        for field in ("root_plus", "root_minus"):
+            got = getattr(values, field)
+            if field in built:
+                assert got.tobytes() == getattr(full, field).tobytes()
+            else:
+                assert got is None
+        cat, valid = engine.assign_overall(engine.flows(values), rule)
+        want_cat, want_valid = engine.assign_overall(engine.flows(full), rule)
+        assert np.array_equal(cat, want_cat) and np.array_equal(valid, want_valid)
