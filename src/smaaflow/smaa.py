@@ -12,19 +12,19 @@ Iterations run in blocks of :data:`BLOCK`.  Every block derives its own
 random substream from the root seed and the block index, and work is split
 over processes only at block boundaries, so results depend only on
 (problem, seed, iterations) and never on how iterations are distributed
-over processes.  Within a block the sampling order is fixed, and each step
-draws for the whole block at once: the stochastic profile columns in tree
-order, each best level first, the thresholds of each stochastic criterion
-in tree order, q before p, each stochastic evaluation (alternative by
-alternative, criterion by criterion), then one matrix of weight vectors
-per sibling group in tree order.  Every stochastic profile level,
-threshold and evaluation is drawn by one sampler over a table of cells,
-whose draws do not depend on how the cells are grouped into calls.
+over processes.  Workers get the built runtime from the pool at start-up,
+so no start method is assumed.  Within a block the sampling order is fixed,
+and each step draws for the whole block at once: the stochastic profile
+columns in tree order, each best level first, the thresholds of each
+stochastic criterion in tree order, q before p, each stochastic evaluation
+(alternative by alternative, criterion by criterion), then one matrix of
+weight vectors per sibling group in tree order.  Every stochastic profile
+level, threshold and evaluation is drawn by one sampler over a table of
+cells, whose draws do not depend on how the cells are grouped into calls.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -656,8 +656,16 @@ def _count(cells: np.ndarray, valid: np.ndarray, bs: int, size: int):
     return rep * np.bincount(cells[valid], minlength=size), rep * int((~valid).sum())
 
 
-#: Runtime of the current ``run_smaa`` call, inherited by forked workers.
+#: Runtime of the current ``run_smaa`` call, given to each worker at start-up.
 _RUNTIME: ProblemRuntime | None = None
+
+#: Most workers ``ProcessPoolExecutor`` accepts on Windows.
+MAX_WORKERS = 61
+
+
+def _adopt(state: ProblemRuntime) -> None:
+    global _RUNTIME
+    _RUNTIME = state
 
 
 def _run_range(span):
@@ -688,7 +696,9 @@ def run_smaa(
         Assignment rule for the overall index: ``positive``, ``negative``
         or ``net``.  Per-node indices always use the net-style rule.
     threads :
-        Worker processes.  Results are identical for any thread count.
+        Worker processes, at most one per block and :data:`MAX_WORKERS`.
+        Each gets the built runtime from the pool at start-up, under any
+        start method.  Results are identical for any thread count.
     defuzz :
         Defuzzification of the aggregated preference degrees, one of
         :data:`~smaaflow.fuzzy.DEFUZZ_METHODS`.  An unknown ``rule`` or
@@ -698,24 +708,13 @@ def run_smaa(
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
-    global _RUNTIME
     state = ProblemRuntime(problem, rule, defuzz, seed, strict)
     spans = _split(iterations, threads)
-    ctx = None
-    if len(spans) > 1:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            pass  # no fork on this platform; run in-process
-    if ctx is None:
+    if len(spans) == 1:
         parts = [state.simulate(0, iterations)]
     else:
-        _RUNTIME = state
-        try:
-            with ProcessPoolExecutor(max_workers=len(spans), mp_context=ctx) as pool:
-                parts = list(pool.map(_run_range, spans))
-        finally:
-            _RUNTIME = None
+        with ProcessPoolExecutor(len(spans), initializer=_adopt, initargs=(state,)) as pool:
+            parts = list(pool.map(_run_range, spans))
     cat_hits, node_hits, violations = (sum(col) for col in zip(*parts))
     return AcceptabilityResult(
         categories=tuple(problem.categories),
@@ -732,10 +731,10 @@ def run_smaa(
 
 
 def _split(iterations: int, threads: int) -> list[tuple[int, int]]:
-    """Contiguous iteration ranges, one per worker, cut only at multiples
-    of :data:`BLOCK`."""
+    """Contiguous iteration ranges, one per worker and at most
+    :data:`MAX_WORKERS`, cut only at multiples of :data:`BLOCK`."""
     blocks = -(-iterations // BLOCK)
-    threads = max(1, min(threads, blocks))
+    threads = max(1, min(threads, blocks, MAX_WORKERS))
     base, extra = divmod(blocks, threads)
     spans = []
     start = 0

@@ -13,6 +13,10 @@ unanimously across criteria, so its category ignores the weights.
 import copy
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 from statistics import NormalDist
 
@@ -31,13 +35,14 @@ from smaaflow import (
     flow_bundle,
     run_smaa,
 )
-from smaaflow.errors import WEIGHT_SPEC
+from smaaflow.errors import BOUNDARY, WEIGHT_SPEC
 from smaaflow import smaa as smaa_module
 from smaaflow.flows import bracket, profile_envelope
 from smaaflow.fuzzy import DEFUZZ_METHODS
-from smaaflow.model_io import fixture_path, parse_problem
+from smaaflow.model_io import dump_problem, fixture_path, load_problem, parse_problem
 from smaaflow.smaa import (
     BLOCK,
+    MAX_WORKERS,
     ProblemRuntime,
     _split,
     deterministic_result,
@@ -48,6 +53,9 @@ from smaaflow.smaa import (
 )
 
 import oracles
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLED_INPUTS = ROOT / "tests" / "data" / "sampled_inputs.json"
 
 
 @pytest.fixture(scope="module")
@@ -157,19 +165,22 @@ def test_thread_count_does_not_change_results(walkthrough_doc, stochastic_walkth
     missing = variant(walkthrough_doc, **{"tree.weights": {"missing": True}})
     # an uneven split, and more threads than blocks; sampled weights, then
     # sampled evaluations, thresholds and profiles, then violations counted
-    # on fixed node rows under sampled root weights
-    for problem, iterations, threads in ((missing, 600, 4), (missing, 3 * BLOCK + 5, 2),
-                                         (missing, 3 * BLOCK + 5, 8),
-                                         (stochastic_walkthrough, 3 * BLOCK + 5, 2),
-                                         (glued_missing, 3 * BLOCK + 5, 2)):
+    # on fixed node rows under sampled root weights, then normal profile
+    # levels and thresholds split 2/1/1 blocks
+    cases = ((missing, 600, 4), (missing, 3 * BLOCK + 5, 2), (missing, 3 * BLOCK + 5, 8),
+             (stochastic_walkthrough, 3 * BLOCK + 5, 2), (glued_missing, 3 * BLOCK + 5, 2),
+             (load_problem(SAMPLED_INPUTS), 3 * BLOCK + 5, 3))
+    for problem, iterations, threads in cases:
         serial = run_smaa(problem, iterations=iterations, seed=9, threads=1)
         threaded = run_smaa(problem, iterations=iterations, seed=9, threads=threads)
         assert serial.category_index.tobytes() == threaded.category_index.tobytes()
         assert serial.node_index.tobytes() == threaded.node_index.tobytes()
         assert serial.boundary_violations == threaded.boundary_violations
 
+    # the last split is capped at the most workers a pool takes on Windows
+    for iterations, threads in [case[1:] for case in cases] + [(100 * BLOCK, 64)]:
         spans = _split(iterations, threads)
-        assert len(spans) <= -(-iterations // BLOCK)
+        assert len(spans) == min(threads, -(-iterations // BLOCK), MAX_WORKERS)
         assert spans[0][0] == 0
         for (start, count), (after, _) in zip(spans, spans[1:] + [(iterations, 0)]):
             assert start % BLOCK == 0 and count > 0
@@ -235,19 +246,21 @@ def test_stochastic_u_shape_threshold_is_sampled(q, share):
     assert abs(res.category_index[0, 0] - share) <= 4 * math.sqrt(share * (1 - share) / draws)
 
 
-def test_worker_error_surfaces_without_an_in_process_rerun(walkthrough, monkeypatch):
+def test_worker_error_surfaces_without_an_in_process_rerun(glued_missing, monkeypatch):
     parent_calls = []
+    simulate = ProblemRuntime.simulate
 
-    def failing_simulate(self, start, count):
+    def spy(self, start, count):
         parent_calls.append((start, count))
-        raise ValueError("simulate failed")
+        return simulate(self, start, count)
 
-    monkeypatch.setattr(ProblemRuntime, "simulate", failing_simulate)
-    with pytest.raises(ValueError, match="simulate failed"):
+    monkeypatch.setattr(ProblemRuntime, "simulate", spy)
+    with pytest.raises(BoundaryViolation) as err:
         # two blocks, so two spans and a pool
-        run_smaa(walkthrough, iterations=2 * BLOCK, seed=0, threads=2)
-    # forked workers append to their own copies of the list, so an entry
-    # here means the iterations were rerun in this process
+        run_smaa(glued_missing, iterations=2 * BLOCK, seed=0, threads=2, strict=True)
+    assert err.value.code == BOUNDARY
+    # a worker that inherits the spy appends to its own copy of the list,
+    # so an entry here means the iterations ran in this process
     assert parent_calls == []
 
 
@@ -310,6 +323,66 @@ def test_strict_mode_raises_on_violation(glued_to_worst, glued_missing):
     for problem in (glued_to_worst, glued_missing):
         with pytest.raises(BoundaryViolation):
             run_smaa(problem, iterations=5, seed=0, strict=True)
+
+
+#: Runs in a fresh interpreter under the start method ``argv[1]`` and
+#: prints what the start-method gate checks as JSON.
+START_METHOD_PROBE = """
+import json, multiprocessing, os, sys
+
+multiprocessing.set_start_method(sys.argv[1], force=True)
+forks = []
+os.register_at_fork(before=lambda: forks.append(1))
+
+from smaaflow import BoundaryViolation, run_smaa
+from smaaflow.model_io import load_problem
+from smaaflow.smaa import BLOCK, ProblemRuntime
+
+sampled = load_problem(sys.argv[2])
+one, two = (run_smaa(sampled, iterations=3 * BLOCK + 5, seed=9, threads=threads)
+            for threads in (1, 2))
+parent_calls = []
+simulate = ProblemRuntime.simulate
+
+def spy(self, start, count):
+    parent_calls.append((start, count))
+    return simulate(self, start, count)
+
+ProblemRuntime.simulate = spy
+try:
+    run_smaa(load_problem(sys.argv[3]), iterations=2 * BLOCK, seed=0, threads=2, strict=True)
+    strict = None
+except BoundaryViolation as err:
+    strict = err.code
+print(json.dumps({
+    "identical": [one.category_index.tobytes() == two.category_index.tobytes(),
+                  one.node_index.tobytes() == two.node_index.tobytes()],
+    "violations": [one.boundary_violations, two.boundary_violations],
+    "strict": strict,
+    "parent_calls": len(parent_calls),
+    "forks": len(forks),
+}))
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_workers_need_no_fork(method, glued_missing, tmp_path):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    glued = tmp_path / "glued_missing.json"
+    glued.write_text(dump_problem(glued_missing), encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-c", START_METHOD_PROBE, method, str(SAMPLED_INPUTS), str(glued)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    assert probe["identical"] == [True, True]
+    assert probe["violations"][0] == probe["violations"][1]
+    # the strict violation came from a worker: this process ran no simulate
+    assert probe["strict"] == BOUNDARY and probe["parent_calls"] == 0
+    # and nothing forked this process
+    assert probe["forks"] == 0
 
 
 def test_deterministic_result_counts_violations(glued_to_worst):
