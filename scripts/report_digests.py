@@ -29,10 +29,14 @@ CHECKOUT (default: the checkout holding this script), run in this process:
   interval profile column redrawn until ordered, a normal q on a linear
   pair, an interval q on a u-shape and an interval p on a v-shape: the
   leaf tables each rule keeps, on leaves whose profiles vary);
-- ``tests/data/mixed_forms.json`` (the walkthrough with every value form)
-  and ``tests/data/sampled_inputs.json`` of the checkout holding this
-  script, so CHECKOUT is tried on the same documents whether or not it
-  has the files.
+- ``tests/data/eight_categories.json`` under ``--rule net`` and ``--rule
+  positive`` (nine fuzzy profile levels, enough for numpy to sum the
+  profile axis pairwise, over interval and fuzzy evaluations and an
+  interval q/p pair);
+- ``tests/data/mixed_forms.json`` (the walkthrough with every value form),
+  ``tests/data/sampled_inputs.json`` and ``tests/data/eight_categories.json``
+  of the checkout holding this script, so CHECKOUT is tried on the same
+  documents whether or not it has the files.
 
 Every run uses ``--level all-nodes``, and the case study (net rule, one
 thread) and ``synthetic_wide(0)`` run again under ``--level category`` and
@@ -95,6 +99,7 @@ def main(argv=None) -> int:
         problems = {name: fixture_path(name) for name in ("walkthrough", "case-study")}
         problems["mixed-forms"] = DATA / "mixed_forms.json"
         problems["sampled-inputs"] = DATA / "sampled_inputs.json"
+        problems["eight-categories"] = DATA / "eight_categories.json"
         for name, generator, seed in GENERATED:
             problems[name] = tmp / f"{name}.json"
             problems[name].write_text(json.dumps(getattr(workloads, generator)(seed)),
@@ -128,6 +133,8 @@ def main(argv=None) -> int:
                      ["--threads", "2"]))
         runs += [(f"sampled-inputs-{rule}", problems["sampled-inputs"], "all-nodes",
                   ["--rule", rule]) for rule in ("positive", "negative")]
+        runs += [(f"eight-categories-{rule}", problems["eight-categories"], "all-nodes",
+                  ["--rule", rule]) for rule in ("net", "positive")]
         for level in ("category", "first-level"):
             runs.append((f"case-study-net-t1-{level}", problems["case-study"], level,
                          ["--threads", "1"]))

@@ -482,12 +482,15 @@ def _worst_step(prof: np.ndarray, rule: str, axis: int = -1):
     return -step.min() if _rule(rule)[1] > 0 else step.max()
 
 
-def _check_step(worst, rule: str, what: str) -> None:
-    """Raise :class:`InvariantError`, naming ``what``, if ``worst`` (see
-    :func:`_worst_step`) exceeds :data:`ORDERING_TOL`."""
-    if worst > ORDERING_TOL:
-        trend = "non-decreasing" if _rule(rule)[1] > 0 else "non-increasing"
-        raise InvariantError(f"{what} profile flows are not {trend} (worst step {worst})")
+def _check_steps(steps, what: str | None = None) -> None:
+    """Raise :class:`InvariantError` for the first (worst step, rule) pair of
+    ``steps`` whose worst step (see :func:`_worst_step`) exceeds
+    :data:`ORDERING_TOL`, naming ``what``, or else that pair's rule."""
+    for worst, rule in steps:
+        if worst > ORDERING_TOL:
+            trend = "non-decreasing" if _rule(rule)[1] > 0 else "non-increasing"
+            raise InvariantError(f"{what or rule} profile flows are not {trend} "
+                                 f"(worst step {worst})")
 
 
 def check_profile_order(prof: np.ndarray, rule: str, what: str) -> None:
@@ -500,15 +503,7 @@ def check_profile_order(prof: np.ndarray, rule: str, what: str) -> None:
     InvariantError
         Naming ``what`` and the worst step against the expected direction.
     """
-    _check_step(_worst_step(prof, rule), rule, what)
-
-
-def _check_steps(worst) -> None:
-    """Raise for the first of the net, positive and negative leaf tables,
-    in that order, whose worst step (see :meth:`BatchEngine.check_ordering`)
-    exceeds :data:`ORDERING_TOL`."""
-    for step, rule in zip(worst, _TABLES):
-        _check_step(step, rule, rule)
+    _check_steps([(_worst_step(prof, rule), rule)], what)
 
 
 def _points(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -534,28 +529,18 @@ def _defuzzed(degrees: np.ndarray, defuzz: str) -> np.ndarray:
     return p_hi
 
 
-def _sum_profiles(a: np.ndarray, out=None, pairwise: bool = True) -> np.ndarray:
-    """Sum of ``a`` (..., n, draws) over axis -2 into ``out`` in numpy's order for
-    a contiguous (``pairwise``) or a strided axis: one by one from 0.0 if strided
-    or n < 8, else eight running sums as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
-    (r6 + r7)) then the rest one by one, in halves cut at a multiple of 8 past 128."""
-    n = a.shape[-2]
-    out = np.empty(a.shape[:-2] + a.shape[-1:]) if out is None else out
-    if pairwise and n > 128:
-        half = n // 2 - n // 2 % 8
-        return np.add(_sum_profiles(a[..., :half, :]), _sum_profiles(a[..., half:, :]), out=out)
-    step = 8 if pairwise and n >= 8 else 1
-    r = a[..., :step, :] + 0.0  # 0.0 + -0.0 is 0.0, as from numpy's start at 0.0
-    for i in range(step, n - n % step, step):
-        r += a[..., i : i + step, :]
-    if step == 8:
-        r[..., ::2, :] += r[..., 1::2, :]
-        r[..., ::4, :] += r[..., 2::4, :]
-        r[..., 0, :] += r[..., 4, :]
-    np.copyto(out, r[..., 0, :])
-    for i in range(n - n % step, n):
-        out += a[..., i, :]
-    return out
+def _sum_profiles(a: np.ndarray, pairwise: bool = True) -> np.ndarray:
+    """Sum of ``a`` (..., n, draws) over axis -2, as a new array, in numpy's order
+    for a contiguous (``pairwise``) or a strided axis.  From 8 values up numpy sums
+    a contiguous axis pairwise, so that sum is ``np.sum`` over a copy with the
+    profile axis last; otherwise numpy adds one by one from 0.0, as the loop does,
+    into a contiguous array (faster than into a strided view)."""
+    if pairwise and a.shape[-2] >= 8:
+        return np.ascontiguousarray(np.moveaxis(a, -2, -1)).sum(axis=-1)
+    r = a[..., 0, :] + 0.0  # 0.0 + -0.0 is 0.0, as from numpy's start at 0.0
+    for i in range(1, a.shape[-2]):
+        r += a[..., i, :]
+    return r
 
 
 def _profile_pair_sums(prefs: PreferenceArrays, r: np.ndarray, defuzz: str):
@@ -640,11 +625,12 @@ class BatchEngine:
         draw or for a block of draws along a leading axis.
 
         The draws go :func:`chunk_draws` at a time through one kernel pass,
-        which builds a chunk's net, positive and negative tables in a
-        draw-last scratch array and copies out the net table, then the
-        positive or the negative one under a rule that brackets by it, or
-        all three when ``rule`` is None.  Leaves whose profiles and
-        thresholds hold the same bits in every draw get their
+        :meth:`_chunk_tables`, which returns a chunk's net, positive and
+        negative tables draw last.  The kept tables (net, then the positive
+        or the negative one under a rule that brackets by it, or all three
+        when ``rule`` is None) are copied out, the worst steps of all three
+        taken, and the chunk dropped before the next pass.  Leaves whose
+        profiles and thresholds hold the same bits in every draw get their
         profile-versus-profile sums once, from the first.
 
         Parameters
@@ -671,8 +657,8 @@ class BatchEngine:
         InvariantError
             As :meth:`check_ordering` would on all three tables of the
             draws, whatever ``rule`` keeps: each chunk's worst steps are
-            taken while it is in the scratch array, and the largest are
-            checked at the end.
+            taken from its three tables, and the largest are checked at the
+            end.
         """
         if defuzz not in DEFUZZ_METHODS:
             raise ValueError(f"unknown defuzzification method {defuzz!r}")
@@ -683,7 +669,7 @@ class BatchEngine:
             prefs = prefs._replace(q=prefs.q[:, None], p=prefs.p[:, None])
             evals, profiles = evals[None], profiles[None]
         draws, n_el = evals.shape[0], evals.shape[-2]
-        tables = np.empty((draws, n_el, len(kept) * self.n_pairs))
+        tables = np.empty((draws, n_el, len(kept), self.n_pairs))
         fixed = np.ones(n_el, bool)
         for v in (np.moveaxis(profiles, (2, 0), (0, 1)), prefs.q, prefs.p):  # (n_el, draws, ...)
             bits = v.view(np.int64)
@@ -697,25 +683,26 @@ class BatchEngine:
         step = chunk_draws(n_el, self.m, self.c)
         for j in range(0, draws, step):
             rows = slice(j, j + step)
-            self._chunk_tables(prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows]),
-                               evals[rows], profiles[rows], defuzz, kept, sums, worst,
-                               tables[rows])
-        _check_steps(worst)
-        tables = tables.swapaxes(1, 2)
+            table = self._chunk_tables(prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows]),
+                                       evals[rows], profiles[rows], defuzz, sums)
+            blocks = table.reshape((n_el, 3, self.n_pairs, -1))[:, kept.start:kept.stop:kept.step]
+            tables[rows] = np.moveaxis(blocks, -1, 0)
+            np.maximum(worst, self._worst_steps(table), out=worst)
+            del table, blocks  # free the scratch before the next pass builds its own
+        _check_steps(zip(worst, _TABLES))
+        tables = tables.reshape((draws, n_el, -1)).swapaxes(1, 2)
         return tables[0] if one else tables
 
     def _chunk_tables(self, prefs: PreferenceArrays, evals: np.ndarray, profiles: np.ndarray,
-                      defuzz: str, kept: range, profile_sums, worst: np.ndarray,
-                      out: np.ndarray) -> None:
+                      defuzz: str, profile_sums) -> np.ndarray:
         """One unchecked kernel pass of :meth:`pref_components` over a chunk
         of draws, its inputs as there with (n_el, draws) ``q`` and ``p``.
 
-        ``kept`` indexes :data:`_TABLES`; ``profile_sums`` is ``(leaves, row,
-        col)``, the leaves with the same profiles and thresholds in every
-        draw and their :func:`_profile_pair_sums` of one draw; ``worst``,
-        three floats, takes the larger of itself and each table's worst step
-        (see :meth:`check_ordering`).  The kept tables go to the leaf-major
-        (draws, n_el, len(kept) * n_pairs) array ``out``.
+        ``profile_sums`` is ``(leaves, row, col)``, the leaves with the same
+        profiles and thresholds in every draw and their
+        :func:`_profile_pair_sums` of one draw.  Returns the chunk's net,
+        positive and negative tables, draw last, as a new (n_el, 3 * n_pairs,
+        draws) array; nothing its caller owns is written.
         """
         c, m, n = self.c, self.m, self.n_pairs
         draws, n_el = evals.shape[0], evals.shape[-2]
@@ -740,16 +727,14 @@ class BatchEngine:
         # positive minus negative: an alternative equal to a profile ties it
         # exactly, and this rounding decides its category in the reports.
         diff = np.subtract(x_over_r, r_over_x, out=net[:, :, 1:])
-        _sum_profiles(diff, out=net[:, :, 0])
+        net[:, :, 0] = _sum_profiles(diff)
         np.subtract((row - col)[:, None], diff, out=diff)
-        _sum_profiles(x_over_r, out=plus[:, :, 0])
-        _sum_profiles(r_over_x, out=minus[:, :, 0])
+        plus[:, :, 0] = _sum_profiles(x_over_r)
+        minus[:, :, 0] = _sum_profiles(r_over_x)
         np.add(row[:, None], r_over_x, out=plus[:, :, 1:])
         np.add(col[:, None], x_over_r, out=minus[:, :, 1:])
         table /= c
-        np.maximum(worst, self._worst_steps(table), out=worst)
-        blocks = table.reshape((n_el, 3, n, draws))[:, kept.start:kept.stop:kept.step]
-        np.copyto(out.reshape((draws, n_el, len(kept), n)), np.moveaxis(blocks, -1, 0))
+        return table
 
     # -- node values and flows --------------------------------------------
 
@@ -891,7 +876,7 @@ class BatchEngine:
         every node under every rule.  The tables are read through strided
         views, never copied.
         """
-        _check_steps(self._worst_steps(components))
+        _check_steps(zip(self._worst_steps(components), _TABLES))
 
     def assign_overall(self, batch_flows: BatchFlows, rule: str):
         """Categories (rows, m) and validity mask under the requested rule,

@@ -62,7 +62,7 @@ from .flows import (
 )
 from .fuzzy import DEFUZZ_METHODS, TFN
 from .hierarchy import CriteriaTree, WeightSpec, build_tree, is_number
-from .preference import DIRECTIONS, SHAPES, THRESHOLDS, PreferenceSpec
+from .preference import DIRECTIONS, ORDERED_PAIRS, SHAPES, THRESHOLDS, PreferenceSpec
 from .smaa import PreferenceModel, StochasticValue
 
 SCHEMA_VERSION = 1
@@ -486,10 +486,10 @@ def _preference_model(spec, at: str, cells: _Cells, j: int) -> PreferenceModel:
             model.resolve_deterministic()
         except ValueError as exc:
             raise InputError(THRESHOLD, str(exc), at) from exc
-    elif THRESHOLDS[shape] == ("q", "p"):  # a sampled pair needs some ordered draw
+    elif shape in ORDERED_PAIRS:  # a sampled pair needs some ordered draw
         (q_lo, q_hi), (p_lo, p_hi) = _support(q), _support(p)
         # a tie can be drawn only where both thresholds are single points
-        if not (q_lo < p_hi or (shape == "level" and q_lo == q_hi == p_lo == p_hi)):
+        if not (q_lo < p_hi or (not ORDERED_PAIRS[shape] and q_lo == q_hi == p_lo == p_hi)):
             raise InputError(THRESHOLD, f"{shape} thresholds can never be ordered: q starts "
                              f"at {q_lo}, p ends at {p_hi}", at)
     return model

@@ -28,8 +28,7 @@ import numpy as np
 
 from .fuzzy import TFN
 
-#: Thresholds each shape reads; the others must stay at crisp 0.  Only a
-#: shape reading both q and p samples them as an ordered pair.
+#: Thresholds each shape reads; the others must stay at crisp 0.
 THRESHOLDS = {
     "usual": (),
     "u-shape": ("q",),
@@ -39,6 +38,8 @@ THRESHOLDS = {
     "gaussian": ("s",),
 }
 SHAPES = tuple(THRESHOLDS)
+#: Shapes reading q and p as an ordered pair, each with whether q < p is strict.
+ORDERED_PAIRS = {"level": False, "linear": True}
 DIRECTIONS = ("maximize", "minimize")
 
 
@@ -69,10 +70,9 @@ class PreferenceSpec:
                 raise ValueError(f"shape {self.shape!r} does not use threshold {name!r}")
         if self.shape == "v-shape" and self.p <= 0:
             raise ValueError("v-shape needs a preference threshold p > 0")
-        if self.shape == "level" and self.p < self.q:
-            raise ValueError("level shape needs q <= p")
-        if self.shape == "linear" and self.p <= self.q:
-            raise ValueError("linear shape needs q < p")
+        strict = ORDERED_PAIRS.get(self.shape)
+        if strict is not None and (self.p < self.q or strict and self.p == self.q):
+            raise ValueError(f"{self.shape} shape needs q {'<' if strict else '<='} p")
         if self.shape == "gaussian" and self.s <= 0:
             raise ValueError("gaussian shape needs s > 0")
 

@@ -41,7 +41,7 @@ from .errors import (
 from .flows import RULES, BatchEngine, profile_envelope, profile_pair_faults
 from .fuzzy import DEFUZZ_METHODS, TFN
 from .hierarchy import WeightSpec
-from .preference import THRESHOLDS, PreferenceArrays, PreferenceSpec
+from .preference import ORDERED_PAIRS, PreferenceArrays, PreferenceSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model_io import Problem
@@ -529,14 +529,13 @@ class ProblemRuntime:
         self.prefs = PreferenceArrays.of(models, thresholds=(None, None))
         # the (2, n_el) q and p of deterministic criteria, resolved here
         # (0 elsewhere), and the criteria whose pair is drawn, in slot order
-        # with their ordering: a level or linear pair is ordered, and an
-        # unread threshold stays crisp 0
+        # with their strictness in ORDERED_PAIRS, or None where the shape
+        # reads one threshold and the other stays crisp 0
         self.fixed_thresholds = np.array([
             (mdl.q.resolved().m, mdl.p.resolved().m) if mdl.is_deterministic else (0.0, 0.0)
             for mdl in models]).T
-        self.sampled_thresholds = [
-            (t, mdl, mdl.shape == "linear" if THRESHOLDS[mdl.shape] == ("q", "p") else None)
-            for t, mdl in enumerate(models) if not mdl.is_deterministic]
+        self.sampled_thresholds = [(t, mdl, ORDERED_PAIRS.get(mdl.shape))
+                                   for t, mdl in enumerate(models) if not mdl.is_deterministic]
         # data draws start from the deterministic profiles and evaluation
         # cells, resolved at parse time, and draw the others; the
         # evaluation cells from one table built here

@@ -49,8 +49,6 @@ def unchecked_tables(engine, prefs, evals, profiles, defuzz="centroid"):
         prefs = PreferenceArrays.of(prefs)
         prefs = prefs._replace(q=prefs.q[:, None], p=prefs.p[:, None])
         evals, profiles = evals[None], profiles[None]
-    out = np.empty((evals.shape[0], evals.shape[2], 3 * engine.n_pairs))
-    engine._chunk_tables(prefs, evals, profiles, defuzz, range(3),
-                         (np.zeros(0, np.int64), 0.0, 0.0), np.full(3, -np.inf), out)
-    tables = out.swapaxes(1, 2)
+    tables = engine._chunk_tables(prefs, evals, profiles, defuzz,
+                                  (np.zeros(0, np.int64), 0.0, 0.0)).transpose(2, 1, 0)
     return tables[0] if one else tables

@@ -122,6 +122,22 @@ def test_module_entry_point():
     import smaaflow.__main__  # noqa: F401  (import must not execute main)
 
 
+@pytest.mark.parametrize("rule", ["net", "positive", "negative"])
+def test_spread_sum_stops_a_valid_document(tmp_path, capsys, rule):
+    # a document that validate accepts runs under centroid, but under
+    # spread-sum one leaf's positive profile flows rise, so the run stops
+    # on the positive table even under a rule that never brackets by it
+    doc = str(Path(__file__).parent / "data" / "spread_sum_stop.json")
+    assert main(["validate", doc]) == 0
+    base = ["run", doc, "--rule", rule, "--out", str(tmp_path / "r")]
+    assert main(base) == 0
+    capsys.readouterr()
+    assert main(base + ["--defuzz", "spread-sum"]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "error[INVARIANT]: positive profile flows are not non-increasing "
+        "(worst step 0.05555555555555547)")
+
+
 def test_reports_match_frozen_digests(capsys, monkeypatch):
     # every report and parsed problem of scripts/report_digests.py, byte
     # for byte as frozen in tests/data/report_digests.txt

@@ -213,3 +213,26 @@ def test_chunked_tables_match_frozen_digests(seed, n_profiles, defuzz):
     tables = chunked_tables(seed, n_profiles, defuzz)[-1]
     digest = hashlib.sha256((tables + 0.0).tobytes()).hexdigest()
     assert digest == FROZEN_DIGESTS[seed, n_profiles, defuzz]
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    """The bits of ``x + 0.0`` (-0.0 folded into 0.0), as int64."""
+    return (x + 0.0).view(np.int64)
+
+
+@pytest.mark.parametrize("draws", [1, 16])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 128, 129, 136, 300])
+def test_profile_sums_follow_numpy(n, draws):
+    # every branch of _sum_profiles (one by one below 8 values; from 8,
+    # numpy's eight running sums, and its halving past 128) on strided
+    # views, bit for bit against numpy's own sums: pairwise over a
+    # contiguous profile axis, one by one over a strided one
+    gen = np.random.default_rng(1000 * n + draws)
+    shape = (2, n, 3, 2 * draws)
+    a = gen.standard_normal(shape) * 10.0 ** gen.integers(-8, 9, shape)
+    a = a.swapaxes(1, 2)[..., ::2]  # (2, 3, n, draws), strided on every axis
+    want = np.ascontiguousarray(np.moveaxis(a, -2, -1)).sum(-1)
+    assert np.array_equal(_bits(flows._sum_profiles(a)), _bits(want))
+    if draws > 1:  # one draw leaves numpy a contiguous axis, which it sums pairwise
+        strided = flows._sum_profiles(a, pairwise=False)
+        assert np.array_equal(_bits(strided), _bits(a.sum(axis=-2)))

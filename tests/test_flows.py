@@ -354,6 +354,58 @@ def test_block_path_checks_each_leaf_table(table, late, monkeypatch):
         engine.pref_components(*data(ordered[:10]), "centroid", rule)
 
 
+def random_leaf(gen):
+    """A random valid one-leaf problem: a preference spec of any shape and
+    direction, a fuzzy alternative inside the profile envelope, (1, 1, 3),
+    and 3 to 7 fuzzy profile levels, (c, 1, 3) best first, that pass
+    :func:`check_profile_column`.  Adjacent supports touch half the time;
+    profile modes and spreads are multiples of 1/64, so their ends add up
+    exactly."""
+    from smaaflow.flows import check_profile_column
+    from smaaflow.preference import DIRECTIONS, SHAPES, THRESHOLDS
+
+    shape, direction = SHAPES[gen.integers(6)], DIRECTIONS[gen.integers(2)]
+    t = gen.uniform(0.01, 3.0)
+    given = {"q": gen.uniform(0.0, t), "p": t, "s": t}
+    if THRESHOLDS[shape] == ("q",):
+        given["q"] = t
+    spec = PreferenceSpec(shape=shape, direction=direction,
+                          **{name: given[name] for name in THRESHOLDS[shape]})
+    # oriented levels, worst first, each support starting where the last ends or later
+    rows, right = np.empty((gen.integers(3, 8), 3)), 0.0
+    for h in range(len(rows)):
+        alpha, beta = gen.integers(1, 129, 2) / 64
+        rows[h] = right + gen.integers(0, 65) / 64 * (gen.random() < 0.5) + alpha, alpha, beta
+        right = rows[h, 0] + beta
+    alt = np.array([gen.uniform(rows[0, 0] - rows[0, 1], right), *gen.uniform(0.0, 2.0, 2)])
+    if direction == "minimize":
+        rows, alt = rows[:, [0, 2, 1]] * (-1, 1, 1), alt[[0, 2, 1]] * (-1, 1, 1)
+    check_profile_column(rows[::-1], direction, 0)
+    return spec, alt[None, None], rows[::-1, None]
+
+
+def test_centroid_leaf_tables_are_always_ordered():
+    # the bracketing premise under centroid: a centroid degree averages
+    # P(d), P(d - s_l) and P(d + s_r), each non-decreasing and 0 at d <= 0,
+    # and validated profiles do not overlap, so no valid problem trips the
+    # profile-order check.  Spread-sum weighs one point negatively, and the
+    # same problems do trip it, which shows the generator reaches the check.
+    from smaaflow.flows import BatchEngine
+
+    tree = build_tree([{"label": "a"}], {"deterministic": [1.0]})
+    engines = {c: BatchEngine(tree, 1, c) for c in range(3, 8)}
+    gen = np.random.default_rng(0)
+    stops = {"centroid": 0, "spread-sum": 0}
+    for _ in range(1000):
+        spec, evals, profiles = random_leaf(gen)
+        for defuzz in stops:
+            try:
+                engines[len(profiles)].pref_components([spec], evals, profiles, defuzz)
+            except InvariantError:
+                stops[defuzz] += 1
+    assert stops["centroid"] == 0 and stops["spread-sum"] > 0, stops
+
+
 # ---------------------------------------------------------------------------
 # Profile validation
 # ---------------------------------------------------------------------------
