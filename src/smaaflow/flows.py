@@ -12,11 +12,12 @@ Flows are linear in the preference degrees, so the positive, negative and
 net flows under any node of the tree are weighted sums of its children's,
 down to per-leaf unicriterion flows.  :class:`BatchEngine` is the one flow
 engine: it reduces each data draw to the per-leaf flow tables that the
-rule reads, a chunk of draws per kernel pass, checking the order of every
-table's profile flows as it goes, and sums their columns children-first
-for whole batches of weight vectors: the net columns for every node, and
-the positive or negative columns for the whole tree under a rule that
-brackets by them.
+rule reads, and builds no other.  It sums the profile-versus-profile pairs
+once per block of draws, then builds the tables a chunk of draws per
+kernel pass, checking the order of each built table's profile flows as it
+goes.  It sums their columns children-first for whole batches of weight
+vectors: the net columns for every node, and the positive or negative
+columns for the whole tree under a rule that brackets by them.
 :func:`flow_bundle`, :func:`single_criterion_flows` and their relatives
 run the same engine on a single weight row.  The pairwise degrees
 (:func:`subtree_preference`, :func:`outranking_degree`) come from the same
@@ -24,7 +25,7 @@ preference kernel and the same children-first aggregation, applied to one
 pair's (m, alpha, beta) rows.  One rule table drives bracketing:
 :func:`bracket` serves the single-evaluation and the batch paths alike.
 :func:`check_profile_order` checks the profile order of one evaluation,
-and :meth:`BatchEngine.pref_components` that of every leaf table.
+and :meth:`BatchEngine.pref_components` that of every leaf table it builds.
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ RULES = tuple(_RULE_TABLE)
 #: each named by the rule its profile flows step for.
 _TABLES = ("net", "positive", "negative")
 
-#: Indices in :data:`_TABLES` of the leaf tables each rule reads: net
-#: always, and the table a rule brackets the whole tree by; None reads all.
-_RULE_TABLES = {None: range(3), "net": range(1), "positive": range(2),
-                "negative": range(0, 3, 2)}
+#: The leaf tables each rule reads, in :data:`_TABLES` order: net always,
+#: and the table a rule brackets the whole tree by; None reads all three.
+_RULE_TABLES = {None: _TABLES, "net": _TABLES[:1], "positive": _TABLES[:2],
+                "negative": _TABLES[::2]}
 
 #: Slack allowed when asserting that profile flows are ordered.
 ORDERING_TOL = 1e-9
@@ -84,8 +85,8 @@ def _rule(rule: str) -> tuple[int, int]:
         raise ValueError(f"unknown assignment rule {rule!r}") from None
 
 
-def _leaf_tables(rule: str | None) -> range:
-    """Indices in :data:`_TABLES` of the leaf tables that ``rule`` reads."""
+def _leaf_tables(rule: str | None) -> tuple[str, ...]:
+    """Names of the leaf tables that ``rule`` reads, in :data:`_TABLES` order."""
     if rule is not None:
         _rule(rule)
     return _RULE_TABLES[rule]
@@ -554,6 +555,43 @@ def _profile_pair_sums(prefs: PreferenceArrays, r: np.ndarray, defuzz: str):
             _sum_profiles(r_over_r.swapaxes(1, 2), pairwise=False) - diag)
 
 
+def _block_pair_sums(prefs: PreferenceArrays, profiles: np.ndarray, defuzz: str):
+    """:func:`_profile_pair_sums` of every leaf for a block of draws, from
+    ``prefs`` with (n_el, draws) ``q`` and ``p`` and (draws, c, n_el, 3)
+    ``profiles``.
+
+    Returns ``(fixed, once, vary, each)``: the leaves whose profiles and
+    thresholds hold the same bits in every draw and their (2, leaves, c, 1)
+    sums, from the first draw; then the other leaves and their (2, leaves,
+    c, draws) sums, from one call per window of as many draws as keep the
+    points of their profile pairs within :data:`CHUNK_BYTES`.  The sums are
+    elementwise along the draw axis, so their bits do not depend on the
+    window.
+    """
+    draws, c, n_el = profiles.shape[:3]
+    bits = profiles.view(np.int64)
+    same = (bits == bits[:1]).reshape(draws, -1).all(axis=0)  # over the draws: a contiguous pass
+    fixed = same.reshape(c, n_el, 3).all(axis=(0, 2))
+    for v in (prefs.q, prefs.p):  # (n_el, draws)
+        bits = v.view(np.int64)
+        fixed &= (bits == bits[:, :1]).all(axis=1)
+
+    def pair_sums(leaves, rows):
+        part = PreferenceArrays(*(v[leaves] for v in prefs._replace(q=prefs.q[:, rows],
+                                                                    p=prefs.p[:, rows])))
+        r = np.moveaxis(part.orient(profiles[rows][:, :, leaves]), (-2, -3, -1), (0, 1, 2))
+        return _profile_pair_sums(part, r, defuzz)
+
+    fixed, vary = np.flatnonzero(fixed), np.flatnonzero(~fixed)
+    each = np.empty((2, len(vary), c, draws))
+    window = max(1, CHUNK_BYTES // (3 * 8 * c * c * max(1, len(vary))))
+    once = np.array(pair_sums(fixed, slice(0, 1)))
+    for j in range(0, draws, window):
+        rows = slice(j, j + window)
+        each[..., rows] = pair_sums(vary, rows)
+    return fixed, once, vary, each
+
+
 class BatchEngine:
     """Evaluates flows for many weight vectors from per-leaf flow tables.
 
@@ -564,13 +602,14 @@ class BatchEngine:
     flow table per data draw, and node rows are weighted sums of their
     children's rows.  The whole tree's positive and negative flows are
     summed the same way from the leaves' positive and negative tables, but
-    only the table a rule brackets by is built, and only it is kept per
-    leaf beside the net one: none under ``net``, one under ``positive`` or
-    ``negative``.  Each group's weights sum to 1, so every node's flows are
-    convex combinations of the leaf tables, and the profile order is
-    checked once per data draw on all three leaf tables (see
-    :meth:`check_ordering`), as :meth:`pref_components` builds them,
-    rather than on every weight row's flows.
+    only the table a rule brackets by is built per leaf beside the net
+    one: none under ``net``, one under ``positive`` or ``negative``.  Each
+    group's weights sum to 1, so every node's flows are convex combinations
+    of the leaf tables, and the profile order is checked once per data draw
+    on the leaf tables a run builds (see :meth:`check_ordering`), as
+    :meth:`pref_components` builds them, rather than on every weight row's
+    flows: the net tables cover every node's bracket, and the rule's own
+    table the whole tree's.
 
     A node's row depends only on the weights inside its subtree, so the
     engine splits the tree once, from its sibling groups.  A node is
@@ -624,14 +663,13 @@ class BatchEngine:
         """The flow tables of every leaf that ``rule`` reads, for one data
         draw or for a block of draws along a leading axis.
 
-        The draws go :func:`chunk_draws` at a time through one kernel pass,
-        :meth:`_chunk_tables`, which returns a chunk's net, positive and
-        negative tables draw last.  The kept tables (net, then the positive
-        or the negative one under a rule that brackets by it, or all three
-        when ``rule`` is None) are copied out, the worst steps of all three
-        taken, and the chunk dropped before the next pass.  Leaves whose
-        profiles and thresholds hold the same bits in every draw get their
-        profile-versus-profile sums once, from the first.
+        The profile-versus-profile sums of the block come first, from
+        :func:`_block_pair_sums`.  Then the draws go :func:`chunk_draws` at
+        a time through one kernel pass, :meth:`_chunk_tables`, which builds
+        a chunk's kept tables draw last: net, then the positive or the
+        negative one under a rule that brackets by it, or all three when
+        ``rule`` is None.  Each pass's tables are copied out, their worst
+        steps taken, and the chunk dropped before the next pass.
 
         Parameters
         ----------
@@ -655,10 +693,10 @@ class BatchEngine:
         Raises
         ------
         InvariantError
-            As :meth:`check_ordering` would on all three tables of the
-            draws, whatever ``rule`` keeps: each chunk's worst steps are
-            taken from its three tables, and the largest are checked at the
-            end.
+            As :meth:`check_ordering` would on the returned tables under
+            ``rule``: each chunk's worst steps are taken from the tables it
+            keeps, and the largest are checked at the end.  A table that
+            ``rule`` does not read is neither built nor checked.
         """
         if defuzz not in DEFUZZ_METHODS:
             raise ValueError(f"unknown defuzzification method {defuzz!r}")
@@ -669,42 +707,35 @@ class BatchEngine:
             prefs = prefs._replace(q=prefs.q[:, None], p=prefs.p[:, None])
             evals, profiles = evals[None], profiles[None]
         draws, n_el = evals.shape[0], evals.shape[-2]
-        tables = np.empty((draws, n_el, len(kept), self.n_pairs))
-        fixed = np.ones(n_el, bool)
-        for v in (np.moveaxis(profiles, (2, 0), (0, 1)), prefs.q, prefs.p):  # (n_el, draws, ...)
-            bits = v.view(np.int64)
-            fixed &= (bits == bits[:, :1]).all(axis=tuple(range(1, bits.ndim)))
-        leaves = np.flatnonzero(fixed)
-        first = PreferenceArrays(*(v[leaves] for v in prefs._replace(q=prefs.q[:, :1],
-                                                                   p=prefs.p[:, :1])))
-        r = np.moveaxis(first.orient(profiles[:1, :, leaves]), (-2, -3, -1), (0, 1, 2))
-        sums = (leaves, *_profile_pair_sums(first, r, defuzz))
-        worst = np.full(3, -np.inf)
+        tables = np.empty((draws, n_el, len(kept) * self.n_pairs))
+        sums = _block_pair_sums(prefs, profiles, defuzz)
+        worst = np.full(len(kept), -np.inf)
         step = chunk_draws(n_el, self.m, self.c)
         for j in range(0, draws, step):
             rows = slice(j, j + step)
-            table = self._chunk_tables(prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows]),
-                                       evals[rows], profiles[rows], defuzz, sums)
-            blocks = table.reshape((n_el, 3, self.n_pairs, -1))[:, kept.start:kept.stop:kept.step]
-            tables[rows] = np.moveaxis(blocks, -1, 0)
-            np.maximum(worst, self._worst_steps(table), out=worst)
-            del table, blocks  # free the scratch before the next pass builds its own
-        _check_steps(zip(worst, _TABLES))
-        tables = tables.reshape((draws, n_el, -1)).swapaxes(1, 2)
+            table = self._chunk_tables(prefs, evals, profiles, defuzz, sums, kept, rows)
+            tables[rows] = np.moveaxis(table, -1, 0)
+            np.maximum(worst, self._worst_steps(table, kept), out=worst)
+            del table  # free the scratch before the next pass builds its own
+        _check_steps(zip(worst, kept))
+        tables = tables.swapaxes(1, 2)
         return tables[0] if one else tables
 
     def _chunk_tables(self, prefs: PreferenceArrays, evals: np.ndarray, profiles: np.ndarray,
-                      defuzz: str, profile_sums) -> np.ndarray:
-        """One unchecked kernel pass of :meth:`pref_components` over a chunk
-        of draws, its inputs as there with (n_el, draws) ``q`` and ``p``.
+                      defuzz: str, sums, kept: tuple[str, ...], rows: slice) -> np.ndarray:
+        """One unchecked kernel pass of :meth:`pref_components` over the
+        draws ``rows`` of a block, its inputs as there with (n_el, draws)
+        ``q`` and ``p``.
 
-        ``profile_sums`` is ``(leaves, row, col)``, the leaves with the same
-        profiles and thresholds in every draw and their
-        :func:`_profile_pair_sums` of one draw.  Returns the chunk's net,
-        positive and negative tables, draw last, as a new (n_el, 3 * n_pairs,
-        draws) array; nothing its caller owns is written.
+        ``sums`` is the block's :func:`_block_pair_sums`, and ``kept`` the
+        names of the tables to build (see :func:`_leaf_tables`).  Returns
+        those tables, in :data:`_TABLES` order and draw last, as a new
+        (n_el, len(kept) * n_pairs, draws) array; nothing its caller owns
+        is written.
         """
         c, m, n = self.c, self.m, self.n_pairs
+        prefs = prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows])
+        evals, profiles = evals[rows], profiles[rows]
         draws, n_el = evals.shape[0], evals.shape[-2]
         # oriented members as (n_el, members, 3, draws)
         x, r = (np.ascontiguousarray(np.moveaxis(prefs.orient(v), (-2, -3, -1), (0, 1, 2)))
@@ -715,26 +746,27 @@ class BatchEngine:
         for k, j in ((0, 0), (1, 2), (2, 1)):
             np.negative(pts[:, j, 0], out=pts[:, k, 1])
         x_over_r, r_over_x = _defuzzed(prefs.degrees(pts, out=pts), defuzz).swapaxes(0, 1)
-        leaves, fixed_row, fixed_col = profile_sums
-        vary = np.delete(np.arange(n_el), leaves)
+        fixed, once, vary, each = sums
         row, col = np.empty((2, n_el, c, draws))
-        row[leaves], col[leaves] = fixed_row, fixed_col
-        row[vary], col[vary] = _profile_pair_sums(
-            PreferenceArrays(*(v[vary] for v in prefs)), r[vary], defuzz)
-        table = np.empty((n_el, 3 * n, draws))
-        net, plus, minus = table.reshape((n_el, 3, m, c + 1, draws)).swapaxes(0, 1)
+        row[fixed], col[fixed] = once
+        row[vary], col[vary] = each[..., rows]
+        table = np.empty((n_el, len(kept), m, c + 1, draws))
+        net = table[:, 0]
         # Net flows are summed from pair differences rather than taken as
         # positive minus negative: an alternative equal to a profile ties it
         # exactly, and this rounding decides its category in the reports.
         diff = np.subtract(x_over_r, r_over_x, out=net[:, :, 1:])
         net[:, :, 0] = _sum_profiles(diff)
         np.subtract((row - col)[:, None], diff, out=diff)
-        plus[:, :, 0] = _sum_profiles(x_over_r)
-        minus[:, :, 0] = _sum_profiles(r_over_x)
-        np.add(row[:, None], r_over_x, out=plus[:, :, 1:])
-        np.add(col[:, None], x_over_r, out=minus[:, :, 1:])
+        # the positive flow of x sums P(x, r_h) over the profiles, and that
+        # of r_h adds P(r_h, x) to its profile sum; the negative mirrors it
+        sides = {"positive": (x_over_r, row, r_over_x), "negative": (r_over_x, col, x_over_r)}
+        for name, block in zip(kept[1:], table.swapaxes(0, 1)[1:]):
+            alt, prof_sums, prof = sides[name]
+            block[:, :, 0] = _sum_profiles(alt)
+            np.add(prof_sums[:, None], prof, out=block[:, :, 1:])
         table /= c
-        return table
+        return table.reshape((n_el, len(kept) * n, draws))
 
     # -- node values and flows --------------------------------------------
 
@@ -811,16 +843,13 @@ class BatchEngine:
         negative one under ``negative``, neither under ``net``, and both
         when ``rule`` is None.
         """
-        n, kept = self.n_pairs, _leaf_tables(rule)
-        if components.shape[-2] != len(kept) * n:
-            raise ValueError(f"leaf tables of {components.shape[-2]} rows are not the "
-                             f"{len(kept)} of {n} that rule {rule!r} reads")
+        n, kept = self.n_pairs, self._layout(components, rule)
         nodes, net = self._fold(components[..., :n, :], w)
         if len(kept) == 1:
             return NodeValues(nodes, net, None, None)
         root = self._fold(components[..., n:, :], w)[1]
-        return NodeValues(nodes, net, root[:, :n] if 1 in kept else None,
-                          root[:, -n:] if 2 in kept else None)
+        return NodeValues(nodes, net, root[:, :n] if "positive" in kept else None,
+                          root[:, -n:] if "negative" in kept else None)
 
     def flows(self, values: NodeValues) -> BatchFlows:
         """Flows for every node and the root from the aggregated rows; the
@@ -852,31 +881,50 @@ class BatchEngine:
         group, pos = self.node_slot[idx]
         return NodeFlows(*(a[pos] for a in batch_flows.nodes[group]))
 
-    def _worst_steps(self, tables: np.ndarray) -> list:
-        """Worst step of the profile flows in each of the net, positive and
-        negative tables of ``tables``, (..., 3 * n_pairs, X) with any last
-        axis X, against the direction that table's rule expects."""
-        split = tables.reshape(tables.shape[:-2] + (3, self.m, self.c + 1, tables.shape[-1]))
-        return [_worst_step(split[..., t, :, 1:, :], rule, axis=-2)
-                for t, rule in enumerate(_TABLES)]
+    def _layout(self, components: np.ndarray, rule: str | None) -> tuple[str, ...]:
+        """The leaf tables that ``rule`` reads, once ``components``,
+        ([batch,] rows, n_el), is shown to hold that many."""
+        kept = _leaf_tables(rule)
+        if components.shape[-2] != len(kept) * self.n_pairs:
+            raise ValueError(f"leaf tables of {components.shape[-2]} rows are not the "
+                             f"{len(kept)} of {self.n_pairs} that rule {rule!r} reads")
+        return kept
 
-    def check_ordering(self, components: np.ndarray) -> None:
+    def _worst_steps(self, tables: np.ndarray, kept: tuple[str, ...]) -> list:
+        """Worst step of the profile flows in each of the ``kept`` tables of
+        ``tables``, (..., len(kept) * n_pairs, X) with any last axis X,
+        against the direction that table's rule expects."""
+        split = tables.reshape(tables.shape[:-2] + (len(kept), self.m, self.c + 1,
+                                                    tables.shape[-1]))
+        return [_worst_step(split[..., t, :, 1:, :], rule, axis=-2)
+                for t, rule in enumerate(kept)]
+
+    def check_ordering(self, components: np.ndarray, rule: str | None = None) -> None:
         """Assert the bracketing premise on every leaf: net and positive
         profile flows fall from best to worst, negative ones rise.
 
-        ``components`` are all three leaf tables, as :meth:`pref_components`
-        returns them with no rule, ([draws,] 3 * n_pairs, n_el).  A table's
-        worst step is its profile flows' largest step against that
-        direction, and the first table whose worst step exceeds
-        :data:`ORDERING_TOL` raises, net before positive before negative.
-        :meth:`pref_components` runs the same check chunk by chunk.  Each
-        sibling group's weights sum to 1, so level by level every node's net
-        flows, and the whole tree's positive and negative flows, are convex
-        combinations of the leaf tables: checking the leaf tables covers
-        every node under every rule.  The tables are read through strided
-        views, never copied.
+        ``components`` are the leaf tables that ``rule`` reads, as
+        :meth:`pref_components` returns them, ([draws,] tables * n_pairs,
+        n_el): all three when ``rule`` is None.  A table's worst step is its
+        profile flows' largest step against that direction, and the first
+        table whose worst step exceeds :data:`ORDERING_TOL` raises, net
+        before positive before negative.  :meth:`pref_components` runs the
+        same check chunk by chunk on the tables it keeps.  Each sibling
+        group's weights sum to 1, so level by level every node's net flows,
+        and the whole tree's positive and negative flows, are convex
+        combinations of the leaf tables: the net tables cover every node's
+        bracket, and the rule's own table the whole tree's.  The tables are
+        read through strided views, never copied.
+
+        Raises
+        ------
+        ValueError
+            If ``components`` does not hold the tables of ``rule``.
+        InvariantError
+            For the first unordered table.
         """
-        _check_steps(zip(self._worst_steps(components), _TABLES))
+        kept = self._layout(components, rule)
+        _check_steps(zip(self._worst_steps(components, kept), kept))
 
     def assign_overall(self, batch_flows: BatchFlows, rule: str):
         """Categories (rows, m) and validity mask under the requested rule,

@@ -581,9 +581,11 @@ class ProblemRuntime:
         (size, tables * n_pairs, n_el), views of a leaf-major buffer:
         node_values reads each leaf contiguously.
 
-        ``pref_components`` checks the profile flows of all three tables as
-        it builds them, once per data draw, so static data is checked once
-        per run.
+        ``pref_components`` builds only those tables, summing the
+        profile-versus-profile pairs once for the block, and checks their
+        profile flows as it builds them, once per data draw, so static data
+        is checked once per run.  A table the rule does not read is neither
+        built nor checked.
         """
         return self.engine.pref_components(*self._sample_data(rng, size), self.defuzz, self.rule)
 
@@ -620,7 +622,8 @@ class ProblemRuntime:
 
     def tally_block(self, components: np.ndarray, w: np.ndarray, block: int):
         """Flows, bracketing and category counts for one block of weight
-        rows starting at iteration ``block``; the leaf tables were checked
+        rows starting at iteration ``block``; the leaf tables it reads (net,
+        and under ``positive`` or ``negative`` that table too) were checked
         for profile order when they were drawn.
 
         A row bracketed once for a fixed node or a fixed whole tree stands

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from smaaflow import TFN, PreferenceSpec, ProfileSet, build_tree
+from smaaflow.flows import _block_pair_sums, _leaf_tables
 from smaaflow.model_io import fixture_path, load_problem
 from smaaflow.preference import PreferenceArrays
 
@@ -50,5 +50,6 @@ def unchecked_tables(engine, prefs, evals, profiles, defuzz="centroid"):
         prefs = prefs._replace(q=prefs.q[:, None], p=prefs.p[:, None])
         evals, profiles = evals[None], profiles[None]
     tables = engine._chunk_tables(prefs, evals, profiles, defuzz,
-                                  (np.zeros(0, np.int64), 0.0, 0.0)).transpose(2, 1, 0)
+                                  _block_pair_sums(prefs, profiles, defuzz), _leaf_tables(None),
+                                  slice(None)).transpose(2, 1, 0)
     return tables[0] if one else tables

@@ -107,10 +107,12 @@ def test_chunked_components_equal_one_draw_calls(seed, n_profiles):
 @pytest.mark.parametrize("kept", ["some", "all", "none"])
 def test_fixed_profile_sums_equal_one_draw_calls(n_profiles, kept, monkeypatch):
     # leaves that keep their profiles and thresholds across the block get
-    # their profile-versus-profile sums once, from the first draw; the
-    # tables still equal one call per draw, bit for bit.  Under "some",
-    # half the leaves keep their profiles and a quarter their thresholds
-    # too (shapes without q and p keep theirs at 0 anyway).
+    # their profile-versus-profile sums once, from the first draw, and the
+    # others once per window of as many draws as fit CHUNK_BYTES: as set,
+    # and on a budget of 6 draws, whose windows cross the chunk edges.  The
+    # tables still equal one call per draw, bit for bit.  Under "some", half
+    # the leaves keep their profiles and a quarter their thresholds too
+    # (shapes without q and p keep theirs at 0 anyway).
     tree, per_draw, prefs, evals, profiles = draw_inputs(11, n_profiles, DRAWS)
     n_el = evals.shape[2]
     every = np.arange(n_el)
@@ -133,17 +135,22 @@ def test_fixed_profile_sums_equal_one_draw_calls(n_profiles, kept, monkeypatch):
 
     monkeypatch.setattr(flows, "_profile_pair_sums", counted)
     engine = BatchEngine(tree, evals.shape[1], n_profiles)
-    for defuzz in DEFUZZ_METHODS:
-        del sized[:]
-        tables = engine.pref_components(prefs, evals, profiles, defuzz)
-        # (leaves, draws) summed: the kept leaves once for the block, the
-        # others once per chunk (either may be none)
-        fixed, varying = int(keep.sum()), int(n_el - keep.sum())
-        assert sized == [(fixed, 1)] + [(varying, min(CHUNK, DRAWS - j))
-                                         for j in range(0, DRAWS, CHUNK)]
-        for j in range(DRAWS):
-            one = engine.pref_components(per_draw[j], evals[j], profiles[j], defuzz)
-            assert np.array_equal(tables[j], one), (defuzz, j)
+    fixed, varying = int(keep.sum()), int(n_el - keep.sum())
+    # bytes of the profile pairs' points of the varying leaves, per draw
+    per_draw_bytes = 3 * 8 * n_profiles ** 2 * max(1, varying)
+    for budget in (CHUNK_BYTES, 6 * per_draw_bytes):
+        monkeypatch.setattr(flows, "CHUNK_BYTES", budget)
+        window = budget // per_draw_bytes
+        for defuzz in DEFUZZ_METHODS:
+            del sized[:]
+            tables = engine.pref_components(prefs, evals, profiles, defuzz)
+            # (leaves, draws) summed: the kept leaves once for the block, the
+            # others once per window (either may be none)
+            assert sized == [(fixed, 1)] + [(varying, min(window, DRAWS - j))
+                                             for j in range(0, DRAWS, window)]
+            for j in range(DRAWS):
+                one = engine.pref_components(per_draw[j], evals[j], profiles[j], defuzz)
+                assert np.array_equal(tables[j], one), (defuzz, window, j)
 
 
 @pytest.mark.parametrize("name", ["case-study-interval", "mixed-forms"])

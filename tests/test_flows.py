@@ -309,10 +309,10 @@ def fuzzy_draws(count: int):
     return BatchEngine(tree, 2, 3), prefs, evals, profiles
 
 
-def ordering_fault(engine, tables):
-    """The message of :meth:`check_ordering` on ``tables``, or None."""
+def ordering_fault(engine, tables, rule=None):
+    """The message of :meth:`check_ordering` on ``tables`` under ``rule``, or None."""
     try:
-        engine.check_ordering(tables)
+        engine.check_ordering(tables, rule)
     except InvariantError as err:
         return str(err)
     return None
@@ -324,9 +324,10 @@ def test_block_path_checks_each_leaf_table(table, late, monkeypatch):
     # the block path of test_engine_checks_each_leaf_table: ten draws in
     # chunks of 4, a small fault of one table in the first chunk and a
     # larger one at draw ``late``, in the middle chunk or the last, partial
-    # one.  Whatever tables a rule keeps, the block raises the text that
-    # check_ordering gives on all three tables of the block: the worst step
-    # of the later chunk, not the first one found nor the last chunk's.
+    # one.  Under each rule the block raises the text that check_ordering
+    # gives on the tables that rule keeps: the worst step of the later
+    # chunk, not the first one found nor the last chunk's, when it keeps the
+    # faulty table; a rule that does not keep it runs.
     from smaaflow import flows
 
     monkeypatch.setattr(flows, "chunk_draws", lambda n_el, m, c: 4)
@@ -345,12 +346,20 @@ def test_block_path_checks_each_leaf_table(table, late, monkeypatch):
         return (prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows]), evals[rows],
                 profiles[rows])
 
-    want = ordering_fault(engine, unchecked_tables(engine, *data(block)))
-    assert want == faults[last] != faults[first]
-    for rule in (None, "net", "positive", "negative"):
-        with pytest.raises(InvariantError) as err:
+    tables, n = unchecked_tables(engine, *data(block)), engine.n_pairs
+    assert ordering_fault(engine, tables) == faults[last] != faults[first]
+    for rule, kept in ((None, (0, 1, 2)), ("net", (0,)), ("positive", (0, 1)),
+                       ("negative", (0, 2))):
+        blocks = np.concatenate([tables[:, t * n:(t + 1) * n] for t in kept], axis=1)
+        want = ordering_fault(engine, blocks, rule)
+        faulty = ("net", "positive", "negative").index(table) in kept
+        assert want == (faults[last] if faulty else None), rule
+        if want is None:
             engine.pref_components(*data(block), "centroid", rule)
-        assert str(err.value) == want, rule
+        else:
+            with pytest.raises(InvariantError) as err:
+                engine.pref_components(*data(block), "centroid", rule)
+            assert str(err.value) == want, rule
         engine.pref_components(*data(ordered[:10]), "centroid", rule)
 
 
