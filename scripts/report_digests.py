@@ -33,10 +33,14 @@ CHECKOUT (default: the checkout holding this script), run in this process:
   positive`` (nine fuzzy profile levels, enough for numpy to sum the
   profile axis pairwise, over interval and fuzzy evaluations and an
   interval q/p pair);
+- ``tests/data/weight_mix.json`` (interval, missing, one-member missing,
+  ordinal and deterministic sibling groups, an interval group between two
+  ordinal ones: the weight draw's runs of one uniform call);
 - ``tests/data/mixed_forms.json`` (the walkthrough with every value form),
-  ``tests/data/sampled_inputs.json`` and ``tests/data/eight_categories.json``
-  of the checkout holding this script, so CHECKOUT is tried on the same
-  documents whether or not it has the files.
+  ``tests/data/sampled_inputs.json``, ``tests/data/eight_categories.json``
+  and ``tests/data/weight_mix.json`` of the checkout holding this script,
+  so CHECKOUT is tried on the same documents whether or not it has the
+  files.
 
 Every run uses ``--level all-nodes``, and the case study (net rule, one
 thread) and ``synthetic_wide(0)`` run again under ``--level category`` and
@@ -104,6 +108,7 @@ def main(argv=None) -> int:
             problems[name] = tmp / f"{name}.json"
             problems[name].write_text(json.dumps(getattr(workloads, generator)(seed)),
                                       encoding="utf-8")
+        problems["weight-mix"] = DATA / "weight_mix.json"
         for name, problem in problems.items():
             print(name, "dump_problem", sha(dump_problem(load_problem(problem)).encode()))
         runs = [("walkthrough", problems["walkthrough"], "all-nodes", []),
@@ -135,6 +140,7 @@ def main(argv=None) -> int:
                   ["--rule", rule]) for rule in ("positive", "negative")]
         runs += [(f"eight-categories-{rule}", problems["eight-categories"], "all-nodes",
                   ["--rule", rule]) for rule in ("net", "positive")]
+        runs.append(("weight-mix", problems["weight-mix"], "all-nodes", []))
         for level in ("category", "first-level"):
             runs.append((f"case-study-net-t1-{level}", problems["case-study"], level,
                          ["--threads", "1"]))

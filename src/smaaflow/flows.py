@@ -460,19 +460,29 @@ class NodeValues(NamedTuple):
 
 
 def bracket(alt: np.ndarray, prof: np.ndarray, rule: str):
-    """Categories (1-based) of flows ``alt`` between the profile flows
-    ``prof`` (..., k+1), best profile first, and a validity mask.
+    """Categories (1-based, intp) of flows ``alt`` between the profile
+    flows ``prof`` (..., k+1), best profile first, and a validity mask.
 
     Positive and net flows fall from r_1 to r_{k+1}, so C_h needs
     prof[h-1] >= alt > prof[h]; negative flows rise, so C_h needs
     prof[h-1] < alt <= prof[h].  Either way a flow that ties a profile's
     lands in the upper category.  Invalid entries fall outside the span.
+    The category counts the k profile comparisons one profile column at a
+    time, so no (..., k) block of comparisons is built.
     """
+    # the category and comparison arrays take the flows' memory order
+    # (draw-major for leaf rows), so each pass reads its inputs in step
+    cols = np.moveaxis(prof, -1, 0)
     if _rule(rule)[1] > 0:
-        valid = (alt > prof[..., 0]) & (alt <= prof[..., -1])
-        return (prof[..., :-1] < alt[..., None]).sum(axis=-1), valid
-    valid = (alt <= prof[..., 0]) & (alt > prof[..., -1])
-    return 1 + (prof[..., 1:] >= alt[..., None]).sum(axis=-1), valid
+        valid = (alt > cols[0]) & (alt <= cols[-1])
+        cat, compare, steps = np.zeros_like(valid, np.intp), np.less, cols[:-1]
+    else:
+        valid = (alt <= cols[0]) & (alt > cols[-1])
+        cat, compare, steps = np.ones_like(valid, np.intp), np.greater_equal, cols[1:]
+    hit = np.empty_like(valid)
+    for col in steps:
+        cat += compare(col, alt, out=hit)
+    return cat, valid
 
 
 def _worst_step(prof: np.ndarray, rule: str, axis: int = -1):

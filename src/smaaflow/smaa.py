@@ -17,10 +17,14 @@ so no start method is assumed.  Within a block the sampling order is fixed,
 and each step draws for the whole block at once: the stochastic profile
 columns in tree order, each best level first, the thresholds of each
 stochastic criterion in tree order, q before p, each stochastic evaluation
-(alternative by alternative, criterion by criterion), then one matrix of
-weight vectors per sibling group in tree order.  Every stochastic profile
+(alternative by alternative, criterion by criterion), then the weight
+vectors of each sibling group in tree order.  Every stochastic profile
 level, threshold and evaluation is drawn by one sampler over a table of
 cells, whose draws do not depend on how the cells are grouped into calls.
+Likewise each run of consecutive missing and ordinal sibling groups (the
+deterministic ones draw nothing) is one uniform call, which gives the same
+floats as one call per group; an interval group, drawn by rejection, ends
+the run.
 """
 
 from __future__ import annotations
@@ -148,6 +152,14 @@ def iteration_rng(seed: int, index: int) -> np.random.Generator:
 # Weight samplers
 # ---------------------------------------------------------------------------
 
+def _simplex(u: np.ndarray) -> np.ndarray:
+    """Points (..., n) of the standard simplex from uniforms ``u``
+    (..., n - 1), sorted in place: the gaps between 0, the sorted draws
+    and 1, which spread uniformly over {w >= 0, sum w = 1}."""
+    u.sort(axis=-1)
+    return np.diff(u, axis=-1, prepend=0.0, append=1.0)
+
+
 def sample_weights_missing(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Uniform weights on the standard simplex.
 
@@ -157,34 +169,39 @@ def sample_weights_missing(n: int, rng: np.random.Generator, size: int | None = 
     """
     if n < 1:
         raise ValueError("need at least one weight")
-    shape = (n - 1,) if size is None else (size, n - 1)
-    u = rng.random(shape)
-    u.sort(axis=-1)
-    return np.diff(u, axis=-1, prepend=0.0, append=1.0)
+    return _simplex(rng.random((n - 1,) if size is None else (size, n - 1)))
 
 
-def _rank_groups(ranks: Sequence[int]) -> list[np.ndarray]:
-    """Member indices per rank, most important rank first."""
+def _rank_plan(ranks: Sequence[int | None]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The ranked members of an ordinal group and, most important rank
+    first, their positions among them per rank (see :func:`_rank_order`)."""
+    ranks = list(ranks)
+    if any(r is not None and (r != int(r) or r < 1) for r in ranks):
+        raise ValueError(f"ranks must be integers >= 1 or None, got {ranks}")
+    ranked = np.array([i for i, r in enumerate(ranks) if r is not None], dtype=np.int64)
     by_rank: dict[int, list[int]] = {}
-    for i, r in enumerate(ranks):
+    for i, r in enumerate(ranks[j] for j in ranked):
         by_rank.setdefault(r, []).append(i)
-    return [np.array(by_rank[r], dtype=np.int64) for r in sorted(by_rank)]
+    return ranked, [np.array(by_rank[r], dtype=np.int64) for r in sorted(by_rank)]
 
 
-def _apply_rank_order(sorted_desc: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
-    """Assign descending simplex draws to criteria by rank group.
+def _rank_order(v: np.ndarray, ranked: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
+    """Simplex points ``v`` (..., n) with the values of the ``ranked``
+    members handed back to them in decreasing order by rank, in place.
 
-    A group of g criteria takes the next g sorted values; ties within the
-    group all receive their arithmetic mean, so equally ranked criteria get
-    exactly equal weights.
+    A rank of g members (``groups``, see :func:`_rank_plan`) takes the next
+    g sorted values; ties all receive their arithmetic mean, so equally
+    ranked criteria get exactly equal weights.
     """
-    out = np.empty_like(sorted_desc)
+    desc = np.flip(np.sort(v[..., ranked], axis=-1), axis=-1)
+    out = np.empty_like(desc)
     pos = 0
     for members in groups:
         g = len(members)
-        out[..., members] = sorted_desc[..., pos : pos + g].mean(axis=-1, keepdims=True)
+        out[..., members] = desc[..., pos : pos + g].mean(axis=-1, keepdims=True)
         pos += g
-    return out
+    v[..., ranked] = out
+    return v
 
 
 def sample_weights_ordinal(
@@ -202,14 +219,8 @@ def sample_weights_ordinal(
     uniform distribution conditioned on the ranking exactly.
     """
     ranks = list(ranks)
-    if any(r is not None and (r != int(r) or r < 1) for r in ranks):
-        raise ValueError(f"ranks must be integers >= 1 or None, got {ranks}")
-    ranked = np.array([i for i, r in enumerate(ranks) if r is not None], dtype=np.int64)
-    groups = _rank_groups([ranks[i] for i in ranked])
-    v = sample_weights_missing(len(ranks), rng, size)
-    desc = np.flip(np.sort(v[..., ranked], axis=-1), axis=-1)
-    v[..., ranked] = _apply_rank_order(desc, groups)
-    return v
+    plan = _rank_plan(ranks)  # checks the ranks before any draw
+    return _rank_order(sample_weights_missing(len(ranks), rng, size), *plan)
 
 
 def sample_weights_interval(
@@ -264,6 +275,83 @@ def sample_group_weights(
     if spec.kind == "interval":
         return sample_weights_interval(spec.values, rng, size)
     return sample_weights_missing(n, rng, size)
+
+
+def _weight_steps(groups, n_nodes: int):
+    """The weight draw of a block over sibling ``groups``, (member node
+    indices, spec) pairs in tree order: the (n_nodes,) row of deterministic
+    weights, zero elsewhere, and the steps that draw the others, in tree
+    order.
+
+    A step is an interval group, ``("interval", bounds, members)``, or a
+    run of missing and ordinal groups between interval groups (the
+    deterministic ones draw nothing), ``("run", width, stacks)`` as
+    :func:`_run_stacks` gives it.
+    """
+    fixed, steps, run = np.zeros(n_nodes), [], None
+    for idx, spec in groups:
+        if spec.kind == "deterministic":
+            fixed[idx] = spec.values
+        elif spec.kind == "interval":
+            steps.append(("interval", spec.values, idx))
+            run = None
+        else:
+            if run is None:
+                run = []
+                steps.append(("run", run))
+            run.append((idx, spec))
+    return fixed, [step if step[0] == "interval" else ("run", *_run_stacks(step[1]))
+                   for step in steps]
+
+
+def _run_stacks(run):
+    """The uniforms per weight row that a run of missing and ordinal
+    (member node indices, spec) groups draws, ``width`` = sum(n - 1), and
+    its stacks, one per (kind, ranks, size) in order of first appearance.
+
+    The run's uniforms hold each group's (rows, n - 1) block in turn.  A
+    stack is (starts, n - 1, members, plan): the offsets of its groups'
+    blocks, counted in rows, their (groups, n) member node indices, and
+    for an ordinal stack its :func:`_rank_plan`, else None.
+    """
+    width, stacks = 0, {}
+    for idx, spec in run:
+        n = len(idx)
+        starts, _, members, _ = stacks.setdefault(
+            (spec.kind, spec.values, n),
+            ([], n - 1, [], _rank_plan(spec.values) if spec.kind == "ordinal" else None))
+        starts.append(width)
+        members.append(idx)
+        width += n - 1
+    return width, [(starts, d, np.array(members), plan)
+                   for starts, d, members, plan in stacks.values()]
+
+
+def _draw_weights(fixed: np.ndarray, steps, rng: np.random.Generator | None, bs: int) -> np.ndarray:
+    """``bs`` weight rows, (bs, n_nodes), of the :func:`_weight_steps`
+    ``fixed`` and ``steps``.
+
+    Each run is one ``random`` call, which draws the floats of one
+    :func:`sample_weights_missing` call per group in order, and each stack
+    of a run is sorted, differenced and ranked as one array; an interval
+    group is drawn by :func:`sample_weights_interval`.  The rows equal
+    those of one :func:`sample_group_weights` call per group in tree order.
+    """
+    w = np.tile(fixed, (bs, 1))
+    for kind, *step in steps:
+        if kind == "interval":
+            bounds, members = step
+            w[:, members] = sample_weights_interval(bounds, rng, bs)
+            continue
+        width, stacks = step
+        u = rng.random(bs * width)
+        for starts, d, members, plan in stacks:
+            v = _simplex(np.stack([u[bs * s : bs * (s + d)] for s in starts])
+                         .reshape(len(starts), bs, d))
+            if plan is not None:
+                _rank_order(v, *plan)
+            w[:, members] = v.swapaxes(0, 1)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +608,14 @@ class ProblemRuntime:
         self.k = self.c - 1
         self.n_nodes = len(tree.nodes)
         self.engine = BatchEngine(tree, self.m, self.c)
-        self.groups = [
-            (np.array([tree.node_index[p] for p in g.members], dtype=np.int64), g.spec)
-            for g in tree.sibling_groups()
-        ]
+        # tally cell of category 1 of each alternative, less one: overall
+        # (m,), and (node * m + alternative) * k per node group, (nodes, 1, m)
+        self.cell_bases = np.arange(self.m, dtype=np.intp) * self.k - 1
+        self.node_cell_bases = [nodes[:, None, None] * self.m * self.k + self.cell_bases
+                                for nodes in self.engine.node_groups]
+        self.fixed_weights, self.weight_steps = _weight_steps(
+            [(np.array([tree.node_index[p] for p in g.members], dtype=np.int64), g.spec)
+             for g in tree.sibling_groups()], self.n_nodes)
         # shape codes, s and directions; q and p are set per data draw
         models = problem.preference_models
         self.prefs = PreferenceArrays.of(models, thresholds=(None, None))
@@ -543,8 +635,7 @@ class ProblemRuntime:
         self.sampled_evals = cells = problem.sampled_evals
         self.eval_slots = np.array([(i, t) for i, t, _ in cells], dtype=np.int64).reshape(-1, 2).T
         self.eval_cells = _cell_table([v for _, _, v in cells])
-        self.draws_anything = not problem.is_deterministic_data or any(
-            not spec.is_deterministic for _, spec in self.groups)
+        self.draws_anything = not problem.is_deterministic_data or bool(self.weight_steps)
         self.static_components = None
         if problem.is_deterministic_data:
             self.static_components = self._sample_components(None, 1)[0]
@@ -598,10 +689,7 @@ class ProblemRuntime:
         components = self.static_components
         if components is None:
             components = self._sample_components(rng, bs)
-        w = np.empty((bs, self.n_nodes))
-        for idx, spec in self.groups:
-            w[:, idx] = sample_group_weights(spec, len(idx), rng, size=bs)
-        return components, w
+        return components, _draw_weights(self.fixed_weights, self.weight_steps, rng, bs)
 
     def simulate(self, start: int, count: int):
         """Tally assignments for iterations [start, start + count).
@@ -626,20 +714,19 @@ class ProblemRuntime:
         and under ``positive`` or ``negative`` that table too) were checked
         for profile order when they were drawn.
 
-        A row bracketed once for a fixed node or a fixed whole tree stands
-        for ``len(w) // rows`` weight rows: its hits and its unbracketed
-        cells count that many times.
+        Each bracketed (node group or whole tree) array of categories is
+        counted by :func:`_count` from the cell bases built at set-up.  A row
+        bracketed once for a fixed node or a fixed whole tree stands for
+        ``len(w) // rows`` weight rows: its hits and its unbracketed cells
+        count that many times.
         """
-        m, k, n_nodes = self.m, self.k, self.n_nodes
-        bs = w.shape[0]
+        bs, size = w.shape[0], self.n_nodes * self.m * self.k
         bf = self.engine.flows(self.engine.node_values(components, w, rule=self.rule))
-        cat, valid = self.engine.assign_overall(bf, self.rule)
-        alt_ids = np.arange(m)
-        cat_hits, bad = _count(alt_ids * k + (cat - 1), valid, bs, m * k)
-        node_hits = np.zeros(n_nodes * m * k, dtype=np.int64)
-        for nodes, ncat, nvalid in self.engine.assign_nodes(bf):
-            nflat = (nodes[:, None, None] * m + alt_ids) * k + (ncat - 1)
-            hits, nbad = _count(nflat, nvalid, bs, n_nodes * m * k)
+        cat_hits, bad = _count(*self.engine.assign_overall(bf, self.rule), self.cell_bases,
+                               bs, self.m * self.k)
+        node_hits = np.zeros(size, dtype=np.int64)
+        for base, (_, cat, valid) in zip(self.node_cell_bases, self.engine.assign_nodes(bf)):
+            hits, nbad = _count(cat, valid, base, bs, size)
             node_hits += hits
             bad += nbad
         if bad and self.strict:
@@ -650,12 +737,19 @@ class ProblemRuntime:
         return cat_hits, node_hits, bad
 
 
-def _count(cells: np.ndarray, valid: np.ndarray, bs: int, size: int):
-    """Hits per tally cell among the bracketed ``cells`` and the number of
-    unbracketed ones, where each of the rows (axis -2) stands for
-    ``bs // rows`` weight rows."""
+def _count(cat: np.ndarray, valid: np.ndarray, base: np.ndarray, bs: int, size: int):
+    """Hits per tally cell of the categories ``cat`` (..., rows, m), whose
+    cell is ``base + cat``, and the number of their unbracketed entries,
+    where each of the rows stands for ``bs // rows`` weight rows.
+
+    ``cat`` is overwritten with the cells, and the unbracketed entries go
+    to a spill cell at ``size``, so one ``bincount`` counts both.
+    """
     rep = bs // valid.shape[-2]
-    return rep * np.bincount(cells[valid], minlength=size), rep * int((~valid).sum())
+    cells = np.add(cat, base, out=cat)
+    cells[~valid] = size
+    counts = np.bincount(cells.ravel("K"), minlength=size + 1)
+    return rep * counts[:size], rep * int(counts[size])
 
 
 #: Runtime of the current ``run_smaa`` call, given to each worker at start-up.

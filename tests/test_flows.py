@@ -27,7 +27,7 @@ from smaaflow import (
     single_criterion_flows,
 )
 from smaaflow.errors import PROFILE_DOMINANCE, PROFILE_OVERLAP
-from smaaflow.flows import RULES, FlowBundle, FlowTriple, InvariantError
+from smaaflow.flows import RULES, FlowBundle, FlowTriple, InvariantError, bracket
 
 from conftest import unchecked_tables
 
@@ -170,6 +170,40 @@ def test_four_category_bracketing():
         bundle = one_criterion([4.0, 3.0, 2.0, 1.0, 0.0], x)
         assert assign(bundle, "net") == cat
         assert assign(bundle, "negative") == cat
+
+
+def old_bracket(alt, prof, rule):
+    """The bracket rule table as one (..., k) block of comparisons summed
+    over its short axis, as it was before it counted column by column."""
+    if rule == "negative":
+        valid = (alt > prof[..., 0]) & (alt <= prof[..., -1])
+        return (prof[..., :-1] < alt[..., None]).sum(axis=-1), valid
+    valid = (alt <= prof[..., 0]) & (alt > prof[..., -1])
+    return 1 + (prof[..., 1:] >= alt[..., None]).sum(axis=-1), valid
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("rule", RULES)
+def test_bracket_counts_columns_like_the_summed_block(k, rule):
+    # flows drawn from a few values, so alternatives tie profiles exactly,
+    # with +0.0 against -0.0 and nan on either side: the column-by-column
+    # count gives the categories and mask of the summed block, as intp
+    rng = np.random.default_rng(100 * k + RULES.index(rule))
+    values = np.array([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, np.nan])
+    prof = np.sort(rng.choice(values, (3, 40, 5, k + 1)), axis=-1)
+    if rule != "negative":
+        prof = prof[..., ::-1]
+    prof[rng.random(prof.shape) < 0.05] = rng.choice(values)
+    alt = rng.choice(values, (3, 40, 5))
+    cat, valid = bracket(alt, prof, rule)
+    want_cat, want_valid = old_bracket(alt, prof, rule)
+    assert cat.dtype == np.intp and cat.shape == alt.shape
+    assert np.array_equal(cat, want_cat) and np.array_equal(valid, want_valid)
+    # the one flow of _assign_one
+    for a, p in zip(alt.reshape(-1)[:50], prof.reshape(-1, k + 1)):
+        got, ok = bracket(np.float64(a), p, rule)
+        want, want_ok = old_bracket(np.float64(a), p, rule)
+        assert (int(got), bool(ok)) == (int(want), bool(want_ok))
 
 
 def test_unknown_rule_rejected(walkthrough, walkthrough_parts, monkeypatch):

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smaaflow import InputError, SamplingError, TFN
 from smaaflow.errors import THRESHOLD
+from smaaflow import smaa
 from smaaflow.hierarchy import WeightSpec
 from smaaflow.smaa import (
     BLOCK,
@@ -187,6 +189,140 @@ def test_group_weight_dispatch():
     assert ordn[0] >= ordn[1]
     miss = sample_group_weights(WeightSpec.missing(), 3, iteration_rng(8, 2))
     assert miss.sum() == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Block weight draws
+# ---------------------------------------------------------------------------
+
+
+def old_missing(n, rng, size):
+    """One uniform simplex matrix from its own ``random`` call, as the
+    per-group sampler drew it before runs of groups shared one call."""
+    u = rng.random((size, n - 1))
+    u.sort(axis=-1)
+    return np.diff(u, axis=-1, prepend=0.0, append=1.0)
+
+
+def old_ordinal(ranks, rng, size):
+    """The per-group ordinal sampler before runs of groups shared one call."""
+    ranked = np.array([i for i, r in enumerate(ranks) if r is not None], dtype=np.int64)
+    by_rank = {}
+    for i, r in enumerate(ranks[j] for j in ranked):
+        by_rank.setdefault(r, []).append(i)
+    v = old_missing(len(ranks), rng, size)
+    desc = np.flip(np.sort(v[..., ranked], axis=-1), axis=-1)
+    out = np.empty_like(desc)
+    pos = 0
+    for r in sorted(by_rank):
+        members = by_rank[r]
+        out[..., members] = desc[..., pos : pos + len(members)].mean(axis=-1, keepdims=True)
+        pos += len(members)
+    v[..., ranked] = out
+    return v
+
+
+def reference_weights(groups, n_nodes, rng, bs):
+    """(bs, n_nodes) weight rows drawn group by group in order: missing and
+    ordinal groups by the old per-group formulas, the others by
+    ``sample_group_weights``."""
+    w = np.empty((bs, n_nodes))
+    for idx, spec in groups:
+        if spec.kind == "missing":
+            w[:, idx] = old_missing(len(idx), rng, bs)
+        elif spec.kind == "ordinal":
+            w[:, idx] = old_ordinal(spec.values, rng, bs)
+        else:
+            w[:, idx] = sample_group_weights(spec, len(idx), rng, size=bs)
+    return w
+
+
+#: Accepts about 3% of simplex draws, so a block redraws candidates.
+REDRAWN_BOX = WeightSpec.interval([(0.3, 0.4), (0.25, 0.4), (0.2, 0.45)])
+
+#: Ordinal ranks: a tie of nine, the case study's ranks, free members and
+#: one member.
+ORDINAL_RANKS = ([1] * 9 + [2], [2, 2, 3, 4, 1], [1, None, 2], [None, None], [1])
+
+GROUPS = st.one_of(
+    st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4).map(WeightSpec.deterministic),
+    st.integers(1, 5).map(lambda n: (WeightSpec.missing(), n)),
+    st.sampled_from(ORDINAL_RANKS).map(WeightSpec.ordinal),
+    st.lists(st.one_of(st.none(), st.integers(1, 4)), min_size=1, max_size=10)
+    .map(WeightSpec.ordinal),
+    st.sampled_from([REDRAWN_BOX, WeightSpec.interval([(0.0, 1.0), (0.1, 0.9)])]),
+).map(lambda g: g if isinstance(g, tuple) else (g, len(g.values)))
+
+
+def column_groups(specs, order):
+    """(member node columns, spec) pairs of the (spec, size) ``specs``,
+    taking their columns from ``order`` in turn, and the column count."""
+    groups, pos = [], 0
+    for spec, n in specs:
+        groups.append((np.asarray(order[pos : pos + n], dtype=np.int64), spec))
+        pos += n
+    return groups, pos
+
+
+def block_and_reference(groups, n_nodes, bs, seed):
+    """A block of weight rows of ``groups`` from ``_draw_weights``, from
+    the group-by-group reference and from the ``sample_group_weights``
+    loop, each with the generator's next float after it."""
+    out = []
+    for draw in (lambda rng: smaa._draw_weights(*smaa._weight_steps(groups, n_nodes), rng, bs),
+                 lambda rng: reference_weights(groups, n_nodes, rng, bs)):
+        rng = iteration_rng(seed, 0)
+        out.append((draw(rng), rng.random()))
+    rng = iteration_rng(seed, 0)
+    loop = np.empty((bs, n_nodes))
+    for idx, spec in groups:
+        loop[:, idx] = sample_group_weights(spec, len(idx), rng, size=bs)
+    return out + [(loop, rng.random())]
+
+
+def assert_same_blocks(blocks):
+    (w, after), *others = blocks
+    for other, other_after in others:
+        assert w.tobytes() == other.tobytes()
+        assert after == other_after
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=st.lists(GROUPS, min_size=1, max_size=8), bs=st.sampled_from([1, 5, BLOCK]),
+       seed=st.integers(0, 2**32), shuffle=st.randoms(use_true_random=False))
+def test_block_weights_equal_the_group_by_group_draws(specs, bs, seed, shuffle):
+    # runs of missing and ordinal groups share one uniform call and are
+    # sorted per (kind, ranks, size) stack, yet every weight row, and the
+    # generator's position after the block, is that of one draw per group
+    order = list(range(sum(n for _, n in specs)))
+    shuffle.shuffle(order)
+    assert_same_blocks(block_and_reference(*column_groups(specs, order), bs, seed))
+
+
+@pytest.mark.parametrize("bs", [1, 5, BLOCK])
+def test_block_weights_split_runs_at_interval_groups(bs, monkeypatch):
+    # deterministic, one- and two-member missing, repeated ordinal and
+    # nine-way tied ordinal groups, split into three runs by a redrawn
+    # interval box and a loose one
+    specs = [(WeightSpec.deterministic([0.6, 0.4]), 2), (WeightSpec.missing(), 1),
+             (WeightSpec.ordinal([1, 2, None]), 3), (WeightSpec.missing(), 2),
+             (WeightSpec.ordinal([1] * 9 + [2]), 10), (REDRAWN_BOX, 3),
+             (WeightSpec.ordinal([2, 2, 3, 4, 1]), 5), (WeightSpec.deterministic([1.0]), 1),
+             (WeightSpec.ordinal([2, 2, 3, 4, 1]), 5), (WeightSpec.missing(), 2),
+             (WeightSpec.interval([(0.0, 1.0), (0.1, 0.9)]), 2),
+             (WeightSpec.ordinal([2, 2, 3, 4, 1]), 5), (WeightSpec.missing(), 1)]
+    groups, n_nodes = column_groups(specs, range(sum(n for _, n in specs)))
+    assert_same_blocks(block_and_reference(groups, n_nodes, bs, 11))
+    fixed, steps = smaa._weight_steps(groups, n_nodes)
+    assert [kind for kind, _, _ in steps] == ["run", "interval", "run", "interval", "run"]
+    # only the interval groups draw candidates: the loose box takes one
+    # batch, and from 5 rows on the redrawn one more than one
+    batches = []
+    real = smaa.sample_weights_missing
+    monkeypatch.setattr(smaa, "sample_weights_missing",
+                        lambda *args, **kwargs: batches.append(args) or real(*args, **kwargs))
+    smaa._draw_weights(fixed, steps, iteration_rng(11, 0), bs)
+    assert len(batches) > 2 or bs == 1
 
 
 # ---------------------------------------------------------------------------

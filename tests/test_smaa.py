@@ -11,10 +11,12 @@ unanimously across criteria, so its category ignores the weights.
 """
 
 import copy
+import itertools
 import json
 import math
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -781,3 +783,110 @@ def test_rule_tables_are_the_floats_of_all_tables(name, walkthrough, monkeypatch
         cat, valid = engine.assign_overall(engine.flows(values), rule)
         want_cat, want_valid = engine.assign_overall(engine.flows(full), rule)
         assert np.array_equal(cat, want_cat) and np.array_equal(valid, want_valid)
+
+
+# ---------------------------------------------------------------------------
+# Tally oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_cell_value(t):
+    """An oracle (m, alpha, beta) tuple as a document value."""
+    return t[0] if t[1] == t[2] == 0 else {"tfn": list(t)}
+
+
+def sampled_weight_spec(kind, rng, weights):
+    """The weights of one sibling group as a spec of ``kind``: the
+    instance's own, none, ranks with ties and free members, or boxes of
+    +-0.3 around the instance's own."""
+    if kind == "deterministic":
+        return {"deterministic": weights}
+    if kind == "missing":
+        return {"missing": True}
+    if kind == "ordinal":
+        return {"ordinal": [rng.choice((None, 1, 2, 2, 3)) for _ in weights]}
+    return {"interval": [[max(0.0, w - 0.3), min(1.0, w + 0.3)] for w in weights]}
+
+
+def oracle_document(rng, inst):
+    """A problem document of an oracle instance, its sibling groups' weight
+    specs cycling through the four kinds from a random one, plus a twin of
+    the worst profile, which ties its flows exactly; and the alternatives'
+    rows."""
+    paths = []
+    kinds = itertools.islice(itertools.cycle(("deterministic", "missing", "ordinal", "interval")),
+                             rng.randrange(4), None)
+
+    def spec(nodes):
+        return sampled_weight_spec(next(kinds), rng, [c["weight"] for c in nodes])
+
+    def children(nodes, prefix):
+        out = []
+        for i, node in enumerate(nodes):
+            entry = {"label": f"{prefix}{i + 1}"}
+            path = f"{prefix}/{entry['label']}" if prefix else entry["label"]
+            if node.get("children"):
+                entry["weights"] = spec(node["children"])
+                entry["children"] = children(node["children"], path)
+            else:
+                paths.append(path)
+            out.append(entry)
+        return out
+
+    tree = {"weights": spec(inst["children"]),
+            "children": children(inst["children"], "")}
+    models = [model for _, model in inst["flat"]]
+    # second, so that a cell it spilled into its neighbour's would show
+    rows = inst["evals"][:1] + [inst["profiles"][-1]] + inst["evals"][1:]
+    return {
+        "schema": 1,
+        "categories": [f"C{h + 1}" for h in range(inst["n_categories"])],
+        "tree": tree,
+        "preferences": {"per_criterion": dict(zip(paths, models))},
+        "profiles": {"per_criterion": {
+            path: [oracle_cell_value(level[t]) for level in inst["profiles"]]
+            for t, path in enumerate(paths)}},
+        "alternatives": {f"x{i + 1}": {path: oracle_cell_value(v) for path, v in zip(paths, row)}
+                         for i, row in enumerate(rows)},
+    }, rows
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_tally_equals_the_flat_oracle_replayed_draw_by_draw(seed):
+    # small generated instances with sampled weight groups of every kind
+    # and a twin of the worst profile, which only the negative rule
+    # brackets: each block's weight rows replayed one draw at a time
+    # through the flat oracle, with each leaf's chain the product of its
+    # path's weights, count exactly the categories of run_smaa's overall
+    # index under every rule and both defuzzifications, and the draws it
+    # cannot bracket are exactly the cells missing from the rows
+    rng = random.Random(9100 + seed)
+    inst = oracles.random_instance(rng, fuzzy=seed % 2 == 1, max_depth=2, n_categories=2 + seed,
+                                   shapes=("usual", "linear", "v-shape", "u-shape", "level",
+                                           "gaussian"))
+    doc, rows = oracle_document(rng, inst)
+    problem = parse_problem(doc)
+    tree, iterations = problem.tree, BLOCK + 3
+    chains = [[tree.node_index[path[:d]] for d in range(1, len(path) + 1)]
+              for path in tree.elementary_paths]
+    state = ProblemRuntime(problem, "net", "centroid", seed, strict=False)
+    w = np.concatenate([state.draw_block(block, min(BLOCK, iterations - block))[1]
+                        for block in range(0, iterations, BLOCK)])
+    models = [model for _, model in inst["flat"]]
+    for defuzz in DEFUZZ_METHODS:
+        hits = np.zeros((3, len(rows), inst["n_categories"]), dtype=np.int64)
+        for row in w:
+            flat = [(tuple(row[chain]), model) for chain, model in zip(chains, models)]
+            for i, x in enumerate(rows):
+                for r, cat in enumerate(oracles.oracle_assignments(flat, inst["profiles"], x,
+                                                                    defuzz)):
+                    if cat is not None:
+                        hits[r, i, cat - 1] += 1
+        for r, rule in enumerate(("positive", "negative", "net")):
+            res = run_smaa(problem, iterations=iterations, seed=seed, rule=rule, defuzz=defuzz)
+            assert res.category_index.tolist() == (hits[r] / iterations).tolist()
+            missing = iterations - np.rint(res.category_index * iterations).sum(axis=1)
+            want = [0] * len(rows)
+            want[1] = 0 if rule == "negative" else iterations
+            assert missing.tolist() == want
+            assert (iterations - hits[r].sum(axis=1)).tolist() == want
