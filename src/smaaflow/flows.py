@@ -11,21 +11,23 @@ bracket the flow of the alternative, which pins down its category.
 Flows are linear in the preference degrees, so the positive, negative and
 net flows under any node of the tree are weighted sums of its children's,
 down to per-leaf unicriterion flows.  :class:`BatchEngine` is the one flow
-engine: it reduces each data draw to the per-leaf flow tables that the
-rule reads, and builds no other.  It sums the profile-versus-profile pairs
-once per block of draws, then builds the tables a chunk of draws per
-kernel pass, checking the order of each built table's profile flows as it
-goes.  It sums their columns children-first for whole batches of weight
-vectors: the net columns for every node, and the positive or negative
-columns for the whole tree under a rule that brackets by them.
+engine.  It is built for one assignment rule, which fixes once which
+per-leaf flow tables it builds and reads: net alone under ``net``, net and
+the rule's own table under ``positive`` or ``negative``, all three with no
+rule.  It sums the profile-versus-profile pairs once per block of draws,
+then builds its tables a chunk of draws per kernel pass, checking the order
+of each table's profile flows as it goes.  It sums their columns
+children-first for whole batches of weight vectors in one pass, and hands
+out the whole tree's tables by name and every node's net ones.
 :func:`flow_bundle`, :func:`single_criterion_flows` and their relatives
-run the same engine on a single weight row.  The pairwise degrees
-(:func:`subtree_preference`, :func:`outranking_degree`) come from the same
-preference kernel and the same children-first aggregation, applied to one
-pair's (m, alpha, beta) rows.  One rule table drives bracketing:
-:func:`bracket` serves the single-evaluation and the batch paths alike.
-:func:`check_profile_order` checks the profile order of one evaluation,
-and :meth:`BatchEngine.pref_components` that of every leaf table it builds.
+run the same engine, with all three tables, on a single weight row.  The
+pairwise degrees (:func:`subtree_preference`, :func:`outranking_degree`)
+come from the same preference kernel and the same children-first
+aggregation, applied to one pair's (m, alpha, beta) rows.  One rule table
+drives bracketing: :func:`bracket` serves the single-evaluation and the
+batch paths alike.  :func:`check_profile_order` checks the profile order
+of one evaluation, and :meth:`BatchEngine.pref_components` that of every
+leaf table it builds.
 """
 
 from __future__ import annotations
@@ -53,14 +55,12 @@ from .preference import PreferenceArrays, PreferenceSpec
 _RULE_TABLE = {"positive": (0, -1), "negative": (1, 1), "net": (2, -1)}
 RULES = tuple(_RULE_TABLE)
 
-#: The three leaf tables of :meth:`BatchEngine.pref_components`, in order,
-#: each named by the rule its profile flows step for.
-_TABLES = ("net", "positive", "negative")
-
-#: The leaf tables each rule reads, in :data:`_TABLES` order: net always,
-#: and the table a rule brackets the whole tree by; None reads all three.
-_RULE_TABLES = {None: _TABLES, "net": _TABLES[:1], "positive": _TABLES[:2],
-                "negative": _TABLES[::2]}
+#: The leaf tables a :class:`BatchEngine` builds for each rule, in the
+#: kernel's order, each named by the rule its profile flows step for: net
+#: always, and the table a rule brackets the whole tree by; None builds all
+#: three.
+_RULE_TABLES = {None: ("net", "positive", "negative"), "net": ("net",),
+                "positive": ("net", "positive"), "negative": ("net", "negative")}
 
 #: Slack allowed when asserting that profile flows are ordered.
 ORDERING_TOL = 1e-9
@@ -83,13 +83,6 @@ def _rule(rule: str) -> tuple[int, int]:
         return _RULE_TABLE[rule]
     except KeyError:
         raise ValueError(f"unknown assignment rule {rule!r}") from None
-
-
-def _leaf_tables(rule: str | None) -> tuple[str, ...]:
-    """Names of the leaf tables that ``rule`` reads, in :data:`_TABLES` order."""
-    if rule is not None:
-        _rule(rule)
-    return _RULE_TABLES[rule]
 
 
 class FlowTriple(NamedTuple):
@@ -308,11 +301,11 @@ def flow_bundle(
     profiles only, each profile to its peers and to the alternative.
     """
     _, bf = _single_run(tree, weights, prefs, profiles, x, defuzz)
-    alt = FlowTriple(float(bf.alt_plus[0, 0]), float(bf.alt_minus[0, 0]), float(bf.alt_net[0, 0]))
-    rows = zip(bf.prof_plus[0, 0], bf.prof_minus[0, 0], bf.prof_net[0, 0])
+    tables = [bf.root[name] for name in RULES]  # in FlowTriple order
+    rows = zip(*(t.prof[0, 0] for t in tables))
     return FlowBundle(
-        alternative=alt,
-        profiles=tuple(FlowTriple(float(p), float(n), float(v)) for p, n, v in rows),
+        alternative=FlowTriple(*(float(t.alt[0, 0]) for t in tables)),
+        profiles=tuple(FlowTriple(*map(float, row)) for row in rows),
     )
 
 
@@ -406,36 +399,12 @@ def tfn_matrix(values: Sequence[TFN]) -> np.ndarray:
 
 
 class NodeFlows(NamedTuple):
-    """Net flows of a group of tree nodes: ``alt`` (nodes, rows, m) for the
-    alternatives, ``prof`` (nodes, rows, m, k+1) for their profiles."""
+    """Flows of one table: ``alt`` (..., rows, m) for the alternatives,
+    ``prof`` (..., rows, m, k+1) for their profiles, with a leading node
+    axis for a group of tree nodes."""
 
     alt: np.ndarray
     prof: np.ndarray
-
-
-@dataclass
-class BatchFlows:
-    """Flow arrays for a block of weight rows.
-
-    The whole tree's flows are (rows, m) for the alternatives and
-    (rows, m, k+1) for the profiles.  The net flows are always there; the
-    positive and negative ones only where :meth:`BatchEngine.node_values`
-    built their table (both with no rule, one under its own rule), and
-    None otherwise.  ``nodes`` holds the net flows of
-    every real tree node in the engine's three groups (see
-    :class:`BatchEngine`): the leaves and the fixed internal nodes carry one
-    row per data draw, the varying nodes one row per weight row.  The whole
-    tree has the rows of the fixed groups when the root is fixed, else one
-    per weight row.
-    """
-
-    alt_plus: np.ndarray
-    alt_minus: np.ndarray
-    alt_net: np.ndarray
-    prof_plus: np.ndarray
-    prof_minus: np.ndarray
-    prof_net: np.ndarray
-    nodes: tuple[NodeFlows, NodeFlows, NodeFlows]
 
 
 class NodeValues(NamedTuple):
@@ -445,18 +414,33 @@ class NodeValues(NamedTuple):
     each (group nodes, rows, n_pairs): the leaves, as views of the leaf
     tables, and the fixed internal nodes, with one row per data draw (1
     when the components are shared across the block); then the varying
-    nodes, with one row per weight row.  The whole tree has the rows of
-    the fixed groups when the root is fixed, else one per weight row.  Its
-    positive and negative tables are summed children-first like its net
-    rows, from the leaf tables of the same kind, and are None unless the
-    rule passed to :meth:`BatchEngine.node_values` brackets by them (both
-    with no rule).
+    nodes, with one row per weight row.  ``root`` maps the name of each
+    table the engine builds (see :class:`BatchEngine`) to the whole tree's
+    (rows, n_pairs) rows of it, summed children-first like the node rows;
+    the whole tree has the rows of the fixed groups when the root is fixed,
+    else one per weight row.
     """
 
     nodes: tuple[np.ndarray, np.ndarray, np.ndarray]
-    root_net: np.ndarray  # (rows, n_pairs) net flow rows of the whole tree
-    root_plus: np.ndarray | None  # (rows, n_pairs) positive flow rows, or None
-    root_minus: np.ndarray | None  # (rows, n_pairs) negative flow rows, or None
+    root: dict[str, np.ndarray]
+
+
+@dataclass
+class BatchFlows:
+    """Flow arrays for a block of weight rows.
+
+    ``root`` maps the name of each table the engine builds to the whole
+    tree's flows of that kind, (rows, m) for the alternatives and
+    (rows, m, k+1) for the profiles.  ``nodes`` holds the net flows of
+    every real tree node in the engine's three groups (see
+    :class:`BatchEngine`): the leaves and the fixed internal nodes carry one
+    row per data draw, the varying nodes one row per weight row.  The whole
+    tree has the rows of the fixed groups when the root is fixed, else one
+    per weight row.
+    """
+
+    root: dict[str, NodeFlows]
+    nodes: tuple[NodeFlows, NodeFlows, NodeFlows]
 
 
 def bracket(alt: np.ndarray, prof: np.ndarray, rule: str):
@@ -610,16 +594,18 @@ class BatchEngine:
     alternative first.  Aggregation and defuzzification are linear in the
     three components of a fuzzy number, so each leaf contributes one crisp
     flow table per data draw, and node rows are weighted sums of their
-    children's rows.  The whole tree's positive and negative flows are
-    summed the same way from the leaves' positive and negative tables, but
-    only the table a rule brackets by is built per leaf beside the net
-    one: none under ``net``, one under ``positive`` or ``negative``.  Each
-    group's weights sum to 1, so every node's flows are convex combinations
-    of the leaf tables, and the profile order is checked once per data draw
-    on the leaf tables a run builds (see :meth:`check_ordering`), as
-    :meth:`pref_components` builds them, rather than on every weight row's
-    flows: the net tables cover every node's bracket, and the rule's own
-    table the whole tree's.
+    children's rows.  The engine is built for one assignment ``rule``,
+    which fixes its ``tables``: the leaf tables it builds and reads, in
+    kernel order.  Net is always one, and the table a rule brackets the
+    whole tree by is the other: none under ``net``, the positive or the
+    negative one under ``positive`` or ``negative``, and both when ``rule``
+    is None.  Every table is summed up the tree the same way, and the whole
+    tree's flows are handed out by table name.  Each group's weights sum to
+    1, so every node's flows are convex combinations of the leaf tables,
+    and the profile order is checked once per data draw on the leaf tables
+    (see :meth:`check_ordering`), as :meth:`pref_components` builds them,
+    rather than on every weight row's flows: the net tables cover every
+    node's bracket, and the rule's own table the whole tree's.
 
     A node's row depends only on the weights inside its subtree, so the
     engine splits the tree once, from its sibling groups.  A node is
@@ -631,9 +617,19 @@ class BatchEngine:
     are summed for every weight row, reading their fixed children by
     broadcasting.  The weight rows passed in must therefore agree on the
     weights of every deterministic group, as sampled weights do.
+
+    Raises
+    ------
+    ValueError
+        For an unknown ``rule``.
     """
 
-    def __init__(self, tree: CriteriaTree, n_alternatives: int, n_profiles: int):
+    def __init__(self, tree: CriteriaTree, n_alternatives: int, n_profiles: int,
+                 rule: str | None = None):
+        if rule is not None:
+            _rule(rule)
+        self.rule = rule
+        self.tables = _RULE_TABLES[rule]
         self.tree = tree
         self.m = n_alternatives
         self.c = n_profiles
@@ -668,18 +664,16 @@ class BatchEngine:
 
     # -- per-leaf flow tables ----------------------------------------------
 
-    def pref_components(self, prefs, evals: np.ndarray, profiles: np.ndarray, defuzz: str,
-                        rule: str | None = None) -> np.ndarray:
-        """The flow tables of every leaf that ``rule`` reads, for one data
-        draw or for a block of draws along a leading axis.
+    def pref_components(self, prefs, evals: np.ndarray, profiles: np.ndarray,
+                        defuzz: str) -> np.ndarray:
+        """The engine's flow tables of every leaf, for one data draw or for
+        a block of draws along a leading axis.
 
         The profile-versus-profile sums of the block come first, from
         :func:`_block_pair_sums`.  Then the draws go :func:`chunk_draws` at
         a time through one kernel pass, :meth:`_chunk_tables`, which builds
-        a chunk's kept tables draw last: net, then the positive or the
-        negative one under a rule that brackets by it, or all three when
-        ``rule`` is None.  Each pass's tables are copied out, their worst
-        steps taken, and the chunk dropped before the next pass.
+        a chunk's tables draw last.  Each pass's tables are copied out,
+        their worst steps taken, and the chunk dropped before the next pass.
 
         Parameters
         ----------
@@ -689,58 +683,53 @@ class BatchEngine:
             arrays whose ``q`` and ``p`` are (n_el, draws).
         evals : ([draws,] m, n_el, 3) array
         profiles : ([draws,] c, n_el, 3) array
-        rule :
-            An assignment rule, or None for all three tables.
 
         Returns
         -------
-        ([draws,] tables * n_pairs, n_el) array, the layout
-        :meth:`node_values` reads for ``rule``: the net flows of every
-        reference set on each leaf alone, laid out like a node's value row,
-        then the kept positive and negative flows in the same layout, as a
-        view of a leaf-major buffer.
+        ([draws,] len(tables) * n_pairs, n_el) array, the layout
+        :meth:`node_values` reads: for each of the engine's ``tables`` in
+        turn, the flows of that kind of every reference set on each leaf
+        alone, laid out like a node's value row, as a view of a leaf-major
+        buffer.
 
         Raises
         ------
         InvariantError
-            As :meth:`check_ordering` would on the returned tables under
-            ``rule``: each chunk's worst steps are taken from the tables it
-            keeps, and the largest are checked at the end.  A table that
-            ``rule`` does not read is neither built nor checked.
+            As :meth:`check_ordering` would on the returned tables: each
+            chunk's worst steps are taken, and the largest are checked at
+            the end.
         """
         if defuzz not in DEFUZZ_METHODS:
             raise ValueError(f"unknown defuzzification method {defuzz!r}")
-        kept = _leaf_tables(rule)
         prefs = prefs if isinstance(prefs, PreferenceArrays) else PreferenceArrays.of(prefs)
         one = evals.ndim == 3
         if one:  # a draw axis of one
             prefs = prefs._replace(q=prefs.q[:, None], p=prefs.p[:, None])
             evals, profiles = evals[None], profiles[None]
         draws, n_el = evals.shape[0], evals.shape[-2]
-        tables = np.empty((draws, n_el, len(kept) * self.n_pairs))
+        tables = np.empty((draws, n_el, len(self.tables) * self.n_pairs))
         sums = _block_pair_sums(prefs, profiles, defuzz)
-        worst = np.full(len(kept), -np.inf)
+        worst = np.full(len(self.tables), -np.inf)
         step = chunk_draws(n_el, self.m, self.c)
         for j in range(0, draws, step):
             rows = slice(j, j + step)
-            table = self._chunk_tables(prefs, evals, profiles, defuzz, sums, kept, rows)
+            table = self._chunk_tables(prefs, evals, profiles, defuzz, sums, rows)
             tables[rows] = np.moveaxis(table, -1, 0)
-            np.maximum(worst, self._worst_steps(table, kept), out=worst)
+            np.maximum(worst, self._worst_steps(table), out=worst)
             del table  # free the scratch before the next pass builds its own
-        _check_steps(zip(worst, kept))
+        _check_steps(zip(worst, self.tables))
         tables = tables.swapaxes(1, 2)
         return tables[0] if one else tables
 
     def _chunk_tables(self, prefs: PreferenceArrays, evals: np.ndarray, profiles: np.ndarray,
-                      defuzz: str, sums, kept: tuple[str, ...], rows: slice) -> np.ndarray:
+                      defuzz: str, sums, rows: slice) -> np.ndarray:
         """One unchecked kernel pass of :meth:`pref_components` over the
         draws ``rows`` of a block, its inputs as there with (n_el, draws)
         ``q`` and ``p``.
 
-        ``sums`` is the block's :func:`_block_pair_sums`, and ``kept`` the
-        names of the tables to build (see :func:`_leaf_tables`).  Returns
-        those tables, in :data:`_TABLES` order and draw last, as a new
-        (n_el, len(kept) * n_pairs, draws) array; nothing its caller owns
+        ``sums`` is the block's :func:`_block_pair_sums`.  Returns the
+        engine's tables, in ``tables`` order and draw last, as a new
+        (n_el, len(tables) * n_pairs, draws) array; nothing its caller owns
         is written.
         """
         c, m, n = self.c, self.m, self.n_pairs
@@ -760,7 +749,7 @@ class BatchEngine:
         row, col = np.empty((2, n_el, c, draws))
         row[fixed], col[fixed] = once
         row[vary], col[vary] = each[..., rows]
-        table = np.empty((n_el, len(kept), m, c + 1, draws))
+        table = np.empty((n_el, len(self.tables), m, c + 1, draws))
         net = table[:, 0]
         # Net flows are summed from pair differences rather than taken as
         # positive minus negative: an alternative equal to a profile ties it
@@ -771,12 +760,12 @@ class BatchEngine:
         # the positive flow of x sums P(x, r_h) over the profiles, and that
         # of r_h adds P(r_h, x) to its profile sum; the negative mirrors it
         sides = {"positive": (x_over_r, row, r_over_x), "negative": (r_over_x, col, x_over_r)}
-        for name, block in zip(kept[1:], table.swapaxes(0, 1)[1:]):
+        for name, block in zip(self.tables[1:], table.swapaxes(0, 1)[1:]):
             alt, prof_sums, prof = sides[name]
             block[:, :, 0] = _sum_profiles(alt)
             np.add(prof_sums[:, None], prof, out=block[:, :, 1:])
         table /= c
-        return table.reshape((n_el, len(kept) * n, draws))
+        return table.reshape((n_el, len(self.tables) * n, draws))
 
     # -- node values and flows --------------------------------------------
 
@@ -820,9 +809,9 @@ class BatchEngine:
         return values
 
     def _fold(self, leaves: np.ndarray, w: np.ndarray):
-        """Children-first sums of one column block of the leaf tables,
-        ([batch,] width, n_el): the fixed internal nodes with the first weight
-        row, the varying nodes with every row, then the whole tree's rows."""
+        """Children-first sums of the leaf tables, ([batch,] width, n_el):
+        the fixed internal nodes with the first weight row, the varying
+        nodes with every row, then the whole tree's rows."""
         leaf_rows = self._leaf_rows(leaves)
         draws, width = leaf_rows.shape[1:]
         rows = dict(zip(self.leaf_nodes, leaf_rows))
@@ -835,115 +824,107 @@ class BatchEngine:
         root = self._sum_children([self.root], rows, w_root, np.empty((1, root_rows, width)))[0]
         return (leaf_rows, fixed, varying), root
 
-    def node_values(self, components: np.ndarray, w: np.ndarray,
-                    rule: str | None = None) -> NodeValues:
+    def node_values(self, components: np.ndarray, w: np.ndarray) -> NodeValues:
         """Aggregate per-leaf flow tables into per-node flow rows.
 
         ``components`` is (tables * n_pairs, n_el) when shared across the
-        batch or (batch, tables * n_pairs, n_el) otherwise: the leaf tables
-        that :meth:`pref_components` keeps for ``rule``, all three when it
-        is None; ``w`` is (batch, n_nodes) holding every node's weight
-        within its sibling group.  Fixed nodes are summed once per data draw, with the
-        first weight row (the deterministic groups weigh every row alike);
+        batch or (batch, tables * n_pairs, n_el) otherwise: the engine's
+        leaf tables, as :meth:`pref_components` builds them; ``w`` is
+        (batch, n_nodes) holding every node's weight within its sibling
+        group.  Fixed nodes are summed once per data draw, with the first
+        weight row (the deterministic groups weigh every row alike);
         varying nodes once per weight row.
 
-        Every node's net rows are built.  The whole tree's positive and
-        negative tables are summed the same way, but only for the ``rule``
-        that brackets by them: the positive one under ``positive``, the
-        negative one under ``negative``, neither under ``net``, and both
-        when ``rule`` is None.
+        Every column of every table is summed in one pass, each on its own,
+        so a table's floats do not depend on the others.  Every node keeps
+        its net rows, and the whole tree every table's.
+
+        Raises
+        ------
+        ValueError
+            If ``components`` does not hold the engine's tables.
         """
-        n, kept = self.n_pairs, self._layout(components, rule)
-        nodes, net = self._fold(components[..., :n, :], w)
-        if len(kept) == 1:
-            return NodeValues(nodes, net, None, None)
-        root = self._fold(components[..., n:, :], w)[1]
-        return NodeValues(nodes, net, root[:, :n] if "positive" in kept else None,
-                          root[:, -n:] if "negative" in kept else None)
+        self._check_layout(components)
+        n = self.n_pairs
+        nodes, root = self._fold(components, w)
+        return NodeValues(tuple(g[..., :n] for g in nodes),
+                          {name: root[:, t * n:(t + 1) * n] for t, name in enumerate(self.tables)})
 
     def flows(self, values: NodeValues) -> BatchFlows:
-        """Flows for every node and the root from the aggregated rows; the
-        whole tree's positive or negative fields are None where
-        ``values`` lacks their table."""
+        """Flows of every node group and of the whole tree's tables from the
+        aggregated rows."""
         rows = (self.m, self.c + 1)
 
         def split(table):
-            if table is None:
-                return None, None
-            table = table.reshape((-1,) + rows)
-            return table[..., 0], table[..., 1:]
+            table = table.reshape(table.shape[:-1] + rows)
+            return NodeFlows(table[..., 0], table[..., 1:])
 
-        (alt_plus, prof_plus), (alt_minus, prof_minus), (alt_net, prof_net) = map(
-            split, (values.root_plus, values.root_minus, values.root_net))
-        groups = (g.reshape(g.shape[:-1] + rows) for g in values.nodes)
-        return BatchFlows(
-            alt_plus=alt_plus,
-            alt_minus=alt_minus,
-            alt_net=alt_net,
-            prof_plus=prof_plus,
-            prof_minus=prof_minus,
-            prof_net=prof_net,
-            nodes=tuple(NodeFlows(g[..., 0], g[..., 1:]) for g in groups),
-        )
+        return BatchFlows(root={name: split(t) for name, t in values.root.items()},
+                          nodes=tuple(map(split, values.nodes)))
 
     def node_flows(self, batch_flows: BatchFlows, idx: int) -> NodeFlows:
         """Net flows of tree node ``idx``, (rows, m) and (rows, m, k+1)."""
         group, pos = self.node_slot[idx]
         return NodeFlows(*(a[pos] for a in batch_flows.nodes[group]))
 
-    def _layout(self, components: np.ndarray, rule: str | None) -> tuple[str, ...]:
-        """The leaf tables that ``rule`` reads, once ``components``,
-        ([batch,] rows, n_el), is shown to hold that many."""
-        kept = _leaf_tables(rule)
-        if components.shape[-2] != len(kept) * self.n_pairs:
+    def _check_layout(self, components: np.ndarray) -> None:
+        """Raise ``ValueError`` unless ``components``, ([batch,] rows, n_el),
+        holds as many rows as the engine's tables."""
+        if components.shape[-2] != len(self.tables) * self.n_pairs:
             raise ValueError(f"leaf tables of {components.shape[-2]} rows are not the "
-                             f"{len(kept)} of {self.n_pairs} that rule {rule!r} reads")
-        return kept
+                             f"{len(self.tables)} of {self.n_pairs} that rule {self.rule!r} "
+                             "reads")
 
-    def _worst_steps(self, tables: np.ndarray, kept: tuple[str, ...]) -> list:
-        """Worst step of the profile flows in each of the ``kept`` tables of
-        ``tables``, (..., len(kept) * n_pairs, X) with any last axis X,
+    def _worst_steps(self, tables: np.ndarray) -> list:
+        """Worst step of the profile flows in each of the engine's tables in
+        ``tables``, (..., len(tables) * n_pairs, X) with any last axis X,
         against the direction that table's rule expects."""
-        split = tables.reshape(tables.shape[:-2] + (len(kept), self.m, self.c + 1,
+        split = tables.reshape(tables.shape[:-2] + (len(self.tables), self.m, self.c + 1,
                                                     tables.shape[-1]))
         return [_worst_step(split[..., t, :, 1:, :], rule, axis=-2)
-                for t, rule in enumerate(kept)]
+                for t, rule in enumerate(self.tables)]
 
-    def check_ordering(self, components: np.ndarray, rule: str | None = None) -> None:
+    def check_ordering(self, components: np.ndarray) -> None:
         """Assert the bracketing premise on every leaf: net and positive
         profile flows fall from best to worst, negative ones rise.
 
-        ``components`` are the leaf tables that ``rule`` reads, as
+        ``components`` are the engine's leaf tables, as
         :meth:`pref_components` returns them, ([draws,] tables * n_pairs,
-        n_el): all three when ``rule`` is None.  A table's worst step is its
-        profile flows' largest step against that direction, and the first
-        table whose worst step exceeds :data:`ORDERING_TOL` raises, net
-        before positive before negative.  :meth:`pref_components` runs the
-        same check chunk by chunk on the tables it keeps.  Each sibling
-        group's weights sum to 1, so level by level every node's net flows,
-        and the whole tree's positive and negative flows, are convex
-        combinations of the leaf tables: the net tables cover every node's
-        bracket, and the rule's own table the whole tree's.  The tables are
-        read through strided views, never copied.
+        n_el).  A table's worst step is its profile flows' largest step
+        against that direction, and the first table whose worst step
+        exceeds :data:`ORDERING_TOL` raises, net before positive before
+        negative.  :meth:`pref_components` runs the same check chunk by
+        chunk.  Each sibling group's weights sum to 1, so level by level
+        every node's net flows, and the whole tree's positive and negative
+        flows, are convex combinations of the leaf tables: the net tables
+        cover every node's bracket, and the rule's own table the whole
+        tree's.  The tables are read through strided views, never copied.
 
         Raises
         ------
         ValueError
-            If ``components`` does not hold the tables of ``rule``.
+            If ``components`` does not hold the engine's tables.
         InvariantError
             For the first unordered table.
         """
-        kept = self._layout(components, rule)
-        _check_steps(zip(self._worst_steps(components, kept), kept))
+        self._check_layout(components)
+        _check_steps(zip(self._worst_steps(components), self.tables))
 
     def assign_overall(self, batch_flows: BatchFlows, rule: str):
-        """Categories (rows, m) and validity mask under the requested rule,
-        from the whole tree's flows that the rule brackets; the others may
-        be None (see :meth:`node_values`)."""
-        bf = batch_flows
-        flows = ((bf.alt_plus, bf.prof_plus), (bf.alt_minus, bf.prof_minus),
-                 (bf.alt_net, bf.prof_net))
-        return bracket(*flows[_rule(rule)[0]], rule)
+        """Categories (rows, m) and validity mask under ``rule``, from the
+        whole tree's flows of the table that the rule brackets.
+
+        Raises
+        ------
+        ValueError
+            For an unknown rule, or one whose table the engine does not
+            build.
+        """
+        _rule(rule)
+        if rule not in batch_flows.root:
+            raise ValueError(f"no whole-tree {rule} flows: an engine for rule {self.rule!r} "
+                             f"builds only {', '.join(self.tables)}")
+        return bracket(*batch_flows.root[rule], rule)
 
     def assign_nodes(self, batch_flows: BatchFlows):
         """Net-style categories of every real tree node, one (nodes, categories,

@@ -42,7 +42,7 @@ from .errors import (
     InputError,
     SamplingError,
 )
-from .flows import RULES, BatchEngine, profile_envelope, profile_pair_faults
+from .flows import BatchEngine, profile_envelope, profile_pair_faults
 from .fuzzy import DEFUZZ_METHODS, TFN
 from .hierarchy import WeightSpec
 from .preference import ORDERED_PAIRS, PreferenceArrays, PreferenceSpec
@@ -239,6 +239,8 @@ def sample_weights_interval(
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     need = 1 if size is None else size
+    if need == 0:
+        return np.empty((0, len(bounds)))
     rows = []
     got = 0
     attempts = 0
@@ -592,9 +594,12 @@ class ProblemRuntime:
     """Precomputed sampling and evaluation state for one problem."""
 
     def __init__(self, problem: "Problem", rule: str, defuzz: str, seed: int, strict: bool):
-        # before any draw, so a bad option never reaches a worker
-        if rule not in RULES:
-            raise ValueError(f"unknown assignment rule {rule!r}")
+        tree = problem.tree
+        self.m = len(problem.alternative_names)
+        self.c = len(problem.fixed_profiles)
+        # before any draw, so a bad option never reaches a worker; the
+        # engine rejects an unknown rule and builds only the tables it reads
+        self.engine = BatchEngine(tree, self.m, self.c, rule)
         if defuzz not in DEFUZZ_METHODS:
             raise ValueError(f"unknown defuzzification method {defuzz!r}")
         self.problem = problem
@@ -602,12 +607,8 @@ class ProblemRuntime:
         self.defuzz = defuzz
         self.seed = seed
         self.strict = strict
-        tree = problem.tree
-        self.m = len(problem.alternative_names)
-        self.c = len(problem.fixed_profiles)
         self.k = self.c - 1
         self.n_nodes = len(tree.nodes)
-        self.engine = BatchEngine(tree, self.m, self.c)
         # tally cell of category 1 of each alternative, less one: overall
         # (m,), and (node * m + alternative) * k per node group, (nodes, 1, m)
         self.cell_bases = np.arange(self.m, dtype=np.intp) * self.k - 1
@@ -672,13 +673,13 @@ class ProblemRuntime:
         (size, tables * n_pairs, n_el), views of a leaf-major buffer:
         node_values reads each leaf contiguously.
 
-        ``pref_components`` builds only those tables, summing the
-        profile-versus-profile pairs once for the block, and checks their
-        profile flows as it builds them, once per data draw, so static data
-        is checked once per run.  A table the rule does not read is neither
-        built nor checked.
+        The engine, built for the run's rule, builds only those tables,
+        summing the profile-versus-profile pairs once for the block, and
+        checks their profile flows as it builds them, once per data draw, so
+        static data is checked once per run.  A table the rule does not
+        read is neither built nor checked.
         """
-        return self.engine.pref_components(*self._sample_data(rng, size), self.defuzz, self.rule)
+        return self.engine.pref_components(*self._sample_data(rng, size), self.defuzz)
 
     def draw_block(self, block: int, bs: int) -> tuple[np.ndarray, np.ndarray]:
         """Leaf flow tables and (bs, n_nodes) weight rows of the ``bs``
@@ -721,7 +722,7 @@ class ProblemRuntime:
         count that many times.
         """
         bs, size = w.shape[0], self.n_nodes * self.m * self.k
-        bf = self.engine.flows(self.engine.node_values(components, w, rule=self.rule))
+        bf = self.engine.flows(self.engine.node_values(components, w))
         cat_hits, bad = _count(*self.engine.assign_overall(bf, self.rule), self.cell_bases,
                                bs, self.m * self.k)
         node_hits = np.zeros(size, dtype=np.int64)

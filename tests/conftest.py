@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from smaaflow import TFN, PreferenceSpec, ProfileSet, build_tree
-from smaaflow.flows import _block_pair_sums, _leaf_tables
+from smaaflow.flows import _block_pair_sums
 from smaaflow.model_io import fixture_path, load_problem
 from smaaflow.preference import PreferenceArrays
 
@@ -39,9 +39,9 @@ def library_objects(inst):
 
 
 def unchecked_tables(engine, prefs, evals, profiles, defuzz="centroid"):
-    """All three leaf tables of one data draw, or of draws along a leading
-    axis, as ``engine.pref_components`` lays them out, from one pass of its
-    kernel and without its profile-order check: ``prefs`` are
+    """The engine's leaf tables of one data draw, or of draws along a
+    leading axis, as ``engine.pref_components`` lays them out, from one pass
+    of its kernel and without its profile-order check: ``prefs`` are
     :class:`PreferenceSpec` entries for one draw, or arrays with (n_el,
     draws) ``q`` and ``p``."""
     one = evals.ndim == 3
@@ -50,6 +50,6 @@ def unchecked_tables(engine, prefs, evals, profiles, defuzz="centroid"):
         prefs = prefs._replace(q=prefs.q[:, None], p=prefs.p[:, None])
         evals, profiles = evals[None], profiles[None]
     tables = engine._chunk_tables(prefs, evals, profiles, defuzz,
-                                  _block_pair_sums(prefs, profiles, defuzz), _leaf_tables(None),
+                                  _block_pair_sums(prefs, profiles, defuzz),
                                   slice(None)).transpose(2, 1, 0)
     return tables[0] if one else tables

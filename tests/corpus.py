@@ -42,8 +42,8 @@ def triangle_gap(inst, defuzz="centroid"):
             abs(bundle.alternative.plus - alt[0]),
             abs(bundle.alternative.minus - alt[1]),
             abs(bundle.alternative.net - alt[2]),
-            abs(float(bf.alt_plus[0, i]) - alt[0]),
-            abs(float(bf.alt_minus[0, i]) - alt[1]),
+            abs(float(bf.root["positive"].alt[0, i]) - alt[0]),
+            abs(float(bf.root["negative"].alt[0, i]) - alt[1]),
         )
         for h, (t_lib, t_orc) in enumerate(zip(bundle.profiles, prof)):
             gap = max(
@@ -51,8 +51,8 @@ def triangle_gap(inst, defuzz="centroid"):
                 abs(t_lib.plus - t_orc[0]),
                 abs(t_lib.minus - t_orc[1]),
                 abs(t_lib.net - t_orc[2]),
-                abs(float(bf.prof_plus[0, i, h]) - t_orc[0]),
-                abs(float(bf.prof_minus[0, i, h]) - t_orc[1]),
+                abs(float(bf.root["positive"].prof[0, i, h]) - t_orc[0]),
+                abs(float(bf.root["negative"].prof[0, i, h]) - t_orc[1]),
             )
         got = assignments(bundle)
         want = oracles.oracle_assignments(inst["flat"], inst["profiles"], row_orc, defuzz)
@@ -77,9 +77,9 @@ def ordering_margins(inst):
     engine.check_ordering(comp)
 
     margin = min(
-        float(-np.diff(bf.prof_net, axis=-1).max()),
-        float(-np.diff(bf.prof_plus, axis=-1).max()),
-        float(np.diff(bf.prof_minus, axis=-1).min()),
+        float(-np.diff(bf.root["net"].prof, axis=-1).max()),
+        float(-np.diff(bf.root["positive"].prof, axis=-1).max()),
+        float(np.diff(bf.root["negative"].prof, axis=-1).min()),
     )
     for rule in ("positive", "negative", "net"):
         _, valid = engine.assign_overall(bf, rule)

@@ -168,14 +168,14 @@ def test_rule_tables_are_blocks_of_all_tables(name, monkeypatch):
         problem = parse_problem(workloads.case_study_interval(0))
     state = ProblemRuntime(problem, "net", "centroid", seed=0, strict=False)
     data = state._sample_data(iteration_rng(0, 0), DRAWS)
-    engine, n = state.engine, state.engine.n_pairs
-    n_el = data[1].shape[2]
+    n, n_el = state.engine.n_pairs, data[1].shape[2]
     for defuzz in DEFUZZ_METHODS:
-        full = engine.pref_components(*data, defuzz)
+        full = BatchEngine(problem.tree, state.m, state.c).pref_components(*data, defuzz)
         assert full.shape == (DRAWS, 3 * n, n_el)
         for rule, kept in ((None, (0, 1, 2)), ("net", (0,)), ("positive", (0, 1)),
                            ("negative", (0, 2))):
-            tables = engine.pref_components(*data, defuzz, rule)
+            engine = BatchEngine(problem.tree, state.m, state.c, rule)
+            tables = engine.pref_components(*data, defuzz)
             assert tables.shape == (DRAWS, len(kept) * n, n_el)
             assert tables.base.nbytes == DRAWS * len(kept) * n * n_el * 8
             want = np.concatenate([full[:, t * n:(t + 1) * n] for t in kept], axis=1)

@@ -148,12 +148,12 @@ def test_whole_tree_flows_match_under_sampled_weights(seed):
                 for p, model in zip(tree.elementary_paths, models)]
         want.append([oracles.oracle_flows(flat, inst["profiles"], x) for x in inst["evals"]])
     for rule, tables in ((None, (0, 1)), ("positive", (0,)), ("negative", (1,))):
-        comp = engine.pref_components(prefs, *data, "centroid", rule)
+        ruled = BatchEngine(tree, engine.m, engine.c, rule)
+        comp = ruled.pref_components(prefs, *data, "centroid")
         for leaves in (comp, np.broadcast_to(comp, (len(w),) + comp.shape)):
-            bf = engine.flows(engine.node_values(leaves, w, rule))
-            flows = ((bf.alt_plus, bf.prof_plus), (bf.alt_minus, bf.prof_minus))
+            bf = ruled.flows(ruled.node_values(leaves, w))
             for t in tables:
-                alt, prof = flows[t]
+                alt, prof = bf.root[("positive", "negative")[t]]
                 for r, rows in enumerate(want):
                     for i, (alt_want, prof_want) in enumerate(rows):
                         assert alt[r, i] == pytest.approx(alt_want[t], abs=1e-12)

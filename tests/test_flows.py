@@ -271,14 +271,14 @@ def test_engine_trips_the_invariant_on_an_unordered_leaf():
     evals = np.array([[[1.5, 0, 0], [1.5, 0, 0]]])
     comp = unchecked_tables(engine, prefs, evals, profiles)
     bf = engine.flows(engine.node_values(comp, np.array([[0.99, 0.01]])))
-    assert (np.diff(bf.prof_net, axis=-1) < 0).all()
-    assert (np.diff(bf.prof_plus, axis=-1) < 0).all()
-    assert (np.diff(bf.prof_minus, axis=-1) > 0).all()
+    assert (np.diff(bf.root["net"].prof, axis=-1) < 0).all()
+    assert (np.diff(bf.root["positive"].prof, axis=-1) < 0).all()
+    assert (np.diff(bf.root["negative"].prof, axis=-1) > 0).all()
     with pytest.raises(InvariantError, match="net profile flows") as want:
         engine.check_ordering(comp)
     for rule in (None, *RULES):
         with pytest.raises(InvariantError) as err:
-            engine.pref_components(prefs, evals, profiles, "centroid", rule)
+            BatchEngine(tree, 1, 3, rule).pref_components(prefs, evals, profiles, "centroid")
         assert str(err.value) == str(want.value), rule
 
 
@@ -308,9 +308,9 @@ def test_engine_checks_each_leaf_table(table, columns, rule):
     engine = BatchEngine(tree, 1, 3)
     comp = hand_built_leaves(table, columns)
     bf = engine.flows(engine.node_values(comp, np.array([[0.99, 0.01]])))
-    assert (np.diff(bf.prof_net, axis=-1) < 0).all()
-    assert (np.diff(bf.prof_plus, axis=-1) < 0).all()
-    assert (np.diff(bf.prof_minus, axis=-1) > 0).all()
+    assert (np.diff(bf.root["net"].prof, axis=-1) < 0).all()
+    assert (np.diff(bf.root["positive"].prof, axis=-1) < 0).all()
+    assert (np.diff(bf.root["negative"].prof, axis=-1) > 0).all()
     assert (np.diff(bf.nodes[0].prof, axis=-1) < 0).all()
     with pytest.raises(InvariantError, match=f"{rule} profile flows"):
         engine.check_ordering(comp)
@@ -343,10 +343,10 @@ def fuzzy_draws(count: int):
     return BatchEngine(tree, 2, 3), prefs, evals, profiles
 
 
-def ordering_fault(engine, tables, rule=None):
-    """The message of :meth:`check_ordering` on ``tables`` under ``rule``, or None."""
+def ordering_fault(engine, tables):
+    """The message of :meth:`check_ordering` on ``tables``, or None."""
     try:
-        engine.check_ordering(tables, rule)
+        engine.check_ordering(tables)
     except InvariantError as err:
         return str(err)
     return None
@@ -384,17 +384,18 @@ def test_block_path_checks_each_leaf_table(table, late, monkeypatch):
     assert ordering_fault(engine, tables) == faults[last] != faults[first]
     for rule, kept in ((None, (0, 1, 2)), ("net", (0,)), ("positive", (0, 1)),
                        ("negative", (0, 2))):
+        ruled = flows.BatchEngine(engine.tree, engine.m, engine.c, rule)
         blocks = np.concatenate([tables[:, t * n:(t + 1) * n] for t in kept], axis=1)
-        want = ordering_fault(engine, blocks, rule)
+        want = ordering_fault(ruled, blocks)
         faulty = ("net", "positive", "negative").index(table) in kept
         assert want == (faults[last] if faulty else None), rule
         if want is None:
-            engine.pref_components(*data(block), "centroid", rule)
+            ruled.pref_components(*data(block), "centroid")
         else:
             with pytest.raises(InvariantError) as err:
-                engine.pref_components(*data(block), "centroid", rule)
+                ruled.pref_components(*data(block), "centroid")
             assert str(err.value) == want, rule
-        engine.pref_components(*data(ordered[:10]), "centroid", rule)
+        ruled.pref_components(*data(ordered[:10]), "centroid")
 
 
 def random_leaf(gen):
@@ -503,27 +504,38 @@ def test_flows_against_raw_batch_arrays(walkthrough_parts):
     bf = engine.flows(values)
     engine.check_ordering(comp)
 
-    net = bf.alt_plus[0] - bf.alt_minus[0]
+    net = bf.root["positive"].alt[0] - bf.root["negative"].alt[0]
     assert net == pytest.approx([1 / 3, -0.4 / 3], abs=1e-12)
     cats, valid = engine.assign_overall(bf, "net")
     assert valid.all()
     assert list(cats[0]) == [1, 2]
 
 
-def test_node_values_reads_only_its_rules_tables(walkthrough_parts):
-    # the leaf tables a rule keeps and no other layout: all three tables
-    # under a rule raise, and so do a rule's tables under no rule
+def test_engine_reads_only_its_rules_tables(walkthrough_parts):
+    # an engine built for a rule takes only tables of its own row count,
+    # and brackets the whole tree only by a table it builds; positive and
+    # negative tables hold as many rows, so they are not told apart
     from smaaflow.flows import BatchEngine, tfn_matrix
 
     w = walkthrough_parts
-    engine = BatchEngine(w["tree"], 1, 3)
     data = (w["prefs"], tfn_matrix(w["x1"])[None],
             np.array([tfn_matrix(r) for r in w["profiles"].levels]))
     weight_row = np.array([[w["weights"][n.path] for n in w["tree"].nodes]])
-    full = engine.pref_components(*data, "centroid")
-    for rule in RULES:
-        kept = engine.pref_components(*data, "centroid", rule)
-        engine.node_values(kept, weight_row, rule)
-        for comp, read in ((full, rule), (kept, None)):
-            with pytest.raises(ValueError, match=f"that rule {read!r} reads"):
-                engine.node_values(comp, weight_row, read)
+    engines = {rule: BatchEngine(w["tree"], 1, 3, rule) for rule in (None, *RULES)}
+    tables = {rule: engine.pref_components(*data, "centroid") for rule, engine in engines.items()}
+    for rule, engine in engines.items():
+        for comp in tables.values():
+            if len(comp) == len(tables[rule]):
+                continue
+            with pytest.raises(ValueError, match=f"that rule {rule!r} reads"):
+                engine.node_values(comp, weight_row)
+            with pytest.raises(ValueError, match=f"that rule {rule!r} reads"):
+                engine.check_ordering(comp)
+        bf = engine.flows(engine.node_values(tables[rule], weight_row))
+        assert sorted(bf.root) == sorted(engine.tables)
+        for read in RULES:
+            if read in engine.tables:
+                engine.assign_overall(bf, read)
+            else:
+                with pytest.raises(ValueError, match=f"no whole-tree {read} flows"):
+                    engine.assign_overall(bf, read)

@@ -161,6 +161,11 @@ def test_interval_bounds_hold_every_draw():
     for j, (lo, hi) in enumerate(bounds):
         assert (w[:, j] >= lo).all() and (w[:, j] <= hi).all()
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
+    # no rows asked, none drawn
+    rng = iteration_rng(6, 0)
+    state = rng.bit_generator.state
+    assert sample_weights_interval(bounds, rng, size=0).shape == (0, 3)
+    assert rng.bit_generator.state == state
 
 
 def test_interval_infeasible_raises():

@@ -39,7 +39,7 @@ from smaaflow import (
 )
 from smaaflow.errors import BOUNDARY, WEIGHT_SPEC
 from smaaflow import smaa as smaa_module
-from smaaflow.flows import bracket, profile_envelope
+from smaaflow.flows import RULES, BatchEngine, bracket, profile_envelope
 from smaaflow.fuzzy import DEFUZZ_METHODS
 from smaaflow.model_io import dump_problem, fixture_path, load_problem, parse_problem
 from smaaflow.smaa import (
@@ -754,34 +754,29 @@ def test_rule_tables_are_the_floats_of_all_tables(name, walkthrough, monkeypatch
 
         problem = parse_problem(getattr(workloads, name)(0))
     state = ProblemRuntime(problem, "net", "centroid", seed=0, strict=False)
-    engine = state.engine
     components, w = state.draw_block(0, 16)
     # the block's data draw again, the first draw from its substream
     static = state.static_components is not None
     data = state._sample_data(None if static else iteration_rng(0, 0), 1 if static else 16)
 
     def tables(rule):
-        built = engine.pref_components(*data, "centroid", rule)
-        return built[0] if static else built
+        engine = BatchEngine(problem.tree, state.m, state.c, rule)
+        built = engine.pref_components(*data, "centroid")
+        return engine, built[0] if static else built
 
-    assert components.tobytes() == tables("net").tobytes()
-    all_tables = tables(None)
-    full = engine.node_values(all_tables, w)
-    assert full.root_plus is not None and full.root_minus is not None
-    for rule, built in (("net", ()), ("positive", ("root_plus",)),
-                        ("negative", ("root_minus",))):
-        values = engine.node_values(tables(rule), w, rule=rule)
-        assert values.root_net.tobytes() == full.root_net.tobytes()
-        for got, want in zip(values.nodes, full.nodes):
-            assert got.tobytes() == want.tobytes()
-        for field in ("root_plus", "root_minus"):
-            got = getattr(values, field)
-            if field in built:
-                assert got.tobytes() == getattr(full, field).tobytes()
-            else:
-                assert got is None
-        cat, valid = engine.assign_overall(engine.flows(values), rule)
-        want_cat, want_valid = engine.assign_overall(engine.flows(full), rule)
+    assert components.tobytes() == tables("net")[1].tobytes()
+    full_engine, all_tables = tables(None)
+    full = full_engine.node_values(all_tables, w)
+    for rule in RULES:
+        engine, built = tables(rule)
+        got = engine.node_values(built, w)
+        assert sorted(got.root) == sorted({"net", rule})
+        for name, table in got.root.items():
+            assert table.tobytes() == full.root[name].tobytes()
+        for group, want in zip(got.nodes, full.nodes):
+            assert group.tobytes() == want.tobytes()
+        cat, valid = engine.assign_overall(engine.flows(got), rule)
+        want_cat, want_valid = full_engine.assign_overall(full_engine.flows(full), rule)
         assert np.array_equal(cat, want_cat) and np.array_equal(valid, want_valid)
 
 
@@ -859,7 +854,9 @@ def test_tally_equals_the_flat_oracle_replayed_draw_by_draw(seed):
     # through the flat oracle, with each leaf's chain the product of its
     # path's weights, count exactly the categories of run_smaa's overall
     # index under every rule and both defuzzifications, and the draws it
-    # cannot bracket are exactly the cells missing from the rows
+    # cannot bracket are exactly the cells missing from the rows.  Each
+    # node's net flows, from the chains cut below the node, count exactly
+    # its per-node index, which no rule changes.
     rng = random.Random(9100 + seed)
     inst = oracles.random_instance(rng, fuzzy=seed % 2 == 1, max_depth=2, n_categories=2 + seed,
                                    shapes=("usual", "linear", "v-shape", "u-shape", "level",
@@ -873,8 +870,14 @@ def test_tally_equals_the_flat_oracle_replayed_draw_by_draw(seed):
     w = np.concatenate([state.draw_block(block, min(BLOCK, iterations - block))[1]
                         for block in range(0, iterations, BLOCK)])
     models = [model for _, model in inst["flat"]]
+    # per node: its depth and the leaves under it
+    subtrees = [(len(node.path), [t for t, path in enumerate(tree.elementary_paths)
+                                  if path[:len(node.path)] == node.path])
+                for node in tree.nodes]
     for defuzz in DEFUZZ_METHODS:
         hits = np.zeros((3, len(rows), inst["n_categories"]), dtype=np.int64)
+        node_hits = np.zeros((len(tree.nodes), len(rows), inst["n_categories"]), dtype=np.int64)
+        node_cats = {}  # a node's categories, by its weights below it
         for row in w:
             flat = [(tuple(row[chain]), model) for chain, model in zip(chains, models)]
             for i, x in enumerate(rows):
@@ -882,6 +885,17 @@ def test_tally_equals_the_flat_oracle_replayed_draw_by_draw(seed):
                                                                     defuzz)):
                     if cat is not None:
                         hits[r, i, cat - 1] += 1
+            for r, (depth, leaves) in enumerate(subtrees):
+                cut = [(tuple(row[chain[depth - 1:]]), model)
+                       for chain, model in zip(chains, models)]
+                key = (r, tuple(cut[t][0][1:] for t in leaves))
+                if key not in node_cats:
+                    node_cats[key] = [oracles.assign_descending(*oracles.subtree_flows(
+                        cut, inst["profiles"], x, leaves, defuzz)) for x in rows]
+                for i, cat in enumerate(node_cats[key]):
+                    if cat is not None:
+                        node_hits[r, i, cat - 1] += 1
+        node_index = []
         for r, rule in enumerate(("positive", "negative", "net")):
             res = run_smaa(problem, iterations=iterations, seed=seed, rule=rule, defuzz=defuzz)
             assert res.category_index.tolist() == (hits[r] / iterations).tolist()
@@ -890,3 +904,6 @@ def test_tally_equals_the_flat_oracle_replayed_draw_by_draw(seed):
             want[1] = 0 if rule == "negative" else iterations
             assert missing.tolist() == want
             assert (iterations - hits[r].sum(axis=1)).tolist() == want
+            assert res.node_index.tolist() == (node_hits / iterations).tolist()
+            node_index.append(res.node_index.tobytes())
+        assert len(set(node_index)) == 1
