@@ -16,9 +16,10 @@ per-leaf flow tables it builds and reads: net alone under ``net``, net and
 the rule's own table under ``positive`` or ``negative``, all three with no
 rule.  It sums the profile-versus-profile pairs once per block of draws,
 then builds its tables a chunk of draws per kernel pass, checking the order
-of each table's profile flows as it goes.  It sums their columns
-children-first for whole batches of weight vectors in one pass, and hands
-out the whole tree's tables by name and every node's net ones.
+of each table's profile flows as it goes.  One call,
+:meth:`BatchEngine.flows`, takes those tables and a batch of weight vectors
+to flows: it sums every column children-first in one pass and hands out the
+whole tree's tables by name and every node's net ones.
 :func:`flow_bundle`, :func:`single_criterion_flows` and their relatives
 run the same engine, with all three tables, on a single weight row.  The
 pairwise degrees (:func:`subtree_preference`, :func:`outranking_degree`)
@@ -282,7 +283,7 @@ def _single_run(tree, weights, prefs, profiles, x, defuzz) -> tuple[BatchEngine,
         prefs, tfn_matrix(x)[None], np.array([tfn_matrix(r) for r in profiles.levels]), defuzz
     )
     w = np.array([[weights[n.path] for n in tree.nodes]])
-    return engine, engine.flows(engine.node_values(components, w))
+    return engine, engine.flows(components, w)
 
 
 def flow_bundle(
@@ -407,27 +408,9 @@ class NodeFlows(NamedTuple):
     prof: np.ndarray
 
 
-class NodeValues(NamedTuple):
-    """Aggregated flow columns of a block, as :meth:`BatchEngine.flows` reads them.
-
-    ``nodes`` holds the net flow rows of the engine's three node groups,
-    each (group nodes, rows, n_pairs): the leaves, as views of the leaf
-    tables, and the fixed internal nodes, with one row per data draw (1
-    when the components are shared across the block); then the varying
-    nodes, with one row per weight row.  ``root`` maps the name of each
-    table the engine builds (see :class:`BatchEngine`) to the whole tree's
-    (rows, n_pairs) rows of it, summed children-first like the node rows;
-    the whole tree has the rows of the fixed groups when the root is fixed,
-    else one per weight row.
-    """
-
-    nodes: tuple[np.ndarray, np.ndarray, np.ndarray]
-    root: dict[str, np.ndarray]
-
-
 @dataclass
 class BatchFlows:
-    """Flow arrays for a block of weight rows.
+    """Flow arrays for a block of weight rows, from :meth:`BatchEngine.flows`.
 
     ``root`` maps the name of each table the engine builds to the whole
     tree's flows of that kind, (rows, m) for the alternatives and
@@ -599,13 +582,13 @@ class BatchEngine:
     kernel order.  Net is always one, and the table a rule brackets the
     whole tree by is the other: none under ``net``, the positive or the
     negative one under ``positive`` or ``negative``, and both when ``rule``
-    is None.  Every table is summed up the tree the same way, and the whole
-    tree's flows are handed out by table name.  Each group's weights sum to
-    1, so every node's flows are convex combinations of the leaf tables,
-    and the profile order is checked once per data draw on the leaf tables
-    (see :meth:`check_ordering`), as :meth:`pref_components` builds them,
-    rather than on every weight row's flows: the net tables cover every
-    node's bracket, and the rule's own table the whole tree's.
+    is None.  :meth:`flows` sums every table up the tree the same way and
+    hands out the whole tree's flows by table name.  Each group's weights
+    sum to 1, so every node's flows are convex combinations of the leaf
+    tables, and the profile order is checked once per data draw on the
+    leaf tables (see :meth:`check_ordering`), as :meth:`pref_components`
+    builds them, rather than on every weight row's flows: the net tables
+    cover every node's bracket, and the rule's own table the whole tree's.
 
     A node's row depends only on the weights inside its subtree, so the
     engine splits the tree once, from its sibling groups.  A node is
@@ -687,7 +670,7 @@ class BatchEngine:
         Returns
         -------
         ([draws,] len(tables) * n_pairs, n_el) array, the layout
-        :meth:`node_values` reads: for each of the engine's ``tables`` in
+        :meth:`flows` reads: for each of the engine's ``tables`` in
         turn, the flows of that kind of every reference set on each leaf
         alone, laid out like a node's value row, as a view of a leaf-major
         buffer.
@@ -808,11 +791,29 @@ class BatchEngine:
         self._sum_children(self.inner, rows, w, [values[idx] for idx in self.inner])
         return values
 
-    def _fold(self, leaves: np.ndarray, w: np.ndarray):
-        """Children-first sums of the leaf tables, ([batch,] width, n_el):
-        the fixed internal nodes with the first weight row, the varying
-        nodes with every row, then the whole tree's rows."""
-        leaf_rows = self._leaf_rows(leaves)
+    def node_values(self, components: np.ndarray, w: np.ndarray):
+        """Per-node rows of the leaf tables ``components``, summed
+        children-first for the weight rows ``w``.
+
+        ``components`` is (tables * n_pairs, n_el) when shared across the
+        batch or (batch, tables * n_pairs, n_el) otherwise, as
+        :meth:`pref_components` builds them; ``w`` is (batch, n_nodes),
+        every node's weight within its sibling group.  Fixed nodes are
+        summed once per data draw with the first weight row (the
+        deterministic groups weigh every row alike), varying nodes once per
+        weight row, and every column on its own, so a table's floats do not
+        depend on the others.  Returns the full-width rows of the three
+        node groups, ``(leaves, fixed, varying)``, each (group nodes, rows,
+        tables * n_pairs) with the leaves as views of the tables, and the
+        whole tree's (rows, tables * n_pairs); rows as in :class:`BatchFlows`.
+
+        Raises
+        ------
+        ValueError
+            If ``components`` does not hold the engine's tables.
+        """
+        self._check_layout(components)
+        leaf_rows = self._leaf_rows(components)
         draws, width = leaf_rows.shape[1:]
         rows = dict(zip(self.leaf_nodes, leaf_rows))
         fixed = self._sum_children(self.fixed_inner, rows, w[:1],
@@ -824,43 +825,21 @@ class BatchEngine:
         root = self._sum_children([self.root], rows, w_root, np.empty((1, root_rows, width)))[0]
         return (leaf_rows, fixed, varying), root
 
-    def node_values(self, components: np.ndarray, w: np.ndarray) -> NodeValues:
-        """Aggregate per-leaf flow tables into per-node flow rows.
-
-        ``components`` is (tables * n_pairs, n_el) when shared across the
-        batch or (batch, tables * n_pairs, n_el) otherwise: the engine's
-        leaf tables, as :meth:`pref_components` builds them; ``w`` is
-        (batch, n_nodes) holding every node's weight within its sibling
-        group.  Fixed nodes are summed once per data draw, with the first
-        weight row (the deterministic groups weigh every row alike);
-        varying nodes once per weight row.
-
-        Every column of every table is summed in one pass, each on its own,
-        so a table's floats do not depend on the others.  Every node keeps
-        its net rows, and the whole tree every table's.
-
-        Raises
-        ------
-        ValueError
-            If ``components`` does not hold the engine's tables.
-        """
-        self._check_layout(components)
-        n = self.n_pairs
-        nodes, root = self._fold(components, w)
-        return NodeValues(tuple(g[..., :n] for g in nodes),
-                          {name: root[:, t * n:(t + 1) * n] for t, name in enumerate(self.tables)})
-
-    def flows(self, values: NodeValues) -> BatchFlows:
-        """Flows of every node group and of the whole tree's tables from the
-        aggregated rows."""
-        rows = (self.m, self.c + 1)
+    def flows(self, components: np.ndarray, w: np.ndarray) -> BatchFlows:
+        """Flows of the leaf tables ``components`` under the weight rows
+        ``w``, both as :meth:`node_values` takes them: every node's net
+        flows, and the whole tree's of each table by name.  Raises as
+        :meth:`node_values` does."""
+        nodes, root = self.node_values(components, w)
+        n, rows = self.n_pairs, (self.m, self.c + 1)
 
         def split(table):
             table = table.reshape(table.shape[:-1] + rows)
             return NodeFlows(table[..., 0], table[..., 1:])
 
-        return BatchFlows(root={name: split(t) for name, t in values.root.items()},
-                          nodes=tuple(map(split, values.nodes)))
+        return BatchFlows(root={name: split(root[:, t * n:(t + 1) * n])
+                                for t, name in enumerate(self.tables)},
+                          nodes=tuple(split(g[..., :n]) for g in nodes))
 
     def node_flows(self, batch_flows: BatchFlows, idx: int) -> NodeFlows:
         """Net flows of tree node ``idx``, (rows, m) and (rows, m, k+1)."""

@@ -29,6 +29,7 @@ the run.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -42,7 +43,7 @@ from .errors import (
     InputError,
     SamplingError,
 )
-from .flows import BatchEngine, profile_envelope, profile_pair_faults
+from .flows import RULES, BatchEngine, profile_envelope, profile_pair_faults
 from .fuzzy import DEFUZZ_METHODS, TFN
 from .hierarchy import WeightSpec
 from .preference import ORDERED_PAIRS, PreferenceArrays, PreferenceSpec
@@ -143,8 +144,8 @@ class PreferenceModel:
 
 def iteration_rng(seed: int, index: int) -> np.random.Generator:
     """Independent generator for block ``index`` of :data:`BLOCK` iterations,
-    derived from the root seed."""
-    ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(index,))
+    derived from the root seed, any integer, masked to 64 bits."""
+    ss = np.random.SeedSequence(entropy=operator.index(seed) & _MASK64, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -597,8 +598,10 @@ class ProblemRuntime:
         tree = problem.tree
         self.m = len(problem.alternative_names)
         self.c = len(problem.fixed_profiles)
-        # before any draw, so a bad option never reaches a worker; the
-        # engine rejects an unknown rule and builds only the tables it reads
+        # before any draw, so a bad option never reaches a worker; an engine
+        # with no rule (all three tables) serves single evaluations only
+        if rule not in RULES:
+            raise ValueError(f"unknown assignment rule {rule!r}")
         self.engine = BatchEngine(tree, self.m, self.c, rule)
         if defuzz not in DEFUZZ_METHODS:
             raise ValueError(f"unknown defuzzification method {defuzz!r}")
@@ -722,7 +725,7 @@ class ProblemRuntime:
         count that many times.
         """
         bs, size = w.shape[0], self.n_nodes * self.m * self.k
-        bf = self.engine.flows(self.engine.node_values(components, w))
+        bf = self.engine.flows(components, w)
         cat_hits, bad = _count(*self.engine.assign_overall(bf, self.rule), self.cell_bases,
                                bs, self.m * self.k)
         node_hits = np.zeros(size, dtype=np.int64)
@@ -788,7 +791,7 @@ def run_smaa(
     iterations :
         Number of Monte Carlo draws.
     seed :
-        Root seed; any Python integer, masked to 64 bits.
+        Root seed; any integer, masked to 64 bits.
     rule :
         Assignment rule for the overall index: ``positive``, ``negative``
         or ``net``.  Per-node indices always use the net-style rule.
@@ -802,7 +805,13 @@ def run_smaa(
         ``defuzz`` raises ``ValueError`` before any draw.
     strict :
         Raise on the first boundary violation instead of recording it.
+
+    ``iterations``, ``seed`` and ``threads`` take whatever
+    ``operator.index`` takes except a bool, and raise ``ValueError``
+    naming the option otherwise.
     """
+    iterations, seed, threads = (_integer(v, name) for v, name in (
+        (iterations, "iterations"), (seed, "seed"), (threads, "threads")))
     if iterations < 1:
         raise ValueError("need at least one iteration")
     state = ProblemRuntime(problem, rule, defuzz, seed, strict)
@@ -825,6 +834,16 @@ def run_smaa(
         defuzz=defuzz,
         boundary_violations=violations,
     )
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, if ``operator.index`` takes it and it is no bool."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _split(iterations: int, threads: int) -> list[tuple[int, int]]:

@@ -29,7 +29,7 @@ def triangle_gap(inst, defuzz="centroid"):
     engine = BatchEngine(tree, len(evals), len(profiles.levels))
     comp = engine.pref_components(prefs, eval_arr, prof_arr, defuzz)
     w_row = np.array([[weights[n.path] for n in tree.nodes]])
-    bf = engine.flows(engine.node_values(comp, w_row))
+    bf = engine.flows(comp, w_row)
     engine.check_ordering(comp)
     cats, valid = engine.assign_overall(bf, "net")
     assert valid.all(), "batch engine rejected a dominance-respecting instance"
@@ -73,7 +73,7 @@ def ordering_margins(inst):
         "centroid",
     )
     w_row = np.array([[weights[n.path] for n in tree.nodes]])
-    bf = engine.flows(engine.node_values(comp, w_row))
+    bf = engine.flows(comp, w_row)
     engine.check_ordering(comp)
 
     margin = min(

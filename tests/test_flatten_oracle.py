@@ -151,7 +151,7 @@ def test_whole_tree_flows_match_under_sampled_weights(seed):
         ruled = BatchEngine(tree, engine.m, engine.c, rule)
         comp = ruled.pref_components(prefs, *data, "centroid")
         for leaves in (comp, np.broadcast_to(comp, (len(w),) + comp.shape)):
-            bf = ruled.flows(ruled.node_values(leaves, w))
+            bf = ruled.flows(leaves, w)
             for t in tables:
                 alt, prof = bf.root[("positive", "negative")[t]]
                 for r, rows in enumerate(want):

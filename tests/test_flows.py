@@ -219,7 +219,7 @@ def test_unknown_rule_rejected(walkthrough, walkthrough_parts, monkeypatch):
     data = (tfn_matrix(w["x1"])[None], np.array([tfn_matrix(r) for r in w["profiles"].levels]))
     comp = engine.pref_components(w["prefs"], *data, "centroid")
     weight_row = np.array([[w["weights"][n.path] for n in w["tree"].nodes]])
-    bf = engine.flows(engine.node_values(comp, weight_row))
+    bf = engine.flows(comp, weight_row)
     # with stochastic data the components are drawn in the pool's workers;
     # an unknown option must fail in the caller before the first draw
     with open(fixture_path("walkthrough")) as fh:
@@ -241,7 +241,15 @@ def test_unknown_rule_rejected(walkthrough, walkthrough_parts, monkeypatch):
                                   defuzz="median"),
                  lambda: smaa.deterministic_result(walkthrough, rule="median"),
                  lambda: smaa.deterministic_result(walkthrough, defuzz="median"),
-                 lambda: engine.pref_components(w["prefs"], *data, "median")):
+                 lambda: engine.pref_components(w["prefs"], *data, "median"),
+                 # no rule builds all three tables, for single evaluations only
+                 lambda: run_smaa(stochastic, iterations=10, rule=None),
+                 lambda: smaa.deterministic_result(walkthrough, rule=None),
+                 # counts and seeds must be integers, and no bool
+                 lambda: run_smaa(stochastic, iterations=10, seed=1.5),
+                 lambda: run_smaa(stochastic, iterations=300.0),
+                 lambda: run_smaa(stochastic, iterations=2 * smaa.BLOCK, threads=2.0),
+                 lambda: run_smaa(stochastic, iterations=True)):
         with pytest.raises(ValueError):
             call()
 
@@ -270,7 +278,7 @@ def test_engine_trips_the_invariant_on_an_unordered_leaf():
                          [[0.0, 0, 0], [2.0, 0, 0]]])
     evals = np.array([[[1.5, 0, 0], [1.5, 0, 0]]])
     comp = unchecked_tables(engine, prefs, evals, profiles)
-    bf = engine.flows(engine.node_values(comp, np.array([[0.99, 0.01]])))
+    bf = engine.flows(comp, np.array([[0.99, 0.01]]))
     assert (np.diff(bf.root["net"].prof, axis=-1) < 0).all()
     assert (np.diff(bf.root["positive"].prof, axis=-1) < 0).all()
     assert (np.diff(bf.root["negative"].prof, axis=-1) > 0).all()
@@ -307,7 +315,7 @@ def test_engine_checks_each_leaf_table(table, columns, rule):
     tree = build_tree([{"label": "a"}, {"label": "b"}], {"deterministic": [0.99, 0.01]})
     engine = BatchEngine(tree, 1, 3)
     comp = hand_built_leaves(table, columns)
-    bf = engine.flows(engine.node_values(comp, np.array([[0.99, 0.01]])))
+    bf = engine.flows(comp, np.array([[0.99, 0.01]]))
     assert (np.diff(bf.root["net"].prof, axis=-1) < 0).all()
     assert (np.diff(bf.root["positive"].prof, axis=-1) < 0).all()
     assert (np.diff(bf.root["negative"].prof, axis=-1) > 0).all()
@@ -500,8 +508,7 @@ def test_flows_against_raw_batch_arrays(walkthrough_parts):
     engine = BatchEngine(tree, 2, 3)
     comp = engine.pref_components(w["prefs"], evals, profs, "centroid")
     weight_row = np.array([[w["weights"][n.path] for n in tree.nodes]])
-    values = engine.node_values(comp, weight_row)
-    bf = engine.flows(values)
+    bf = engine.flows(comp, weight_row)
     engine.check_ordering(comp)
 
     net = bf.root["positive"].alt[0] - bf.root["negative"].alt[0]
@@ -530,8 +537,10 @@ def test_engine_reads_only_its_rules_tables(walkthrough_parts):
             with pytest.raises(ValueError, match=f"that rule {rule!r} reads"):
                 engine.node_values(comp, weight_row)
             with pytest.raises(ValueError, match=f"that rule {rule!r} reads"):
+                engine.flows(comp, weight_row)
+            with pytest.raises(ValueError, match=f"that rule {rule!r} reads"):
                 engine.check_ordering(comp)
-        bf = engine.flows(engine.node_values(tables[rule], weight_row))
+        bf = engine.flows(tables[rule], weight_row)
         assert sorted(bf.root) == sorted(engine.tables)
         for read in RULES:
             if read in engine.tables:

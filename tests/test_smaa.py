@@ -41,7 +41,13 @@ from smaaflow.errors import BOUNDARY, WEIGHT_SPEC
 from smaaflow import smaa as smaa_module
 from smaaflow.flows import RULES, BatchEngine, bracket, profile_envelope
 from smaaflow.fuzzy import DEFUZZ_METHODS
-from smaaflow.model_io import dump_problem, fixture_path, load_problem, parse_problem
+from smaaflow.model_io import (
+    dump_problem,
+    fixture_path,
+    load_problem,
+    parse_problem,
+    write_report,
+)
 from smaaflow.smaa import (
     BLOCK,
     MAX_WORKERS,
@@ -160,6 +166,19 @@ def test_same_seed_same_result(walkthrough_doc):
     assert np.array_equal(a.category_index, b.category_index)
     assert np.array_equal(a.node_index, b.node_index)
     assert not np.array_equal(a.category_index, c.category_index)
+
+
+def test_numpy_integer_seed_reads_as_the_python_int(stochastic_walkthrough):
+    # a numpy seed is masked to 64 bits like a Python one, so it draws the
+    # same substreams and writes the same reports
+    assert (iteration_rng(np.int64(-1), 0).random(4).tobytes()
+            == iteration_rng(-1, 0).random(4).tobytes())
+    reports = []
+    for seed in (3, np.int64(3)):
+        res = run_smaa(stochastic_walkthrough, iterations=BLOCK + 5, seed=seed)
+        reports.append([write_report(res, stochastic_walkthrough, level="all-nodes", fmt=fmt)
+                        for fmt in ("text", "csv")])
+    assert reports[0] == reports[1]
 
 
 def test_thread_count_does_not_change_results(walkthrough_doc, stochastic_walkthrough,
@@ -766,17 +785,17 @@ def test_rule_tables_are_the_floats_of_all_tables(name, walkthrough, monkeypatch
 
     assert components.tobytes() == tables("net")[1].tobytes()
     full_engine, all_tables = tables(None)
-    full = full_engine.node_values(all_tables, w)
+    full = full_engine.flows(all_tables, w)
     for rule in RULES:
         engine, built = tables(rule)
-        got = engine.node_values(built, w)
+        got = engine.flows(built, w)
         assert sorted(got.root) == sorted({"net", rule})
         for name, table in got.root.items():
-            assert table.tobytes() == full.root[name].tobytes()
+            assert [a.tobytes() for a in table] == [a.tobytes() for a in full.root[name]]
         for group, want in zip(got.nodes, full.nodes):
-            assert group.tobytes() == want.tobytes()
-        cat, valid = engine.assign_overall(engine.flows(got), rule)
-        want_cat, want_valid = full_engine.assign_overall(full_engine.flows(full), rule)
+            assert [a.tobytes() for a in group] == [a.tobytes() for a in want]
+        cat, valid = engine.assign_overall(got, rule)
+        want_cat, want_valid = full_engine.assign_overall(full, rule)
         assert np.array_equal(cat, want_cat) and np.array_equal(valid, want_valid)
 
 
@@ -907,3 +926,97 @@ def test_tally_equals_the_flat_oracle_replayed_draw_by_draw(seed):
             assert res.node_index.tolist() == (node_hits / iterations).tolist()
             node_index.append(res.node_index.tobytes())
         assert len(set(node_index)) == 1
+
+
+def sampled_oracle_document():
+    """A generated instance, its :func:`oracle_document` with sampled data
+    and the alternatives' rows.  About a third of the cells of each
+    alternative but the profile twin become intervals and a third
+    truncated normals, all between the worst and the best profile mode
+    with the margins of ``oracles.random_instance``; the best level of one
+    criterion becomes an interval of +-0.2 around its mode, which keeps
+    its column ordered; and the first linear leaf gets an interval q and
+    p that overlap, so its pair is redrawn until q < p."""
+    rng = random.Random(9313)
+    inst = oracles.random_instance(rng, max_depth=2, n_categories=2,
+                                   shapes=("usual", "linear", "level", "gaussian"))
+    doc, rows = oracle_document(rng, inst)
+    paths = list(doc["profiles"]["per_criterion"])
+    for t, (path, (_, model)) in enumerate(zip(paths, inst["flat"])):
+        sign = 1 if model["direction"] == "maximize" else -1
+        lo, hi = sorted((inst["profiles"][-1][t][0] + sign * (model["q"] + 0.7),
+                         inst["profiles"][0][t][0] - sign * 0.65))
+        for name, cells in doc["alternatives"].items():
+            kind = rng.randrange(3)
+            if name == "x2" or kind == 0:
+                continue
+            a, b = sorted(rng.uniform(lo, hi) for _ in range(2))
+            cells[path] = [a, b] if kind == 1 else {"normal": {
+                "mean": rng.uniform(lo, hi), "sd": rng.uniform(0.2, 2.0), "min": lo, "max": hi}}
+    t = rng.randrange(len(paths))
+    best = inst["profiles"][0][t][0]
+    doc["profiles"]["per_criterion"][paths[t]][0] = [best - 0.2, best + 0.2]
+    path, model = next((path, model) for path, (_, model) in zip(paths, inst["flat"])
+                       if model["shape"] == "linear")
+    doc["preferences"]["per_criterion"][path] = dict(model, q=[0.0, model["p"]],
+                                                     p=[model["q"], model["p"]])
+    return inst, doc, rows
+
+
+def test_sampled_data_tally_equals_the_flat_oracle_replayed_draw_by_draw():
+    # a generated document with interval and normal evaluations, an
+    # interval profile level and an interval linear threshold pair: each
+    # block's data drawn again by the flat reference sampler, and its
+    # weight rows, replayed one draw at a time through the flat oracle,
+    # count exactly run_smaa's overall index under every rule and its
+    # per-node index
+    seed, (inst, doc, rows) = 4, sampled_oracle_document()
+    problem = parse_problem(doc)
+    tree, iterations = problem.tree, BLOCK + 3
+    chains = [[tree.node_index[path[:d]] for d in range(1, len(path) + 1)]
+              for path in tree.elementary_paths]
+    subtrees = [(len(node.path), [t for t, path in enumerate(tree.elementary_paths)
+                                  if path[:len(node.path)] == node.path])
+                for node in tree.nodes]
+    state = ProblemRuntime(problem, "net", "centroid", seed, strict=False)
+    hits = np.zeros((3, len(rows), inst["n_categories"]), dtype=np.int64)
+    node_hits = np.zeros((len(tree.nodes), len(rows), inst["n_categories"]), dtype=np.int64)
+    for block in range(0, iterations, BLOCK):
+        bs = min(BLOCK, iterations - block)
+        q, p, evals, levels = reference_draws(problem, iteration_rng(seed, block // BLOCK), bs)
+        w = state.draw_block(block, bs)[1]
+        for j, row in enumerate(w):
+            models = [{"shape": mdl.shape, "q": q[t, j], "p": p[t, j], "s": mdl.s,
+                       "direction": mdl.direction}
+                      for t, mdl in enumerate(problem.preference_models)]
+            flat = [(tuple(row[chain]), model) for chain, model in zip(chains, models)]
+            prof = [[tuple(v) for v in level] for level in levels[j]]
+            alts = [[tuple(v) for v in x] for x in evals[j]]
+            for i, x in enumerate(alts):
+                for r, cat in enumerate(oracles.oracle_assignments(flat, prof, x)):
+                    if cat is not None:
+                        hits[r, i, cat - 1] += 1
+            for r, (depth, leaves) in enumerate(subtrees):
+                cut = [(tuple(row[chain[depth - 1:]]), model)
+                       for chain, model in zip(chains, models)]
+                for i, x in enumerate(alts):
+                    cat = oracles.assign_descending(*oracles.subtree_flows(cut, prof, x, leaves))
+                    if cat is not None:
+                        node_hits[r, i, cat - 1] += 1
+    for r, rule in enumerate(("positive", "negative", "net")):
+        res = run_smaa(problem, iterations=iterations, seed=seed, rule=rule)
+        assert res.category_index.tolist() == (hits[r] / iterations).tolist()
+        assert res.node_index.tolist() == (node_hits / iterations).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sampled_document_reports_do_not_depend_on_threads(seed):
+    # the generated document of the sampled-data tally gate, split over
+    # one, two and three workers: its all-nodes reports are the same bytes
+    problem = parse_problem(sampled_oracle_document()[1])
+    reports = set()
+    for threads in (1, 2, 3):
+        res = run_smaa(problem, iterations=3 * BLOCK + 5, seed=seed, threads=threads)
+        reports.add(tuple(write_report(res, problem, level="all-nodes", fmt=fmt)
+                          for fmt in ("text", "csv")))
+    assert len(reports) == 1

@@ -59,3 +59,6 @@ def test_traced_run_counts_the_engine_layers(rule, tmp_path, monkeypatch):
     for name in ("flows.components.calls", "flows.aggregate.calls",
                  "flows.aggregate.bytes_computed"):
         assert metrics[name] > 0, name
+    # one flows call per block, each folding its tables through node_values
+    calls = {layer: recorder.layers[layer][0] for layer in ("flows.flows", "flows.aggregate")}
+    assert calls["flows.flows"] == calls["flows.aggregate"] > 0, calls
