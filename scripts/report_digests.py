@@ -35,7 +35,7 @@ CHECKOUT (default: the checkout holding this script), run in this process:
   interval q/p pair);
 - ``tests/data/weight_mix.json`` (interval, missing, one-member missing,
   ordinal and deterministic sibling groups, an interval group between two
-  ordinal ones: the weight draw's runs of one uniform call);
+  ordinal ones: the weight draw's stacks across an interval group);
 - ``tests/data/mixed_forms.json`` (the walkthrough with every value form),
   ``tests/data/sampled_inputs.json``, ``tests/data/eight_categories.json``
   and ``tests/data/weight_mix.json`` of the checkout holding this script,

@@ -21,14 +21,15 @@ stochastic criterion in tree order, q before p, each stochastic evaluation
 vectors of each sibling group in tree order.  Every stochastic profile
 level, threshold and evaluation is drawn by one sampler over a table of
 cells, whose draws do not depend on how the cells are grouped into calls.
-Likewise each run of consecutive missing and ordinal sibling groups (the
-deterministic ones draw nothing) is one uniform call, which gives the same
-floats as one call per group; an interval group, drawn by rejection, ends
-the run.
+Likewise the weights take one ``random`` call per missing or ordinal
+sibling group, stacked by kind, ranks and size and sorted one stack at a
+time, which draws the same floats as one sampler call per group; an
+interval group is drawn by rejection and a deterministic one draws nothing.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -98,6 +99,9 @@ class StochasticValue:
     def interval(cls, lo: float, hi: float) -> "StochasticValue":
         if hi < lo:
             raise ValueError(f"empty interval [{lo}, {hi}]")
+        # numpy draws uniformly only where the width is a finite float
+        if not math.isfinite(float(hi) - float(lo)):
+            raise ValueError(f"interval [{lo}, {hi}] has no finite width")
         return cls("interval", lo=float(lo), hi=float(hi))
 
     @classmethod
@@ -107,6 +111,8 @@ class StochasticValue:
         # a continuous draw never lands on a single point, so [lo, lo] is empty too
         if not lo < hi:
             raise ValueError(f"empty truncation [{lo}, {hi}]")
+        if not (math.isfinite(mean) and math.isfinite(sd)):
+            raise ValueError(f"normal mean and spread must be finite, got {mean} and {sd}")
         return cls("normal", mean=float(mean), sd=float(sd), lo=float(lo), hi=float(hi))
 
     @property
@@ -280,80 +286,34 @@ def sample_group_weights(
     return sample_weights_missing(n, rng, size)
 
 
-def _weight_steps(groups, n_nodes: int):
-    """The weight draw of a block over sibling ``groups``, (member node
-    indices, spec) pairs in tree order: the (n_nodes,) row of deterministic
-    weights, zero elsewhere, and the steps that draw the others, in tree
-    order.
+def _draw_weights(groups, n_nodes: int, rng: np.random.Generator | None, bs: int) -> np.ndarray:
+    """``bs`` weight rows, (bs, n_nodes), of sibling ``groups``, (member
+    node indices, spec) pairs in tree order, zero outside every group.
 
-    A step is an interval group, ``("interval", bounds, members)``, or a
-    run of missing and ordinal groups between interval groups (the
-    deterministic ones draw nothing), ``("run", width, stacks)`` as
-    :func:`_run_stacks` gives it.
+    A deterministic group writes its values and an interval group is drawn
+    by :func:`sample_weights_interval`.  A missing or ordinal group makes
+    one ``random`` call, the floats of one :func:`sample_weights_missing`
+    call, and joins the stack of its (kind, ranks, size); after the walk
+    each stack is sorted, differenced and ranked as one array.  The rows
+    equal those of one :func:`sample_group_weights` call per group in tree
+    order.
     """
-    fixed, steps, run = np.zeros(n_nodes), [], None
+    w = np.zeros((bs, n_nodes))
+    stacks: dict[tuple, tuple[list, list]] = {}
     for idx, spec in groups:
         if spec.kind == "deterministic":
-            fixed[idx] = spec.values
+            w[:, idx] = spec.values
         elif spec.kind == "interval":
-            steps.append(("interval", spec.values, idx))
-            run = None
+            w[:, idx] = sample_weights_interval(spec.values, rng, bs)
         else:
-            if run is None:
-                run = []
-                steps.append(("run", run))
-            run.append((idx, spec))
-    return fixed, [step if step[0] == "interval" else ("run", *_run_stacks(step[1]))
-                   for step in steps]
-
-
-def _run_stacks(run):
-    """The uniforms per weight row that a run of missing and ordinal
-    (member node indices, spec) groups draws, ``width`` = sum(n - 1), and
-    its stacks, one per (kind, ranks, size) in order of first appearance.
-
-    The run's uniforms hold each group's (rows, n - 1) block in turn.  A
-    stack is (starts, n - 1, members, plan): the offsets of its groups'
-    blocks, counted in rows, their (groups, n) member node indices, and
-    for an ordinal stack its :func:`_rank_plan`, else None.
-    """
-    width, stacks = 0, {}
-    for idx, spec in run:
-        n = len(idx)
-        starts, _, members, _ = stacks.setdefault(
-            (spec.kind, spec.values, n),
-            ([], n - 1, [], _rank_plan(spec.values) if spec.kind == "ordinal" else None))
-        starts.append(width)
-        members.append(idx)
-        width += n - 1
-    return width, [(starts, d, np.array(members), plan)
-                   for starts, d, members, plan in stacks.values()]
-
-
-def _draw_weights(fixed: np.ndarray, steps, rng: np.random.Generator | None, bs: int) -> np.ndarray:
-    """``bs`` weight rows, (bs, n_nodes), of the :func:`_weight_steps`
-    ``fixed`` and ``steps``.
-
-    Each run is one ``random`` call, which draws the floats of one
-    :func:`sample_weights_missing` call per group in order, and each stack
-    of a run is sorted, differenced and ranked as one array; an interval
-    group is drawn by :func:`sample_weights_interval`.  The rows equal
-    those of one :func:`sample_group_weights` call per group in tree order.
-    """
-    w = np.tile(fixed, (bs, 1))
-    for kind, *step in steps:
-        if kind == "interval":
-            bounds, members = step
-            w[:, members] = sample_weights_interval(bounds, rng, bs)
-            continue
-        width, stacks = step
-        u = rng.random(bs * width)
-        for starts, d, members, plan in stacks:
-            v = _simplex(np.stack([u[bs * s : bs * (s + d)] for s in starts])
-                         .reshape(len(starts), bs, d))
-            if plan is not None:
-                _rank_order(v, *plan)
-            w[:, members] = v.swapaxes(0, 1)
+            uniforms, members = stacks.setdefault((spec.kind, spec.values, len(idx)), ([], []))
+            uniforms.append(rng.random((bs, len(idx) - 1)))
+            members.append(idx)
+    for (kind, ranks, _), (uniforms, members) in stacks.items():
+        v = _simplex(np.stack(uniforms))
+        if kind == "ordinal":
+            _rank_order(v, *_rank_plan(ranks))
+        w[:, np.array(members)] = v.swapaxes(0, 1)
     return w
 
 
@@ -617,9 +577,9 @@ class ProblemRuntime:
         self.cell_bases = np.arange(self.m, dtype=np.intp) * self.k - 1
         self.node_cell_bases = [nodes[:, None, None] * self.m * self.k + self.cell_bases
                                 for nodes in self.engine.node_groups]
-        self.fixed_weights, self.weight_steps = _weight_steps(
-            [(np.array([tree.node_index[p] for p in g.members], dtype=np.int64), g.spec)
-             for g in tree.sibling_groups()], self.n_nodes)
+        self.weight_groups = [
+            (np.array([tree.node_index[p] for p in g.members], dtype=np.int64), g.spec)
+            for g in tree.sibling_groups()]
         # shape codes, s and directions; q and p are set per data draw
         models = problem.preference_models
         self.prefs = PreferenceArrays.of(models, thresholds=(None, None))
@@ -639,7 +599,8 @@ class ProblemRuntime:
         self.sampled_evals = cells = problem.sampled_evals
         self.eval_slots = np.array([(i, t) for i, t, _ in cells], dtype=np.int64).reshape(-1, 2).T
         self.eval_cells = _cell_table([v for _, _, v in cells])
-        self.draws_anything = not problem.is_deterministic_data or bool(self.weight_steps)
+        self.draws_anything = not problem.is_deterministic_data or any(
+            spec.kind != "deterministic" for _, spec in self.weight_groups)
         self.static_components = None
         if problem.is_deterministic_data:
             self.static_components = self._sample_components(None, 1)[0]
@@ -693,7 +654,7 @@ class ProblemRuntime:
         components = self.static_components
         if components is None:
             components = self._sample_components(rng, bs)
-        return components, _draw_weights(self.fixed_weights, self.weight_steps, rng, bs)
+        return components, _draw_weights(self.weight_groups, self.n_nodes, rng, bs)
 
     def simulate(self, start: int, count: int):
         """Tally assignments for iterations [start, start + count).
@@ -796,7 +757,8 @@ def run_smaa(
         Assignment rule for the overall index: ``positive``, ``negative``
         or ``net``.  Per-node indices always use the net-style rule.
     threads :
-        Worker processes, at most one per block and :data:`MAX_WORKERS`.
+        Worker processes, at least one, at most one per block and
+        :data:`MAX_WORKERS`.
         Each gets the built runtime from the pool at start-up, under any
         start method.  Results are identical for any thread count.
     defuzz :
@@ -814,6 +776,8 @@ def run_smaa(
         (iterations, "iterations"), (seed, "seed"), (threads, "threads")))
     if iterations < 1:
         raise ValueError("need at least one iteration")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     state = ProblemRuntime(problem, rule, defuzz, seed, strict)
     spans = _split(iterations, threads)
     if len(spans) == 1:
@@ -850,7 +814,7 @@ def _split(iterations: int, threads: int) -> list[tuple[int, int]]:
     """Contiguous iteration ranges, one per worker and at most
     :data:`MAX_WORKERS`, cut only at multiples of :data:`BLOCK`."""
     blocks = -(-iterations // BLOCK)
-    threads = max(1, min(threads, blocks, MAX_WORKERS))
+    threads = min(threads, blocks, MAX_WORKERS)
     base, extra = divmod(blocks, threads)
     spans = []
     start = 0

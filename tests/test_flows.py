@@ -249,6 +249,9 @@ def test_unknown_rule_rejected(walkthrough, walkthrough_parts, monkeypatch):
                  lambda: run_smaa(stochastic, iterations=10, seed=1.5),
                  lambda: run_smaa(stochastic, iterations=300.0),
                  lambda: run_smaa(stochastic, iterations=2 * smaa.BLOCK, threads=2.0),
+                 # and there is at least one worker
+                 lambda: run_smaa(stochastic, iterations=2 * smaa.BLOCK, threads=0),
+                 lambda: run_smaa(stochastic, iterations=2 * smaa.BLOCK, threads=-3),
                  lambda: run_smaa(stochastic, iterations=True)):
         with pytest.raises(ValueError):
             call()

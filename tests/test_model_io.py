@@ -181,7 +181,7 @@ def test_numbers_must_be_finite(keys, value, at):
 #: Stand-ins for one field of a problem document, each malformed somewhere.
 MALFORMED = [None, True, -1, 0, 1.5, INF, -INF, NAN, 10 ** 400, "x", [], [1], [2, 1],
              [1, 2, 3], {}, {"a": 1}, {"ordinal": [INF, 1]},
-             {"normal": {"mean": 5, "sd": 1, "min": "a"}}]
+             {"normal": {"mean": 5, "sd": 1, "min": "a"}}, [-1e308, 1e308]]
 
 
 def field_paths(node, prefix=()):
@@ -194,6 +194,7 @@ def field_paths(node, prefix=()):
 
 
 def test_every_load_failure_is_a_smaaflow_error():
+    # and so is every failure to run a document that loads
     doc = walkthrough_doc()
     paths = list(field_paths(doc))
     assert len(paths) == 76
@@ -203,7 +204,7 @@ def test_every_load_failure_is_a_smaaflow_error():
             bad = copy.deepcopy(doc)
             set_field(bad, keys, copy.deepcopy(value))
             try:
-                parse_problem(bad)
+                run_smaa(parse_problem(bad), iterations=3, threads=1)
             except SmaaFlowError:
                 pass
             except Exception as exc:  # anything else escapes the error contract
@@ -354,7 +355,7 @@ def test_load_errors_are_frozen():
     assert sorted(row[:3] for row in outcomes if "can never dominate" in row[-1]) == [
         ("profiles/per_criterion/G2/g21/0", repr(v), PROFILE_DOMINANCE) for v in (-1, 0, 1.5)]
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "8217a3f00b96695dcf8b130ac42fa01a72367f685b4d8c10458103e99438b713")
+        "d08f92390e108b4dde5ffa76b079a0c488dea82d489133dd95f2473d4d0954f6")
 
 
 POINT_NORMAL = {"normal": {"mean": 6, "sd": 1, "min": 6, "max": 6}}

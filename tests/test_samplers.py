@@ -202,15 +202,15 @@ def test_group_weight_dispatch():
 
 
 def old_missing(n, rng, size):
-    """One uniform simplex matrix from its own ``random`` call, as the
-    per-group sampler drew it before runs of groups shared one call."""
+    """One uniform simplex matrix from its own ``random`` call, sorted on
+    its own, as the per-group sampler draws it without stacking."""
     u = rng.random((size, n - 1))
     u.sort(axis=-1)
     return np.diff(u, axis=-1, prepend=0.0, append=1.0)
 
 
 def old_ordinal(ranks, rng, size):
-    """The per-group ordinal sampler before runs of groups shared one call."""
+    """The per-group ordinal sampler, ranked on its own without stacking."""
     ranked = np.array([i for i, r in enumerate(ranks) if r is not None], dtype=np.int64)
     by_rank = {}
     for i, r in enumerate(ranks[j] for j in ranked):
@@ -274,7 +274,7 @@ def block_and_reference(groups, n_nodes, bs, seed):
     the group-by-group reference and from the ``sample_group_weights``
     loop, each with the generator's next float after it."""
     out = []
-    for draw in (lambda rng: smaa._draw_weights(*smaa._weight_steps(groups, n_nodes), rng, bs),
+    for draw in (lambda rng: smaa._draw_weights(groups, n_nodes, rng, bs),
                  lambda rng: reference_weights(groups, n_nodes, rng, bs)):
         rng = iteration_rng(seed, 0)
         out.append((draw(rng), rng.random()))
@@ -296,19 +296,19 @@ def assert_same_blocks(blocks):
 @given(specs=st.lists(GROUPS, min_size=1, max_size=8), bs=st.sampled_from([1, 5, BLOCK]),
        seed=st.integers(0, 2**32), shuffle=st.randoms(use_true_random=False))
 def test_block_weights_equal_the_group_by_group_draws(specs, bs, seed, shuffle):
-    # runs of missing and ordinal groups share one uniform call and are
-    # sorted per (kind, ranks, size) stack, yet every weight row, and the
-    # generator's position after the block, is that of one draw per group
+    # missing and ordinal groups are sorted per (kind, ranks, size) stack,
+    # across interval groups, yet every weight row, and the generator's
+    # position after the block, is that of one draw per group
     order = list(range(sum(n for _, n in specs)))
     shuffle.shuffle(order)
     assert_same_blocks(block_and_reference(*column_groups(specs, order), bs, seed))
 
 
 @pytest.mark.parametrize("bs", [1, 5, BLOCK])
-def test_block_weights_split_runs_at_interval_groups(bs, monkeypatch):
+def test_block_weights_stack_across_interval_groups(bs, monkeypatch):
     # deterministic, one- and two-member missing, repeated ordinal and
-    # nine-way tied ordinal groups, split into three runs by a redrawn
-    # interval box and a loose one
+    # nine-way tied ordinal groups, whose stacks span a redrawn interval
+    # box and a loose one
     specs = [(WeightSpec.deterministic([0.6, 0.4]), 2), (WeightSpec.missing(), 1),
              (WeightSpec.ordinal([1, 2, None]), 3), (WeightSpec.missing(), 2),
              (WeightSpec.ordinal([1] * 9 + [2]), 10), (REDRAWN_BOX, 3),
@@ -318,15 +318,13 @@ def test_block_weights_split_runs_at_interval_groups(bs, monkeypatch):
              (WeightSpec.ordinal([2, 2, 3, 4, 1]), 5), (WeightSpec.missing(), 1)]
     groups, n_nodes = column_groups(specs, range(sum(n for _, n in specs)))
     assert_same_blocks(block_and_reference(groups, n_nodes, bs, 11))
-    fixed, steps = smaa._weight_steps(groups, n_nodes)
-    assert [kind for kind, _, _ in steps] == ["run", "interval", "run", "interval", "run"]
     # only the interval groups draw candidates: the loose box takes one
     # batch, and from 5 rows on the redrawn one more than one
     batches = []
     real = smaa.sample_weights_missing
     monkeypatch.setattr(smaa, "sample_weights_missing",
                         lambda *args, **kwargs: batches.append(args) or real(*args, **kwargs))
-    smaa._draw_weights(fixed, steps, iteration_rng(11, 0), bs)
+    smaa._draw_weights(groups, n_nodes, iteration_rng(11, 0), bs)
     assert len(batches) > 2 or bs == 1
 
 
@@ -392,6 +390,20 @@ def test_normal_value_needs_a_nonempty_truncation():
     for lo, hi in ((1.0, 1.0), (2.0, 1.0)):
         with pytest.raises(ValueError, match="empty truncation"):
             StochasticValue.normal(0.0, 1.0, lo=lo, hi=hi)
+    # a mean or spread that is not finite would draw only infinities or
+    # stall; the truncation may stay open
+    for mean, sd in ((0.0, math.inf), (math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            StochasticValue.normal(mean, sd)
+    assert StochasticValue.normal(0.0, 1.0, lo=-math.inf, hi=math.inf).hi == math.inf
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+                                    (0.0, math.nan), (-1e308, 1e308)])
+def test_interval_value_needs_a_finite_width(lo, hi):
+    # numpy's uniform cannot draw these: they would fail at the first draw
+    with pytest.raises(ValueError, match="no finite width"):
+        StochasticValue.interval(lo, hi)
 
 
 def test_pair_and_column_samplers_honour_max_attempts():
