@@ -8,6 +8,7 @@ special case alpha = beta = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 #: Supported defuzzification methods.
@@ -30,10 +31,9 @@ class TriangularFuzzyNumber:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError(
-                f"spreads must be non-negative, got ({self.m}; {self.alpha}; {self.beta})"
-            )
+        if math.isnan(self.m) or not (self.alpha >= 0 and self.beta >= 0):  # NaN fails too
+            what = "peak must not be NaN" if math.isnan(self.m) else "spreads must be non-negative"
+            raise ValueError(f"{what}, got ({self.m}; {self.alpha}; {self.beta})")
 
     @property
     def support(self) -> tuple[float, float]:

@@ -131,6 +131,8 @@ class WeightSpec:
                 WEIGHT_SPEC, f"expected {n} entries, got {len(self.values)}", at
             )
         if self.kind == "deterministic":
+            if not all(map(math.isfinite, self.values)):
+                raise InputError(WEIGHT_SPEC, f"weights must be finite: {self.values}", at)
             if any(w <= 0 for w in self.values):
                 raise InputError(WEIGHT_SPEC, f"weights must be positive: {self.values}", at)
             if abs(sum(self.values) - 1.0) > WEIGHT_SUM_TOL:

@@ -21,6 +21,7 @@ reference sets of a chunk of draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -63,6 +64,8 @@ class PreferenceSpec:
             raise ValueError(f"unknown preference shape {self.shape!r}")
         if self.direction not in DIRECTIONS:
             raise ValueError(f"unknown direction {self.direction!r}")
+        if not all(map(math.isfinite, (self.q, self.p, self.s))):
+            raise ValueError("thresholds must be finite")
         if self.q < 0 or self.p < 0 or self.s < 0:
             raise ValueError("thresholds must be non-negative")
         for name in ("q", "p", "s"):

@@ -18,9 +18,11 @@ and each step draws for the whole block at once: the stochastic profile
 columns in tree order, each best level first, the thresholds of each
 stochastic criterion in tree order, q before p, each stochastic evaluation
 (alternative by alternative, criterion by criterion), then the weight
-vectors of each sibling group in tree order.  Every stochastic profile
-level, threshold and evaluation is drawn by one sampler over a table of
-cells, whose draws do not depend on how the cells are grouped into calls.
+vectors of each sibling group in tree order.  The thresholds are a
+two-row table, a q row over a p row, drawn by the same column sampler as
+the profile columns.  Every stochastic profile level, threshold and
+evaluation is drawn by one sampler over a table of cells, whose draws do
+not depend on how the cells are grouped into calls.
 Likewise the weights take one ``random`` call per missing or ordinal
 sibling group, stacked by kind, ranks and size and sorted one stack at a
 time, which draws the same floats as one sampler call per group; an
@@ -274,16 +276,11 @@ def sample_group_weights(
 ) -> np.ndarray:
     """Weight vectors for a sibling group, honoring its specification.
 
-    One vector, or with ``size`` a (size, n) matrix of independent draws.
+    One vector, or with ``size`` a (size, n) matrix of independent draws:
+    the group's rows of :func:`_draw_weights`.
     """
-    if spec.kind == "deterministic":
-        values = np.array(spec.values)
-        return values if size is None else np.tile(values, (size, 1))
-    if spec.kind == "ordinal":
-        return sample_weights_ordinal(spec.values, rng, size)
-    if spec.kind == "interval":
-        return sample_weights_interval(spec.values, rng, size)
-    return sample_weights_missing(n, rng, size)
+    w = _draw_weights([(np.arange(n), spec)], n, rng, 1 if size is None else size)
+    return w[0] if size is None else w
 
 
 def _draw_weights(groups, n_nodes: int, rng: np.random.Generator | None, bs: int) -> np.ndarray:
@@ -295,8 +292,7 @@ def _draw_weights(groups, n_nodes: int, rng: np.random.Generator | None, bs: int
     one ``random`` call, the floats of one :func:`sample_weights_missing`
     call, and joins the stack of its (kind, ranks, size); after the walk
     each stack is sorted, differenced and ranked as one array.  The rows
-    equal those of one :func:`sample_group_weights` call per group in tree
-    order.
+    equal those of drawing each group on its own, in tree order.
     """
     w = np.zeros((bs, n_nodes))
     stacks: dict[tuple, tuple[list, list]] = {}
@@ -386,63 +382,60 @@ def _draw_cells(cells: np.ndarray, rng: np.random.Generator, size: int,
     return out
 
 
-def _fixed_and_sampled(values: Sequence[StochasticValue]):
-    """The (n, 3) (m, alpha, beta) of the deterministic ``values``, zeros
-    at the others, and the others as (index, value) pairs."""
-    fixed = [v.resolved() if v.is_deterministic else TFN(0.0) for v in values]
-    return (np.array([(f.m, f.alpha, f.beta) for f in fixed]),
-            [(j, v) for j, v in enumerate(values) if not v.is_deterministic])
+def _fixed_and_sampled(table: Sequence[Sequence[StochasticValue]]):
+    """The (rows, cols, 3) (m, alpha, beta) of the deterministic values of
+    a (rows, cols) ``table``, zeros at the others, and the others as
+    (row, col, value) cells, row by row."""
+    fixed = [[v.resolved() if v.is_deterministic else TFN(0.0) for v in row] for row in table]
+    return (np.array([[(f.m, f.alpha, f.beta) for f in row] for row in fixed]),
+            [(h, t, v) for h, row in enumerate(table) for t, v in enumerate(row)
+             if not v.is_deterministic])
 
 
-def _draw_group(fixed, sampled, faults, fault: str, rng, size: int, max_attempts: int):
-    """``size`` draws, (size, n, 3), of a group of values: the (n, 3) rows
-    ``fixed`` with the (index, value) pairs of ``sampled`` drawn.  Each row
-    is redrawn while ``faults`` (if given) flags it, at most
-    ``max_attempts`` times, and then raises :class:`SamplingError` with
-    ``fault``."""
-    slots = [j for j, _ in sampled]
-    cells = _cell_table([v for _, v in sampled])
-
-    def draw(rows):
-        group = np.repeat(fixed[None], len(rows), axis=0)
-        group[:, slots, 0] = _draw_cells(cells, rng, len(rows), max_attempts=max_attempts).T
-        return group, np.ones(len(rows), dtype=bool) if faults is None else ~faults(group)
-
-    group, failed = _by_rejection((size,) + fixed.shape, draw, max_attempts)
-    if len(failed):
-        raise SamplingError(f"{fault} after {max_attempts} attempts")
-    return group
+def _order_faults(column: np.ndarray, maximize: bool) -> np.ndarray:
+    """Rows of profile columns (rows, k+1, 3) whose successive levels do
+    not dominate each other."""
+    dominance, overlap = profile_pair_faults(column, maximize)
+    return (dominance | overlap).any(axis=-1)
 
 
-def _draw_profiles(fixed, sampled, maximize, rng, size: int, max_attempts: int) -> np.ndarray:
-    """``size`` draws, (size, k+1, n_el, 3), of the (k+1, n_el, 3) profile
-    table ``fixed`` with its (level, slot, value) levels ``sampled`` drawn
-    column by column in slot order, best level first, each column redrawn
-    until successive profiles dominate each other."""
+def _pair_faults(pair: np.ndarray, strict: bool | None) -> np.ndarray:
+    """Rows of threshold pairs (rows, 2, k), q first, with q > p, or q == p
+    when ``strict``; none when ``strict`` is None (a shape reads one of
+    them and the other stays crisp 0)."""
+    q, p = pair[..., 0].T
+    return np.zeros(len(q), dtype=bool) if strict is None else (q > p) | ((q == p) & strict)
+
+
+#: The failure of each row test, from its column's flag and index.
+_FAULT_TEXT = {
+    _order_faults: lambda maximize, t: f"no dominance-respecting profile draw on criterion {t}",
+    _pair_faults: lambda strict, t: f"no admissible threshold pair (q {'<' if strict else '<='} p)",
+}
+
+
+def _draw_columns(fixed, sampled, faults, flags, rng, size: int,
+                  max_attempts: int = VALUE_ATTEMPTS) -> np.ndarray:
+    """``size`` draws, (size, rows, cols, k), of the (rows, cols, k) table
+    ``fixed`` with its (row, col, value) cells ``sampled`` drawn column by
+    column in col order, each column's cells in their order in
+    ``sampled``.  A column's rows are redrawn while the row test
+    ``faults(column, flags[col])`` flags them, at most ``max_attempts``
+    times, and then raise :class:`SamplingError`."""
     out = np.repeat(fixed[None], size, axis=0)
     for t in sorted({t for _, t, _ in sampled}):
-        def faults(column):
-            dominance, overlap = profile_pair_faults(column, maximize[t])
-            return (dominance | overlap).any(axis=-1)
+        at, values = zip(*[(h, v) for h, s, v in sampled if s == t])
+        cells = _cell_table(values)
 
-        out[:, :, t] = _draw_group(fixed[:, t], [(h, v) for h, s, v in sampled if s == t], faults,
-                                   f"no dominance-respecting profile draw on criterion {t}", rng,
-                                   size, max_attempts)
+        def draw(rows):
+            column = np.repeat(fixed[None, :, t], len(rows), axis=0)
+            column[:, at, 0] = _draw_cells(cells, rng, len(rows), max_attempts=max_attempts).T
+            return column, ~faults(column, flags[t])
+
+        out[:, :, t], failed = _by_rejection((size,) + fixed[:, t].shape, draw, max_attempts)
+        if len(failed):
+            raise SamplingError(f"{_FAULT_TEXT[faults](flags[t], t)} after {max_attempts} attempts")
     return out
-
-
-def _draw_pair(q_spec, p_spec, strict: bool | None, rng, size: int,
-               max_attempts: int) -> np.ndarray:
-    """``size`` draws of thresholds q and p, (2, size), redrawn until
-    q <= p, or q < p when ``strict``; when ``strict`` is None (a shape
-    reads one of them) they are drawn once, q first."""
-    def faults(pair):
-        q, p = pair[..., 0].T
-        return (q > p) | ((q == p) & strict)
-
-    need = "q < p" if strict else "q <= p"
-    return _draw_group(*_fixed_and_sampled([q_spec, p_spec]), None if strict is None else faults,
-                       f"no admissible threshold pair ({need})", rng, size, max_attempts)[..., 0].T
 
 
 def sample_value(
@@ -493,7 +486,8 @@ def sample_thresholds(
         if q > p or (strict and q >= p):
             raise InputError(THRESHOLD, f"thresholds must satisfy {need}, got q={q}, p={p}")
         return (q, p) if size is None else (np.full(size, q), np.full(size, p))
-    q, p = _draw_pair(q_spec, p_spec, strict, rng, 1 if size is None else size, max_attempts)
+    q, p = _draw_columns(*_fixed_and_sampled([[q_spec], [p_spec]]), _pair_faults, [strict], rng,
+                         1 if size is None else size, max_attempts)[..., 0, 0].T
     return (float(q[0]), float(p[0])) if size is None else (q, p)
 
 
@@ -513,11 +507,9 @@ def sample_profiles(
     redrawn, each at most ``max_attempts`` times, and so is a normal level
     inside its truncation.
     """
-    n_el = len(profile_specs[0])
-    fixed, sampled = _fixed_and_sampled([v for row in profile_specs for v in row])
-    out = _draw_profiles(fixed.reshape(-1, n_el, 3), [(*divmod(j, n_el), v) for j, v in sampled],
-                         [m.direction == "maximize" for m in models], rng,
-                         1 if size is None else size, max_attempts)
+    out = _draw_columns(*_fixed_and_sampled(profile_specs), _order_faults,
+                        [m.direction == "maximize" for m in models], rng,
+                        1 if size is None else size, max_attempts)
     return out[0] if size is None else out
 
 
@@ -583,15 +575,13 @@ class ProblemRuntime:
         # shape codes, s and directions; q and p are set per data draw
         models = problem.preference_models
         self.prefs = PreferenceArrays.of(models, thresholds=(None, None))
-        # the (2, n_el) q and p of deterministic criteria, resolved here
-        # (0 elsewhere), and the criteria whose pair is drawn, in slot order
-        # with their strictness in ORDERED_PAIRS, or None where the shape
-        # reads one threshold and the other stays crisp 0
-        self.fixed_thresholds = np.array([
-            (mdl.q.resolved().m, mdl.p.resolved().m) if mdl.is_deterministic else (0.0, 0.0)
-            for mdl in models]).T
-        self.sampled_thresholds = [(t, mdl, ORDERED_PAIRS.get(mdl.shape))
-                                   for t, mdl in enumerate(models) if not mdl.is_deterministic]
+        # the (2, n_el, 1) threshold modes, a q row over a p row (0 where
+        # drawn), their stochastic (row, slot, value) cells, and each slot's
+        # ORDERED_PAIRS strictness (None: the shape reads one threshold)
+        fixed, self.sampled_thresholds = _fixed_and_sampled([[mdl.q for mdl in models],
+                                                             [mdl.p for mdl in models]])
+        self.fixed_thresholds = fixed[..., :1]
+        self.pair_strictness = [ORDERED_PAIRS.get(mdl.shape) for mdl in models]
         # data draws start from the deterministic profiles and evaluation
         # cells, resolved at parse time, and draw the others; the
         # evaluation cells from one table built here
@@ -613,17 +603,18 @@ class ProblemRuntime:
         Draws the stochastic profile columns in slot order, each best level
         first and redrawn until ordered; the thresholds of stochastic
         criteria in slot order, q before p, a level or linear pair redrawn
-        until ordered; then the stochastic evaluation cells in row-major
-        order inside their row's profile envelope.  Every cell is drawn
+        until ordered, as a two-row (q, p) table drawn by the same column
+        sampler as the profiles; then the stochastic evaluation cells in
+        row-major order inside their row's profile envelope.  Every cell is drawn
         through one table sampler, which draws each run of interval cells
         in one ``uniform`` call (the floats of one call per cell).  Fixed
         inputs were resolved at set-up, so static data needs no generator.
         """
-        profiles = _draw_profiles(self.problem.fixed_profiles, self.problem.sampled_profiles,
-                                  self.prefs.maximize, rng, size, VALUE_ATTEMPTS)
-        q, p = np.repeat(self.fixed_thresholds[..., None], size, axis=-1)
-        for t, mdl, strict in self.sampled_thresholds:
-            q[t], p[t] = _draw_pair(mdl.q, mdl.p, strict, rng, size, VALUE_ATTEMPTS)
+        profiles = _draw_columns(self.problem.fixed_profiles, self.problem.sampled_profiles,
+                                 _order_faults, self.prefs.maximize, rng, size)
+        thresholds = _draw_columns(self.fixed_thresholds, self.sampled_thresholds, _pair_faults,
+                                   self.pair_strictness, rng, size)
+        q, p = np.moveaxis(thresholds[..., 0], 0, -1)
         evals = np.broadcast_to(self.fixed_evals, (size,) + self.fixed_evals.shape)
         if self.sampled_evals:  # a copy to draw into; else a read-only view
             envelope = profile_envelope(profiles.swapaxes(1, 2))

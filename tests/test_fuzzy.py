@@ -34,10 +34,10 @@ def test_negative_scaling_rejected():
 
 
 def test_negative_spreads_rejected():
-    with pytest.raises(ValueError):
-        TFN(1, -0.5, 0)
-    with pytest.raises(ValueError):
-        TFN(1, 0, -0.5)
+    # a NaN in any field is rejected too
+    for fields in [(1, -0.5, 0), (1, 0, -0.5), (0, math.nan, 0), (0, 0, math.nan), (math.nan,)]:
+        with pytest.raises(ValueError):
+            TFN(*fields)
 
 
 def test_support_and_crispness():

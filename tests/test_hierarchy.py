@@ -133,6 +133,11 @@ def test_weight_spec_validation():
     with pytest.raises(InputError):
         WeightSpec.deterministic([1.2, -0.2]).validate(2)
 
+    for weights in ([float("nan")] * 2, [0.5, float("nan")], [float("inf"), 1.0]):
+        with pytest.raises(InputError) as err:       # finite and positive
+            WeightSpec.deterministic(weights).validate(2)
+        assert err.value.code == WEIGHT_SPEC
+
     with pytest.raises(InputError):
         WeightSpec.ordinal([0, 1]).validate(2)       # ranks start at 1
 

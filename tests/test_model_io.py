@@ -194,21 +194,23 @@ def field_paths(node, prefix=()):
 
 
 def test_every_load_failure_is_a_smaaflow_error():
-    # and so is every failure to run a document that loads
-    doc = walkthrough_doc()
-    paths = list(field_paths(doc))
-    assert len(paths) == 76
+    # and so is every failure to run a document that loads, in the
+    # walkthrough and in the mixed-forms document (stochastic data)
     crashes = []
-    for keys in paths:
-        for value in MALFORMED:
-            bad = copy.deepcopy(doc)
-            set_field(bad, keys, copy.deepcopy(value))
-            try:
-                run_smaa(parse_problem(bad), iterations=3, threads=1)
-            except SmaaFlowError:
-                pass
-            except Exception as exc:  # anything else escapes the error contract
-                crashes.append(("/".join(map(str, keys)), repr(value), repr(exc)))
+    for doc, n_paths in ((walkthrough_doc(), 76), (mixed_forms_doc(), 142)):
+        paths = list(field_paths(doc))
+        assert len(paths) == n_paths
+        for keys in paths:
+            for value in MALFORMED:
+                bad = copy.deepcopy(doc)
+                set_field(bad, keys, copy.deepcopy(value))
+                try:
+                    run_smaa(parse_problem(bad), iterations=3, threads=1)
+                except SmaaFlowError:
+                    pass
+                except Exception as exc:  # anything else escapes the error contract
+                    crashes.append((doc.get("name"), "/".join(map(str, keys)), repr(value),
+                                    repr(exc)))
     assert crashes == []
 
 

@@ -76,6 +76,12 @@ def test_shape_specific_constraints():
         spec("gaussian", s=0.0)
     with pytest.raises(ValueError):
         spec("banana")
+    nan, inf = math.nan, math.inf
+    for bad in (dict(shape="gaussian", s=nan), dict(shape="gaussian", s=inf),
+                dict(shape="linear", q=nan, p=1.0), dict(shape="linear", q=0.0, p=inf),
+                dict(shape="level", q=0.5, p=nan), dict(shape="u-shape", q=inf)):
+        with pytest.raises(ValueError):
+            spec(**bad)                  # thresholds must be finite
     spec("level", q=1.0, p=1.0)          # level tolerates q == p
 
 

@@ -3,6 +3,7 @@ surface, and an engine refactor must neither drop nor rename an entry.
 The numpy names the package uses are checked here too."""
 
 import ast
+import re
 from pathlib import Path
 
 import smaaflow
@@ -68,3 +69,14 @@ def test_package_uses_only_numpy_names_of_the_floor():
                          for f in package.glob("*.py")))
     assert {"random.Generator", "sort"} <= used
     assert sorted(used - set(NUMPY_1_24)) == []
+
+
+def test_package_parses_under_the_python_floor():
+    # only a newer Python is installed, so the parser stands in for the
+    # floor; read with a regex, since tomllib is not in Python 3.10
+    package = Path(smaaflow.__file__).parent
+    pyproject = (package.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = map(int, re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject,
+                                      re.MULTILINE).groups())
+    for f in sorted(package.glob("*.py")):
+        ast.parse(f.read_text(encoding="utf-8"), filename=str(f), feature_version=(major, minor))

@@ -229,16 +229,19 @@ def old_ordinal(ranks, rng, size):
 
 def reference_weights(groups, n_nodes, rng, bs):
     """(bs, n_nodes) weight rows drawn group by group in order: missing and
-    ordinal groups by the old per-group formulas, the others by
-    ``sample_group_weights``."""
+    ordinal groups by the old per-group formulas, interval groups by
+    ``sample_weights_interval`` and deterministic ones by tiling their
+    values, so that no group goes through ``_draw_weights``."""
     w = np.empty((bs, n_nodes))
     for idx, spec in groups:
         if spec.kind == "missing":
             w[:, idx] = old_missing(len(idx), rng, bs)
         elif spec.kind == "ordinal":
             w[:, idx] = old_ordinal(spec.values, rng, bs)
+        elif spec.kind == "interval":
+            w[:, idx] = sample_weights_interval(spec.values, rng, size=bs)
         else:
-            w[:, idx] = sample_group_weights(spec, len(idx), rng, size=bs)
+            w[:, idx] = np.tile(spec.values, (bs, 1))
     return w
 
 
