@@ -36,9 +36,13 @@ CHECKOUT (default: the checkout holding this script), run in this process:
 - ``tests/data/weight_mix.json`` (interval, missing, one-member missing,
   ordinal and deterministic sibling groups, an interval group between two
   ordinal ones: the weight draw's stacks across an interval group);
+- ``tests/data/quoted_names.json`` under all three levels (the walkthrough
+  under names with commas, double quotes, a leading space, braces and a
+  line break: the CSV's quoting and the text's braces);
 - ``tests/data/mixed_forms.json`` (the walkthrough with every value form),
-  ``tests/data/sampled_inputs.json``, ``tests/data/eight_categories.json``
-  and ``tests/data/weight_mix.json`` of the checkout holding this script,
+  ``tests/data/sampled_inputs.json``, ``tests/data/eight_categories.json``,
+  ``tests/data/weight_mix.json`` and ``tests/data/quoted_names.json`` of
+  the checkout holding this script,
   so CHECKOUT is tried on the same documents whether or not it has the
   files.
 
@@ -109,6 +113,7 @@ def main(argv=None) -> int:
             problems[name].write_text(json.dumps(getattr(workloads, generator)(seed)),
                                       encoding="utf-8")
         problems["weight-mix"] = DATA / "weight_mix.json"
+        problems["quoted-names"] = DATA / "quoted_names.json"
         for name, problem in problems.items():
             print(name, "dump_problem", sha(dump_problem(load_problem(problem)).encode()))
         runs = [("walkthrough", problems["walkthrough"], "all-nodes", []),
@@ -145,6 +150,8 @@ def main(argv=None) -> int:
             runs.append((f"case-study-net-t1-{level}", problems["case-study"], level,
                          ["--threads", "1"]))
             runs.append((f"synthetic-wide-0-{level}", problems["synthetic-wide-0"], level, []))
+        runs += [(f"quoted-names-{level}", problems["quoted-names"], level, [])
+                 for level in ("category", "first-level", "all-nodes")]
         for name, problem, level, extra in runs:
             out = tmp / name
             call(["run", str(problem), "--level", level, "--out", str(out), *extra])

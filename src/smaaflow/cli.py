@@ -8,7 +8,7 @@ Three subcommands:
               intermediate quantity of the small one step by step
 
 Exit codes: 0 on success, 1 for validation or domain errors, 2 for I/O
-errors (and argparse usage errors).
+errors (a closed standard output among them) and argparse usage errors.
 """
 
 from __future__ import annotations
@@ -51,6 +51,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (taskset, cpusets), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smaaflow",
@@ -74,8 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report granularity")
     p_run.add_argument("--out", default="reports", metavar="DIR",
                        help="output directory (default: ./reports)")
-    p_run.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                       help="worker processes (default: all cores); results do not depend on this")
+    p_run.add_argument("--threads", type=_positive_int, default=_usable_cpus(),
+                       help="worker processes (default: the CPUs this process may use); "
+                            "results do not depend on this")
     p_run.add_argument("--deterministic", action="store_true",
                        help="single run with fixed inputs instead of sampling "
                             "(requires deterministic weights and data)")
@@ -283,10 +292,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
     except SmaaFlowError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2 if exc.code == IO else 1
+    except BrokenPipeError as exc:
+        # most often the reader of stdout went away (`smaaflow run ... | head`)
+        # after the reports were written; the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error[{IO}]: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

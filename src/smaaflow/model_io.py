@@ -882,12 +882,14 @@ REPORT_FORMATS = ("text", "csv")
 
 
 def _node_rows(result, problem, level):
-    """Labels, depths and acceptability matrix row indices of the nodes
-    that ``level`` reports, as three lists."""
+    """Labels and depths of the nodes that ``level`` reports, as two lists,
+    and their (alternatives, nodes, k) index rows as one C-contiguous array,
+    whose rows are bytes to key on and sum as on one alternative's slab."""
     idx = [r for r, path in enumerate(result.node_paths)
            if level == "all-nodes" or (level == "first-level" and len(path) == 1)]
     paths = [result.node_paths[r] for r in idx]
-    return [problem.tree.label_path(path) for path in paths], [len(path) for path in paths], idx
+    return ([problem.tree.label_path(path) for path in paths], [len(path) for path in paths],
+            np.ascontiguousarray(result.node_index[idx].swapaxes(0, 1)))
 
 
 def _assigned(categories, rows, threshold) -> list:
@@ -928,7 +930,8 @@ def write_report(result, problem, level: str = "category", fmt: str = "text",
     only, ``first-level`` adds one block per first-level criterion and
     ``all-nodes`` covers every node of the tree.  ``fmt`` is ``text`` for a
     human-readable report or ``csv`` for one row per (alternative, node)
-    with full-precision indices.
+    with full-precision indices.  Each distinct index row is rendered once
+    per call, and every name in the CSV is quoted by the csv module itself.
     """
     if level not in REPORT_LEVELS:
         raise ValueError(f"unknown report level {level!r}")
@@ -939,20 +942,46 @@ def write_report(result, problem, level: str = "category", fmt: str = "text",
     return _text_report(result, problem, level, threshold)
 
 
+class _Memo(dict):
+    """``render(key)`` of each key, rendered once, on its first lookup."""
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, key):
+        self[key] = value = self.render(key)
+        return value
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as csv.writer writes it in a row of more than one cell."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
 def _csv_report(result, problem, level) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["alternative", "node", *result.categories, "assigned"])
-    labels, _, idx = _node_rows(result, problem, level)
+    labels, _, slabs = _node_rows(result, problem, level)
     # csv writes floats by repr, so indices keep full precision
     overall = result.category_index
     finals = _assigned(result.categories, overall, threshold=0.0)
-    for i, alt in enumerate(result.alternatives):
-        writer.writerow([alt, "overall", *overall[i].tolist(), finals[i]])
-        # one alternative's (nodes, k) slab at a time keeps the lists small
-        slab = result.node_index[idx, i]
-        writer.writerows([alt, label, *row, best] for label, row, best in zip(
-            labels, slab.tolist(), _assigned(result.categories, slab, threshold=0.0)))
+    bests = _assigned(result.categories, slabs, threshold=0.0)
+    cell = _Memo(_csv_cell)
+    heads = [cell[label] + "," for label in labels]
+    # rows keyed by their bytes, rendered from Python floats, whose repr is
+    # what csv.writer writes (a numpy float's repr names its type)
+    raw = slabs.view(f"V{slabs.shape[-1] * slabs.itemsize}")[..., 0].tolist()
+    tail = _Memo(lambda key: ",".join(map(repr, memoryview(key[0]).cast(slabs.dtype.char)
+                                          .tolist())) + "," + cell[key[1]] + "\n")
+    for alt, row, final, rows, best_row in zip(result.alternatives, overall.tolist(), finals,
+                                               raw, bests):
+        writer.writerow([alt, "overall", *row, final])
+        head = cell[alt] + ","
+        buf.write("".join([head + node + tail[r, best]
+                           for node, r, best in zip(heads, rows, best_row)]))
     return buf.getvalue()
 
 
@@ -989,32 +1018,33 @@ def _text_report(result, problem, level, threshold) -> str:
     lines.append("")
 
     if level == "first-level":
-        labels, _, idx = _node_rows(result, problem, level)
+        labels, _, slabs = _node_rows(result, problem, level)
         lab_w = max(len("Criterion"), *(len(label) for label in labels)) + 2
         col_w = [max(len(a), 4) for a in result.alternatives]
         lines.append("Assignments by first-level criterion (net single-criterion flows)")
         lines.append("Criterion".ljust(lab_w) + "".join(
             a.rjust(w + 2) for a, w in zip(result.alternatives, col_w)
         ))
-        cells = _assigned(categories, result.node_index[idx], threshold=0.0)
-        for label, row in zip(labels, cells):
+        cells = _assigned(categories, slabs, threshold=0.0)
+        for label, row in zip(labels, zip(*cells)):
             lines.append(label.ljust(lab_w) + "".join(
                 c.rjust(w + 2) for c, w in zip(row, col_w)
             ))
         lines.append("")
     elif level == "all-nodes":
-        labels, depths, idx = _node_rows(result, problem, level)
+        labels, depths, slabs = _node_rows(result, problem, level)
         prefixes = [f"  L{depth} {'  ' * (depth - 1)}{label.rsplit('/', 1)[-1]:<14} -> "
                     for label, depth in zip(labels, depths)]
         escaped = (c.replace("{", "{{").replace("}", "}}") for c in categories)
-        detail = "{:<12} " + "  ".join(f"{c}={{}}%" for c in escaped)
+        template = "{:<12} " + "  ".join(f"{c}={{}}%" for c in escaped)
+        detail = _Memo(lambda key: template.format(key[0], *key[1]))
         lines.append("Assignments per tree node (net single-criterion flows)")
-        for i, alt in enumerate(result.alternatives):
+        for alt, bests, pcts in zip(result.alternatives,
+                                    _assigned(categories, slabs, threshold=0.0),
+                                    _percentages(slabs)):
             lines.append(f"-- {alt} --")
-            # one alternative's (nodes, k) slab at a time keeps the lists small
-            slab = result.node_index[idx, i]
-            lines += [prefix + detail.format(best, *pct) for prefix, best, pct in zip(
-                prefixes, _assigned(categories, slab, threshold=0.0), _percentages(slab))]
+            lines += [prefix + detail[best, tuple(pct)]
+                      for prefix, best, pct in zip(prefixes, bests, pcts)]
             lines.append("")
 
     return "\n".join(lines) + "\n"

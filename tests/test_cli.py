@@ -1,10 +1,13 @@
 """Command line interface: exit codes, reports on disk, the walkthrough."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from smaaflow.cli import main
+from smaaflow.cli import build_parser, main
 from smaaflow.model_io import fixture_path
 
 INVALID = Path(__file__).parent / "data" / "invalid"
@@ -116,6 +119,39 @@ def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def test_default_threads_are_the_cpus_the_process_may_use(monkeypatch):
+    # a process pinned to one CPU (taskset, a cpuset) starts one worker,
+    # however many CPUs the machine has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    args = build_parser().parse_args(["run", "problem.json"])
+    assert args.threads == 1
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_closed_stdout_is_an_io_error(tmp_path, buffered):
+    # `smaaflow run ... | head` whose reader has gone: stdout is a pipe with
+    # no read end, so the first write (unbuffered) or the flush (buffered)
+    # fails; the run exits 2 with one error line and its reports written
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "smaaflow", "run", str(fixture_path("walkthrough")),
+             "--iterations", "10", "--threads", "1", "--out", str(tmp_path / "r")],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    err = proc.stderr.decode().splitlines()
+    assert proc.returncode == 2
+    assert len(err) == 1 and err[0].startswith("error[IO]: ")
+    assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["category.csv", "category.txt"]
 
 
 def test_module_entry_point():

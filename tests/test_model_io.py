@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import random
 import warnings
 from pathlib import Path
 
@@ -26,7 +27,10 @@ from smaaflow.errors import (
 )
 from smaaflow.flows import ProfileSet, profile_pair_faults
 from smaaflow.model_io import (
+    REPORT_FORMATS,
+    REPORT_LEVELS,
     LinguisticScale,
+    _num,
     dump_problem,
     fixture_path,
     load_problem,
@@ -35,7 +39,15 @@ from smaaflow.model_io import (
     write_report,
 )
 from smaaflow.preference import PreferenceSpec
-from smaaflow.smaa import ProblemRuntime, StochasticValue, deterministic_result
+from smaaflow.smaa import (
+    AcceptabilityResult,
+    ProblemRuntime,
+    StochasticValue,
+    deterministic_result,
+)
+
+import oracles
+from test_smaa import oracle_document
 
 INVALID = Path(__file__).parent / "data" / "invalid"
 
@@ -193,25 +205,46 @@ def field_paths(node, prefix=()):
         yield from field_paths(child, prefix + (key,))
 
 
+def sweep_crashes(doc, paths) -> list:
+    """Each field of ``paths`` in ``doc`` set to each ``MALFORMED`` value,
+    loaded and, where it loads, run for 3 iterations: every failure that is
+    not a :class:`SmaaFlowError`, as (field, value, exception) reprs."""
+    crashes = []
+    for keys in paths:
+        for value in MALFORMED:
+            bad = copy.deepcopy(doc)
+            set_field(bad, keys, copy.deepcopy(value))
+            try:
+                run_smaa(parse_problem(bad), iterations=3, threads=1)
+            except SmaaFlowError:
+                pass
+            except Exception as exc:  # anything else escapes the error contract
+                crashes.append(("/".join(map(str, keys)), repr(value), repr(exc)))
+    return crashes
+
+
 def test_every_load_failure_is_a_smaaflow_error():
     # and so is every failure to run a document that loads, in the
     # walkthrough and in the mixed-forms document (stochastic data)
-    crashes = []
     for doc, n_paths in ((walkthrough_doc(), 76), (mixed_forms_doc(), 142)):
         paths = list(field_paths(doc))
         assert len(paths) == n_paths
-        for keys in paths:
-            for value in MALFORMED:
-                bad = copy.deepcopy(doc)
-                set_field(bad, keys, copy.deepcopy(value))
-                try:
-                    run_smaa(parse_problem(bad), iterations=3, threads=1)
-                except SmaaFlowError:
-                    pass
-                except Exception as exc:  # anything else escapes the error contract
-                    crashes.append((doc.get("name"), "/".join(map(str, keys)), repr(value),
-                                    repr(exc)))
-    assert crashes == []
+        assert sweep_crashes(doc, paths) == [], doc["name"]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_every_failure_on_a_generated_document_is_a_smaaflow_error(seed):
+    # the same sweep over a fixed sample of 40 fields of each generated
+    # document of the tally oracle gate in test_smaa (weight groups of
+    # every kind, all six shapes, a twin of the worst profile; fuzzy data
+    # under seed 1); the whole sweeps take about 3 s and 11 s on two cores
+    rng = random.Random(9100 + seed)
+    inst = oracles.random_instance(rng, fuzzy=seed % 2 == 1, max_depth=2, n_categories=2 + seed,
+                                   shapes=("usual", "linear", "v-shape", "u-shape", "level",
+                                           "gaussian"))
+    doc = oracle_document(rng, inst)[0]
+    paths = random.Random(seed).sample(list(field_paths(doc)), 40)
+    assert sweep_crashes(doc, paths) == []
 
 
 MIXED_FORMS = Path(__file__).parent / "data" / "mixed_forms.json"
@@ -906,3 +939,131 @@ def test_reports_are_deterministic(walkthrough):
     res2 = run_smaa(walkthrough, iterations=50, seed=1)
     b = write_report(res2, walkthrough, level="all-nodes", fmt="csv")
     assert a == b
+
+
+QUOTED_NAMES = Path(__file__).parent / "data" / "quoted_names.json"
+
+
+def reference_report(result, problem, level, fmt, threshold=0.5):
+    """``write_report`` rendered line by line, as a reference: csv.writer
+    over each row of Python floats, one format call per text line, and the
+    row-at-a-time rules above."""
+    cats = list(result.categories)
+    paths = [path for path in result.node_paths
+             if level == "all-nodes" or (level == "first-level" and len(path) == 1)]
+    labels = [problem.tree.label_path(path) for path in paths]
+    nodes = [result.node_index[result.node_paths.index(path)] for path in paths]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["alternative", "node", *cats, "assigned"])
+        for i, alt in enumerate(result.alternatives):
+            for label, index in [("overall", result.category_index), *zip(labels, nodes)]:
+                writer.writerow([alt, label, *index[i].tolist(),
+                                 _row_assigned(cats, index[i], 0.0)])
+        return buf.getvalue()
+    lines = [f"Category acceptability: {problem.name or 'sorting problem'}",
+             f"rule={result.rule}  iterations={result.iterations}  seed={result.seed}  "
+             f"defuzz={result.defuzz}"]
+    if result.boundary_violations:
+        lines.append(f"boundary violations recorded: {result.boundary_violations}")
+    lines += ["", "Acceptability of each category (%)"]
+    alt_w = max(len("Alternative"), *(len(a) for a in result.alternatives)) + 2
+    cat_w = [max(len(c), 4) for c in cats]
+    lines.append("Alternative".ljust(alt_w) + "".join(c.rjust(w + 2) for c, w in zip(cats, cat_w))
+                 + "  Final")
+    finals = [_row_assigned(cats, row, threshold) for row in result.category_index]
+    for alt, row, final in zip(result.alternatives, result.category_index, finals):
+        lines.append(alt.ljust(alt_w) + "".join(
+            str(v).rjust(w + 2) for v, w in zip(_row_percentages(row), cat_w)) + "  " + final)
+    if any(final.endswith("*") for final in finals):
+        lines.append(f"(*) best acceptability below {_num(threshold * 100)}%")
+    lines.append("")
+    if level == "first-level":
+        lab_w = max(len("Criterion"), *(len(label) for label in labels)) + 2
+        col_w = [max(len(a), 4) for a in result.alternatives]
+        lines.append("Assignments by first-level criterion (net single-criterion flows)")
+        lines.append("Criterion".ljust(lab_w) + "".join(
+            a.rjust(w + 2) for a, w in zip(result.alternatives, col_w)))
+        for label, index in zip(labels, nodes):
+            lines.append(label.ljust(lab_w) + "".join(
+                _row_assigned(cats, row, 0.0).rjust(w + 2) for row, w in zip(index, col_w)))
+        lines.append("")
+    elif level == "all-nodes":
+        escaped = (c.replace("{", "{{").replace("}", "}}") for c in cats)
+        detail = "{:<12} " + "  ".join(f"{c}={{}}%" for c in escaped)
+        lines.append("Assignments per tree node (net single-criterion flows)")
+        for i, alt in enumerate(result.alternatives):
+            lines.append(f"-- {alt} --")
+            for label, path, index in zip(labels, paths, nodes):
+                depth = len(path)
+                prefix = f"  L{depth} {'  ' * (depth - 1)}{label.rsplit('/', 1)[-1]:<14} -> "
+                lines.append(prefix + detail.format(_row_assigned(cats, index[i], 0.0),
+                                                    *_row_percentages(index[i])))
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def assert_reports_match_the_reference(result, problem, threshold=0.5):
+    for level in REPORT_LEVELS:
+        for fmt in REPORT_FORMATS:
+            got = write_report(result, problem, level=level, fmt=fmt, threshold=threshold)
+            assert got == reference_report(result, problem, level, fmt, threshold), (level, fmt)
+
+
+def test_reports_of_names_that_need_quoting_match_the_reference():
+    # commas, double quotes, a leading space, braces in a category and a
+    # line break in an alternative's name
+    problem = load_problem(QUOTED_NAMES)
+    result = run_smaa(problem, iterations=300, seed=3, threads=1)
+    assert len(set(result.category_index.ravel().tolist())) > 2  # not only 0 and 1
+    assert_reports_match_the_reference(result, problem)
+    lines = write_report(result, problem, level="all-nodes", fmt="csv").splitlines()
+    assert lines[0] == 'alternative,node,"{best}, ""top""",C2},assigned'
+    assert lines[2] == '"x1, ""the first""","G""1""",1.0,0.0,"{best}, ""top"""'
+
+
+#: A name that csv must quote, or a text report must escape, more often than not.
+REPORT_NAME = st.text(alphabet='x,"{} \n', min_size=1, max_size=4)
+
+
+@st.composite
+def tally_rows(draw, k, iterations):
+    """Hit counts of one index row of ``k`` categories: none, all
+    ``iterations``, part of them, or at most two, which at 10,000
+    iterations round to 0% each and so share their percentages with a
+    row of none."""
+    kind = draw(st.sampled_from(["none", "few", "part", "all"]))
+    if kind == "none":
+        return [0] * k
+    most = min(2, iterations) if kind == "few" else iterations
+    cuts = sorted(draw(st.lists(st.integers(0, most), min_size=k - 1, max_size=k - 1)))
+    top = draw(st.integers(cuts[-1], most)) if kind == "part" else most
+    return [b - a for a, b in zip([0, *cuts], [*cuts, top])]
+
+
+@st.composite
+def drawn_results(draw, problem):
+    """A result over ``problem``'s tree with drawn categories, alternatives
+    and indices: rows that sum to 1, below 1 and to 0 (``n/a``), as float64
+    or, as a library caller may build them, float32."""
+    k, m = draw(st.integers(2, 9)), draw(st.integers(1, 4))
+    iterations = draw(st.sampled_from([1, 3, 7, 200, 10_000]))
+    node_paths = tuple(node.path for node in problem.tree.nodes)
+    n_rows = (len(node_paths) + 1) * m
+    hits = draw(st.lists(tally_rows(k, iterations), min_size=n_rows, max_size=n_rows))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    index = (np.array(hits, dtype=float).reshape(-1, m, k) / iterations).astype(dtype)
+    return AcceptabilityResult(
+        categories=tuple(draw(st.lists(REPORT_NAME, min_size=k, max_size=k, unique=True))),
+        alternatives=tuple(draw(st.lists(REPORT_NAME, min_size=m, max_size=m, unique=True))),
+        category_index=index[0], node_paths=node_paths, node_index=index[1:],
+        iterations=iterations, seed=0, rule="net", defuzz="centroid",
+        boundary_violations=draw(st.integers(0, 3)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.sampled_from([0.0, 0.5, 0.75]))
+def test_reports_of_drawn_results_match_the_reference(data, threshold):
+    problem = load_problem(QUOTED_NAMES)
+    assert_reports_match_the_reference(data.draw(drawn_results(problem)), problem, threshold)
