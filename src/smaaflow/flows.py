@@ -16,7 +16,13 @@ per-leaf flow tables it builds and reads: net alone under ``net``, net and
 the rule's own table under ``positive`` or ``negative``, all three with no
 rule.  It sums the profile-versus-profile pairs once per block of draws,
 then builds its tables a chunk of draws per kernel pass, checking the order
-of each table's profile flows as it goes.  One call,
+of each table's profile flows as it goes.  A pass takes the leaves in shape
+order and lays its points out as (point, direction, alternative, profile,
+leaf, draw), one scratch per run of a shape, so each shape is one kernel
+call whose inner loop runs over leaves and draws; a step shape's pairs read
+their two defuzzified degrees from a table of point states
+(:func:`_step_table`) built by the same kernel, and the tables go back in
+tree order.  One call,
 :meth:`BatchEngine.flows`, takes those tables and a batch of weight vectors
 to flows: it sums every column children-first in one pass and hands out the
 whole tree's tables by name and every node's net ones.
@@ -33,6 +39,7 @@ leaf table it builds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -48,7 +55,7 @@ from .errors import (
 )
 from .fuzzy import DEFUZZ_METHODS, TFN
 from .hierarchy import CriteriaTree
-from .preference import PreferenceArrays, PreferenceSpec
+from .preference import SHAPES, STEPS, PreferenceArrays, PreferenceSpec
 
 #: Assignment rules: the flow each one brackets, as its index in
 #: :class:`FlowTriple`, and the sign of that flow's step from one profile to
@@ -68,14 +75,20 @@ ORDERING_TOL = 1e-9
 
 #: Bytes of pair points per kernel pass of :meth:`BatchEngine.pref_components`:
 #: 16 data draws on the case study, one on a problem of 192 leaves, 40
-#: alternatives and 6 profiles.
+#: alternatives and 6 profiles.  :func:`chunk_draws` charges each draw the
+#: points of its 2 m c alternative-profile pairs and of its c * c profile
+#: pairs, but a pass holds only the former: the profile pairs are summed once
+#: per block, so a pass's points fill 2 m c / (2 m c + c * c) of the budget,
+#: 76% on the case study.
 CHUNK_BYTES = 2_200_000
 
 
 def chunk_draws(n_el: int, m: int, c: int) -> int:
     """Data draws per kernel pass of :meth:`BatchEngine.pref_components`: as
     many as keep the three points of every pair of every leaf within
-    :data:`CHUNK_BYTES`, and at least one."""
+    :data:`CHUNK_BYTES`, and at least one.  It counts the 2 m c pairs of
+    alternatives and profiles, both ways, and the c * c pairs of profiles;
+    the pass holds the points of the first only (see :data:`CHUNK_BYTES`)."""
     return max(1, CHUNK_BYTES // (3 * 8 * n_el * (2 * m * c + c * c)))
 
 
@@ -485,18 +498,18 @@ def check_profile_order(prof: np.ndarray, rule: str, what: str) -> None:
 
 
 def _points(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Points (d, d - s_l, d + s_r) of oriented members (n, A, 3, draws)
-    over (n, B, 3, draws), written into ``out``, (n, 3, A, B, draws)."""
-    d = np.subtract(a[:, :, None, 0], b[:, None, :, 0], out=out[:, 0])
-    np.subtract(d, a[:, :, None, 1] + b[:, None, :, 2], out=out[:, 1])
-    np.add(d, a[:, :, None, 2] + b[:, None, :, 1], out=out[:, 2])
+    """Points (d, d - s_l, d + s_r) of oriented members (3, A, n, draws)
+    over (3, B, n, draws), written into ``out``, (3, A, B, n, draws)."""
+    d = np.subtract(a[0, :, None], b[0, None], out=out[0])
+    np.subtract(d, np.add(a[1, :, None], b[2, None], out=out[1]), out=out[1])
+    np.add(d, np.add(a[2, :, None], b[1, None], out=out[2]), out=out[2])
     return out
 
 
 def _defuzzed(degrees: np.ndarray, defuzz: str) -> np.ndarray:
-    """Pair degrees from (n, 3, ...) P(d), P(d - s_l), P(d + s_r), in place over the last:
+    """Pair degrees from (3, ...) P(d), P(d - s_l), P(d + s_r), in place over the last:
     ``(p_hi + p_lo) - 2.0*p0`` (centroid) or ``p_hi - p_lo``, then ``/ 3.0``, then ``+ p0``."""
-    p0, p_lo, p_hi = degrees.swapaxes(0, 1)
+    p0, p_lo, p_hi = degrees
     if defuzz == "centroid":
         np.add(p_hi, p_lo, out=p_hi)
         p_hi -= np.multiply(p0, 2.0, out=p_lo)
@@ -507,43 +520,117 @@ def _defuzzed(degrees: np.ndarray, defuzz: str) -> np.ndarray:
     return p_hi
 
 
-def _sum_profiles(a: np.ndarray, pairwise: bool = True) -> np.ndarray:
-    """Sum of ``a`` (..., n, draws) over axis -2, as a new array, in numpy's order
+def _kernel_pairs(prefs: PreferenceArrays, pts: np.ndarray, defuzz: str) -> np.ndarray:
+    """Defuzzed degrees of pairs and of their mirror pairs through the
+    elementwise kernel.  ``pts`` is (3, 2, ..., criteria[, draws]) with the
+    pairs' points in ``[:, 0]``; the mirrors' points go to ``[:, 1]``, and
+    the degrees, (2, ...), to ``pts[2]``, which is returned."""
+    # the points of P(r, x) negate those of P(x, r): (-d, -(d + s_r), -(d - s_l))
+    for k, j in ((0, 0), (1, 2), (2, 1)):
+        np.negative(pts[j, 0], out=pts[k, 1])
+    return _defuzzed(prefs.degrees(pts, out=pts), defuzz)
+
+
+@functools.cache
+def _step_table(shape: str, defuzz: str) -> np.ndarray:
+    """The defuzzed degrees of a pair and of its mirror pair under step shape
+    ``shape``, (2, n, n, n), for each triple of states of the pair's points
+    P(d), P(d - s_l), P(d + s_r), a state being a point's step count (see
+    :meth:`PreferenceArrays.add_step_counts`) plus n // 2:
+    :func:`_kernel_pairs` run on one point per state, so the floats are the
+    kernel's.  Built on first use, in the process that reads it, and
+    read-only."""
+    prefs = PreferenceArrays(np.array([SHAPES.index(shape)]), np.array([1.0]),
+                             np.array([2.0]), np.zeros(1), np.ones(1, dtype=bool))
+    # one point below, between and above the steps at +-1 and +-2: the first
+    # candidate of each count, as counts never fall along the candidates
+    candidates = np.array([[-3.0], [-1.5], [0.0], [1.5], [3.0]])
+    counts = prefs.add_step_counts(candidates, np.zeros(candidates.shape, dtype=np.intp))[:, 0]
+    points = candidates[np.flatnonzero(np.diff(counts, prepend=counts[0] - 1))]
+    pts = np.empty((3, 2) + (len(points),) * 3 + (1,))
+    for k in range(3):  # point k's state on axis k
+        pts[k, 0] = points.reshape((-1,) + (1,) * (2 - k) + (1,))
+    table = _kernel_pairs(prefs, pts, defuzz)[..., 0]
+    table.flags.writeable = False
+    return table
+
+
+def _pair_degrees(prefs: PreferenceArrays, x: np.ndarray, r: np.ndarray, defuzz: str,
+                  out: np.ndarray) -> np.ndarray:
+    """Defuzzed degrees of every pair of oriented members ``x`` (3, A,
+    criteria, draws) over ``r`` (3, B, criteria, draws), and of its mirror
+    pair, written into ``out``, (2, A, B, criteria, draws), and returned.
+
+    Each run of one shape builds its points (:func:`_points`) in a scratch
+    of its own, laid out (point, direction, A, B, run criteria, draws), so
+    every elementwise step of the run loops over one contiguous block.  A
+    run of a step shape (see :data:`~smaaflow.preference.STEPS`) sorts its
+    pairs' three points into states and reads both degrees from its
+    :func:`_step_table`, without the mirrors' points; any other runs
+    through :func:`_kernel_pairs`.
+    """
+    for lo, hi in prefs.runs():
+        part, run = prefs.select(slice(lo, hi)), (Ellipsis, slice(lo, hi), slice(None))
+        name = SHAPES[prefs.codes[lo]]
+        size = (3,) + out.shape[1:3] + part.q.shape  # the run's points, (3, A, B, criteria, draws)
+        if name not in STEPS:
+            pts = np.empty(size[:1] + (2,) + size[1:])
+            _points(x[run], r[run], pts[:, 0])
+            out[run] = _kernel_pairs(part, pts, defuzz)
+            continue
+        table = _step_table(name, defuzz)
+        n = table.shape[-1]
+        # the table's flat index (s0 * n + s_lo) * n + s_hi of the states s,
+        # each its point's step count plus n // 2
+        code = np.zeros(size[1:], dtype=np.intp)
+        for z in _points(x[run], r[run], np.empty(size)):
+            code *= n
+            part.add_step_counts(z, code)
+        code += (n * n + n + 1) * (n // 2)
+        for degrees, into in zip(table.reshape(2, -1), out[run]):
+            np.take(degrees, code, out=into)
+    return out
+
+
+def _sum_profiles(a: np.ndarray, axis: int, pairwise: bool = True) -> np.ndarray:
+    """Sum of ``a`` over its profile ``axis``, as a new array, in numpy's order
     for a contiguous (``pairwise``) or a strided axis.  From 8 values up numpy sums
     a contiguous axis pairwise, so that sum is ``np.sum`` over a copy with the
     profile axis last; otherwise numpy adds one by one from 0.0, as the loop does,
     into a contiguous array (faster than into a strided view)."""
-    if pairwise and a.shape[-2] >= 8:
-        return np.ascontiguousarray(np.moveaxis(a, -2, -1)).sum(axis=-1)
-    r = a[..., 0, :] + 0.0  # 0.0 + -0.0 is 0.0, as from numpy's start at 0.0
-    for i in range(1, a.shape[-2]):
-        r += a[..., i, :]
+    if pairwise and a.shape[axis] >= 8:
+        return np.ascontiguousarray(np.moveaxis(a, axis, -1)).sum(axis=-1)
+    a = np.moveaxis(a, axis, 0)
+    r = a[0] + 0.0  # 0.0 + -0.0 is 0.0, as from numpy's start at 0.0
+    for i in range(1, len(a)):
+        r += a[i]
     return r
 
 
 def _profile_pair_sums(prefs: PreferenceArrays, r: np.ndarray, defuzz: str):
-    """Sums over l != h of P(r_h, r_l) and of P(r_l, r_h), (n, c, draws)
-    each, from oriented profiles (n, c, 3, draws) and their ``prefs``."""
+    """Sums over l != h of P(r_h, r_l) and of P(r_l, r_h), (c, n, draws)
+    each, from oriented profiles (3, c, n, draws) and their ``prefs``."""
     c = r.shape[1]
-    pts = _points(r, r, np.empty((len(r), 3, c, c) + r.shape[3:]))
+    pts = _points(r, r, np.empty((3, c, c) + r.shape[2:]))
     r_over_r = _defuzzed(prefs.degrees(pts, out=pts), defuzz)
-    diag = r_over_r[:, np.arange(c), np.arange(c)]
-    return (_sum_profiles(r_over_r) - diag,
-            _sum_profiles(r_over_r.swapaxes(1, 2), pairwise=False) - diag)
+    diag = r_over_r[np.arange(c), np.arange(c)]
+    return (_sum_profiles(r_over_r, axis=1) - diag,
+            _sum_profiles(r_over_r, axis=0, pairwise=False) - diag)
 
 
-def _block_pair_sums(prefs: PreferenceArrays, profiles: np.ndarray, defuzz: str):
+def _block_pair_sums(prefs: PreferenceArrays, profiles: np.ndarray, defuzz: str,
+                     leaves: np.ndarray):
     """:func:`_profile_pair_sums` of every leaf for a block of draws, from
     ``prefs`` with (n_el, draws) ``q`` and ``p`` and (draws, c, n_el, 3)
-    ``profiles``.
+    ``profiles``, the leaves taken in the order ``leaves``.
 
-    Returns ``(fixed, once, vary, each)``: the leaves whose profiles and
-    thresholds hold the same bits in every draw and their (2, leaves, c, 1)
-    sums, from the first draw; then the other leaves and their (2, leaves,
-    c, draws) sums, from one call per window of as many draws as keep the
-    points of their profile pairs within :data:`CHUNK_BYTES`.  The sums are
-    elementwise along the draw axis, so their bits do not depend on the
-    window.
+    Returns ``(fixed, once, vary, each)``: the positions in ``leaves`` of
+    the leaves whose profiles and thresholds hold the same bits in every
+    draw and their (2, c, leaves, 1) sums, from the first draw; then the
+    positions of the other leaves and their (2, c, leaves, draws) sums, from
+    one call per window of as many draws as keep the points of their
+    profile pairs within :data:`CHUNK_BYTES`.  The sums are elementwise
+    along the draw axis, so their bits do not depend on the window.
     """
     draws, c, n_el = profiles.shape[:3]
     bits = profiles.view(np.int64)
@@ -553,14 +640,14 @@ def _block_pair_sums(prefs: PreferenceArrays, profiles: np.ndarray, defuzz: str)
         bits = v.view(np.int64)
         fixed &= (bits == bits[:, :1]).all(axis=1)
 
-    def pair_sums(leaves, rows):
-        part = PreferenceArrays(*(v[leaves] for v in prefs._replace(q=prefs.q[:, rows],
-                                                                    p=prefs.p[:, rows])))
-        r = np.moveaxis(part.orient(profiles[rows][:, :, leaves]), (-2, -3, -1), (0, 1, 2))
+    def pair_sums(positions, rows):
+        picked = leaves[positions]
+        part = prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows]).select(picked)
+        r = part.orient(profiles[rows][:, :, picked]).transpose(3, 1, 2, 0)
         return _profile_pair_sums(part, r, defuzz)
 
-    fixed, vary = np.flatnonzero(fixed), np.flatnonzero(~fixed)
-    each = np.empty((2, len(vary), c, draws))
+    fixed, vary = np.flatnonzero(fixed[leaves]), np.flatnonzero(~fixed[leaves])
+    each = np.empty((2, c, len(vary), draws))
     window = max(1, CHUNK_BYTES // (3 * 8 * c * c * max(1, len(vary))))
     once = np.array(pair_sums(fixed, slice(0, 1)))
     for j in range(0, draws, window):
@@ -652,10 +739,12 @@ class BatchEngine:
         """The engine's flow tables of every leaf, for one data draw or for
         a block of draws along a leading axis.
 
-        The profile-versus-profile sums of the block come first, from
-        :func:`_block_pair_sums`.  Then the draws go :func:`chunk_draws` at
-        a time through one kernel pass, :meth:`_chunk_tables`, which builds
-        a chunk's tables draw last.  Each pass's tables are copied out,
+        The leaves are taken in a stable order by shape, from the shape
+        codes of ``prefs``.  The profile-versus-profile sums of the block
+        come first, from :func:`_block_pair_sums`.  Then the draws go
+        :func:`chunk_draws` at a time through one kernel pass,
+        :meth:`_chunk_tables`, which builds a chunk's tables with leaves and
+        draws innermost.  Each pass's tables are copied back in tree order,
         their worst steps taken, and the chunk dropped before the next pass.
 
         Parameters
@@ -690,65 +779,66 @@ class BatchEngine:
             prefs = prefs._replace(q=prefs.q[:, None], p=prefs.p[:, None])
             evals, profiles = evals[None], profiles[None]
         draws, n_el = evals.shape[0], evals.shape[-2]
+        # a stable argsort by shape; Python's, as numpy's stable sort would
+        # page its own code into every worker
+        leaves = np.array(sorted(range(n_el), key=prefs.codes.__getitem__))
         tables = np.empty((draws, n_el, len(self.tables) * self.n_pairs))
-        sums = _block_pair_sums(prefs, profiles, defuzz)
+        sums = _block_pair_sums(prefs, profiles, defuzz, leaves)
         worst = np.full(len(self.tables), -np.inf)
         step = chunk_draws(n_el, self.m, self.c)
         for j in range(0, draws, step):
             rows = slice(j, j + step)
-            table = self._chunk_tables(prefs, evals, profiles, defuzz, sums, rows)
-            tables[rows] = np.moveaxis(table, -1, 0)
-            np.maximum(worst, self._worst_steps(table), out=worst)
+            table = self._chunk_tables(prefs, evals, profiles, defuzz, sums, rows, leaves)
+            tables[rows][:, leaves] = table.transpose(2, 1, 0)
+            np.maximum(worst, self._worst_steps(table.reshape(len(table), -1)), out=worst)
             del table  # free the scratch before the next pass builds its own
         _check_steps(zip(worst, self.tables))
         tables = tables.swapaxes(1, 2)
         return tables[0] if one else tables
 
     def _chunk_tables(self, prefs: PreferenceArrays, evals: np.ndarray, profiles: np.ndarray,
-                      defuzz: str, sums, rows: slice) -> np.ndarray:
+                      defuzz: str, sums, rows: slice, leaves: np.ndarray) -> np.ndarray:
         """One unchecked kernel pass of :meth:`pref_components` over the
         draws ``rows`` of a block, its inputs as there with (n_el, draws)
-        ``q`` and ``p``.
+        ``q`` and ``p``, and its leaves in the order ``leaves``.
 
-        ``sums`` is the block's :func:`_block_pair_sums`.  Returns the
-        engine's tables, in ``tables`` order and draw last, as a new
-        (n_el, len(tables) * n_pairs, draws) array; nothing its caller owns
-        is written.
+        ``sums`` is the block's :func:`_block_pair_sums` in that order.  The
+        pass lays its points out as (point, direction, alternative, profile,
+        leaf, draw), one scratch per run of a shape (:func:`_pair_degrees`),
+        so every elementwise step runs an inner loop over leaves and draws.
+        Returns the engine's tables, in ``tables`` order, as a
+        new (len(tables) * n_pairs, leaves, draws) array; nothing its
+        caller owns is written.
         """
         c, m, n = self.c, self.m, self.n_pairs
         prefs = prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows])
-        evals, profiles = evals[rows], profiles[rows]
-        draws, n_el = evals.shape[0], evals.shape[-2]
-        # oriented members as (n_el, members, 3, draws)
-        x, r = (np.ascontiguousarray(np.moveaxis(prefs.orient(v), (-2, -3, -1), (0, 1, 2)))
+        # oriented members as (3, members, leaves, draws)
+        x, r = (np.take(prefs.orient(v[rows]).transpose(3, 1, 2, 0), leaves, axis=2)
                 for v in (evals, profiles))
-        # points of P(x_i, r_h); those of P(r_h, x_i) negate them: (-d, -(d + s_r), -(d - s_l))
-        pts = np.empty((n_el, 3, 2, m, c, draws))
-        _points(x, r, pts[:, :, 0])
-        for k, j in ((0, 0), (1, 2), (2, 1)):
-            np.negative(pts[:, j, 0], out=pts[:, k, 1])
-        x_over_r, r_over_x = _defuzzed(prefs.degrees(pts, out=pts), defuzz).swapaxes(0, 1)
+        lay = x.shape[2:]  # (leaves, draws)
+        x_over_r, r_over_x = _pair_degrees(prefs.select(leaves), x, r, defuzz,
+                                           np.empty((2, m, c) + lay))
         fixed, once, vary, each = sums
-        row, col = np.empty((2, n_el, c, draws))
-        row[fixed], col[fixed] = once
-        row[vary], col[vary] = each[..., rows]
-        table = np.empty((n_el, len(self.tables), m, c + 1, draws))
-        net = table[:, 0]
+        row, col = np.empty((2, c) + lay)
+        row[:, fixed], col[:, fixed] = once
+        row[:, vary], col[:, vary] = each[..., rows]
+        table = np.empty((len(self.tables), m, c + 1) + lay)
+        net = table[0]
         # Net flows are summed from pair differences rather than taken as
         # positive minus negative: an alternative equal to a profile ties it
         # exactly, and this rounding decides its category in the reports.
-        diff = np.subtract(x_over_r, r_over_x, out=net[:, :, 1:])
-        net[:, :, 0] = _sum_profiles(diff)
-        np.subtract((row - col)[:, None], diff, out=diff)
+        diff = np.subtract(x_over_r, r_over_x, out=net[:, 1:])
+        net[:, 0] = _sum_profiles(diff, axis=1)
+        np.subtract(row - col, diff, out=diff)
         # the positive flow of x sums P(x, r_h) over the profiles, and that
         # of r_h adds P(r_h, x) to its profile sum; the negative mirrors it
         sides = {"positive": (x_over_r, row, r_over_x), "negative": (r_over_x, col, x_over_r)}
-        for name, block in zip(self.tables[1:], table.swapaxes(0, 1)[1:]):
+        for name, block in zip(self.tables[1:], table[1:]):
             alt, prof_sums, prof = sides[name]
-            block[:, :, 0] = _sum_profiles(alt)
-            np.add(prof_sums[:, None], prof, out=block[:, :, 1:])
+            block[:, 0] = _sum_profiles(alt, axis=1)
+            np.add(prof_sums, prof, out=block[:, 1:])
         table /= c
-        return table.reshape((n_el, len(self.tables) * n, draws))
+        return table.reshape((len(self.tables) * n,) + lay)
 
     # -- node values and flows --------------------------------------------
 

@@ -14,13 +14,17 @@ to a preference degree in [0, 1]:
 Fuzzy evaluations are compared by pushing the three points of the fuzzy
 difference through the crisp shape, which yields a fuzzy preference degree.
 :class:`PreferenceArrays` holds the one implementation of the shapes, a
-kernel vectorized over criteria and, optionally, data draws; the scalar
-functions are one-row calls of it, and the flow engine calls it for whole
-reference sets of a chunk of draws.
+kernel vectorized over criteria and, optionally, data draws, both on the
+trailing axes; the scalar functions are one-row calls of it, and the flow
+engine calls it for whole reference sets of a chunk of draws.  The step
+shapes (``usual``, ``u-shape``, ``level``) take at most three values, so
+:meth:`PreferenceArrays.add_step_counts` sorts a point into one of at most five
+states that fix its degree and its mirror's.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -41,6 +45,11 @@ THRESHOLDS = {
 SHAPES = tuple(THRESHOLDS)
 #: Shapes reading q and p as an ordered pair, each with whether q < p is strict.
 ORDERED_PAIRS = {"level": False, "linear": True}
+#: Step shapes, each with the thresholds its degree steps at, from (q, p);
+#: with 0 <= q <= p, a point's degree changes only where it passes a step t,
+#: and its mirror's only where it passes -t.
+STEPS = {"usual": lambda q, p: (0.0,), "u-shape": lambda q, p: (q,),
+         "level": lambda q, p: (q, p)}
 DIRECTIONS = ("maximize", "minimize")
 
 
@@ -123,25 +132,54 @@ class PreferenceArrays(NamedTuple):
                    np.array([x.s for x in prefs], dtype=float),
                    np.array([x.direction == "maximize" for x in prefs]))
 
+    def select(self, index) -> "PreferenceArrays":
+        """The arrays of the criteria ``index``, a slice or an index array."""
+        return PreferenceArrays(*(v[index] for v in self))
+
+    def runs(self):
+        """(start, stop) of each run of neighbouring criteria of one shape."""
+        stop = 0
+        for _, run in itertools.groupby(self.codes.tolist()):
+            start, stop = stop, stop + sum(1 for _ in run)
+            yield start, stop
+
     def degrees(self, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Preference degrees of oriented differences ``d``, whose first
-        axis runs over the criteria.
+        """Preference degrees of oriented differences ``d``, whose trailing
+        axes are the criteria and, when ``q`` and ``p`` carry one, the draws.
 
         ``q`` and ``p`` are (n_criteria,), or (n_criteria, draws) to give
-        each draw its own thresholds along the last axis of ``d``.  Any axes
-        of ``d`` in between are pair axes, over which the thresholds
-        broadcast.  Each run of neighbouring criteria of one shape goes
-        through its kernel as a view.  The degrees go to ``out`` when
-        given, which may be ``d`` itself.
+        each draw its own thresholds; any leading axes of ``d`` are pair
+        axes, over which the thresholds broadcast.  Each run of neighbouring
+        criteria of one shape goes through its kernel as a view, whose inner
+        loop runs over that run's criteria and draws, so criteria in shape
+        order make one kernel call per shape.  The degrees go to ``out``
+        when given, which may be ``d`` itself.
         """
         out = np.empty(d.shape) if out is None else out
-        pair_axes = (1,) * (d.ndim - self.q.ndim)
-        starts = np.flatnonzero(np.diff(self.codes, prepend=-1))
-        for lo, hi in zip(starts, [*starts[1:], len(self.codes)]):
-            q, p = (v[lo:hi].reshape((hi - lo,) + pair_axes + v.shape[1:])
-                    for v in (self.q, self.p))
-            s = self.s[lo:hi].reshape((hi - lo,) + (1,) * (d.ndim - 1))
-            _KERNELS[SHAPES[self.codes[lo]]](d[lo:hi], q, p, s, out[lo:hi])
+        s = self.s.reshape(self.s.shape + (1,) * (self.q.ndim - 1))
+        pairs = (slice(None),) * (d.ndim - self.q.ndim)
+        for lo, hi in self.runs():
+            run = pairs + (slice(lo, hi),)
+            _KERNELS[SHAPES[self.codes[lo]]](d[run], self.q[lo:hi], self.p[lo:hi], s[lo:hi],
+                                             out[run])
+        return out
+
+    def add_step_counts(self, d: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Add the step count of each oriented difference ``d`` on criteria
+        of one step shape (see :data:`STEPS`), laid out as for
+        :meth:`degrees`, to ``out``, an integer array shaped like ``d``, and
+        return ``out``.
+
+        A point's step count is the number of steps t it lies above
+        (d > t) less the number whose mirror it lies below (d < -t), from
+        -k to k for k steps: its state, one of 2k + 1.  The degree of d and
+        that of its mirror -d depend on its count alone; nan counts 0,
+        whose degree both ways is 0, as the kernel gives it.
+        """
+        hit = np.empty(d.shape, dtype=bool)
+        for t in STEPS[SHAPES[self.codes[0]]](self.q, self.p):
+            out += np.greater(d, t, out=hit)
+            out -= np.less(d, -t, out=hit)
         return out
 
     def orient(self, x: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from smaaflow import TFN, PreferenceSpec, ProfileSet, build_tree
@@ -49,7 +50,8 @@ def unchecked_tables(engine, prefs, evals, profiles, defuzz="centroid"):
         prefs = PreferenceArrays.of(prefs)
         prefs = prefs._replace(q=prefs.q[:, None], p=prefs.p[:, None])
         evals, profiles = evals[None], profiles[None]
+    leaves = np.arange(evals.shape[-2])
     tables = engine._chunk_tables(prefs, evals, profiles, defuzz,
-                                  _block_pair_sums(prefs, profiles, defuzz),
-                                  slice(None)).transpose(2, 1, 0)
+                                  _block_pair_sums(prefs, profiles, defuzz, leaves),
+                                  slice(None), leaves).transpose(2, 0, 1)
     return tables[0] if one else tables

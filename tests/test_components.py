@@ -3,10 +3,13 @@
 ``BatchEngine.pref_components`` hands its kernel pass a chunk of draws at
 a time, and each pass broadcasts the pairs of every leaf over its draws.
 These tests pin the result to one-draw calls bit for bit, to the flat
-oracle within 1e-12 on every leaf, and to table digests computed with the
-earlier one-call-per-draw engine, and the tables kept under each rule to
-the matching blocks of all three; chunks hold ``CHUNK`` draws here,
-whatever the byte budget would give these small instances.
+oracle within 1e-12 on every leaf, to table digests computed with the
+earlier one-call-per-draw engine and, on real problems, with the engine
+before it took the leaves in shape order, and the tables kept under each
+rule to the matching blocks of all three.  The step shapes' table lookups
+match the elementwise kernel at their breakpoints.  Chunks hold ``CHUNK``
+draws here, whatever the byte budget would give these small instances,
+except in the real problems' digests.
 """
 
 import dataclasses
@@ -17,12 +20,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smaaflow import flows
+from smaaflow import build_tree, flows
 from smaaflow.flows import CHUNK_BYTES, BatchEngine, chunk_draws
 from smaaflow.fuzzy import DEFUZZ_METHODS
 from smaaflow.model_io import load_problem, parse_problem
-from smaaflow.preference import SHAPES, PreferenceArrays
-from smaaflow.smaa import ProblemRuntime, iteration_rng
+from smaaflow.preference import SHAPES, STEPS, PreferenceArrays
+from smaaflow.smaa import BLOCK, ProblemRuntime, iteration_rng
 
 import oracles
 from conftest import library_objects
@@ -130,7 +133,7 @@ def test_fixed_profile_sums_equal_one_draw_calls(n_profiles, kept, monkeypatch):
     real = flows._profile_pair_sums
 
     def counted(prefs, r, defuzz):
-        sized.append(r.shape[::3])
+        sized.append(r.shape[2:])  # (leaves, draws)
         return real(prefs, r, defuzz)
 
     monkeypatch.setattr(flows, "_profile_pair_sums", counted)
@@ -153,19 +156,26 @@ def test_fixed_profile_sums_equal_one_draw_calls(n_profiles, kept, monkeypatch):
                 assert np.array_equal(tables[j], one), (defuzz, window, j)
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def named_problem(name, monkeypatch):
+    """A benchmark workload at seed 0 by name, or else a problem of
+    ``tests/data``, its file stem spelt with hyphens."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    if name in workloads.WORKLOADS:
+        return parse_problem(workloads.WORKLOADS[name](0))
+    return load_problem(ROOT / "tests" / "data" / f"{name.replace('-', '_')}.json")
+
+
 @pytest.mark.parametrize("name", ["case-study-interval", "mixed-forms"])
 def test_rule_tables_are_blocks_of_all_tables(name, monkeypatch):
     # the tables a rule keeps are the matching blocks of all three, bit for
     # bit, and only those are held: n_pairs columns per leaf under net,
     # 2 * n_pairs under positive or negative, 3 * n_pairs with no rule
-    root = Path(__file__).resolve().parent.parent
-    if name == "mixed-forms":
-        problem = load_problem(root / "tests" / "data" / "mixed_forms.json")
-    else:
-        monkeypatch.syspath_prepend(str(root / "perfbench"))
-        import workloads
-
-        problem = parse_problem(workloads.case_study_interval(0))
+    problem = named_problem(name, monkeypatch)
     state = ProblemRuntime(problem, "net", "centroid", seed=0, strict=False)
     data = state._sample_data(iteration_rng(0, 0), DRAWS)
     n, n_el = state.engine.n_pairs, data[1].shape[2]
@@ -222,6 +232,113 @@ def test_chunked_tables_match_frozen_digests(seed, n_profiles, defuzz):
     assert digest == FROZEN_DIGESTS[seed, n_profiles, defuzz]
 
 
+def breakpoint_inputs():
+    """Leaves of the three step shapes and a linear one, shapes interleaved,
+    whose points against profile 2 sit exactly at 0, -0.0, +-q and +-p or
+    one ulp to either side, in draws with thresholds of their own.
+
+    Profile 2 is crisp 0 on every leaf, so a pair's points (d, d - s_l,
+    d + s_r) are the alternative's mode and support ends, dyadic values
+    that subtract exactly.  Thresholds come from 0.5, 1.0 and 1.25 and the
+    floats next to them: the level leaf runs through every q <= p pair,
+    q == p included, the u-shape leaf through every q.  Profiles 1 and 3
+    (8 and -8) keep the profile flows ordered.  Returns the tree and the
+    (prefs, evals, profiles) of :meth:`BatchEngine.pref_components`.
+    """
+    values = sorted({f(v) for v in (0.5, 1.0, 1.25)
+                     for f in (float, lambda v: np.nextafter(v, 0.0),
+                               lambda v: np.nextafter(v, np.inf))})
+    pairs = [(q, p) for q in values for p in values if q <= p]
+    draws = len(pairs)
+    shapes = ["level", "usual", "linear", "u-shape", "usual"]
+    tree = build_tree([{"label": f"c{t}"} for t in range(len(shapes))],
+                      {"deterministic": [0.2] * len(shapes)})
+    q, p = np.zeros((2, len(shapes), draws))
+    q[0], p[0] = np.array(pairs).T
+    q[2], p[2] = np.array(pairs).T[0], np.array(pairs).T[0] + 1.0
+    q[3] = [values[j % len(values)] for j in range(draws)]
+    prefs = PreferenceArrays(np.array([SHAPES.index(x) for x in shapes]), q, p,
+                             np.zeros(len(shapes)), np.ones(len(shapes), dtype=bool))
+    crisp = [(m, 0.0, 0.0) for m in (0.0, -0.0, 5e-324, -5e-324)]
+    crisp += [(sign * v, 0.0, 0.0) for v in values for sign in (1.0, -1.0)]
+    fuzzy = [(1.0, 0.5, 0.25), (-1.0, 0.25, 0.5), (0.5, 0.5, 0.75), (0.0, 0.5, 0.5),
+             (-0.0, 1.0, 1.25)]
+    evals = np.broadcast_to(np.array(crisp + fuzzy)[None, :, None],
+                            (draws, len(crisp + fuzzy), len(shapes), 3))
+    profiles = np.broadcast_to(np.array([(8.0, 0.0, 0.0), (0.0, 0.0, 0.0), (-8.0, 0.0, 0.0)])
+                               [None, :, None], (draws, 3, len(shapes), 3))
+    return tree, prefs, evals, profiles
+
+
+@pytest.mark.parametrize("rule", [None, "net", "positive", "negative"])
+def test_step_shapes_at_their_breakpoints_match_the_kernel(rule, monkeypatch):
+    # the step-shape table lookups give the elementwise kernel's tables bit
+    # for bit (with the step shapes taken out of STEPS, every leaf runs the
+    # kernel), and the points reach every state of every step leaf
+    tree, prefs, evals, profiles = breakpoint_inputs()
+    x = evals[:, :, :, 0]
+    # the points against profile 2, (3, m, n_el, draws)
+    points = np.moveaxis(np.stack([x, x - evals[..., 1], x + evals[..., 2]]), 1, -1)
+    for t in np.flatnonzero(np.isin(prefs.codes, [SHAPES.index(x) for x in STEPS])):
+        leaf = points[..., t:t + 1, :]
+        counts = prefs.select([t]).add_step_counts(leaf, np.zeros(leaf.shape, dtype=np.intp))
+        assert np.unique(counts).size == 2 * len(STEPS[SHAPES[prefs.codes[t]]](0, 0)) + 1
+    engine = BatchEngine(tree, evals.shape[1], profiles.shape[1], rule)
+    for defuzz in DEFUZZ_METHODS:
+        looked_up = engine.pref_components(prefs, evals, profiles, defuzz)
+        with monkeypatch.context() as patch:
+            patch.setattr(flows, "STEPS", {})
+            kernel = engine.pref_components(prefs, evals, profiles, defuzz)
+        assert np.array_equal(looked_up.view(np.int64), kernel.view(np.int64)), defuzz
+
+
+#: sha256 of ``(tables + 0.0).tobytes()`` for (problem, rule, defuzz), from
+#: ``pref_components`` with the byte budget's chunks, computed with the
+#: engine that ran one shape kernel call per run of same-shape neighbouring
+#: leaves, before it took the leaves in shape order: block 0 of the interval
+#: case study under every rule; the one-draw static tables of synthetic-wide,
+#: whose shapes alternate leaf by leaf; and block 0 of eight_categories.json,
+#: whose nine profiles make numpy sum the profile axis pairwise.
+LAYOUT_DIGESTS = {
+    ("case-study-interval", None, "centroid"):
+        "5fce18bb3af364da3ef71922719e883253a2a6667c6b007a4a1ec4a8a100a419",
+    ("case-study-interval", None, "spread-sum"):
+        "d2374c04c252ba415595b96541b80c7005baad521f2504f846474443aef74e28",
+    ("case-study-interval", "net", "centroid"):
+        "73d4262021cffc8ea5d7a9d347faac8e91da527095ac45b77a54623d5fa95e37",
+    ("case-study-interval", "net", "spread-sum"):
+        "fbc58f5d85f6e5e27599704ab50ee13287ea36b0d2deeff8f103403345657043",
+    ("case-study-interval", "positive", "centroid"):
+        "d8a179bbd63d122d0e709c18b288b5a50939d61655a8a3d1dc62620180fa2064",
+    ("case-study-interval", "positive", "spread-sum"):
+        "45bef02008bc51d022d2a0e35c6d86a7b882083063898a5795492c531b36ffdc",
+    ("case-study-interval", "negative", "centroid"):
+        "9295b61e12bdebdd512155d9fc373350d6d9a10fc8865d8fe984fc8ca599231d",
+    ("case-study-interval", "negative", "spread-sum"):
+        "b58c509d7167bf6ec762e3218fc2eb5960781f53f994b82a0f9ca7112a9c94e1",
+    ("synthetic-wide", None, "centroid"):
+        "4950938a99a6c2e4cae3736e0d8690adc7766b81d2030b2c90f667c433a882b7",
+    ("synthetic-wide", None, "spread-sum"):
+        "b17e8443c1ce96c72574b8a005eb4f1b802a15359ba067d907537d3b6c1c2154",
+    ("eight-categories", None, "centroid"):
+        "ee65ad3021d53e8adc2c4f7c02aee8b917ede1da62c4421b3edb6889bb530fa3",
+    ("eight-categories", None, "spread-sum"):
+        "0747d3029baf98efad699c47c7d19c7d8fe60ce6737d8c5df6eedc96f88437fb",
+}
+
+
+@pytest.mark.parametrize("name, rule, defuzz", sorted(LAYOUT_DIGESTS, key=str))
+def test_real_layouts_match_frozen_digests(name, rule, defuzz, monkeypatch):
+    monkeypatch.setattr(flows, "chunk_draws", chunk_draws)
+    problem = named_problem(name, monkeypatch)
+    state = ProblemRuntime(problem, "net", defuzz, seed=0, strict=False)
+    size = 1 if problem.is_deterministic_data else BLOCK
+    data = state._sample_data(iteration_rng(0, 0), size)
+    tables = BatchEngine(problem.tree, state.m, state.c, rule).pref_components(*data, defuzz)
+    digest = hashlib.sha256((tables + 0.0).tobytes()).hexdigest()
+    assert digest == LAYOUT_DIGESTS[name, rule, defuzz]
+
+
 def _bits(x: np.ndarray) -> np.ndarray:
     """The bits of ``x + 0.0`` (-0.0 folded into 0.0), as int64."""
     return (x + 0.0).view(np.int64)
@@ -239,7 +356,7 @@ def test_profile_sums_follow_numpy(n, draws):
     a = gen.standard_normal(shape) * 10.0 ** gen.integers(-8, 9, shape)
     a = a.swapaxes(1, 2)[..., ::2]  # (2, 3, n, draws), strided on every axis
     want = np.ascontiguousarray(np.moveaxis(a, -2, -1)).sum(-1)
-    assert np.array_equal(_bits(flows._sum_profiles(a)), _bits(want))
+    assert np.array_equal(_bits(flows._sum_profiles(a, axis=-2)), _bits(want))
     if draws > 1:  # one draw leaves numpy a contiguous axis, which it sums pairwise
-        strided = flows._sum_profiles(a, pairwise=False)
+        strided = flows._sum_profiles(a, axis=-2, pairwise=False)
         assert np.array_equal(_bits(strided), _bits(a.sum(axis=-2)))

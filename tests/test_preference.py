@@ -1,7 +1,9 @@
 """Preference functions: the six shapes, orientation and the fuzzy degree."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from smaaflow import TFN, PreferenceSpec
 from smaaflow.preference import (
     SHAPES,
     THRESHOLDS,
+    PreferenceArrays,
     fuzzy_preference,
     preference_value,
 )
@@ -108,14 +111,15 @@ def test_fuzzy_preference_components():
     assert out.beta == pytest.approx(0.25)
 
 
-shape_specs = st.sampled_from([
+SHAPE_SPECS = [
     spec("usual"),
     spec("u-shape", q=0.3),
     spec("v-shape", p=1.5),
     spec("level", q=0.5, p=2.0),
     spec("linear", q=0.5, p=2.0),
     spec("gaussian", s=0.8),
-])
+]
+shape_specs = st.sampled_from(SHAPE_SPECS)
 diffs = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
 
@@ -172,11 +176,28 @@ tfns = st.builds(TFN, st.floats(min_value=-2, max_value=2),
                  st.floats(min_value=0, max_value=1.5), st.floats(min_value=0, max_value=1.5))
 
 
+#: Per-draw scales of the thresholds in the array check below, each keeping
+#: a spec valid, and that check's (pairs, criteria, draws) differences.
+DRAW_SCALES = (1.0, 0.5, 2.0)
+GRID = (2, len(SHAPE_SPECS), len(DRAW_SCALES))
+
+
 @settings(max_examples=300)
-@given(any_spec(), diffs, tfns, tfns)
-def test_scalar_api_matches_the_oracle(s, d, a, b):
+@given(any_spec(), diffs, tfns, tfns,
+       st.lists(diffs, min_size=math.prod(GRID), max_size=math.prod(GRID)))
+def test_scalar_api_matches_the_oracle(s, d, a, b, grid):
     model = {"shape": s.shape, "q": s.q, "p": s.p, "s": s.s, "direction": s.direction}
     assert abs(preference_value(s, d) - oracles.pref_value(model, d)) <= 1e-12
     got = fuzzy_preference(s, a, b)
     want = oracles.pref_fuzzy(model, (a.m, a.alpha, a.beta), (b.m, b.alpha, b.beta))
     assert max(abs(x - y) for x, y in zip((got.m, got.alpha, got.beta), want)) <= 1e-12
+    # the array kernel, criteria (all six shapes) and draws on the trailing
+    # axes of ``grid`` and each draw with its own thresholds, gives
+    # preference_value's degree element by element
+    specs = [[dataclasses.replace(x, q=x.q * k, p=x.p * k) for k in DRAW_SCALES]
+             for x in SHAPE_SPECS]
+    q, p = (np.array([[getattr(x, name) for x in row] for row in specs]) for name in "qp")
+    grid = np.array(grid).reshape(GRID)
+    degrees = PreferenceArrays.of(SHAPE_SPECS, thresholds=(q, p)).degrees(grid)
+    for (i, t, j), value in np.ndenumerate(degrees):
+        assert value == preference_value(specs[t][j], grid[i, t, j])

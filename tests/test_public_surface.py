@@ -44,7 +44,7 @@ NUMPY_1_24 = (
     "less", "maximum", "minimum", "moveaxis", "multiply", "ndarray", "negative",
     "nextafter", "ones", "ones_like", "put_along_axis", "random", "random.Generator",
     "random.PCG64", "random.SeedSequence", "repeat", "rint", "sort", "stack", "subtract",
-    "take_along_axis", "tile", "where", "zeros", "zeros_like",
+    "take", "take_along_axis", "tile", "where", "zeros", "zeros_like",
 )
 
 
