@@ -14,9 +14,11 @@ down to per-leaf unicriterion flows.  :class:`BatchEngine` is the one flow
 engine.  It is built for one assignment rule, which fixes once which
 per-leaf flow tables it builds and reads: net alone under ``net``, net and
 the rule's own table under ``positive`` or ``negative``, all three with no
-rule.  It sums the profile-versus-profile pairs once per block of draws,
-then builds its tables a chunk of draws per kernel pass, checking the order
-of each table's profile flows as it goes.  A pass takes the leaves in shape
+rule.  One builder, :meth:`BatchEngine._build_tables`, sums the
+profile-versus-profile pairs of a block of draws, then builds its tables a
+chunk of draws per kernel pass, taking the worst step of each table's
+profile flows as it goes; every window of draws holds as many as keep its
+pair points within :data:`CHUNK_BYTES`.  A pass takes the leaves in shape
 order and lays its points out as (point, direction, alternative, profile,
 leaf, draw), one scratch per run of a shape, so each shape is one kernel
 call whose inner loop runs over leaves and draws; a step shape's pairs read
@@ -32,9 +34,9 @@ pairwise degrees (:func:`subtree_preference`, :func:`outranking_degree`)
 come from the same preference kernel and the same children-first
 aggregation, applied to one pair's (m, alpha, beta) rows.  One rule table
 drives bracketing: :func:`bracket` serves the single-evaluation and the
-batch paths alike.  :func:`check_profile_order` checks the profile order
-of one evaluation, and :meth:`BatchEngine.pref_components` that of every
-leaf table it builds.
+batch paths alike.  One check, :func:`_check_steps`, raises for profile
+flows out of order: on one evaluation's flows when :func:`assign` brackets
+them, and on every leaf table :meth:`BatchEngine.pref_components` builds.
 """
 
 from __future__ import annotations
@@ -73,23 +75,26 @@ _RULE_TABLES = {None: ("net", "positive", "negative"), "net": ("net",),
 #: Slack allowed when asserting that profile flows are ordered.
 ORDERING_TOL = 1e-9
 
-#: Bytes of pair points per kernel pass of :meth:`BatchEngine.pref_components`:
-#: 16 data draws on the case study, one on a problem of 192 leaves, 40
-#: alternatives and 6 profiles.  :func:`chunk_draws` charges each draw the
-#: points of its 2 m c alternative-profile pairs and of its c * c profile
-#: pairs, but a pass holds only the former: the profile pairs are summed once
-#: per block, so a pass's points fill 2 m c / (2 m c + c * c) of the budget,
-#: 76% on the case study.
-CHUNK_BYTES = 2_200_000
+#: Bytes of the pair points that one window of data draws holds, three
+#: floats per point: a kernel pass of :meth:`BatchEngine.pref_components`
+#: (:func:`chunk_draws`: 16 draws on the case study, one on a problem of 192
+#: leaves, 40 alternatives and 6 profiles) or a profile-pair window of
+#: :func:`_block_pair_sums`.
+CHUNK_BYTES = 1_700_000
+
+
+def _window_draws(points: int) -> int:
+    """Data draws per window of ``points`` pair points a draw: as many as
+    keep their three floats within :data:`CHUNK_BYTES`, and at least one."""
+    return max(1, CHUNK_BYTES // (3 * 8 * points))
 
 
 def chunk_draws(n_el: int, m: int, c: int) -> int:
-    """Data draws per kernel pass of :meth:`BatchEngine.pref_components`: as
-    many as keep the three points of every pair of every leaf within
-    :data:`CHUNK_BYTES`, and at least one.  It counts the 2 m c pairs of
-    alternatives and profiles, both ways, and the c * c pairs of profiles;
-    the pass holds the points of the first only (see :data:`CHUNK_BYTES`)."""
-    return max(1, CHUNK_BYTES // (3 * 8 * n_el * (2 * m * c + c * c)))
+    """Data draws per kernel pass of :meth:`BatchEngine.pref_components`,
+    by :func:`_window_draws`: a pass holds the points of the 2 m c pairs of
+    every leaf, each alternative over each profile and the mirror pair.  The
+    profile pairs are summed in windows of their own (:func:`_block_pair_sums`)."""
+    return _window_draws(2 * m * c * n_el)
 
 
 def _rule(rule: str) -> tuple[int, int]:
@@ -344,7 +349,7 @@ def _assign_one(alt: float, prof: Sequence[float], rule: str, what: str) -> int:
         If the profile flows do not bracket ``alt``.
     """
     prof = np.asarray(prof, dtype=float)
-    check_profile_order(prof, rule, what)
+    _check_steps([(_worst_step(prof, rule), rule)], what)
     cat, valid = bracket(np.float64(alt), prof, rule)
     if not valid:
         lo, hi = sorted((prof[0], prof[-1]))
@@ -484,19 +489,6 @@ def _check_steps(steps, what: str | None = None) -> None:
                                  f"(worst step {worst})")
 
 
-def check_profile_order(prof: np.ndarray, rule: str, what: str) -> None:
-    """Assert the bracketing premise of ``rule``: profile flows, best first
-    along the last axis, step the way :func:`bracket` expects, within
-    :data:`ORDERING_TOL`.
-
-    Raises
-    ------
-    InvariantError
-        Naming ``what`` and the worst step against the expected direction.
-    """
-    _check_steps([(_worst_step(prof, rule), rule)], what)
-
-
 def _points(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Points (d, d - s_l, d + s_r) of oriented members (3, A, n, draws)
     over (3, B, n, draws), written into ``out``, (3, A, B, n, draws)."""
@@ -628,8 +620,8 @@ def _block_pair_sums(prefs: PreferenceArrays, profiles: np.ndarray, defuzz: str,
     the leaves whose profiles and thresholds hold the same bits in every
     draw and their (2, c, leaves, 1) sums, from the first draw; then the
     positions of the other leaves and their (2, c, leaves, draws) sums, from
-    one call per window of as many draws as keep the points of their
-    profile pairs within :data:`CHUNK_BYTES`.  The sums are elementwise
+    one call per window of draws, sized by :func:`_window_draws` from the
+    c * c profile pairs of each of those leaves.  The sums are elementwise
     along the draw axis, so their bits do not depend on the window.
     """
     draws, c, n_el = profiles.shape[:3]
@@ -648,7 +640,7 @@ def _block_pair_sums(prefs: PreferenceArrays, profiles: np.ndarray, defuzz: str,
 
     fixed, vary = np.flatnonzero(fixed[leaves]), np.flatnonzero(~fixed[leaves])
     each = np.empty((2, c, len(vary), draws))
-    window = max(1, CHUNK_BYTES // (3 * 8 * c * c * max(1, len(vary))))
+    window = _window_draws(c * c * max(1, len(vary)))
     once = np.array(pair_sums(fixed, slice(0, 1)))
     for j in range(0, draws, window):
         rows = slice(j, j + window)
@@ -737,15 +729,8 @@ class BatchEngine:
     def pref_components(self, prefs, evals: np.ndarray, profiles: np.ndarray,
                         defuzz: str) -> np.ndarray:
         """The engine's flow tables of every leaf, for one data draw or for
-        a block of draws along a leading axis.
-
-        The leaves are taken in a stable order by shape, from the shape
-        codes of ``prefs``.  The profile-versus-profile sums of the block
-        come first, from :func:`_block_pair_sums`.  Then the draws go
-        :func:`chunk_draws` at a time through one kernel pass,
-        :meth:`_chunk_tables`, which builds a chunk's tables with leaves and
-        draws innermost.  Each pass's tables are copied back in tree order,
-        their worst steps taken, and the chunk dropped before the next pass.
+        a block of draws along a leading axis, from :meth:`_build_tables`,
+        with their profile order checked.
 
         Parameters
         ----------
@@ -771,6 +756,23 @@ class BatchEngine:
             chunk's worst steps are taken, and the largest are checked at
             the end.
         """
+        tables, worst = self._build_tables(prefs, evals, profiles, defuzz)
+        _check_steps(zip(worst, self.tables))
+        return tables
+
+    def _build_tables(self, prefs, evals: np.ndarray, profiles: np.ndarray, defuzz: str):
+        """:meth:`pref_components` unchecked: its tables, and the worst step
+        of each of the engine's tables over all of them (see
+        :meth:`_worst_steps`), a (len(tables),) array.
+
+        The leaves are taken in a stable order by shape, from the shape
+        codes of ``prefs``.  The profile-versus-profile sums of the block
+        come first, from :func:`_block_pair_sums`.  Then the draws go
+        :func:`chunk_draws` at a time through one kernel pass,
+        :meth:`_chunk_tables`, which builds a chunk's tables with leaves and
+        draws innermost.  Each pass's tables are copied back in tree order,
+        their worst steps taken, and the chunk dropped before the next pass.
+        """
         if defuzz not in DEFUZZ_METHODS:
             raise ValueError(f"unknown defuzzification method {defuzz!r}")
         prefs = prefs if isinstance(prefs, PreferenceArrays) else PreferenceArrays.of(prefs)
@@ -792,13 +794,12 @@ class BatchEngine:
             tables[rows][:, leaves] = table.transpose(2, 1, 0)
             np.maximum(worst, self._worst_steps(table.reshape(len(table), -1)), out=worst)
             del table  # free the scratch before the next pass builds its own
-        _check_steps(zip(worst, self.tables))
         tables = tables.swapaxes(1, 2)
-        return tables[0] if one else tables
+        return (tables[0] if one else tables), worst
 
     def _chunk_tables(self, prefs: PreferenceArrays, evals: np.ndarray, profiles: np.ndarray,
                       defuzz: str, sums, rows: slice, leaves: np.ndarray) -> np.ndarray:
-        """One unchecked kernel pass of :meth:`pref_components` over the
+        """One unchecked kernel pass of :meth:`_build_tables` over the
         draws ``rows`` of a block, its inputs as there with (n_el, draws)
         ``q`` and ``p``, and its leaves in the order ``leaves``.
 

@@ -564,11 +564,9 @@ class ProblemRuntime:
         self.strict = strict
         self.k = self.c - 1
         self.n_nodes = len(tree.nodes)
-        # tally cell of category 1 of each alternative, less one: overall
-        # (m,), and (node * m + alternative) * k per node group, (nodes, 1, m)
+        # tally cell of category 1 of each alternative, less one, (m,): a
+        # node's cells follow at node * m * k
         self.cell_bases = np.arange(self.m, dtype=np.intp) * self.k - 1
-        self.node_cell_bases = [nodes[:, None, None] * self.m * self.k + self.cell_bases
-                                for nodes in self.engine.node_groups]
         self.weight_groups = [
             (np.array([tree.node_index[p] for p in g.members], dtype=np.int64), g.spec)
             for g in tree.sibling_groups()]
@@ -671,7 +669,8 @@ class ProblemRuntime:
         for profile order when they were drawn.
 
         Each bracketed (node group or whole tree) array of categories is
-        counted by :func:`_count` from the cell bases built at set-up.  A row
+        counted by :func:`_count` from the alternatives' cell bases built at
+        set-up, offset by the cells of the nodes it brackets.  A row
         bracketed once for a fixed node or a fixed whole tree stands for
         ``len(w) // rows`` weight rows: its hits and its unbracketed cells
         count that many times.
@@ -681,7 +680,8 @@ class ProblemRuntime:
         cat_hits, bad = _count(*self.engine.assign_overall(bf, self.rule), self.cell_bases,
                                bs, self.m * self.k)
         node_hits = np.zeros(size, dtype=np.int64)
-        for base, (_, cat, valid) in zip(self.node_cell_bases, self.engine.assign_nodes(bf)):
+        for ids, cat, valid in self.engine.assign_nodes(bf):
+            base = ids[:, None, None] * (self.m * self.k) + self.cell_bases
             hits, nbad = _count(cat, valid, base, bs, size)
             node_hits += hits
             bad += nbad

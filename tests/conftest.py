@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from smaaflow import TFN, PreferenceSpec, ProfileSet, build_tree
-from smaaflow.flows import _block_pair_sums
 from smaaflow.model_io import fixture_path, load_problem
-from smaaflow.preference import PreferenceArrays
 
 import oracles
 
@@ -40,18 +37,6 @@ def library_objects(inst):
 
 
 def unchecked_tables(engine, prefs, evals, profiles, defuzz="centroid"):
-    """The engine's leaf tables of one data draw, or of draws along a
-    leading axis, as ``engine.pref_components`` lays them out, from one pass
-    of its kernel and without its profile-order check: ``prefs`` are
-    :class:`PreferenceSpec` entries for one draw, or arrays with (n_el,
-    draws) ``q`` and ``p``."""
-    one = evals.ndim == 3
-    if one:
-        prefs = PreferenceArrays.of(prefs)
-        prefs = prefs._replace(q=prefs.q[:, None], p=prefs.p[:, None])
-        evals, profiles = evals[None], profiles[None]
-    leaves = np.arange(evals.shape[-2])
-    tables = engine._chunk_tables(prefs, evals, profiles, defuzz,
-                                  _block_pair_sums(prefs, profiles, defuzz, leaves),
-                                  slice(None), leaves).transpose(2, 0, 1)
-    return tables[0] if one else tables
+    """``engine.pref_components`` of the same inputs, without its
+    profile-order check."""
+    return engine._build_tables(prefs, evals, profiles, defuzz)[0]

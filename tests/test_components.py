@@ -44,12 +44,14 @@ def fixed_chunk(monkeypatch):
 
 def test_chunk_draws_fit_the_byte_budget():
     # the unpatched function, on (n_el, m, c) of the case study and of a
-    # problem of synthetic-wide's size, whose one draw exceeds the budget
+    # problem of synthetic-wide's size, whose one draw exceeds the budget;
+    # a pass holds the three points of 2 m c pairs per leaf, and takes as
+    # many draws as fit
     assert chunk_draws(54, 8, 5) == CHUNK
     assert chunk_draws(192, 40, 6) == 1
     for n_el, m, c in ((54, 8, 5), (3, 4, 2), (1, 1, 2), (60, 12, 9)):
-        step = chunk_draws(n_el, m, c)
-        assert step * 24 * n_el * (2 * m * c + c * c) <= CHUNK_BYTES
+        step, per_draw = chunk_draws(n_el, m, c), 24 * 2 * m * c * n_el
+        assert step * per_draw <= CHUNK_BYTES < (step + 1) * per_draw
 
 
 def draw_inputs(seed: int, n_profiles: int, draws: int):
@@ -329,12 +331,18 @@ LAYOUT_DIGESTS = {
 
 @pytest.mark.parametrize("name, rule, defuzz", sorted(LAYOUT_DIGESTS, key=str))
 def test_real_layouts_match_frozen_digests(name, rule, defuzz, monkeypatch):
+    # block 0 of each problem under its own windows; pref_components returns
+    # its builder's tables bit for bit, and the worst steps the builder
+    # takes pass by pass are those of the finished tables
     monkeypatch.setattr(flows, "chunk_draws", chunk_draws)
     problem = named_problem(name, monkeypatch)
     state = ProblemRuntime(problem, "net", defuzz, seed=0, strict=False)
     size = 1 if problem.is_deterministic_data else BLOCK
     data = state._sample_data(iteration_rng(0, 0), size)
-    tables = BatchEngine(problem.tree, state.m, state.c, rule).pref_components(*data, defuzz)
+    engine = BatchEngine(problem.tree, state.m, state.c, rule)
+    tables, worst = engine._build_tables(*data, defuzz)
+    assert tables.tobytes() == engine.pref_components(*data, defuzz).tobytes()
+    assert np.array_equal(worst, engine._worst_steps(tables))
     digest = hashlib.sha256((tables + 0.0).tobytes()).hexdigest()
     assert digest == LAYOUT_DIGESTS[name, rule, defuzz]
 

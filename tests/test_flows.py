@@ -266,11 +266,12 @@ def test_unordered_profile_flows_trip_the_invariant():
         assign(bundle, "net")
 
 
-def test_engine_trips_the_invariant_on_an_unordered_leaf():
+def test_engine_trips_the_invariant_on_an_unordered_leaf(monkeypatch):
     # profiles reach the engine directly, past load-time validation; the
     # second leaf lists them worst first, but its small weight keeps the
     # whole-tree flows ordered, so only the per-leaf check can object, and
-    # a one-draw pref_components call raises its text
+    # a one-draw pref_components call raises its text under every rule,
+    # naming the worst step that its builder hands back with the refused tables
     from smaaflow.flows import BatchEngine
 
     tree = build_tree([{"label": "a"}, {"label": "b"}], {"deterministic": [0.99, 0.01]})
@@ -288,9 +289,15 @@ def test_engine_trips_the_invariant_on_an_unordered_leaf():
     with pytest.raises(InvariantError, match="net profile flows") as want:
         engine.check_ordering(comp)
     for rule in (None, *RULES):
+        ruled = BatchEngine(tree, 1, 3, rule)
+        tables, worst = ruled._build_tables(prefs, evals, profiles, "centroid")
         with pytest.raises(InvariantError) as err:
-            BatchEngine(tree, 1, 3, rule).pref_components(prefs, evals, profiles, "centroid")
-        assert str(err.value) == str(want.value), rule
+            ruled.pref_components(prefs, evals, profiles, "centroid")
+        assert str(err.value) == str(want.value) == (
+            f"net profile flows are not non-increasing (worst step {worst[0]})"), rule
+        with monkeypatch.context() as unchecked:
+            unchecked.setattr("smaaflow.flows._check_steps", lambda steps: None)
+            assert np.array_equal(ruled.pref_components(prefs, evals, profiles, "centroid"), tables)
 
 
 def hand_built_leaves(table, columns):
