@@ -79,7 +79,8 @@ ORDERING_TOL = 1e-9
 #: floats per point: a kernel pass of :meth:`BatchEngine.pref_components`
 #: (:func:`chunk_draws`: 16 draws on the case study, one on a problem of 192
 #: leaves, 40 alternatives and 6 profiles) or a profile-pair window of
-#: :func:`_block_pair_sums`.
+#: :func:`_block_pair_sums`.  It bounds the leaf tables of a window of drawn
+#: data as well (:meth:`BatchEngine.window_draws`).
 CHUNK_BYTES = 1_700_000
 
 
@@ -840,6 +841,15 @@ class BatchEngine:
             np.add(prof_sums, prof, out=block[:, 1:])
         table /= c
         return table.reshape((len(self.tables) * n,) + lay)
+
+    def window_draws(self) -> int:
+        """Data draws per window of leaf tables: the most whole kernel passes
+        (:func:`chunk_draws`) whose tables, ``len(tables) * n_pairs`` floats
+        per leaf and draw, fit within :data:`CHUNK_BYTES`, and at least one
+        pass (80 draws on the interval case study under ``net``)."""
+        n_el = len(self.leaf_nodes)
+        step = chunk_draws(n_el, self.m, self.c)
+        return step * max(1, CHUNK_BYTES // (8 * len(self.tables) * self.n_pairs * n_el * step))
 
     # -- node values and flows --------------------------------------------
 

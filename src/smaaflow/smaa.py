@@ -22,7 +22,8 @@ vectors of each sibling group in tree order.  The thresholds are a
 two-row table, a q row over a p row, drawn by the same column sampler as
 the profile columns.  Every stochastic profile level, threshold and
 evaluation is drawn by one sampler over a table of cells, whose draws do
-not depend on how the cells are grouped into calls.
+not depend on how the cells are grouped into calls.  The engine then takes
+a block's data a window of draws at a time, which changes no count.
 Likewise the weights take one ``random`` call per missing or ordinal
 sibling group, stacked by kind, ranks and size and sorted one stack at a
 time, which draws the same floats as one sampler call per group; an
@@ -421,7 +422,10 @@ def _draw_columns(fixed, sampled, faults, flags, rng, size: int,
     column in col order, each column's cells in their order in
     ``sampled``.  A column's rows are redrawn while the row test
     ``faults(column, flags[col])`` flags them, at most ``max_attempts``
-    times, and then raise :class:`SamplingError`."""
+    times, and then raise :class:`SamplingError`.  With no cell to draw,
+    the draws are one read-only view of ``fixed``."""
+    if not sampled:
+        return np.broadcast_to(fixed, (size,) + fixed.shape)
     out = np.repeat(fixed[None], size, axis=0)
     for t in sorted({t for _, t, _ in sampled}):
         at, values = zip(*[(h, v) for h, s, v in sampled if s == t])
@@ -589,61 +593,80 @@ class ProblemRuntime:
         self.eval_cells = _cell_table([v for _, _, v in cells])
         self.draws_anything = not problem.is_deterministic_data or any(
             spec.kind != "deterministic" for _, spec in self.weight_groups)
+        self.window = self.engine.window_draws()
         self.static_components = None
         if problem.is_deterministic_data:
-            self.static_components = self._sample_components(None, 1)[0]
+            self.static_components = self._window_tables(self._sample_data(None, 1),
+                                                         slice(None))[0]
 
     def _sample_data(self, rng: np.random.Generator | None, size: int):
-        """Inputs of ``size`` data draws: the preference arrays with
-        (n_el, size) ``q`` and ``p``, the (size, m, n_el, 3) evaluations and
-        the (size, c, n_el, 3) profiles.
+        """A block of ``size`` data draws: the preference arrays with
+        (n_el, size) ``q`` and ``p``, the (cells, size) draws of the
+        stochastic evaluation cells, in the order of ``sampled_evals``, and
+        the (size, c, n_el, 3) profiles; :meth:`_window_data` makes
+        evaluation tables of them.
 
         Draws the stochastic profile columns in slot order, each best level
         first and redrawn until ordered; the thresholds of stochastic
         criteria in slot order, q before p, a level or linear pair redrawn
         until ordered, as a two-row (q, p) table drawn by the same column
         sampler as the profiles; then the stochastic evaluation cells in
-        row-major order inside their row's profile envelope.  Every cell is drawn
+        row-major order inside their row's profile envelope, from the fixed
+        profiles as one column when no profile is drawn.  Every cell is drawn
         through one table sampler, which draws each run of interval cells
         in one ``uniform`` call (the floats of one call per cell).  Fixed
-        inputs were resolved at set-up, so static data needs no generator.
+        inputs were resolved at set-up, so static data needs no generator,
+        and undrawn profiles or thresholds are read-only views.
         """
         profiles = _draw_columns(self.problem.fixed_profiles, self.problem.sampled_profiles,
                                  _order_faults, self.prefs.maximize, rng, size)
         thresholds = _draw_columns(self.fixed_thresholds, self.sampled_thresholds, _pair_faults,
                                    self.pair_strictness, rng, size)
         q, p = np.moveaxis(thresholds[..., 0], 0, -1)
-        evals = np.broadcast_to(self.fixed_evals, (size,) + self.fixed_evals.shape)
-        if self.sampled_evals:  # a copy to draw into; else a read-only view
-            envelope = profile_envelope(profiles.swapaxes(1, 2))
+        cells = np.empty((0, size))
+        if self.sampled_evals:
+            drawn = profiles if self.problem.sampled_profiles else profiles[:1]
+            envelope = profile_envelope(drawn.swapaxes(1, 2))
+            cells = _draw_cells(self.eval_cells, rng, size, envelope[:, self.eval_slots[1]].T)
+        return self.prefs._replace(q=q, p=p), cells, profiles
+
+    def _window_data(self, data, rows: slice):
+        """The inputs of :meth:`~smaaflow.flows.BatchEngine.pref_components`
+        for the draws ``rows`` of a block ``data`` of :meth:`_sample_data`:
+        the preference arrays with those draws' ``q`` and ``p``, their
+        (draws, m, n_el, 3) evaluations, and their profiles.  The
+        evaluations are the fixed table with the drawn cells written in, or
+        a read-only view of it when no cell is drawn."""
+        prefs, cells, profiles = data
+        modes = cells[:, rows]
+        evals = np.broadcast_to(self.fixed_evals, modes.shape[1:] + self.fixed_evals.shape)
+        if self.sampled_evals:  # a copy to write into
             i, t = self.eval_slots
             evals = evals.copy()
-            evals[:, i, t, 0] = _draw_cells(self.eval_cells, rng, size, envelope[:, t].T).T
-        return self.prefs._replace(q=q, p=p), evals, profiles
+            evals[:, i, t, 0] = modes.T
+        return prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows]), evals, profiles[rows]
 
-    def _sample_components(self, rng: np.random.Generator | None, size: int) -> np.ndarray:
-        """Leaf flow tables of ``size`` data draws that the run's rule reads,
-        (size, tables * n_pairs, n_el), views of a leaf-major buffer:
-        node_values reads each leaf contiguously.
+    def _window_tables(self, data, rows: slice) -> np.ndarray:
+        """Leaf flow tables that the run's rule reads for the draws ``rows``
+        of a block ``data``, (draws, tables * n_pairs, n_el), views of a
+        leaf-major buffer: node_values reads each leaf contiguously.
 
         The engine, built for the run's rule, builds only those tables,
-        summing the profile-versus-profile pairs once for the block, and
+        summing the profile-versus-profile pairs once for the window, and
         checks their profile flows as it builds them, once per data draw, so
         static data is checked once per run.  A table the rule does not
         read is neither built nor checked.
         """
-        return self.engine.pref_components(*self._sample_data(rng, size), self.defuzz)
+        return self.engine.pref_components(*self._window_data(data, rows), self.defuzz)
 
-    def draw_block(self, block: int, bs: int) -> tuple[np.ndarray, np.ndarray]:
-        """Leaf flow tables and (bs, n_nodes) weight rows of the ``bs``
-        iterations starting at iteration ``block``, from that block's
-        substream.  Static data shares one table across the block, and a
-        block that draws neither weights nor data makes no generator."""
+    def draw_block(self, block: int, bs: int):
+        """The data draw (see :meth:`_sample_data`; None for static data)
+        and the (bs, n_nodes) weight rows of the ``bs`` iterations starting
+        at iteration ``block``, from that block's substream.  A block that
+        draws neither weights nor data makes no generator."""
         rng = iteration_rng(self.seed, block // BLOCK) if self.draws_anything else None
-        components = self.static_components
-        if components is None:
-            components = self._sample_components(rng, bs)
-        return components, _draw_weights(self.weight_groups, self.n_nodes, rng, bs)
+        data = None if self.static_components is not None else self._sample_data(rng, bs)
+        return data, _draw_weights(self.weight_groups, self.n_nodes, rng, bs)
 
     def simulate(self, start: int, count: int):
         """Tally assignments for iterations [start, start + count).
@@ -662,11 +685,41 @@ class ProblemRuntime:
             violations += bad
         return cat_hits, node_hits, violations
 
-    def tally_block(self, components: np.ndarray, w: np.ndarray, block: int):
-        """Flows, bracketing and category counts for one block of weight
-        rows starting at iteration ``block``; the leaf tables it reads (net,
-        and under ``positive`` or ``negative`` that table too) were checked
-        for profile order when they were drawn.
+    def tally_block(self, data, w: np.ndarray, block: int):
+        """Category counts for one block of weight rows ``w`` starting at
+        iteration ``block``, and its data draw ``data`` (see
+        :meth:`draw_block`), window by window.
+
+        Drawn data goes through the engine :attr:`window` draws at a time
+        (:meth:`~smaaflow.flows.BatchEngine.window_draws`): a window's leaf
+        tables are built and checked for profile order, then folded,
+        bracketed and counted with its weight rows by :meth:`_tally_window`,
+        and dropped before the next window is built.  Static data is one
+        window of the whole block over its shared table.  Counts add up over
+        the windows, and a strict block raises :class:`BoundaryViolation`
+        only after its last window, so an order fault in any window raises
+        its :class:`~smaaflow.errors.InvariantError` first.
+        """
+        step = len(w) if data is None else self.window
+        cat_hits = node_hits = bad = 0
+        for j in range(0, len(w), step):
+            rows = slice(j, j + step)
+            tables = self.static_components if data is None else self._window_tables(data, rows)
+            ch, nh, nbad = self._tally_window(tables, w[rows])
+            del tables  # free the window's tables before the next is built
+            cat_hits, node_hits, bad = cat_hits + ch, node_hits + nh, bad + nbad
+        if bad and self.strict:
+            raise BoundaryViolation(
+                f"flow outside the profile span in iteration block "
+                f"starting at {block} (strict mode)"
+            )
+        return cat_hits, node_hits, bad
+
+    def _tally_window(self, components: np.ndarray, w: np.ndarray):
+        """Flows, bracketing and category counts for the weight rows ``w``
+        of one window; the leaf tables it reads (net, and under
+        ``positive`` or ``negative`` that table too) were checked for
+        profile order when they were built.
 
         Each bracketed (node group or whole tree) array of categories is
         counted by :func:`_count` from the alternatives' cell bases built at
@@ -685,11 +738,6 @@ class ProblemRuntime:
             hits, nbad = _count(cat, valid, base, bs, size)
             node_hits += hits
             bad += nbad
-        if bad and self.strict:
-            raise BoundaryViolation(
-                f"flow outside the profile span in iteration block "
-                f"starting at {block} (strict mode)"
-            )
         return cat_hits, node_hits, bad
 
 

@@ -40,3 +40,9 @@ def unchecked_tables(engine, prefs, evals, profiles, defuzz="centroid"):
     """``engine.pref_components`` of the same inputs, without its
     profile-order check."""
     return engine._build_tables(prefs, evals, profiles, defuzz)[0]
+
+
+def block_data(state, rng, draws):
+    """``state``'s data draw of a block of ``draws`` draws from ``rng``, as
+    the inputs of one ``pref_components`` call over the whole block."""
+    return state._window_data(state._sample_data(rng, draws), slice(None))

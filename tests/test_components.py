@@ -28,7 +28,7 @@ from smaaflow.preference import SHAPES, STEPS, PreferenceArrays
 from smaaflow.smaa import BLOCK, ProblemRuntime, iteration_rng
 
 import oracles
-from conftest import library_objects
+from conftest import block_data, library_objects
 
 #: Data draws per chunk in these tests, as on the case study.
 CHUNK = 16
@@ -179,7 +179,7 @@ def test_rule_tables_are_blocks_of_all_tables(name, monkeypatch):
     # 2 * n_pairs under positive or negative, 3 * n_pairs with no rule
     problem = named_problem(name, monkeypatch)
     state = ProblemRuntime(problem, "net", "centroid", seed=0, strict=False)
-    data = state._sample_data(iteration_rng(0, 0), DRAWS)
+    data = block_data(state, iteration_rng(0, 0), DRAWS)
     n, n_el = state.engine.n_pairs, data[1].shape[2]
     for defuzz in DEFUZZ_METHODS:
         full = BatchEngine(problem.tree, state.m, state.c).pref_components(*data, defuzz)
@@ -338,7 +338,7 @@ def test_real_layouts_match_frozen_digests(name, rule, defuzz, monkeypatch):
     problem = named_problem(name, monkeypatch)
     state = ProblemRuntime(problem, "net", defuzz, seed=0, strict=False)
     size = 1 if problem.is_deterministic_data else BLOCK
-    data = state._sample_data(iteration_rng(0, 0), size)
+    data = block_data(state, iteration_rng(0, 0), size)
     engine = BatchEngine(problem.tree, state.m, state.c, rule)
     tables, worst = engine._build_tables(*data, defuzz)
     assert tables.tobytes() == engine.pref_components(*data, defuzz).tobytes()

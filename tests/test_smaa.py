@@ -19,6 +19,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from statistics import NormalDist
 
@@ -30,6 +31,7 @@ from smaaflow import (
     TFN,
     BoundaryViolation,
     InputError,
+    InvariantError,
     PreferenceSpec,
     ProfileSet,
     SamplingError,
@@ -38,6 +40,7 @@ from smaaflow import (
     run_smaa,
 )
 from smaaflow.errors import BOUNDARY, WEIGHT_SPEC
+from smaaflow import flows as flows_module
 from smaaflow import smaa as smaa_module
 from smaaflow.flows import RULES, BatchEngine, bracket, profile_envelope
 from smaaflow.fuzzy import DEFUZZ_METHODS
@@ -61,6 +64,7 @@ from smaaflow.smaa import (
 )
 
 import oracles
+from conftest import block_data
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLED_INPUTS = ROOT / "tests" / "data" / "sampled_inputs.json"
@@ -346,6 +350,54 @@ def test_strict_mode_raises_on_violation(glued_to_worst, glued_missing):
             run_smaa(problem, iterations=5, seed=0, strict=True)
 
 
+def windowed_glued(walkthrough_doc, monkeypatch):
+    """A strict runtime of ``glued_to_worst`` with one drawn evaluation, so
+    that every draw goes unbracketed, in windows of 8 draws, and a spy list
+    of the draws each built window holds."""
+    doc = glued_doc(walkthrough_doc)
+    doc["alternatives"]["x1"]["G1/g11"] = [7, 9]
+    # the net tables of 8 draws: 8 bytes for each of 3 * 4 pairs on 4 leaves
+    monkeypatch.setattr(flows_module, "CHUNK_BYTES", 8 * 8 * 12 * 4)
+    state = ProblemRuntime(parse_problem(doc), "net", "centroid", seed=0, strict=True)
+    assert state.window == 8
+    built, pref_components = [], state.engine.pref_components
+
+    def spy(prefs, evals, profiles, defuzz):
+        built.append(len(evals))
+        return pref_components(prefs, evals, profiles, defuzz)
+
+    monkeypatch.setattr(state.engine, "pref_components", spy)
+    return state, built
+
+
+def test_strict_block_raises_its_violation_after_its_last_window(walkthrough_doc, monkeypatch):
+    # a violation in every window of a strict block: the block still
+    # builds and counts every window, and raises only then
+    state, built = windowed_glued(walkthrough_doc, monkeypatch)
+    with pytest.raises(BoundaryViolation, match="block starting at 0"):
+        state.simulate(0, 20)
+    assert built == [8, 8, 4]
+
+
+def test_strict_block_raises_a_later_windows_order_fault_first(walkthrough_doc, monkeypatch):
+    # the last draw of a strict block gets its profiles in reverse order, so
+    # its window's profile flows rise: that order fault raises, though every
+    # earlier window already went unbracketed
+    state, built = windowed_glued(walkthrough_doc, monkeypatch)
+    sample_data = state._sample_data
+
+    def reversed_last(rng, size):
+        prefs, cells, profiles = sample_data(rng, size)
+        profiles = np.array(profiles)
+        profiles[-1] = profiles[-1, ::-1]
+        return prefs, cells, profiles
+
+    monkeypatch.setattr(state, "_sample_data", reversed_last)
+    with pytest.raises(InvariantError, match="net profile flows are not non-increasing"):
+        state.simulate(0, 20)
+    assert built == [8, 8, 4]
+
+
 #: Runs in a fresh interpreter under the start method ``argv[1]`` and
 #: prints what the start-method gate checks as JSON.
 START_METHOD_PROBE = """
@@ -458,7 +510,7 @@ def test_sampled_components_follow_the_defuzzification(walkthrough_doc):
         res = run_smaa(problem, iterations=draws, seed=seed, defuzz=defuzz)
         assert res.boundary_violations == 0
         state = ProblemRuntime(problem, "net", defuzz, seed, strict=False)
-        prefs, evals, levels = state._sample_data(iteration_rng(seed, 0), draws)
+        prefs, evals, levels = block_data(state, iteration_rng(seed, 0), draws)
         hits = np.zeros(res.category_index.shape)
         for j in range(draws):
             flat = [(chain, {"shape": mdl.shape, "q": prefs.q[t, j], "p": prefs.p[t, j],
@@ -504,7 +556,7 @@ def table_draws(problem, seed, draws):
     message of its SamplingError."""
     state = ProblemRuntime(problem, "net", "centroid", seed, strict=False)
     try:
-        prefs, evals, profiles = state._sample_data(iteration_rng(seed, 0), draws)
+        prefs, evals, profiles = block_data(state, iteration_rng(seed, 0), draws)
     except SamplingError as exc:
         return str(exc)
     return prefs.q, prefs.p, evals, profiles
@@ -530,7 +582,7 @@ def test_data_draws_read_fixed_evaluations_once(walkthrough_doc, case_study, mon
 
     monkeypatch.setattr(smaa_module, "sample_value", counted)
     state = ProblemRuntime(problem, "net", "centroid", 5, strict=False)
-    _, evals, _ = state._sample_data(iteration_rng(5, 0), draws)
+    _, evals, _ = block_data(state, iteration_rng(5, 0), draws)
     assert np.array_equal(evals, expected)
     assert calls == []
     # static data resolves every cell at set-up, without sample_value
@@ -696,7 +748,7 @@ def test_fixed_evaluations_reach_the_components_as_a_view(walkthrough_doc):
     state = ProblemRuntime(problem, "net", "centroid", seed=2, strict=False)
     assert state.static_components is None and not state.sampled_evals
     draws = 40
-    prefs, evals, profiles = state._sample_data(iteration_rng(2, 0), draws)
+    prefs, evals, profiles = block_data(state, iteration_rng(2, 0), draws)
     assert evals.shape[0] == draws and evals.strides[0] == 0
     assert not evals.flags.writeable
     assert len(np.unique(prefs.q, axis=1).T) > 1 and len(np.unique(profiles, axis=0)) > 1
@@ -705,19 +757,52 @@ def test_fixed_evaluations_reach_the_components_as_a_view(walkthrough_doc):
                           state.engine.pref_components(prefs, copied, profiles, "centroid"))
 
 
+def test_undrawn_profiles_and_thresholds_are_read_only_views(walkthrough_doc):
+    # drawn evaluations under crisp profiles and thresholds: a block's
+    # profiles, q and p are read-only views of the fixed ones, shared by
+    # every draw, and they give the tables of copies
+    problem = variant(walkthrough_doc, **{"alternatives.x1.G1/g11": [7, 9]})
+    state = ProblemRuntime(problem, "net", "centroid", seed=2, strict=False)
+    assert state.sampled_evals and not problem.sampled_profiles
+    assert not state.sampled_thresholds
+    draws = 40
+    prefs, evals, profiles = block_data(state, iteration_rng(2, 0), draws)
+    for undrawn, axis in ((profiles, 0), (prefs.q, 1), (prefs.p, 1)):
+        assert undrawn.shape[axis] == draws and undrawn.strides[axis] == 0
+        assert not undrawn.flags.writeable
+    copies = prefs._replace(q=prefs.q.copy(), p=prefs.p.copy()), evals, profiles.copy()
+    assert np.array_equal(state.engine.pref_components(prefs, evals, profiles, "centroid"),
+                          state.engine.pref_components(*copies, "centroid"))
+
+
 # ---------------------------------------------------------------------------
 # Folded blocks
 # ---------------------------------------------------------------------------
 
 
+def block_tables(state, data):
+    """The leaf tables of a block's data draw ``data`` (see
+    ``ProblemRuntime.draw_block``) from one ``pref_components`` call over
+    the whole block, or the shared table of static data."""
+    if data is None:
+        return state.static_components
+    return state.engine.pref_components(*state._window_data(data, slice(None)), state.defuzz)
+
+
 def unfolded_tally(state, components, w):
     """Hits and violations of one block with every node summed and
-    bracketed for every weight row, as if no row were fixed."""
-    engine, m, k = state.engine, state.m, state.k
-    values = engine.aggregate(components[..., :engine.n_pairs, :], w)
-    flows = values.reshape(values.shape[:-1] + (m, k + 2))
-    cat, valid = bracket(flows[-1, ..., 0], flows[-1, ..., 1:], "net")
-    ncat, nvalid = bracket(flows[:-1, ..., 0], flows[:-1, ..., 1:], "net")
+    bracketed for every weight row, as if no row were fixed: the whole
+    tree under the runtime's rule, every node under net."""
+    engine, m, k, n = state.engine, state.m, state.k, state.engine.n_pairs
+
+    def flows(t):
+        values = engine.aggregate(components[..., t * n:(t + 1) * n, :], w)
+        return values.reshape(values.shape[:-1] + (m, k + 2))
+
+    own = flows(engine.tables.index(state.rule))[-1]
+    cat, valid = bracket(own[..., 0], own[..., 1:], state.rule)
+    net = flows(0)[:-1]
+    ncat, nvalid = bracket(net[..., 0], net[..., 1:], "net")
     alt_ids = np.arange(m)
     nodes = np.arange(state.n_nodes)[:, None, None]
     cat_hits = np.bincount((alt_ids * k + cat - 1)[valid], minlength=m * k)
@@ -745,12 +830,65 @@ def test_folded_block_tally_matches_the_unfolded_one(name, groups, root_fixed, c
     assert tuple(len(g) for g in state.engine.node_groups) == groups
     assert state.engine.root_fixed == root_fixed
     for block, bs in ((0, BLOCK), (BLOCK, 5)):
-        components, w = state.draw_block(block, bs)
-        got = state.tally_block(components, w, block)
-        want = unfolded_tally(state, components, w)
+        data, w = state.draw_block(block, bs)
+        got = state.tally_block(data, w, block)
+        want = unfolded_tally(state, block_tables(state, data), w)
         assert got[0].tolist() == want[0].tolist()
         assert got[1].tolist() == want[1].tolist()
         assert got[2] == want[2]
+
+
+def workload(name, monkeypatch):
+    """A benchmark workload's problem at seed 0, by its function's name."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    return parse_problem(getattr(workloads, name)(0))
+
+
+def test_a_drawn_block_holds_one_window_of_tables(monkeypatch):
+    # the traced peak of one block of the interval case study, whose leaf
+    # tables alone take 5.3 MB for the whole block: it builds and folds
+    # them a window at a time (the whole block at once peaked at 12.2 MB)
+    state = ProblemRuntime(workload("case_study_interval", monkeypatch), "net", "centroid",
+                           seed=0, strict=False)
+    state.simulate(0, 1)  # lazy set-up, such as the step tables, outside the trace
+    tracemalloc.start()
+    try:
+        state.simulate(0, BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
+@pytest.mark.parametrize("name", ["case_study_interval", "mixed_forms", "sampled_inputs"])
+def test_windowed_tally_equals_the_whole_block_tally(name, monkeypatch):
+    # drawn evaluations under fixed profiles, and drawn profiles and
+    # thresholds: a block tallied window by window counts what one
+    # pref_components call over the block's draw and an unfolded tally
+    # count, under every rule and both defuzzifications, in a full block, a
+    # short one and one that ends inside a window.  The small problems get
+    # windows of at most 30 draws, the interval case study its own.
+    if name == "case_study_interval":
+        problem = workload(name, monkeypatch)
+    else:
+        problem = load_problem(ROOT / "tests" / "data" / f"{name}.json")
+    for rule, defuzz in itertools.product(RULES, DEFUZZ_METHODS):
+        state = ProblemRuntime(problem, rule, defuzz, seed=7, strict=False)
+        if name != "case_study_interval":
+            engine = state.engine
+            monkeypatch.setattr(flows_module, "CHUNK_BYTES", 30 * 8 * len(engine.tables)
+                                * engine.n_pairs * problem.tree.n_elementary)
+            state = ProblemRuntime(problem, rule, defuzz, seed=7, strict=False)
+        assert state.static_components is None and 100 % state.window
+        for block, bs in ((0, BLOCK), (BLOCK, 5), (2 * BLOCK, 100)):
+            data, w = state.draw_block(block, bs)
+            got = state.tally_block(data, w, block)
+            want = unfolded_tally(state, block_tables(state, data), w)
+            assert got[0].tolist() == want[0].tolist(), (rule, defuzz, bs)
+            assert got[1].tolist() == want[1].tolist(), (rule, defuzz, bs)
+            assert got[2] == want[2]
 
 
 # ---------------------------------------------------------------------------
@@ -765,18 +903,13 @@ def test_rule_tables_are_the_floats_of_all_tables(name, walkthrough, monkeypatch
     # negative tables is summed on its own, so building one table, or
     # none, from the leaf tables the rule reads leaves every float as it
     # is when both are built from all three
-    if name == "walkthrough":
-        problem = walkthrough
-    else:
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-        import workloads
-
-        problem = parse_problem(getattr(workloads, name)(0))
+    problem = walkthrough if name == "walkthrough" else workload(name, monkeypatch)
     state = ProblemRuntime(problem, "net", "centroid", seed=0, strict=False)
-    components, w = state.draw_block(0, 16)
+    block, w = state.draw_block(0, 16)
+    components = block_tables(state, block)
     # the block's data draw again, the first draw from its substream
     static = state.static_components is not None
-    data = state._sample_data(None if static else iteration_rng(0, 0), 1 if static else 16)
+    data = block_data(state, None if static else iteration_rng(0, 0), 1 if static else 16)
 
     def tables(rule):
         engine = BatchEngine(problem.tree, state.m, state.c, rule)
