@@ -202,6 +202,16 @@ class SiblingGroup:
     members: tuple[tuple[int, ...], ...]
 
 
+def _check_sibling_labels(siblings: Sequence[CriterionNode], at: str) -> None:
+    """Raise at ``at`` for the first of ``siblings`` whose label an earlier
+    sibling already has."""
+    seen: set[str] = set()
+    for node in siblings:
+        if node.label in seen:
+            raise InputError(SCHEMA, f"duplicate sibling label {node.label!r}", at)
+        seen.add(node.label)
+
+
 def _build_node(obj: Mapping, path: tuple[int, ...], at: str) -> CriterionNode:
     if not isinstance(obj, Mapping):
         raise InputError(SCHEMA, f"tree node must be a mapping, got {type(obj).__name__}", at)
@@ -220,11 +230,7 @@ def _build_node(obj: Mapping, path: tuple[int, ...], at: str) -> CriterionNode:
         _build_node(child, path + (i + 1,), f"{at}/children/{i}")
         for i, child in enumerate(raw_children)
     )
-    seen: set[str] = set()
-    for child in children:
-        if child.label in seen:
-            raise InputError(SCHEMA, f"duplicate sibling label {child.label!r}", f"{at}/children")
-        seen.add(child.label)
+    _check_sibling_labels(children, f"{at}/children")
     weights = None
     if children:
         weights = WeightSpec.from_spec(obj.get("weights"), f"{at}/weights")
@@ -358,10 +364,6 @@ def build_tree(children: Sequence[Mapping], root_weights=None) -> CriteriaTree:
     first_level = tuple(
         _build_node(obj, (i + 1,), f"tree/children/{i}") for i, obj in enumerate(children)
     )
-    seen: set[str] = set()
-    for node in first_level:
-        if node.label in seen:
-            raise InputError(SCHEMA, f"duplicate sibling label {node.label!r}", "tree/children")
-        seen.add(node.label)
+    _check_sibling_labels(first_level, "tree/children")
     spec = WeightSpec.from_spec(root_weights, "tree/weights")
     return CriteriaTree(first_level, spec)

@@ -348,16 +348,16 @@ def _draw_cells(cells: np.ndarray, rng: np.random.Generator, size: int,
     """``size`` draws of each cell of a table, as a (cells, size) array.
 
     ``bounds``, a (lo, hi) pair of numbers or of arrays that broadcast to
-    (cells, size), narrows each cell's range per row.  A run of interval
-    cells is one ``uniform`` call, which draws the floats of one call per
-    cell and row in that order; a normal cell is redrawn, in the rows
-    still outside its range, at most ``max_attempts`` times.  The first
-    cell, and in it the first row, that cannot be drawn raises
-    :class:`SamplingError`.
+    (cells, size), narrows each cell's range per row.  Each cell's range
+    keeps the shape its bounds broadcast to, (cells, 1) for bounds fixed
+    over the rows.  A run of interval cells is one ``uniform`` call, which
+    draws the floats of one call per cell and row in that order; a normal
+    cell is redrawn, in the rows still outside its range, at most
+    ``max_attempts`` times.  The first cell, and in it the first row, that
+    cannot be drawn raises :class:`SamplingError`.
     """
     shape = (cells.shape[1], size)
-    b_lo, b_hi = (np.broadcast_to(end, shape) for end in bounds)
-    lo, hi = np.maximum(cells[0, :, None], b_lo), np.minimum(cells[1, :, None], b_hi)
+    lo, hi = np.maximum(cells[0, :, None], bounds[0]), np.minimum(cells[1, :, None], bounds[1])
     singles = np.flatnonzero(cells[4])
     edges = sorted({0, shape[0], *singles.tolist(), *(singles + 1).tolist()})
     out = np.empty(shape)
@@ -365,20 +365,22 @@ def _draw_cells(cells: np.ndarray, rng: np.random.Generator, size: int,
         if not cells[4, a]:
             empty = lo[a:b] > hi[a:b]
             if empty.any():
-                j, r = divmod(int(empty.argmax()), size)
+                j, r = divmod(int(empty.argmax()), empty.shape[1])
+                b_lo, b_hi = (np.broadcast_to(end, shape)[a + j, r] for end in bounds)
                 raise SamplingError(f"interval [{cells[0, a + j]}, {cells[1, a + j]}] cannot "
-                                    f"reach bounds [{b_lo[a + j, r]}, {b_hi[a + j, r]}]")
-            out[a:b] = rng.uniform(lo[a:b], hi[a:b])
+                                    f"reach bounds [{b_lo}, {b_hi}]")
+            out[a:b] = rng.uniform(lo[a:b], hi[a:b], (b - a, size))
             continue
+        lo_a, hi_a = (np.broadcast_to(end[a], (size,)) for end in (lo, hi))
 
         def draw(rows):
             x = rng.normal(cells[2, a], cells[3, a], len(rows))
-            return x, (lo[a, rows] <= x) & (x <= hi[a, rows])
+            return x, (lo_a[rows] <= x) & (x <= hi_a[rows])
 
         out[a], failed = _by_rejection((size,), draw, max_attempts)
         if len(failed):
             raise SamplingError(f"normal({cells[2, a]}, {cells[3, a]}) produced no draw inside "
-                                f"[{lo[a, failed[0]]}, {hi[a, failed[0]]}] after {max_attempts} "
+                                f"[{lo_a[failed[0]]}, {hi_a[failed[0]]}] after {max_attempts} "
                                 f"attempts")
     return out
 
@@ -568,9 +570,12 @@ class ProblemRuntime:
         self.strict = strict
         self.k = self.c - 1
         self.n_nodes = len(tree.nodes)
-        # tally cell of category 1 of each alternative, less one, (m,): a
-        # node's cells follow at node * m * k
+        # a run's counts are one vector: each node's m * k cells in tree
+        # order, from node * m * k, the whole tree's at node n_nodes as in
+        # the engine, then a spill cell for unbracketed entries; cell_bases
+        # holds each alternative's cell of category 1, less one, (m,)
         self.cell_bases = np.arange(self.m, dtype=np.intp) * self.k - 1
+        self.spill = (self.n_nodes + 1) * self.m * self.k
         self.weight_groups = [
             (np.array([tree.node_index[p] for p in g.members], dtype=np.int64), g.spec)
             for g in tree.sibling_groups()]
@@ -596,8 +601,8 @@ class ProblemRuntime:
         self.window = self.engine.window_draws()
         self.static_components = None
         if problem.is_deterministic_data:
-            self.static_components = self._window_tables(self._sample_data(None, 1),
-                                                         slice(None))[0]
+            self.static_components = self.engine.pref_components(
+                *self._window_data(self._sample_data(None, 1), slice(None)), self.defuzz)[0]
 
     def _sample_data(self, rng: np.random.Generator | None, size: int):
         """A block of ``size`` data draws: the preference arrays with
@@ -646,19 +651,6 @@ class ProblemRuntime:
             evals[:, i, t, 0] = modes.T
         return prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows]), evals, profiles[rows]
 
-    def _window_tables(self, data, rows: slice) -> np.ndarray:
-        """Leaf flow tables that the run's rule reads for the draws ``rows``
-        of a block ``data``, (draws, tables * n_pairs, n_el), views of a
-        leaf-major buffer: node_values reads each leaf contiguously.
-
-        The engine, built for the run's rule, builds only those tables,
-        summing the profile-versus-profile pairs once for the window, and
-        checks their profile flows as it builds them, once per data draw, so
-        static data is checked once per run.  A table the rule does not
-        read is neither built nor checked.
-        """
-        return self.engine.pref_components(*self._window_data(data, rows), self.defuzz)
-
     def draw_block(self, block: int, bs: int):
         """The data draw (see :meth:`_sample_data`; None for static data)
         and the (bs, n_nodes) weight rows of the ``bs`` iterations starting
@@ -668,92 +660,80 @@ class ProblemRuntime:
         data = None if self.static_components is not None else self._sample_data(rng, bs)
         return data, _draw_weights(self.weight_groups, self.n_nodes, rng, bs)
 
-    def simulate(self, start: int, count: int):
-        """Tally assignments for iterations [start, start + count).
+    def simulate(self, start: int, count: int) -> np.ndarray:
+        """Counts of iterations [start, start + count), one int64 vector of
+        ``spill + 1`` cells: per node, then the whole tree, then the
+        unbracketed entries (see :meth:`_tally_window`).
 
         ``start`` is a multiple of :data:`BLOCK`; each block of iterations
         draws from its own substream.
         """
-        cat_hits = np.zeros(self.m * self.k, dtype=np.int64)
-        node_hits = np.zeros(self.n_nodes * self.m * self.k, dtype=np.int64)
-        violations = 0
+        counts = np.zeros(self.spill + 1, dtype=np.int64)
         for block in range(start, start + count, BLOCK):
             bs = min(BLOCK, start + count - block)
-            ch, nh, bad = self.tally_block(*self.draw_block(block, bs), block)
-            cat_hits += ch
-            node_hits += nh
-            violations += bad
-        return cat_hits, node_hits, violations
+            counts += self.tally_block(*self.draw_block(block, bs), block)
+        return counts
 
-    def tally_block(self, data, w: np.ndarray, block: int):
-        """Category counts for one block of weight rows ``w`` starting at
-        iteration ``block``, and its data draw ``data`` (see
-        :meth:`draw_block`), window by window.
+    def tally_block(self, data, w: np.ndarray, block: int) -> np.ndarray:
+        """Counts, as :meth:`simulate` lays them out, of one block of weight
+        rows ``w`` starting at iteration ``block``, and its data draw
+        ``data`` (see :meth:`draw_block`), window by window.
 
         Drawn data goes through the engine :attr:`window` draws at a time
         (:meth:`~smaaflow.flows.BatchEngine.window_draws`): a window's leaf
-        tables are built and checked for profile order, then folded,
-        bracketed and counted with its weight rows by :meth:`_tally_window`,
-        and dropped before the next window is built.  Static data is one
-        window of the whole block over its shared table.  Counts add up over
-        the windows, and a strict block raises :class:`BoundaryViolation`
-        only after its last window, so an order fault in any window raises
-        its :class:`~smaaflow.errors.InvariantError` first.
+        tables are built by
+        :meth:`~smaaflow.flows.BatchEngine.pref_components`, which checks
+        their profile order as it builds them, once per data draw, and only
+        the tables the run's rule reads; they are then folded, bracketed and
+        counted with the window's weight rows by :meth:`_tally_window`, and
+        dropped before the next window is built.  Static data is one window
+        of the whole block over its shared table.  Counts add up over the
+        windows, and a strict block raises :class:`BoundaryViolation` only
+        after its last window, so an order fault in any window raises its
+        :class:`~smaaflow.errors.InvariantError` first.
         """
         step = len(w) if data is None else self.window
-        cat_hits = node_hits = bad = 0
+        counts = 0
         for j in range(0, len(w), step):
             rows = slice(j, j + step)
-            tables = self.static_components if data is None else self._window_tables(data, rows)
-            ch, nh, nbad = self._tally_window(tables, w[rows])
+            tables = self.static_components if data is None else self.engine.pref_components(
+                *self._window_data(data, rows), self.defuzz)
+            counts += self._tally_window(tables, w[rows])
             del tables  # free the window's tables before the next is built
-            cat_hits, node_hits, bad = cat_hits + ch, node_hits + nh, bad + nbad
-        if bad and self.strict:
+        if counts[self.spill] and self.strict:
             raise BoundaryViolation(
                 f"flow outside the profile span in iteration block "
                 f"starting at {block} (strict mode)"
             )
-        return cat_hits, node_hits, bad
+        return counts
 
-    def _tally_window(self, components: np.ndarray, w: np.ndarray):
-        """Flows, bracketing and category counts for the weight rows ``w``
-        of one window; the leaf tables it reads (net, and under
-        ``positive`` or ``negative`` that table too) were checked for
-        profile order when they were built.
+    def _tally_window(self, components: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Flows, bracketing and counts, as :meth:`simulate` lays them out,
+        of the weight rows ``w`` of one window; the leaf tables it reads
+        (net, and under ``positive`` or ``negative`` that table too) were
+        checked for profile order when they were built.
 
-        Each bracketed (node group or whole tree) array of categories is
-        counted by :func:`_count` from the alternatives' cell bases built at
-        set-up, offset by the cells of the nodes it brackets.  A row
-        bracketed once for a fixed node or a fixed whole tree stands for
-        ``len(w) // rows`` weight rows: its hits and its unbracketed cells
-        count that many times.
+        The whole tree under the run's rule and each node group under net
+        are bracketed into (node ids, categories, validity), categories
+        (nodes, rows, m); the whole tree is node ``n_nodes``.  Each entry's
+        categories are overwritten with their cells, from the
+        alternatives' cell bases offset by the cells of the entry's nodes,
+        and its unbracketed entries with the spill cell, so one
+        ``bincount`` counts both.  A row bracketed once for fixed nodes or
+        a fixed whole tree stands for ``len(w) // rows`` weight rows: its
+        cells count that many times.
         """
-        bs, size = w.shape[0], self.n_nodes * self.m * self.k
         bf = self.engine.flows(components, w)
-        cat_hits, bad = _count(*self.engine.assign_overall(bf, self.rule), self.cell_bases,
-                               bs, self.m * self.k)
-        node_hits = np.zeros(size, dtype=np.int64)
-        for ids, cat, valid in self.engine.assign_nodes(bf):
-            base = ids[:, None, None] * (self.m * self.k) + self.cell_bases
-            hits, nbad = _count(cat, valid, base, bs, size)
-            node_hits += hits
-            bad += nbad
-        return cat_hits, node_hits, bad
-
-
-def _count(cat: np.ndarray, valid: np.ndarray, base: np.ndarray, bs: int, size: int):
-    """Hits per tally cell of the categories ``cat`` (..., rows, m), whose
-    cell is ``base + cat``, and the number of their unbracketed entries,
-    where each of the rows stands for ``bs // rows`` weight rows.
-
-    ``cat`` is overwritten with the cells, and the unbracketed entries go
-    to a spill cell at ``size``, so one ``bincount`` counts both.
-    """
-    rep = bs // valid.shape[-2]
-    cells = np.add(cat, base, out=cat)
-    cells[~valid] = size
-    counts = np.bincount(cells.ravel("K"), minlength=size + 1)
-    return rep * counts[:size], rep * int(counts[size])
+        cat, valid = self.engine.assign_overall(bf, self.rule)
+        entries = [(np.array([self.n_nodes]), cat[None], valid[None]),
+                   *self.engine.assign_nodes(bf)]
+        counts = 0
+        for ids, cat, valid in entries:
+            cells = np.add(cat, ids[:, None, None] * (self.m * self.k) + self.cell_bases, out=cat)
+            cells[~valid] = self.spill
+            counts += len(w) // valid.shape[-2] * np.bincount(cells.ravel("K"),
+                                                               minlength=self.spill + 1)
+        return counts
 
 
 #: Runtime of the current ``run_smaa`` call, given to each worker at start-up.
@@ -824,18 +804,19 @@ def run_smaa(
     else:
         with ProcessPoolExecutor(len(spans), initializer=_adopt, initargs=(state,)) as pool:
             parts = list(pool.map(_run_range, spans))
-    cat_hits, node_hits, violations = (sum(col) for col in zip(*parts))
+    counts = sum(parts)
+    index = counts[:-1].reshape(state.n_nodes + 1, state.m, state.k) / iterations
     return AcceptabilityResult(
         categories=tuple(problem.categories),
         alternatives=tuple(problem.alternative_names),
-        category_index=cat_hits.reshape(state.m, state.k) / iterations,
+        category_index=index[-1],
         node_paths=tuple(n.path for n in problem.tree.nodes),
-        node_index=node_hits.reshape(state.n_nodes, state.m, state.k) / iterations,
+        node_index=index[:-1],
         iterations=iterations,
         seed=seed,
         rule=rule,
         defuzz=defuzz,
-        boundary_violations=violations,
+        boundary_violations=int(counts[-1]),
     )
 
 
