@@ -676,7 +676,8 @@ class BatchEngine:
     all its children are fixed; the whole tree is fixed when the
     first-level group is deterministic and every first-level node is
     fixed.  Fixed rows are the same in every weight row of a block, so they
-    are summed and bracketed once per data draw.  Only the *varying* nodes
+    are summed and bracketed once per data draw; for static data a run
+    sums them once (:meth:`fold_fixed`).  Only the *varying* nodes
     are summed for every weight row, reading their fixed children by
     broadcasting.  The weight rows passed in must therefore agree on the
     weights of every deterministic group, as sampled weights do.
@@ -851,6 +852,17 @@ class BatchEngine:
         step = chunk_draws(n_el, self.m, self.c)
         return step * max(1, CHUNK_BYTES // (8 * len(self.tables) * self.n_pairs * n_el * step))
 
+    def window_rows(self, rows: int) -> int:
+        """Weight rows per window of a block of ``rows`` over static data,
+        whose fixed rows :meth:`fold_fixed` built once: the block in equal
+        windows, as many as bring each window's varying and whole-tree
+        rows, ``len(tables) * n_pairs`` floats a node and row, nearest to
+        :data:`CHUNK_BYTES`, and at least one (one window of 256 rows on
+        the case study under ``net``, three of 86 on a problem of 8
+        varying nodes, 40 alternatives and 6 profiles)."""
+        row_bytes = 8 * (len(self.varying) + 1) * len(self.tables) * self.n_pairs
+        return -(-rows // max(1, round(rows * row_bytes / CHUNK_BYTES)))
+
     # -- node values and flows --------------------------------------------
 
     @staticmethod
@@ -892,21 +904,41 @@ class BatchEngine:
         self._sum_children(self.inner, rows, w, [values[idx] for idx in self.inner])
         return values
 
+    def fold_fixed(self, components: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The rows of every fixed node, from the leaf tables ``components``
+        of one data draw, (tables * n_pairs, n_el), and the weights ``w``,
+        (1, n_nodes), of which only the deterministic groups' are read.
+
+        Returns (tables * n_pairs, n_el + fixed internal nodes): the leaf
+        tables, then each fixed internal node's rows as one more column,
+        children first, as a view of a node-major buffer.  :meth:`node_values`
+        reads such columns as they are and sums only the varying nodes and
+        the whole tree, with the floats it would fold them to.
+        """
+        self._check_layout(components)
+        n_el = len(self.leaf_nodes)
+        out = np.empty((n_el + len(self.fixed_inner), 1, components.shape[-2]))
+        out[:n_el] = self._leaf_rows(components)
+        self._sum_children(self.fixed_inner, dict(zip(self.leaf_nodes, out)), w[:1], out[n_el:])
+        return out[:, 0].T
+
     def node_values(self, components: np.ndarray, w: np.ndarray):
         """Per-node rows of the leaf tables ``components``, summed
         children-first for the weight rows ``w``.
 
         ``components`` is (tables * n_pairs, n_el) when shared across the
         batch or (batch, tables * n_pairs, n_el) otherwise, as
-        :meth:`pref_components` builds them; ``w`` is (batch, n_nodes),
-        every node's weight within its sibling group.  Fixed nodes are
-        summed once per data draw with the first weight row (the
-        deterministic groups weigh every row alike), varying nodes once per
-        weight row, and every column on its own, so a table's floats do not
-        depend on the others.  Returns the full-width rows of the three
-        node groups, ``(leaves, fixed, varying)``, each (group nodes, rows,
-        tables * n_pairs) with the leaves as views of the tables, and the
-        whole tree's (rows, tables * n_pairs); rows as in :class:`BatchFlows`.
+        :meth:`pref_components` builds them, or shared fixed rows from
+        :meth:`fold_fixed`; ``w`` is (batch, n_nodes), every node's weight
+        within its sibling group.  Fixed nodes are summed once per data draw
+        with the first weight row (the deterministic groups weigh every row
+        alike), unless ``components`` holds their rows already, varying
+        nodes once per weight row, and every column on its own, so a
+        table's floats do not depend on the others.  Returns the full-width
+        rows of the three node groups, ``(leaves, fixed, varying)``, each
+        (group nodes, rows, tables * n_pairs) with the leaves (and folded
+        fixed nodes) as views of ``components``, and the whole tree's
+        (rows, tables * n_pairs); rows as in :class:`BatchFlows`.
 
         Raises
         ------
@@ -914,17 +946,18 @@ class BatchEngine:
             If ``components`` does not hold the engine's tables.
         """
         self._check_layout(components)
-        leaf_rows = self._leaf_rows(components)
-        draws, width = leaf_rows.shape[1:]
-        rows = dict(zip(self.leaf_nodes, leaf_rows))
-        fixed = self._sum_children(self.fixed_inner, rows, w[:1],
-                                   np.empty((len(self.fixed_inner), draws, width)))
+        columns = self._leaf_rows(components)
+        draws, width = columns.shape[1:]
+        n_el = len(self.leaf_nodes)
+        rows = dict(zip(self.leaf_nodes + self.fixed_inner, columns))
+        fixed = columns[n_el:] if len(columns) > n_el else self._sum_children(
+            self.fixed_inner, rows, w[:1], np.empty((len(self.fixed_inner), draws, width)))
         varying = self._sum_children(self.varying, rows, w,
                                      np.empty((len(self.varying), w.shape[0], width)))
         w_root = w[:1] if self.root_fixed else w
         root_rows = draws if self.root_fixed else w.shape[0]
         root = self._sum_children([self.root], rows, w_root, np.empty((1, root_rows, width)))[0]
-        return (leaf_rows, fixed, varying), root
+        return (columns[:n_el], fixed, varying), root
 
     def flows(self, components: np.ndarray, w: np.ndarray) -> BatchFlows:
         """Flows of the leaf tables ``components`` under the weight rows
@@ -948,12 +981,17 @@ class BatchEngine:
         return NodeFlows(*(a[pos] for a in batch_flows.nodes[group]))
 
     def _check_layout(self, components: np.ndarray) -> None:
-        """Raise ``ValueError`` unless ``components``, ([batch,] rows, n_el),
-        holds as many rows as the engine's tables."""
+        """Raise ``ValueError`` unless ``components``, ([batch,] rows,
+        columns), holds as many rows as the engine's tables, and a column
+        for each leaf or, as from :meth:`fold_fixed`, for each fixed node."""
         if components.shape[-2] != len(self.tables) * self.n_pairs:
             raise ValueError(f"leaf tables of {components.shape[-2]} rows are not the "
                              f"{len(self.tables)} of {self.n_pairs} that rule {self.rule!r} "
                              "reads")
+        n_el = len(self.leaf_nodes)
+        if components.shape[-1] not in (n_el, n_el + len(self.fixed_inner)):
+            raise ValueError(f"leaf tables of {components.shape[-1]} columns are neither the "
+                             f"{n_el} leaves nor the {n_el + len(self.fixed_inner)} fixed nodes")
 
     def _worst_steps(self, tables: np.ndarray) -> list:
         """Worst step of the profile flows in each of the engine's tables in
@@ -1006,10 +1044,11 @@ class BatchEngine:
                              f"builds only {', '.join(self.tables)}")
         return bracket(*batch_flows.root[rule], rule)
 
-    def assign_nodes(self, batch_flows: BatchFlows):
-        """Net-style categories of every real tree node, one (nodes, categories,
-        validity) triple per node group: node indices, then two
+    def assign_nodes(self, batch_flows: BatchFlows, groups=(0, 1, 2)):
+        """Net-style categories of the real tree nodes of the node ``groups``
+        (indices into :attr:`node_groups`; by default all three), one (nodes,
+        categories, validity) triple per group: node indices, then two
         (group nodes, rows, m) arrays.  A fixed group's rows are bracketed
         once per data draw, not once per weight row."""
-        return [(ids, *bracket(g.alt, g.prof, "net"))
-                for ids, g in zip(self.node_groups, batch_flows.nodes)]
+        nodes = batch_flows.nodes
+        return [(self.node_groups[g], *bracket(nodes[g].alt, nodes[g].prof, "net")) for g in groups]

@@ -24,6 +24,10 @@ the profile columns.  Every stochastic profile level, threshold and
 evaluation is drawn by one sampler over a table of cells, whose draws do
 not depend on how the cells are grouped into calls.  The engine then takes
 a block's data a window of draws at a time, which changes no count.
+Static data draws nothing: a run folds, brackets and counts its fixed nodes
+once, and each block adds those counts once per weight row and takes its
+varying nodes and whole tree a window of weight rows at a time, which
+changes no count either.
 Likewise the weights take one ``random`` call per missing or ordinal
 sibling group, stacked by kind, ranks and size and sorted one stack at a
 time, which draws the same floats as one sampler call per group; an
@@ -598,11 +602,26 @@ class ProblemRuntime:
         self.eval_cells = _cell_table([v for _, _, v in cells])
         self.draws_anything = not problem.is_deterministic_data or any(
             spec.kind != "deterministic" for _, spec in self.weight_groups)
+        # what a window counts (see _tally_window): drawn data counts every
+        # node group and the whole tree window by window
         self.window = self.engine.window_draws()
-        self.static_components = None
+        self.window_parts = ((0, 1, 2), True)
+        self.static_rows = self.static_components = None
+        self.static_counts = 0
         if problem.is_deterministic_data:
-            self.static_components = self.engine.pref_components(
+            # the fixed nodes' rows and counts, the same for every weight
+            # row of the run, once; a block adds its size times the counts
+            # and folds only the rest, a window of weight rows at a time
+            tables = self.engine.pref_components(
                 *self._window_data(self._sample_data(None, 1), slice(None)), self.defuzz)[0]
+            w = _draw_weights([g for g in self.weight_groups if g[1].kind == "deterministic"],
+                              self.n_nodes, None, 1)
+            self.static_rows = self.engine.fold_fixed(tables, w)
+            self.static_components = self.static_rows[:, :tables.shape[-1]]  # a view
+            root_fixed = self.engine.root_fixed
+            self.static_counts = self._tally_window(self.static_rows, w, (0, 1), root_fixed)
+            self.window = self.engine.window_rows(BLOCK)
+            self.window_parts = None if root_fixed else ((2,), True)
 
     def _sample_data(self, rng: np.random.Generator | None, size: int):
         """A block of ``size`` data draws: the preference arrays with
@@ -657,7 +676,7 @@ class ProblemRuntime:
         at iteration ``block``, from that block's substream.  A block that
         draws neither weights nor data makes no generator."""
         rng = iteration_rng(self.seed, block // BLOCK) if self.draws_anything else None
-        data = None if self.static_components is not None else self._sample_data(rng, bs)
+        data = None if self.static_rows is not None else self._sample_data(rng, bs)
         return data, _draw_weights(self.weight_groups, self.n_nodes, rng, bs)
 
     def simulate(self, start: int, count: int) -> np.ndarray:
@@ -686,19 +705,24 @@ class ProblemRuntime:
         their profile order as it builds them, once per data draw, and only
         the tables the run's rule reads; they are then folded, bracketed and
         counted with the window's weight rows by :meth:`_tally_window`, and
-        dropped before the next window is built.  Static data is one window
-        of the whole block over its shared table.  Counts add up over the
-        windows, and a strict block raises :class:`BoundaryViolation` only
-        after its last window, so an order fault in any window raises its
+        dropped before the next window is built.  Static data adds the
+        block's size times :attr:`static_counts`, the counts of its fixed
+        nodes (and of a fixed whole tree) for one weight row, and goes
+        :attr:`window` weight rows at a time
+        (:meth:`~smaaflow.flows.BatchEngine.window_rows`) through the
+        varying nodes and the whole tree, read from :attr:`static_rows`; a
+        whole tree that is fixed leaves no window to go through.  Counts
+        add up over the windows, and a strict block raises
+        :class:`BoundaryViolation` only after its last window, so an order
+        fault in any window raises its
         :class:`~smaaflow.errors.InvariantError` first.
         """
-        step = len(w) if data is None else self.window
-        counts = 0
-        for j in range(0, len(w), step):
-            rows = slice(j, j + step)
-            tables = self.static_components if data is None else self.engine.pref_components(
+        counts = len(w) * self.static_counts
+        for j in range(0, len(w) if self.window_parts else 0, self.window):
+            rows = slice(j, j + self.window)
+            tables = self.static_rows if data is None else self.engine.pref_components(
                 *self._window_data(data, rows), self.defuzz)
-            counts += self._tally_window(tables, w[rows])
+            counts += self._tally_window(tables, w[rows], *self.window_parts)
             del tables  # free the window's tables before the next is built
         if counts[self.spill] and self.strict:
             raise BoundaryViolation(
@@ -707,32 +731,35 @@ class ProblemRuntime:
             )
         return counts
 
-    def _tally_window(self, components: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def _tally_window(self, components: np.ndarray, w: np.ndarray, groups,
+                      whole: bool) -> np.ndarray:
         """Flows, bracketing and counts, as :meth:`simulate` lays them out,
-        of the weight rows ``w`` of one window; the leaf tables it reads
-        (net, and under ``positive`` or ``negative`` that table too) were
-        checked for profile order when they were built.
+        of the weight rows ``w`` of one window, for the engine's node
+        ``groups`` (indices into its ``node_groups``) and, when ``whole``,
+        the whole tree.  The leaf tables ``components`` (net, and under
+        ``positive`` or ``negative`` that table too) were checked for
+        profile order when they were built.
 
-        The whole tree under the run's rule and each node group under net
-        are bracketed into (node ids, categories, validity), categories
+        The whole tree is bracketed under the run's rule and each node group
+        under net, into (node ids, categories, validity), categories
         (nodes, rows, m); the whole tree is node ``n_nodes``.  Each entry's
         categories are overwritten with their cells, from the
         alternatives' cell bases offset by the cells of the entry's nodes,
         and its unbracketed entries with the spill cell, so one
-        ``bincount`` counts both.  A row bracketed once for fixed nodes or
-        a fixed whole tree stands for ``len(w) // rows`` weight rows: its
-        cells count that many times.
+        ``bincount`` counts both.  Every part counted has one row per
+        weight row: a fixed part has one per data draw, and a window of
+        drawn data holds one data draw per weight row.
         """
         bf = self.engine.flows(components, w)
-        cat, valid = self.engine.assign_overall(bf, self.rule)
-        entries = [(np.array([self.n_nodes]), cat[None], valid[None]),
-                   *self.engine.assign_nodes(bf)]
+        entries = self.engine.assign_nodes(bf, groups)
+        if whole:
+            cat, valid = self.engine.assign_overall(bf, self.rule)
+            entries.append((np.array([self.n_nodes]), cat[None], valid[None]))
         counts = 0
         for ids, cat, valid in entries:
             cells = np.add(cat, ids[:, None, None] * (self.m * self.k) + self.cell_bases, out=cat)
             cells[~valid] = self.spill
-            counts += len(w) // valid.shape[-2] * np.bincount(cells.ravel("K"),
-                                                               minlength=self.spill + 1)
+            counts += np.bincount(cells.ravel("K"), minlength=self.spill + 1)
         return counts
 
 

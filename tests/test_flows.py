@@ -558,3 +558,26 @@ def test_engine_reads_only_its_rules_tables(walkthrough_parts):
             else:
                 with pytest.raises(ValueError, match=f"no whole-tree {read} flows"):
                     engine.assign_overall(bf, read)
+
+
+def test_folded_fixed_rows_give_the_leaf_tables_values(walkthrough_parts):
+    # the fixed nodes' rows folded once, as a static run keeps them, give
+    # node_values every float the leaf tables give, and a table of any
+    # other column count is rejected rather than read short
+    from smaaflow.flows import BatchEngine, tfn_matrix
+
+    w = walkthrough_parts
+    engine = BatchEngine(w["tree"], 1, 3, "net")
+    comp = engine.pref_components(w["prefs"], tfn_matrix(w["x1"])[None],
+                                  np.array([tfn_matrix(r) for r in w["profiles"].levels]),
+                                  "centroid")
+    weight_rows = np.repeat([[w["weights"][n.path] for n in w["tree"].nodes]], 3, axis=0)
+    rows = engine.fold_fixed(comp, weight_rows[:1])
+    assert rows.shape == (comp.shape[0], comp.shape[1] + len(engine.fixed_inner))
+    assert engine.fixed_inner and np.array_equal(rows[:, :comp.shape[1]], comp)
+    (want_groups, want_root), (got_groups, got_root) = (engine.node_values(c, weight_rows)
+                                                        for c in (comp, rows))
+    for want, got in zip((*want_groups, want_root), (*got_groups, got_root)):
+        assert want.tobytes() == got.tobytes()
+    with pytest.raises(ValueError, match="columns are neither"):
+        engine.node_values(comp[:, 1:], weight_rows)

@@ -925,6 +925,51 @@ def test_windowed_tally_equals_the_whole_block_tally(name, monkeypatch):
             assert got.tolist() == want.tolist(), (rule, defuzz, bs)
 
 
+@pytest.mark.parametrize("name", ["synthetic_wide", "glued_missing"])
+def test_windowed_static_tally_matches_the_unfolded_one(name, glued_missing, monkeypatch):
+    # static data with varying nodes, and with only a varying whole tree
+    # (x3 unbracketed everywhere): the fixed nodes counted once per run,
+    # and a block's varying nodes and whole tree window by window, count
+    # what an unfolded tally counts, under every rule, in a full block, a
+    # short one and one that ends inside a window.  The budget gives each
+    # block windows of about 40 weight rows, six per full block.  The
+    # unfolded tally goes 32 weight rows at a time, which adds up to the
+    # block's, since every row is counted on its own.
+    problem = glued_missing if name == "glued_missing" else workload(name, monkeypatch)
+    for rule in RULES:
+        engine = ProblemRuntime(problem, rule, "centroid", seed=5, strict=False).engine
+        monkeypatch.setattr(flows_module, "CHUNK_BYTES", 40 * 8 * (len(engine.varying) + 1)
+                            * len(engine.tables) * engine.n_pairs)
+        state = ProblemRuntime(problem, rule, "centroid", seed=5, strict=False)
+        assert state.static_components is not None and not state.engine.root_fixed
+        assert BLOCK // state.window >= 3 and 100 % state.window
+        for block, bs in ((0, BLOCK), (BLOCK, 5), (2 * BLOCK, 100)):
+            data, w = state.draw_block(block, bs)
+            got = state.tally_block(data, w, block)
+            want = sum(unfolded_tally(state, state.static_components, w[j:j + 32])
+                       for j in range(0, bs, 32))
+            assert got.tolist() == want.tolist(), (rule, bs)
+
+
+def test_a_static_block_holds_one_window_of_node_rows(monkeypatch):
+    # the traced peak of one static block of the wide synthetic problem,
+    # whose varying and whole-tree rows alone take 5.2 MB for the whole
+    # block: it folds them a window of weight rows at a time, and its
+    # fixed nodes were folded and counted once, when the runtime was built
+    # (folding and counting them per block peaked at 6.9 MB)
+    state = ProblemRuntime(workload("synthetic_wide", monkeypatch), "net", "centroid",
+                           seed=0, strict=False)
+    data, w = state.draw_block(0, BLOCK)
+    state.tally_block(data, w, 0)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        state.tally_block(data, w, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_500_000
+
+
 # ---------------------------------------------------------------------------
 # Whole-tree tables per rule
 # ---------------------------------------------------------------------------
