@@ -20,11 +20,14 @@ chunk of draws per kernel pass, taking the worst step of each table's
 profile flows as it goes; every window of draws holds as many as keep its
 pair points within :data:`CHUNK_BYTES`.  A pass takes the leaves in shape
 order and lays its points out as (point, direction, alternative, profile,
-leaf, draw), one scratch per run of a shape, so each shape is one kernel
+leaf, draw), one run of a shape at a time, so each shape is one kernel
 call whose inner loop runs over leaves and draws; a step shape's pairs read
 their two defuzzified degrees from a table of point states
 (:func:`_step_table`) built by the same kernel, and the tables go back in
-tree order.  One call,
+tree order.  Every buffer of a pass is a view of one workspace that the
+engine makes once and keeps (:meth:`BatchEngine._workspace`), so a run's
+passes reuse the same pages; nothing the engine returns is a view of it.
+One call,
 :meth:`BatchEngine.flows`, takes those tables and a batch of weight vectors
 to flows: it sums every column children-first in one pass and hands out the
 whole tree's tables by name and every node's net ones.
@@ -42,6 +45,7 @@ them, and on every leaf table :meth:`BatchEngine.pref_components` builds.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -549,40 +553,60 @@ def _step_table(shape: str, defuzz: str) -> np.ndarray:
 
 
 def _pair_degrees(prefs: PreferenceArrays, x: np.ndarray, r: np.ndarray, defuzz: str,
-                  out: np.ndarray) -> np.ndarray:
+                  out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Defuzzed degrees of every pair of oriented members ``x`` (3, A,
     criteria, draws) over ``r`` (3, B, criteria, draws), and of its mirror
     pair, written into ``out``, (2, A, B, criteria, draws), and returned.
 
-    Each run of one shape builds its points (:func:`_points`) in a scratch
-    of its own, laid out (point, direction, A, B, run criteria, draws), so
+    Each run of one shape builds its points (:func:`_points`) at the start
+    of ``scratch``, a flat float64 buffer that holds the longest run's
+    points, laid out (point, direction, A, B, run criteria, draws), so
     every elementwise step of the run loops over one contiguous block.  A
     run of a step shape (see :data:`~smaaflow.preference.STEPS`) sorts its
-    pairs' three points into states and reads both degrees from its
-    :func:`_step_table`, without the mirrors' points; any other runs
-    through :func:`_kernel_pairs`.
+    pairs' three points into states, counted in one byte each, and reads
+    both degrees from its :func:`_step_table`, without the mirrors' points:
+    the table indices go over the first point and each degree over the
+    second, as both are read by then.  Any other run goes through
+    :func:`_kernel_pairs`.
     """
     for lo, hi in prefs.runs():
         part, run = prefs.select(slice(lo, hi)), (Ellipsis, slice(lo, hi), slice(None))
         name = SHAPES[prefs.codes[lo]]
-        size = (3,) + out.shape[1:3] + part.q.shape  # the run's points, (3, A, B, criteria, draws)
+        size = out.shape[1:3] + part.q.shape  # a point's pairs, (A, B, criteria, draws)
         if name not in STEPS:
-            pts = np.empty(size[:1] + (2,) + size[1:])
+            pts = _carve(scratch, (3, 2) + size)[0]
             _points(x[run], r[run], pts[:, 0])
             out[run] = _kernel_pairs(part, pts, defuzz)
             continue
         table = _step_table(name, defuzz)
         n = table.shape[-1]
+        pts = _carve(scratch, (3,) + size)[0]
         # the table's flat index (s0 * n + s_lo) * n + s_hi of the states s,
-        # each its point's step count plus n // 2
-        code = np.zeros(size[1:], dtype=np.intp)
-        for z in _points(x[run], r[run], np.empty(size)):
+        # each its point's step count plus n // 2; uint8 wraps, and the
+        # n**3 <= 125 codes land back in range
+        code = np.zeros(size, dtype=np.uint8)
+        for z in _points(x[run], r[run], pts):
             code *= n
             part.add_step_counts(z, code)
         code += (n * n + n + 1) * (n // 2)
+        index = scratch.view(np.intp)[:code.size].reshape(size)
+        np.copyto(index, code)
         for degrees, into in zip(table.reshape(2, -1), out[run]):
-            np.take(degrees, code, out=into)
+            # every index is in the table, so "clip" takes what "raise"
+            # would, into a contiguous out that needs no copy of its own
+            into[...] = np.take(degrees, index, out=pts[1], mode="clip")
     return out
+
+
+def _carve(buffer: np.ndarray, *shapes) -> list:
+    """Consecutive views of the flat ``buffer``, one C-ordered view per
+    shape in ``shapes``, then the rest of ``buffer``."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[start:start + size].reshape(shape))
+        start += size
+    return views + [buffer[start:]]
 
 
 def _sum_profiles(a: np.ndarray, axis: int, pairwise: bool = True) -> np.ndarray:
@@ -725,6 +749,9 @@ class BatchEngine:
         # node index -> (group, position in the group)
         self.node_slot = {int(idx): (g, pos) for g, ids in enumerate(self.node_groups)
                           for pos, idx in enumerate(ids)}
+        # the kernel passes' scratch, made by the first pass over drawn data
+        # (see _workspace)
+        self._scratch = None
 
     # -- per-leaf flow tables ----------------------------------------------
 
@@ -772,8 +799,10 @@ class BatchEngine:
         come first, from :func:`_block_pair_sums`.  Then the draws go
         :func:`chunk_draws` at a time through one kernel pass,
         :meth:`_chunk_tables`, which builds a chunk's tables with leaves and
-        draws innermost.  Each pass's tables are copied back in tree order,
-        their worst steps taken, and the chunk dropped before the next pass.
+        draws innermost.  Each pass's tables are copied back in tree order
+        and their worst steps taken before the next pass.  Every pass writes
+        its scratch into the one :meth:`_workspace`, and the tables returned
+        are a new array.
         """
         if defuzz not in DEFUZZ_METHODS:
             raise ValueError(f"unknown defuzzification method {defuzz!r}")
@@ -787,45 +816,86 @@ class BatchEngine:
         # page its own code into every worker
         leaves = np.array(sorted(range(n_el), key=prefs.codes.__getitem__))
         tables = np.empty((draws, n_el, len(self.tables) * self.n_pairs))
+        scratch = self._workspace(prefs, keep=not one)
         sums = _block_pair_sums(prefs, profiles, defuzz, leaves)
         worst = np.full(len(self.tables), -np.inf)
         step = chunk_draws(n_el, self.m, self.c)
         for j in range(0, draws, step):
             rows = slice(j, j + step)
-            table = self._chunk_tables(prefs, evals, profiles, defuzz, sums, rows, leaves)
+            table = self._chunk_tables(prefs, evals, profiles, defuzz, sums, rows, leaves, scratch)
             tables[rows][:, leaves] = table.transpose(2, 1, 0)
             np.maximum(worst, self._worst_steps(table.reshape(len(table), -1)), out=worst)
-            del table  # free the scratch before the next pass builds its own
         tables = tables.swapaxes(1, 2)
         return (tables[0] if one else tables), worst
 
+    def _workspace(self, prefs: PreferenceArrays, keep: bool) -> np.ndarray:
+        """The flat float64 scratch of every kernel pass of
+        :meth:`_build_tables`, sized from the engine's shape and the shape
+        runs of ``prefs`` to hold one full pass of :func:`chunk_draws`
+        draws, or of one draw without ``keep``.
+
+        A pass (:meth:`_chunk_tables`) carves it into the oriented members,
+        (3, m + c, leaves, draws), the pair degrees, (2, m, c, leaves,
+        draws), and a last part that holds the largest of: one side's
+        members gathered in their input layout, the points of the longest
+        run of one shape (:func:`_pair_degrees`), and the pass's tables with
+        its profile row and column sums.  With ``keep`` (a block of draws)
+        the engine keeps the buffer, so every later pass reuses pages
+        already faulted in: the first pass over drawn data in a process
+        makes it, and only a pass it cannot hold makes a larger one, which
+        the passes of one problem never need.  Without ``keep``
+        (a single data draw: one evaluation, or a static run's set-up) the
+        buffer goes with the call, unless the engine already keeps one.
+        """
+        n_el, m, c = len(self.leaf_nodes), self.m, self.c
+        run = max((3 if SHAPES[code] in STEPS else 6) * count
+                  for code, count in enumerate(np.bincount(prefs.codes)))
+        # floats per draw of the last part, then of the whole pass
+        last = max(run * m * c, (len(self.tables) * (c + 1) * m + 2 * c) * n_el,
+                   3 * max(m, c) * n_el)
+        size = ((3 * (m + c) + 2 * m * c) * n_el + last) * (chunk_draws(n_el, m, c) if keep else 1)
+        scratch = self._scratch
+        if scratch is None or len(scratch) < size:
+            scratch = np.empty(size)
+            if keep:
+                self._scratch = scratch
+        return scratch
+
     def _chunk_tables(self, prefs: PreferenceArrays, evals: np.ndarray, profiles: np.ndarray,
-                      defuzz: str, sums, rows: slice, leaves: np.ndarray) -> np.ndarray:
+                      defuzz: str, sums, rows: slice, leaves: np.ndarray,
+                      scratch: np.ndarray) -> np.ndarray:
         """One unchecked kernel pass of :meth:`_build_tables` over the
         draws ``rows`` of a block, its inputs as there with (n_el, draws)
         ``q`` and ``p``, and its leaves in the order ``leaves``.
 
         ``sums`` is the block's :func:`_block_pair_sums` in that order.  The
         pass lays its points out as (point, direction, alternative, profile,
-        leaf, draw), one scratch per run of a shape (:func:`_pair_degrees`),
+        leaf, draw), one run of a shape at a time (:func:`_pair_degrees`),
         so every elementwise step runs an inner loop over leaves and draws.
-        Returns the engine's tables, in ``tables`` order, as a
-        new (len(tables) * n_pairs, leaves, draws) array; nothing its
-        caller owns is written.
+        Every buffer is a view of ``scratch``, carved as
+        :meth:`_workspace` lays it out; the tables and profile sums go over
+        the points once the degrees are built.  Returns the engine's
+        tables, in ``tables`` order, as a (len(tables) * n_pairs, leaves,
+        draws) view of ``scratch``, which the next pass overwrites.
         """
         c, m, n = self.c, self.m, self.n_pairs
         prefs = prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows])
-        # oriented members as (3, members, leaves, draws)
-        x, r = (np.take(prefs.orient(v[rows]).transpose(3, 1, 2, 0), leaves, axis=2)
-                for v in (evals, profiles))
-        lay = x.shape[2:]  # (leaves, draws)
-        x_over_r, r_over_x = _pair_degrees(prefs.select(leaves), x, r, defuzz,
-                                           np.empty((2, m, c) + lay))
+        lay = (len(leaves), prefs.q.shape[1])  # (leaves, draws)
+        x, r, degrees, last = _carve(scratch, (3, m) + lay, (3, c) + lay, (2, m, c) + lay)
+        # oriented members as (3, members, leaves, draws): taken in their
+        # input layout, where np.take makes no copy of its own (the leaves
+        # are all in range, so "clip" takes what "raise" would), then
+        # transposed into place
+        for members, v in zip((x, r), (evals, profiles)):
+            oriented = prefs.orient(v[rows])
+            gathered = _carve(last, oriented.shape)[0]
+            np.copyto(members, np.take(oriented, leaves, axis=2, out=gathered, mode="clip")
+                      .transpose(3, 1, 2, 0))
+        x_over_r, r_over_x = _pair_degrees(prefs.select(leaves), x, r, defuzz, degrees, last)
         fixed, once, vary, each = sums
-        row, col = np.empty((2, c) + lay)
+        (row, col), table, _ = _carve(last, (2, c) + lay, (len(self.tables), m, c + 1) + lay)
         row[:, fixed], col[:, fixed] = once
         row[:, vary], col[:, vary] = each[..., rows]
-        table = np.empty((len(self.tables), m, c + 1) + lay)
         net = table[0]
         # Net flows are summed from pair differences rather than taken as
         # positive minus negative: an alternative equal to a profile ties it

@@ -19,7 +19,8 @@ trailing axes; the scalar functions are one-row calls of it, and the flow
 engine calls it for whole reference sets of a chunk of draws.  The step
 shapes (``usual``, ``u-shape``, ``level``) take at most three values, so
 :meth:`PreferenceArrays.add_step_counts` sorts a point into one of at most five
-states that fix its degree and its mirror's.
+states that fix its degree and its mirror's; the flow engine counts the
+three points of a pair into one byte, a code of at most 125 states.
 """
 
 from __future__ import annotations
@@ -174,7 +175,10 @@ class PreferenceArrays(NamedTuple):
         (d > t) less the number whose mirror it lies below (d < -t), from
         -k to k for k steps: its state, one of 2k + 1.  The degree of d and
         that of its mirror -d depend on its count alone; nan counts 0,
-        whose degree both ways is 0, as the kernel gives it.
+        whose degree both ways is 0, as the kernel gives it.  An unsigned
+        ``out`` wraps below 0 rather than going negative: the sums stay
+        exact modulo 2**bits, so a code built from counts by adds and
+        multiplies comes out exact once its value is in range again.
         """
         hit = np.empty(d.shape, dtype=bool)
         for t in STEPS[SHAPES[self.codes[0]]](self.q, self.p):

@@ -611,9 +611,10 @@ class ProblemRuntime:
         if problem.is_deterministic_data:
             # the fixed nodes' rows and counts, the same for every weight
             # row of the run, once; a block adds its size times the counts
-            # and folds only the rest, a window of weight rows at a time
+            # and folds only the rest, a window of weight rows at a time; the
+            # draw has no draw axis, so the engine keeps no kernel workspace
             tables = self.engine.pref_components(
-                *self._window_data(self._sample_data(None, 1), slice(None)), self.defuzz)[0]
+                *self._window_data(self._sample_data(None, 1), 0), self.defuzz)
             w = _draw_weights([g for g in self.weight_groups if g[1].kind == "deterministic"],
                               self.n_nodes, None, 1)
             self.static_rows = self.engine.fold_fixed(tables, w)
@@ -654,20 +655,21 @@ class ProblemRuntime:
             cells = _draw_cells(self.eval_cells, rng, size, envelope[:, self.eval_slots[1]].T)
         return self.prefs._replace(q=q, p=p), cells, profiles
 
-    def _window_data(self, data, rows: slice):
+    def _window_data(self, data, rows: slice | int):
         """The inputs of :meth:`~smaaflow.flows.BatchEngine.pref_components`
         for the draws ``rows`` of a block ``data`` of :meth:`_sample_data`:
         the preference arrays with those draws' ``q`` and ``p``, their
-        (draws, m, n_el, 3) evaluations, and their profiles.  The
-        evaluations are the fixed table with the drawn cells written in, or
-        a read-only view of it when no cell is drawn."""
+        (draws, m, n_el, 3) evaluations, and their profiles; an integer
+        ``rows`` gives one draw's, without the draw axis.  The evaluations
+        are the fixed table with the drawn cells written in, or a read-only
+        view of it when no cell is drawn."""
         prefs, cells, profiles = data
         modes = cells[:, rows]
         evals = np.broadcast_to(self.fixed_evals, modes.shape[1:] + self.fixed_evals.shape)
         if self.sampled_evals:  # a copy to write into
             i, t = self.eval_slots
             evals = evals.copy()
-            evals[:, i, t, 0] = modes.T
+            evals[..., i, t, 0] = modes.T
         return prefs._replace(q=prefs.q[:, rows], p=prefs.p[:, rows]), evals, profiles[rows]
 
     def draw_block(self, block: int, bs: int):

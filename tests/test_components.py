@@ -194,6 +194,36 @@ def test_rule_tables_are_blocks_of_all_tables(name, monkeypatch):
             assert np.array_equal(tables.view(np.int64), want.view(np.int64)), (defuzz, rule)
 
 
+@pytest.mark.parametrize("rule", [None, *flows.RULES])
+def test_the_kernel_workspace_is_invisible(rule, monkeypatch):
+    # a single draw without a draw axis keeps no workspace; then one engine
+    # makes consecutive calls on new data of 80 draws (five passes), 16
+    # (one), 7 (a short pass), one draw and a single draw, all through the
+    # workspace the first of them made: each call gives a fresh engine's
+    # tables bit for bit, and a result held from the first is not written
+    # by the later ones
+    monkeypatch.setattr(flows, "chunk_draws", chunk_draws)
+    problem = named_problem("case-study-interval", monkeypatch)
+    state = ProblemRuntime(problem, "net", "centroid", seed=0, strict=False)
+    engine = BatchEngine(problem.tree, state.m, state.c, rule)
+    engine.pref_components(*state._window_data(state._sample_data(iteration_rng(0, 9), 1), 0),
+                           "centroid")
+    assert engine._scratch is None
+    held = kept = None
+    for block, draws in enumerate((80, 16, 7, 1, None)):
+        data = state._sample_data(iteration_rng(0, block), draws or 1)
+        data = state._window_data(data, slice(None) if draws else 0)
+        tables = engine.pref_components(*data, "centroid")
+        fresh = BatchEngine(problem.tree, state.m, state.c, rule).pref_components(*data,
+                                                                                  "centroid")
+        assert tables.tobytes() == fresh.tobytes(), (rule, draws)
+        assert not np.may_share_memory(tables, engine._scratch)
+        if held is None:
+            held, kept, scratch = tables, tables.copy(), engine._scratch
+    assert engine._scratch is scratch
+    assert held.tobytes() == kept.tobytes()
+
+
 @pytest.mark.parametrize("n_profiles", [2, 5, 9])
 def test_chunked_leaf_flows_match_the_oracle(n_profiles):
     for defuzz in DEFUZZ_METHODS:

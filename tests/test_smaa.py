@@ -881,6 +881,25 @@ def test_a_drawn_block_holds_one_window_of_tables(monkeypatch):
     assert peak < 8_000_000
 
 
+def test_a_warm_window_allocates_no_kernel_scratch(monkeypatch):
+    # the traced peak of one 80-draw window of the interval case study,
+    # after a first call on it: every kernel pass writes into the engine's
+    # workspace, so the call allocates little beyond the tables it returns
+    # (it allocated 2.2 MB more when each pass made its own scratch)
+    state = ProblemRuntime(workload("case_study_interval", monkeypatch), "net", "centroid",
+                           seed=0, strict=False)
+    data = state._window_data(state.draw_block(0, BLOCK)[0], slice(0, state.window))
+    assert len(data[1]) == state.window == 80
+    state.engine.pref_components(*data, state.defuzz)  # the workspace and step tables
+    tracemalloc.start()
+    try:
+        tables = state.engine.pref_components(*data, state.defuzz)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - tables.nbytes < flows_module.CHUNK_BYTES // 2
+
+
 def test_drawn_cells_keep_their_bounds_narrow(monkeypatch):
     # the interval case study draws its evaluation cells inside the fixed
     # profiles' envelope, one column of bounds for every draw: sampling a
