@@ -983,14 +983,11 @@ class BatchEngine:
         tables, then each fixed internal node's rows as one more column,
         children first, as a view of a node-major buffer.  :meth:`node_values`
         reads such columns as they are and sums only the varying nodes and
-        the whole tree, with the floats it would fold them to.
+        the whole tree, with the floats it would fold them to.  Raises as
+        :meth:`node_values` does.
         """
-        self._check_layout(components)
-        n_el = len(self.leaf_nodes)
-        out = np.empty((n_el + len(self.fixed_inner), 1, components.shape[-2]))
-        out[:n_el] = self._leaf_rows(components)
-        self._sum_children(self.fixed_inner, dict(zip(self.leaf_nodes, out)), w[:1], out[n_el:])
-        return out[:, 0].T
+        (leaves, fixed, _), _ = self.node_values(components, w[:1])
+        return np.concatenate((leaves, fixed))[:, 0].T
 
     def node_values(self, components: np.ndarray, w: np.ndarray):
         """Per-node rows of the leaf tables ``components``, summed

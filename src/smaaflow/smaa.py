@@ -606,19 +606,20 @@ class ProblemRuntime:
         # node group and the whole tree window by window
         self.window = self.engine.window_draws()
         self.window_parts = ((0, 1, 2), True)
-        self.static_rows = self.static_components = None
+        self.static_rows = None
         self.static_counts = 0
         if problem.is_deterministic_data:
             # the fixed nodes' rows and counts, the same for every weight
             # row of the run, once; a block adds its size times the counts
             # and folds only the rest, a window of weight rows at a time; the
-            # draw has no draw axis, so the engine keeps no kernel workspace
-            tables = self.engine.pref_components(
-                *self._window_data(self._sample_data(None, 1), 0), self.defuzz)
+            # one draw is the fixed arrays, with no draw axis, so the engine
+            # keeps no kernel workspace
+            q, p = self.fixed_thresholds[..., 0]
+            tables = self.engine.pref_components(self.prefs._replace(q=q, p=p), self.fixed_evals,
+                                                 problem.fixed_profiles, self.defuzz)
             w = _draw_weights([g for g in self.weight_groups if g[1].kind == "deterministic"],
                               self.n_nodes, None, 1)
             self.static_rows = self.engine.fold_fixed(tables, w)
-            self.static_components = self.static_rows[:, :tables.shape[-1]]  # a view
             root_fixed = self.engine.root_fixed
             self.static_counts = self._tally_window(self.static_rows, w, (0, 1), root_fixed)
             self.window = self.engine.window_rows(BLOCK)
@@ -640,7 +641,8 @@ class ProblemRuntime:
         profiles as one column when no profile is drawn.  Every cell is drawn
         through one table sampler, which draws each run of interval cells
         in one ``uniform`` call (the floats of one call per cell).  Fixed
-        inputs were resolved at set-up, so static data needs no generator,
+        inputs were resolved at set-up, so static data needs no generator
+        (a static run builds its one draw from them without this sampler),
         and undrawn profiles or thresholds are read-only views.
         """
         profiles = _draw_columns(self.problem.fixed_profiles, self.problem.sampled_profiles,

@@ -770,7 +770,7 @@ def test_fixed_evaluations_reach_the_components_as_a_view(walkthrough_doc):
         "profiles.per_criterion.G2/g21": [20, [8, 12], 0],
     })
     state = ProblemRuntime(problem, "net", "centroid", seed=2, strict=False)
-    assert state.static_components is None and not state.sampled_evals
+    assert static_tables(state) is None and not state.sampled_evals
     draws = 40
     prefs, evals, profiles = block_data(state, iteration_rng(2, 0), draws)
     assert evals.shape[0] == draws and evals.strides[0] == 0
@@ -804,12 +804,19 @@ def test_undrawn_profiles_and_thresholds_are_read_only_views(walkthrough_doc):
 # ---------------------------------------------------------------------------
 
 
+def static_tables(state):
+    """The leaf tables of a static run, the leaf columns of its fixed node
+    rows, or None for drawn data."""
+    rows = state.static_rows
+    return None if rows is None else rows[:, :len(state.engine.leaf_nodes)]
+
+
 def block_tables(state, data):
     """The leaf tables of a block's data draw ``data`` (see
     ``ProblemRuntime.draw_block``) from one ``pref_components`` call over
     the whole block, or the shared table of static data."""
     if data is None:
-        return state.static_components
+        return static_tables(state)
     return state.engine.pref_components(*state._window_data(data, slice(None)), state.defuzz)
 
 
@@ -936,7 +943,7 @@ def test_windowed_tally_equals_the_whole_block_tally(name, monkeypatch):
             monkeypatch.setattr(flows_module, "CHUNK_BYTES", 30 * 8 * len(engine.tables)
                                 * engine.n_pairs * problem.tree.n_elementary)
             state = ProblemRuntime(problem, rule, defuzz, seed=7, strict=False)
-        assert state.static_components is None and 100 % state.window
+        assert static_tables(state) is None and 100 % state.window
         for block, bs in ((0, BLOCK), (BLOCK, 5), (2 * BLOCK, 100)):
             data, w = state.draw_block(block, bs)
             got = state.tally_block(data, w, block)
@@ -960,12 +967,12 @@ def test_windowed_static_tally_matches_the_unfolded_one(name, glued_missing, mon
         monkeypatch.setattr(flows_module, "CHUNK_BYTES", 40 * 8 * (len(engine.varying) + 1)
                             * len(engine.tables) * engine.n_pairs)
         state = ProblemRuntime(problem, rule, "centroid", seed=5, strict=False)
-        assert state.static_components is not None and not state.engine.root_fixed
+        assert static_tables(state) is not None and not state.engine.root_fixed
         assert BLOCK // state.window >= 3 and 100 % state.window
         for block, bs in ((0, BLOCK), (BLOCK, 5), (2 * BLOCK, 100)):
             data, w = state.draw_block(block, bs)
             got = state.tally_block(data, w, block)
-            want = sum(unfolded_tally(state, state.static_components, w[j:j + 32])
+            want = sum(unfolded_tally(state, static_tables(state), w[j:j + 32])
                        for j in range(0, bs, 32))
             assert got.tolist() == want.tolist(), (rule, bs)
 
@@ -989,6 +996,52 @@ def test_a_static_block_holds_one_window_of_node_rows(monkeypatch):
     assert peak < 4_500_000
 
 
+@pytest.mark.parametrize("name", ["case_study", "synthetic_wide"])
+def test_a_static_block_folds_and_brackets_only_weight_rows(name, monkeypatch):
+    # the fixed nodes of static data are folded and counted once, when the
+    # runtime is built: a block sums none of them and brackets only arrays
+    # of its weight rows, never one row of a fixed node or a fixed whole
+    # tree (tallying static data as drawn data is tallied cost the wide
+    # problem 9% of its run, and refolding only the fixed nodes in every
+    # window 7-17% of its static tally)
+    state = ProblemRuntime(workload(name, monkeypatch), "net", "centroid", seed=0, strict=False)
+    data, w = state.draw_block(0, BLOCK)
+    summed, rows = [], []
+    sum_children, real_bracket = BatchEngine._sum_children, flows_module.bracket
+
+    def summing(self, nodes, *args):
+        summed.extend(nodes)
+        return sum_children(self, nodes, *args)
+
+    def bracketing(alt, prof, rule):
+        rows.append(alt.shape[-2])
+        return real_bracket(alt, prof, rule)
+
+    monkeypatch.setattr(BatchEngine, "_sum_children", summing)
+    monkeypatch.setattr(flows_module, "bracket", bracketing)
+    state.tally_block(data, w, 0)
+    assert summed and not set(summed) & set(state.engine.fixed_inner)
+    assert rows and min(rows) > 1
+
+
+def test_static_data_never_enters_the_block_sampler(walkthrough, case_study, monkeypatch):
+    # a static run's one data draw is its fixed arrays: built with the
+    # block sampler out of reach, it counts what it counts with it
+    def runtimes():
+        return [ProblemRuntime(p, "net", "centroid", seed=4, strict=False)
+                for p in (case_study, walkthrough)]
+
+    want = [state.simulate(0, BLOCK + 5).tolist() for state in runtimes()]
+
+    def sampling(self, rng, size):
+        raise AssertionError("static data reached the block sampler")
+
+    monkeypatch.setattr(ProblemRuntime, "_sample_data", sampling)
+    states = runtimes()
+    assert all(state.static_rows is not None for state in states)
+    assert [state.simulate(0, BLOCK + 5).tolist() for state in states] == want
+
+
 # ---------------------------------------------------------------------------
 # Whole-tree tables per rule
 # ---------------------------------------------------------------------------
@@ -1006,7 +1059,7 @@ def test_rule_tables_are_the_floats_of_all_tables(name, walkthrough, monkeypatch
     block, w = state.draw_block(0, 16)
     components = block_tables(state, block)
     # the block's data draw again, the first draw from its substream
-    static = state.static_components is not None
+    static = static_tables(state) is not None
     data = block_data(state, None if static else iteration_rng(0, 0), 1 if static else 16)
 
     def tables(rule):
